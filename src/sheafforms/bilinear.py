@@ -205,10 +205,6 @@ class CovectorSection:
             self.module, v, tuple(self.covectors[i] for i in refinement)
         )
 
-    def kernel_rows(self):
-        """Per attached component, nothing global: used in coherence tests."""
-        return self.covectors
-
 
 @dataclass(frozen=True)
 class ComponentSymmetry:

@@ -21,10 +21,10 @@ from .fields import field_from_name
 from .scenario import (
     ENV_FIELD,
     SUITES,
-    load_scenario,  # noqa: F401  (re-export convenience)
+    load_scenario,
     oracle_report,
     report_to_json,
-    run_scenario_dict,
+    run_scenario,
 )
 
 
@@ -37,17 +37,8 @@ def _emit(report: dict, out_path):
 
 
 def _cmd_run(args) -> int:
-    import json
-
     try:
-        with open(args.scenario, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-        if not isinstance(doc, dict):
-            raise ParseError("scenario root must be an object")
-        report = run_scenario_dict(doc, seed=args.seed)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"ParseError: {exc}", file=sys.stderr)
-        return 2
+        report = run_scenario(load_scenario(args.scenario), seed=args.seed)
     except ParseError as exc:
         print(f"{exc.code}: {exc.message}", file=sys.stderr)
         return 2

@@ -19,9 +19,6 @@ class SheafFormsError(Exception):
         self.message = message
         self.witness = witness
 
-    def to_report(self) -> dict:
-        return {"code": self.code, "message": self.message}
-
 
 # -- topology ---------------------------------------------------------------
 

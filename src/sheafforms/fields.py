@@ -24,6 +24,13 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _scalar_text(text) -> str:
+    """Scalars are written as strings; a JSON number is not a scalar."""
+    if not isinstance(text, str):
+        raise ParseError(f"scalar must be a string, got {text!r}")
+    return text.strip()
+
+
 class FpElement:
     """Element of GF(p). Arithmetic stays in [0, p); ints lift implicitly."""
 
@@ -117,7 +124,7 @@ class RationalField:
         return Fraction(k)
 
     def parse(self, text: str) -> Fraction:
-        text = text.strip()
+        text = _scalar_text(text)
         try:
             if "/" in text:
                 num, den = text.split("/")
@@ -168,7 +175,7 @@ class PrimeField:
         return FpElement(k, self.p)
 
     def parse(self, text: str) -> FpElement:
-        text = text.strip()
+        text = _scalar_text(text)
         try:
             if "mod" in text:
                 val, mod = text.split("mod")
@@ -205,6 +212,8 @@ class PrimeField:
 
 def field_from_name(name: str):
     """Build a field from its report name: "rationals" or "gf:p"."""
+    if not isinstance(name, str):
+        raise ParseError(f"bad field name: {name!r} (want 'rationals' or 'gf:p')")
     name = name.strip()
     if name == "rationals":
         return RationalField()

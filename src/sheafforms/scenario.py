@@ -74,7 +74,8 @@ def _expect(doc: dict, key: str, kind, where: str):
     if not isinstance(doc, dict) or key not in doc:
         raise ParseError(f"{where}: missing key {key!r}")
     value = doc[key]
-    if kind is not None and not isinstance(value, kind):
+    # bool is a subclass of int, yet true is not a rank
+    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
         raise ParseError(f"{where}: {key!r} has the wrong type")
     return value
 
@@ -234,7 +235,7 @@ def load_scenario(path: str) -> Scenario:
             doc = json.load(handle)
     except OSError as exc:
         raise ParseError(f"cannot read scenario: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"scenario is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("scenario root must be an object")
@@ -309,13 +310,15 @@ def _certify_radical(form, rad, inside):
 
 
 def _certify_orthogonal(form, perp, f, side):
+    """side "left": phi(s, t) = 0, i.e. F G P^T = 0; side "right":
+    phi(t, s) = 0, i.e. P G F^T = 0; plus the dimension formula."""
     field = form.module.field
     zero = field.zero
     for g, p_rows, f_rows in zip(form.gram, perp.bases, f.bases):
         if side == "left":
-            prod = linalg.matmul(p_rows, linalg.matmul(g, linalg.transpose(f_rows)))
-        else:
             prod = linalg.matmul(f_rows, linalg.matmul(g, linalg.transpose(p_rows)))
+        else:
+            prod = linalg.matmul(p_rows, linalg.matmul(g, linalg.transpose(f_rows)))
         if any(x != zero for row in prod for x in row):
             return False
         # dimension formula, from scratch
@@ -334,7 +337,7 @@ def _certify_normal_form(form, mats):
     )
 
 
-def _certify_witt(source, target_form, f, images, iso):
+def _certify_witt(f, images, iso):
     ok = iso.holds()
     for sec, image in zip(f.global_basis(), images):
         ok = ok and iso.apply(sec) == image
@@ -502,7 +505,7 @@ def _run_task(scenario: Scenario, task: dict, default_seed) -> dict:
                 for i, sec in enumerate(_expect(task, "sigma", list, "witt"))
             ]
             iso = witt_extend(form, target, f, images)
-            cert_ok = _certify_witt(form, target, f, images, iso)
+            cert_ok = _certify_witt(f, images, iso)
             assert cert_ok
             return done(
                 {"matrices": [format_matrix(m, module.field) for m in iso.matrices]},
@@ -548,7 +551,10 @@ def _certify_planes(form, planes) -> bool:
 # -- report assembly ----------------------------------------------------------
 
 def run_scenario_dict(doc: dict, seed=None) -> dict:
-    scenario = scenario_from_dict(doc)
+    return run_scenario(scenario_from_dict(doc), seed)
+
+
+def run_scenario(scenario: Scenario, seed=None) -> dict:
     header = {
         "field": scenario.field.name,
         "rank": scenario.module.rank,

@@ -5,8 +5,14 @@ Everything here works on alternating non-degenerate forms over the locally
 constant model, where a global construction is a per-component construction
 glued along the component table. The algorithms are deterministic: ambient
 complements are canonical echelon subspaces, partners are chosen as the least
-echelon basis row with non-vanishing pairing on each component, and every
-output is re-verified against its defining equations before being returned.
+echelon basis row with non-vanishing pairing on each component.
+
+Each fact is decided once. The public entry points validate their forms
+(`validate_symplectic`) and then call private helpers (`_extend`,
+`_normal_form`, `_standard_isometry`) that do not validate again. `_extend`
+certifies every basis it builds by congruence, P^T G P == A_2n on every
+component (`certify_basis`); normal forms and standard isometries are built
+from such certified bases and need no further check.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from .errors import (
     PartnerNotFound,
     RankMismatch,
 )
-from .modules import FreeModule, ModuleSection, Submodule, full_submodule, span
+from .modules import FreeModule, ModuleSection, Submodule, span
 
 
 # -- types --------------------------------------------------------------------
@@ -131,7 +137,7 @@ def invert_isometry(iso: Isometry) -> Isometry:
 # -- validation ---------------------------------------------------------------
 
 def validate_symplectic(form: BilinearForm) -> None:
-    """Alternating on every component, even rank, invertible Gram matrices."""
+    """Alternating on every component, even rank, full-rank Gram matrices."""
     field = form.module.field
     for c, g in enumerate(form.gram):
         n = len(g)
@@ -148,7 +154,7 @@ def validate_symplectic(form: BilinearForm) -> None:
     if form.module.rank % 2 != 0:
         raise OddRank(f"rank {form.module.rank} is odd")
     for c, g in enumerate(form.gram):
-        if linalg.inverse(g, field) is None:
+        if linalg.rank(g, field) != len(g):
             raise Degenerate(f"component {c}: Gram matrix is singular", component=c)
 
 
@@ -173,8 +179,9 @@ def standard_symplectic_form(module: FreeModule) -> BilinearForm:
 
 # -- the extension theorem ------------------------------------------------------
 
-def _fiber_phi(g, u, v):
-    return linalg.dot(u, linalg.mat_vec(g, v))
+def _pairings(rows, g):
+    """R G R^T: the matrix of pairings phi(u, v) between the rows of R."""
+    return linalg.matmul(linalg.matmul(rows, g), linalg.transpose(rows))
 
 
 def _glue(module: FreeModule, per_component_vectors) -> ModuleSection:
@@ -190,13 +197,17 @@ def _project_rows_away(form: BilinearForm, rows_per_comp, pairs):
     out = []
     for c, rows in enumerate(rows_per_comp):
         g = form.gram[c]
+        # (r, s, G r^T, G s^T) per pair, so phi(z, r) = z . G r^T
+        fiber_pairs = []
+        for r, s in pairs:
+            rv, sv = r.vectors[c], s.vectors[c]
+            fiber_pairs.append((rv, sv, linalg.mat_vec(g, rv), linalg.mat_vec(g, sv)))
         new = []
         for z in rows:
             acc = z
-            for r, s in pairs:
-                rv, sv = r.vectors[c], s.vectors[c]
-                a = _fiber_phi(g, z, rv)
-                b = _fiber_phi(g, z, sv)
+            for rv, sv, grv, gsv in fiber_pairs:
+                a = linalg.dot(z, grv)
+                b = linalg.dot(z, gsv)
                 acc = linalg.add_vec(acc, linalg.sub_vec(linalg.scale(a, sv), linalg.scale(b, rv)))
             new.append(acc)
         out.append(linalg.rref(new, field)[0])
@@ -209,7 +220,6 @@ def _constrained_partner(form, ambient_rows, avoid, mate, label):
     glued into a global section. Raises PartnerNotFound when some component
     has no such row (which signals an inconsistent input family)."""
     field = form.module.field
-    width = form.module.rank
     picks = []
     for c, amb in enumerate(ambient_rows):
         g = form.gram[c]
@@ -220,10 +230,10 @@ def _constrained_partner(form, ambient_rows, avoid, mate, label):
             w_rows = linalg.rref(linalg.matmul(coeffs, amb), field)[0] if coeffs else ()
         else:
             w_rows = amb
-        mate_vec = mate.vectors[c]
+        mate_g = linalg.vec_mat(mate.vectors[c], g)  # phi(mate, w) = mate_g . w
         pick = None
         for w in w_rows:
-            if _fiber_phi(g, mate_vec, w) != field.zero:
+            if linalg.dot(mate_g, w) != field.zero:
                 pick = w
                 break
         if pick is None:
@@ -235,33 +245,16 @@ def _constrained_partner(form, ambient_rows, avoid, mate, label):
 
 
 def _check_partial_relations(form, rs, ss):
-    unit = None
-    for i, ri in rs.items():
-        for j, rj in rs.items():
-            if not form.evaluate(ri, rj).is_zero():
-                raise PartialRelationsViolated(
-                    f"phi(r_{i}, r_{j}) != 0", pair=(("r", i), ("r", j))
-                )
-    for i, si in ss.items():
-        for j, sj in ss.items():
-            if not form.evaluate(si, sj).is_zero():
-                raise PartialRelationsViolated(
-                    f"phi(s_{i}, s_{j}) != 0", pair=(("s", i), ("s", j))
-                )
-    for i, ri in rs.items():
-        for j, sj in ss.items():
-            val = form.evaluate(ri, sj)
-            if i == j:
-                if unit is None:
-                    unit = tuple(form.module.field.one for _ in val.values)
-                if val.values != unit:
+    one = form.module.field.one
+    for a, xs, b, ys in (("r", rs, "r", rs), ("s", ss, "s", ss), ("r", rs, "s", ss)):
+        for i, x in xs.items():
+            for j, y in ys.items():
+                val = form.evaluate(x, y)
+                want_one = a != b and i == j
+                if not (all(v == one for v in val.values) if want_one else val.is_zero()):
                     raise PartialRelationsViolated(
-                        f"phi(r_{i}, s_{i}) != 1", pair=(("r", i), ("s", i))
+                        f"phi({a}_{i}, {b}_{j}) != {int(want_one)}", pair=((a, i), (b, j))
                     )
-            elif not val.is_zero():
-                raise PartialRelationsViolated(
-                    f"phi(r_{i}, s_{j}) != 0", pair=(("r", i), ("s", j))
-                )
 
 
 def gram_schmidt_extend(form: BilinearForm, partial: PartialFamily) -> SymplecticBasis:
@@ -277,6 +270,11 @@ def gram_schmidt_extend(form: BilinearForm, partial: PartialFamily) -> Symplecti
     given) funnel through the same loop.
     """
     validate_symplectic(form)
+    return _extend(form, partial)
+
+
+def _extend(form: BilinearForm, partial: PartialFamily) -> SymplecticBasis:
+    """gram_schmidt_extend on a form already known to be symplectic."""
     module = form.module
     n = module.rank // 2
     rs = partial.r_dict
@@ -344,31 +342,28 @@ def gram_schmidt_extend(form: BilinearForm, partial: PartialFamily) -> Symplecti
     basis = SymplecticBasis(
         module, tuple(rs[i] for i in range(1, n + 1)), tuple(ss[i] for i in range(1, n + 1))
     )
-    assert certify_basis(form, basis, partial)
+    if not certify_basis(form, basis, partial):
+        raise AssertionError("the completed basis fails P^T G P == A_2n")
     return basis
 
 
 def certify_basis(form: BilinearForm, basis: SymplecticBasis, partial=None) -> bool:
-    """Re-verify the defining equations: all pairing relations, invertibility
-    of the change of basis on every component, and verbatim containment of
-    the partial family at its indices."""
-    field = form.module.field
-    n = basis.n
-    for i in range(n):
-        for j in range(n):
-            if not form.evaluate(basis.r[i], basis.r[j]).is_zero():
-                return False
-            if not form.evaluate(basis.s[i], basis.s[j]).is_zero():
-                return False
-            val = form.evaluate(basis.r[i], basis.s[j])
-            want_one = i == j
-            for v in val.values:
-                if v != (field.one if want_one else field.zero):
-                    return False
-    ncomp = len(form.module.x_components())
-    for c in range(ncomp):
-        stacked = tuple(sec.vectors[c] for sec in basis.interleaved())
-        if linalg.inverse(stacked, field) is None:
+    """The congruence P^T G P == A_2n on every component, with the columns
+    of P the interleaved basis r_1, s_1, r_2, s_2, ..., and verbatim
+    containment of the partial family at its indices. The congruence is
+    every pairing relation at once, and it makes P invertible because A_2n
+    is."""
+    module = form.module
+    x = module.space.x_ref
+    sections = basis.interleaved()
+    if len(sections) != module.rank or any(
+        sec.module != module or sec.open != x for sec in sections
+    ):
+        return False
+    target = standard_alternating(module.rank, module.field)
+    for c, g in enumerate(form.gram):
+        rows = tuple(sec.vectors[c] for sec in sections)
+        if _pairings(rows, g) != target:
             return False
     if partial is not None:
         for i, sec in partial.r:
@@ -392,21 +387,21 @@ def hyperbolic_decomposition(form: BilinearForm):
 def normal_form(form: BilinearForm):
     """Per-component change of basis P with P^T G P the standard alternating
     matrix. Columns of P are the symplectic basis interleaved r_1, s_1, ..."""
-    basis = gram_schmidt_extend(form, PartialFamily.of())
-    target = standard_alternating(form.module.rank, form.module.field)
-    mats = []
-    for c in range(len(form.gram)):
-        p = linalg.transpose(tuple(sec.vectors[c] for sec in basis.interleaved()))
-        assert linalg.matmul(
-            linalg.transpose(p), linalg.matmul(form.gram[c], p)
-        ) == target
-        mats.append(p)
-    return tuple(mats)
+    validate_symplectic(form)
+    return _normal_form(form)
 
 
-def standard_isometry(source: BilinearForm, target: BilinearForm) -> Isometry:
-    """An exact isometry between two symplectic forms of the same rank over
-    the same space: M = P' P^{-1} built from the two normal forms."""
+def _normal_form(form: BilinearForm):
+    basis = _extend(form, PartialFamily.of())
+    sections = basis.interleaved()
+    return tuple(
+        linalg.transpose(tuple(sec.vectors[c] for sec in sections))
+        for c in range(len(form.gram))
+    )
+
+
+def _validate_pair(source: BilinearForm, target: BilinearForm) -> None:
+    """Two symplectic forms of the same rank over the same space and field."""
     if source.module.space != target.module.space or source.module.field != target.module.field:
         raise ModuleMismatch("forms live over different spaces or fields")
     if source.module.rank != target.module.rank:
@@ -415,17 +410,24 @@ def standard_isometry(source: BilinearForm, target: BilinearForm) -> Isometry:
         )
     validate_symplectic(source)
     validate_symplectic(target)
-    p = normal_form(source)
-    p2 = normal_form(target)
+
+
+def standard_isometry(source: BilinearForm, target: BilinearForm) -> Isometry:
+    """An exact isometry between two symplectic forms of the same rank over
+    the same space: M = P' P^{-1} built from the two normal forms."""
+    _validate_pair(source, target)
+    return _standard_isometry(source, target)
+
+
+def _standard_isometry(source: BilinearForm, target: BilinearForm) -> Isometry:
+    # _extend certified P^T G P = A = P'^T G' P', so M = P' P^{-1} has
+    # M^T G' M = P^{-T} A P^{-1} = G: M is an isometry without a further check
     field = source.module.field
-    mats = []
-    for a, b in zip(p, p2):
-        inv = linalg.inverse(a, field)
-        assert inv is not None
-        mats.append(linalg.matmul(b, inv))
-    iso = Isometry(source, target, tuple(mats))
-    assert iso.holds()
-    return iso
+    mats = tuple(
+        linalg.matmul(p2, linalg.inverse(p, field))
+        for p, p2 in zip(_normal_form(source), _normal_form(target))
+    )
+    return Isometry(source, target, mats)
 
 
 # -- hyperbolic envelopes and isometry extension ------------------------------
@@ -460,7 +462,7 @@ def hyperbolic_envelope(form: BilinearForm, f: Submodule):
         )
     field = form.module.field
     for b, g in zip(f.bases, form.gram):
-        gram_on_f = linalg.matmul(linalg.matmul(b, g), linalg.transpose(b))
+        gram_on_f = _pairings(b, g)
         if any(x != field.zero for row in gram_on_f for x in row):
             raise NotTotallyIsotropic("the form does not vanish on the submodule")
     basis = f.global_basis()
@@ -523,19 +525,12 @@ def witt_extend(
     construction splits f into a non-isotropic part and its radical, carries
     the non-isotropic part over verbatim, matches the two hyperbolic
     envelopes of the radicals (inside the orthogonal complements of the
-    non-isotropic parts), maps partner to partner with the exact pairing
-    correction, and finishes with a standard isometry between the residual
+    non-isotropic parts), maps partner to partner (both envelopes normalize
+    the pairing to 1), and finishes with a standard isometry between the residual
     complements. The result is checked against the defining equation and
     against sigma on the basis of f before being returned.
     """
-    if source.module.space != target.module.space or source.module.field != target.module.field:
-        raise ModuleMismatch("forms live over different spaces or fields")
-    if source.module.rank != target.module.rank:
-        raise RankMismatch(
-            f"ranks differ: {source.module.rank} vs {target.module.rank}"
-        )
-    validate_symplectic(source)
-    validate_symplectic(target)
+    _validate_pair(source, target)
     module = source.module
     field = module.field
     if f.module != module:
@@ -559,14 +554,23 @@ def witt_extend(
             raise ModuleMismatch("an image belongs to a different module")
         if im.open != x:
             raise OpenMismatch("images must be global sections")
+    ncomp = len(module.x_components())
+    # per component, the k x k Gram matrices B G B^T and Im G' Im^T
+    grams = [
+        (
+            _pairings(tuple(sec.vectors[c] for sec in basis), source.gram[c]),
+            _pairings(tuple(im.vectors[c] for im in images), target.gram[c]),
+        )
+        for c in range(ncomp)
+    ]
     for i in range(k):
         for j in range(k):
-            if source.evaluate(basis[i], basis[j]) != target.evaluate(images[i], images[j]):
+            if any(gb[i][j] != gi[i][j] for gb, gi in grams):
                 raise IsometryHypothesisViolated(
                     f"pairing of basis sections {i} and {j} is not preserved",
                     pair=(i, j),
                 )
-    for c in range(len(module.x_components())):
+    for c in range(ncomp):
         stacked = tuple(im.vectors[c] for im in images)
         if linalg.rank(stacked, field) != k:
             raise IsometryHypothesisViolated(
@@ -602,18 +606,11 @@ def witt_extend(
         amb_target = target.orthogonal(gc_t, "left").bases
     else:
         ident = linalg.identity(module.rank, field)
-        amb_source = (ident,) * len(module.x_components())
+        amb_source = (ident,) * ncomp
         amb_target = amb_source
 
     planes = _envelope(source, rad_basis, amb_source)
     planes_t = _envelope(target, sigma_rad, amb_target)
-
-    # partner images with the exact pairing correction (both pairings are
-    # normalized to 1 by the envelope, so the factor is 1; kept for fidelity)
-    beta_s = []
-    for p, q in zip(planes, planes_t):
-        factor = source.evaluate(p.r, p.s) * target.evaluate(q.r, q.s).invert()
-        beta_s.append(factor * q.s)
 
     # residual complements J and J' and a standard isometry between them
     h_sections = [sec for p in planes for sec in (p.r, p.s)]
@@ -625,36 +622,29 @@ def witt_extend(
     assert jr is not None and jr == jr_t
 
     source_secs = gc_sections + [p.r for p in planes] + [p.s for p in planes]
-    target_secs = sigma_gc + [q.r for q in planes_t] + beta_s
+    target_secs = sigma_gc + [q.r for q in planes_t] + [q.s for q in planes_t]
     if jr:
         j_basis = j_source.global_basis()
-        j_basis_t = j_target.global_basis()
         j_module = FreeModule(module.space, field, jr)
         restricted = BilinearForm(
-            j_module,
-            tuple(
-                linalg.matmul(linalg.matmul(b, g), linalg.transpose(b))
-                for b, g in zip(j_source.bases, source.gram)
-            ),
+            j_module, tuple(map(_pairings, j_source.bases, source.gram))
         )
         restricted_t = BilinearForm(
-            j_module,
-            tuple(
-                linalg.matmul(linalg.matmul(b, g), linalg.transpose(b))
-                for b, g in zip(j_target.bases, target.gram)
-            ),
+            j_module, tuple(map(_pairings, j_target.bases, target.gram))
         )
-        n_iso = standard_isometry(restricted, restricted_t)
+        # J is the orthogonal complement of a non-degenerate part, so both
+        # restrictions are symplectic and need no second validation
+        n_iso = _standard_isometry(restricted, restricted_t)
         for idx in range(jr):
             vectors = []
-            for c in range(len(module.x_components())):
+            for c in range(ncomp):
                 col = tuple(n_iso.matrices[c][i][idx] for i in range(jr))
                 vectors.append(linalg.vec_mat(col, j_target.bases[c]))
             source_secs.append(j_basis[idx])
             target_secs.append(_glue(target.module, vectors))
 
     mats = []
-    for c in range(len(module.x_components())):
+    for c in range(ncomp):
         src = linalg.transpose(tuple(sec.vectors[c] for sec in source_secs))
         tgt = linalg.transpose(tuple(sec.vectors[c] for sec in target_secs))
         inv = linalg.inverse(src, field)

@@ -78,6 +78,39 @@ class TestParsing:
         with pytest.raises(ParseError):
             scenario_from_dict(doc)
 
+    @pytest.mark.parametrize("gram", [
+        [[[0, 1], [-1, 0]]],
+        [[["0/1", 1.5], ["-1/1", "0/1"]]],
+        [[["0/1", None], ["-1/1", "0/1"]]],
+    ])
+    def test_non_string_scalar_is_parse_error(self, gram):
+        with pytest.raises(ParseError):
+            scenario_from_dict(base_doc(gram=gram))
+
+    def test_non_string_scalar_in_task_is_task_parse_error(self):
+        doc = base_doc(tasks=[{"op": "orthogonal", "submodule": {"generators": [
+            {"open": ["a", "b"], "vectors": [[1, 0]]}]}}])
+        report = run_scenario_dict(doc)
+        assert report["tasks"][0]["error"]["code"] == "ParseError"
+        assert not report["ok"]
+
+    @pytest.mark.parametrize("field", [5, True, ["rationals"]])
+    def test_field_name_must_be_a_string(self, field):
+        with pytest.raises(ParseError):
+            scenario_from_dict(base_doc(field=field))
+
+    @pytest.mark.parametrize("rank,gram", [
+        (True, [[["0/1"]]]),
+        (False, [[]]),
+        (2.0, [[["0/1", "1/1"], ["-1/1", "0/1"]]]),
+        ("2", [[["0/1", "1/1"], ["-1/1", "0/1"]]]),
+    ])
+    def test_rank_must_be_an_integer(self, rank, gram):
+        # each Gram matrix fits the rank the value would pass for
+        with pytest.raises(ParseError) as err:
+            scenario_from_dict(base_doc(rank=rank, gram=gram))
+        assert "'rank' has the wrong type" in err.value.message
+
     def test_unknown_op(self):
         doc = base_doc(tasks=[{"op": "frobnicate"}])
         with pytest.raises(ParseError):
@@ -226,6 +259,40 @@ class TestScenarioExecution:
         assert "time_ms" in report["tasks"][0]
 
 
+def asymmetric_doc(side):
+    """Gram [[1,1],[0,1]] is neither symmetric nor alternating, so the left
+    and right orthogonals of span(e_1) differ: (1,-1) and (0,1)."""
+    return base_doc(
+        gram=[[["1/1", "1/1"], ["0/1", "1/1"]]],
+        tasks=[{"op": "orthogonal", "side": side, "submodule": {"generators": [
+            {"open": ["a", "b"], "vectors": [["1/1", "0/1"]]}]}}],
+    )
+
+
+class TestOrthogonalSides:
+    @pytest.mark.parametrize("side,row", [
+        ("left", ["1/1", "-1/1"]),
+        ("right", ["0/1", "1/1"]),
+    ])
+    def test_certificate_checks_the_requested_side(self, side, row):
+        report = run_scenario_dict(asymmetric_doc(side))
+        (task,) = report["tasks"]
+        assert task["status"] == "ok", task
+        assert task["payload"]["orthogonal"]["bases"] == [[row]]
+        assert task["certificate"] == {
+            "annihilates_carrier": True, "dimension_formula": True,
+        }
+        assert report["ok"]
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_cli_exit_zero(self, tmp_path, side):
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(asymmetric_doc(side)))
+        proc = run_cli("run", str(path))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["ok"]
+
+
 class TestOracleReports:
     def test_unknown_suite(self):
         with pytest.raises(UnknownSuite):
@@ -273,6 +340,21 @@ class TestProcessLevel:
         proc = run_cli("run", str(path))
         assert proc.returncode == 2
         assert "MissingEmptyOrTotal" in proc.stderr
+
+    @pytest.mark.parametrize("content", [
+        json.dumps(base_doc(gram=[[[0, 1], [-1, 0]]])).encode(),
+        json.dumps(base_doc(rank=True, gram=[[["0/1"]]])).encode(),
+        b"{oops",
+        b"[1, 2]",
+        b"\xff\xfe{}",
+    ], ids=["number_scalar", "bool_rank", "bad_json", "non_object_root", "non_utf8"])
+    def test_run_malformed_value_exit_two_without_traceback(self, tmp_path, content):
+        path = tmp_path / "scn.json"
+        path.write_bytes(content)
+        proc = run_cli("run", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("ParseError:")
+        assert "Traceback" not in proc.stderr
 
     def test_oracle_bitwise_determinism_across_processes(self):
         args = ("oracle", "gram_schmidt", "--seed", "12", "--cases", "6")

@@ -17,6 +17,7 @@ from sheafforms import (
     FreenessViolated,
     IsometryHypothesisViolated,
     ModuleMismatch,
+    ModuleSection,
     NotAlternating,
     NotTotallyIsotropic,
     OddRank,
@@ -27,6 +28,7 @@ from sheafforms import (
     PrimeField,
     RankMismatch,
     RationalField,
+    SymplecticBasis,
     certify_basis,
     certify_envelope,
     compose_isometries,
@@ -43,7 +45,7 @@ from sheafforms import (
     validate_symplectic,
     witt_extend,
 )
-from sheafforms import linalg
+from sheafforms import linalg, symplectic
 from sheafforms.oracles import (
     discrete_pair_space,
     random_alternating_form,
@@ -230,6 +232,43 @@ class TestGramSchmidt:
         form = random_alternating_form(rng, module)
         basis = gram_schmidt_extend(form, PartialFamily.of())
         assert certify_basis(form, basis)
+
+
+class TestCertifyBasis:
+    """certify_basis checks P^T G P == A_2n with P's columns r_1, s_1, ...,
+    plus verbatim containment of the partial family."""
+
+    def basis_of(self, space):
+        form = random_alternating_form(Random(71), FreeModule(space, Q, 4))
+        return form, gram_schmidt_extend(form, PartialFamily.of())
+
+    def test_rejects_scaled_partner(self, discrete_pair):
+        form, basis = self.basis_of(discrete_pair)
+        scaled = SymplecticBasis(
+            basis.module, basis.r, (Fraction(2) * basis.s[0],) + basis.s[1:]
+        )
+        assert not certify_basis(form, scaled)
+
+    def test_rejects_swapped_pair(self, sierpinski):
+        # phi(s_1, r_1) = -1: every pairwise zero still holds, the sign does not
+        form, basis = self.basis_of(sierpinski)
+        swapped = SymplecticBasis(
+            basis.module,
+            (basis.s[0],) + basis.r[1:],
+            (basis.r[0],) + basis.s[1:],
+        )
+        assert not certify_basis(form, swapped)
+
+    def test_rejects_partial_not_kept_verbatim(self, sierpinski):
+        form, basis = self.basis_of(sierpinski)
+        other = PartialFamily.of(r={1: Fraction(3) * basis.r[0]})
+        assert certify_basis(form, basis, PartialFamily.of(r={1: basis.r[0]}))
+        assert not certify_basis(form, basis, other)
+
+    def test_rejects_short_basis(self, sierpinski):
+        form, basis = self.basis_of(sierpinski)
+        short = SymplecticBasis(basis.module, basis.r[:1], basis.s[:1])
+        assert not certify_basis(form, short)
 
 
 class TestNormalForm:
@@ -470,3 +509,65 @@ class TestWitt:
         f = span(a.module, [])
         with pytest.raises(RankMismatch):
             witt_extend(a, b, f, [])
+
+    def test_broken_pairing_witness(self, discrete_pair):
+        # the image of e_2 picks up e_0 on the second component only, so
+        # phi(e_1, e_2) changes there and (1, 2) is the first broken pair
+        module = FreeModule(discrete_pair, Q, 6)
+        form = standard_symplectic_form(module)
+        e = module.canonical_basis()
+        f = span(module, [e[0], e[1], e[2]])
+        v0, v1 = e[2].vectors
+        broken = ModuleSection(
+            module, e[2].open, (v0, linalg.add_vec(v1, e[0].vectors[1]))
+        )
+        with pytest.raises(IsometryHypothesisViolated) as err:
+            witt_extend(form, form, f, [e[0], e[1], broken])
+        assert err.value.witness["pair"] == (1, 2)
+
+
+class TestValidateOnce:
+    """Forms are validated at the public entry point only; the helpers the
+    constructions share do not validate again."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        original = symplectic.validate_symplectic
+
+        def counting(form):
+            seen.append(form)
+            return original(form)
+
+        monkeypatch.setattr(symplectic, "validate_symplectic", counting)
+        return seen
+
+    def forms(self, space):
+        rng = Random(83)
+        module = FreeModule(space, Q, 6)
+        return random_alternating_form(rng, module), random_alternating_form(rng, module)
+
+    def test_gram_schmidt_extend_validates_once(self, calls, sierpinski):
+        form, _ = self.forms(sierpinski)
+        gram_schmidt_extend(form, PartialFamily.of())
+        assert len(calls) == 1
+
+    def test_normal_form_validates_once(self, calls, sierpinski):
+        form, _ = self.forms(sierpinski)
+        normal_form(form)
+        assert len(calls) == 1
+
+    def test_standard_isometry_validates_each_form_once(self, calls, sierpinski):
+        source, target = self.forms(sierpinski)
+        standard_isometry(source, target)
+        assert calls == [source, target]
+
+    def test_witt_extend_validates_each_form_once(self, calls, sierpinski):
+        # f = span(e_1) leaves a rank-4 residual complement, so the
+        # restricted standard isometry runs too
+        module = FreeModule(sierpinski, Q, 6)
+        form = standard_symplectic_form(module)
+        e = module.canonical_basis()
+        iso = witt_extend(form, form, span(module, [e[0]]), [e[0]])
+        assert iso.holds()
+        assert calls == [form, form]
