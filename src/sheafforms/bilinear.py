@@ -7,6 +7,11 @@ section through the component refinement map. Orthogonals, radicals,
 projections and splittings are all computed per component with exact
 echelon/nullspace kernels, so every identity below is tested with zero
 tolerance.
+
+Non-isotropy is decided without forming the radical. For the echelon basis
+B of a submodule f on one component, rad f = {x B : (B G B^T) x^T = 0}, so
+dim rad f = dim f - rank(B G B^T), and f is non-isotropic (E splits as
+f perp-oplus f-perp) exactly when B G B^T is invertible on every component.
 """
 
 from __future__ import annotations
@@ -102,14 +107,32 @@ class BilinearForm:
     def classify(self) -> "OrthoClass":
         return classify_orthosymmetry(self)
 
-    def radical(self, f: Optional[Submodule] = None) -> Submodule:
-        """rad f = f intersect f-perp (rad E = E-perp). Needs an
-        orthosymmetric form, otherwise left and right orthogonals differ."""
+    def _require_orthosymmetric(self, what: str) -> None:
         cls = classify_orthosymmetry(self)
         if not cls.orthosymmetric:
             raise NotOrthosymmetric(
-                "radical requires an orthosymmetric form", witness=cls.witness
+                f"{what} requires an orthosymmetric form", witness=cls.witness
             )
+
+    def _restricted_grams(self, f: Submodule):
+        """Per X-component (B G, B G B^T) for the echelon basis B of f, and
+        the radical dimensions dim f - rank(B G B^T)."""
+        if f.module != self.module:
+            raise ModuleMismatch("submodule belongs to a different module")
+        field = self.module.field
+        grams = []
+        dims = []
+        for b, g in zip(f.bases, self.gram):
+            bg = linalg.matmul(b, g)
+            m = linalg.matmul(bg, linalg.transpose(b))
+            grams.append((bg, m))
+            dims.append(len(b) - linalg.rank(m, field))
+        return grams, tuple(dims)
+
+    def radical(self, f: Optional[Submodule] = None) -> Submodule:
+        """rad f = f intersect f-perp (rad E = E-perp). Needs an
+        orthosymmetric form, otherwise left and right orthogonals differ."""
+        self._require_orthosymmetric("radical")
         if f is None:
             return self.orthogonal(full_submodule(self.module), "left")
         return intersect_submodules(f, self.orthogonal(f, "left"))
@@ -122,59 +145,36 @@ class BilinearForm:
         invertible exactly because rad f = 0 on every component."""
         field = self.module.field
         r = _require_free(f)
-        cls = classify_orthosymmetry(self)
-        if not cls.orthosymmetric:
-            raise NotOrthosymmetric(
-                "projection requires an orthosymmetric form", witness=cls.witness
-            )
-        rad = self.radical(f)
-        if any(d != 0 for d in rad.dims):
-            raise IsotropicSubmodule(
-                f"submodule has a non-trivial radical, dims {rad.dims}",
-                dims=rad.dims,
-            )
+        self._require_orthosymmetric("projection")
+        grams, rad_dims = self._restricted_grams(f)
+        _require_nonisotropic(rad_dims)
         if t.module != self.module:
             raise ModuleMismatch("section belongs to a different module")
         out = []
         for tv, xc in zip(t.vectors, self._xc_of(t.open)):
-            b = f.bases[xc]
-            g = self.gram[xc]
             if r == 0:
                 out.append(linalg.zero_vec(self.module.rank, field))
                 continue
-            bg = linalg.matmul(b, g)
-            m = linalg.matmul(bg, linalg.transpose(b))
-            rhs = linalg.mat_vec(bg, tv)
-            x = linalg.solve(m, rhs, field)
-            assert x is not None  # rad f = 0 makes B G B^T invertible
-            out.append(linalg.vec_mat(x, b))
+            bg, m = grams[xc]
+            x = linalg.solve(m, linalg.mat_vec(bg, tv), field)
+            out.append(linalg.vec_mat(x, f.bases[xc]))
         return ModuleSection(self.module, t.open, tuple(out))
 
     def orthogonal_split(self, f: Submodule) -> "OrthogonalSplit":
         """E = f perp-oplus f-perp for free non-isotropic f, with the
         dimension-count and zero-intersection certificate recomputed."""
         _require_free(f)
-        cls = classify_orthosymmetry(self)
-        if not cls.orthosymmetric:
-            raise NotOrthosymmetric(
-                "orthogonal splitting requires an orthosymmetric form",
-                witness=cls.witness,
-            )
-        rad = self.radical(f)
-        if any(d != 0 for d in rad.dims):
-            raise IsotropicSubmodule(
-                f"submodule has a non-trivial radical, dims {rad.dims}",
-                dims=rad.dims,
-            )
+        self._require_orthosymmetric("orthogonal splitting")
         perp = self.orthogonal(f, "left")
         meet = intersect_submodules(f, perp)
+        _require_nonisotropic(meet.dims)
+        # meet = 0 forces dim f + dim f-perp = rank on every component
         cert = SplitCertificate(
             dims_first=f.dims,
             dims_second=perp.dims,
             rank=self.module.rank,
             intersection_dims=meet.dims,
         )
-        assert cert.ok
         return OrthogonalSplit(f, perp, cert)
 
     def __repr__(self):
@@ -231,6 +231,13 @@ def _require_free(f: Submodule) -> int:
     if r is None:
         raise NotFree(f"component dimensions differ: {f.dims}", dims=f.dims)
     return r
+
+
+def _require_nonisotropic(rad_dims) -> None:
+    if any(rad_dims):
+        raise IsotropicSubmodule(
+            f"submodule has a non-trivial radical, dims {rad_dims}", dims=rad_dims
+        )
 
 
 @dataclass(frozen=True)

@@ -622,37 +622,23 @@ def _suite_witt(seed: int, field, bounds):
     return cases, fail, gated
 
 
-SUITES = (
-    "scholium_invertibility",
-    "orthosymmetry_dichotomy",
-    "orthogonal_calculus",
-    "reflexivity",
-    "splitting",
-    "gram_schmidt",
-    "witt",
-)
+SUITES = {
+    "scholium_invertibility": _suite_scholium,
+    "orthosymmetry_dichotomy": _suite_dichotomy,
+    "orthogonal_calculus": _suite_calculus,
+    "reflexivity": _suite_reflexivity,
+    "splitting": _suite_splitting,
+    "gram_schmidt": _suite_gram_schmidt,
+    "witt": _suite_witt,
+}
 
 
 def run_suite(suite: str, seed: int, field, bounds=None):
     """Run one oracle suite; returns a deterministic payload dictionary."""
-    bounds = dict(bounds or {})
-    gated = 0
-    if suite == "scholium_invertibility":
-        cases, fail = _suite_scholium(seed, field, bounds)
-    elif suite == "orthosymmetry_dichotomy":
-        cases, fail = _suite_dichotomy(seed, field, bounds)
-    elif suite == "orthogonal_calculus":
-        cases, fail = _suite_calculus(seed, field, bounds)
-    elif suite == "reflexivity":
-        cases, fail = _suite_reflexivity(seed, field, bounds)
-    elif suite == "splitting":
-        cases, fail = _suite_splitting(seed, field, bounds)
-    elif suite == "gram_schmidt":
-        cases, fail = _suite_gram_schmidt(seed, field, bounds)
-    elif suite == "witt":
-        cases, fail, gated = _suite_witt(seed, field, bounds)
-    else:
+    if suite not in SUITES:
         raise UnknownSuite(f"unknown oracle suite: {suite!r} (choices: {', '.join(SUITES)})")
+    # only the witt suite returns a third value, its freeness-gated count
+    cases, fail, *gated = SUITES[suite](seed, field, dict(bounds or {}))
     payload = {
         "suite": suite,
         "seed": seed,
@@ -661,6 +647,6 @@ def run_suite(suite: str, seed: int, field, bounds=None):
         "status": "ok" if fail is None else "counterexample",
         "counterexample": fail,
     }
-    if suite == "witt":
-        payload["freeness_gated"] = gated
+    if gated:
+        payload["freeness_gated"] = gated[0]
     return payload

@@ -2,8 +2,11 @@
 
 A scenario is a JSON document fixing one space, one field, one free module
 with a bilinear form, and an ordered list of tasks. Reports mirror the task
-list; every ok payload carries a certificate recomputed here, at the report
-layer, from the payload alone (never trusted from the solver).
+list; every payload carries a certificate recomputed here, at the report
+layer, from the payload alone (never trusted from the solver). A task's
+status is "ok" only when every certificate value is true; otherwise it is
+"certificate_failed", with payload and certificate kept to show which check
+failed, and the report is not ok (exit code 1 from `sheafforms run`).
 
 Scalar encoding is the field's own string format, so parsing a serialized
 payload yields equal values.
@@ -148,7 +151,7 @@ def parse_submodule(doc, module: FreeModule, where: str) -> Submodule:
             per_comp.append(tuple(parsed))
         return from_rows(module, tuple(per_comp))
     if isinstance(doc, dict) and "generators" in doc:
-        gens = doc["generators"]
+        gens = _expect(doc, "generators", list, where)
     elif isinstance(doc, list):
         gens = doc
     else:
@@ -170,9 +173,14 @@ def format_submodule(sub: Submodule) -> dict:
 
 def parse_partial(doc, module: FreeModule, where: str) -> PartialFamily:
     doc = doc or {}
+    if not isinstance(doc, dict):
+        raise ParseError(f"{where}: expected an object")
     out = {"r": {}, "s": {}}
     for key in ("r", "s"):
-        for idx_str, sec_doc in (doc.get(key) or {}).items():
+        entries = doc.get(key) or {}
+        if not isinstance(entries, dict):
+            raise ParseError(f"{where}.{key}: expected an object")
+        for idx_str, sec_doc in entries.items():
             try:
                 idx = int(idx_str)
             except (TypeError, ValueError):
@@ -186,6 +194,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
     space_doc = _expect(doc, "space", dict, where)
     points = _expect(space_doc, "points", list, "space")
     opens = _expect(space_doc, "opens", list, "space")
+    if not all(isinstance(u, list) for u in opens):
+        raise ParseError("space: every open must be a list of points")
     try:
         space = validate_topology(
             tuple(points), [tuple(u) for u in opens]
@@ -355,7 +365,7 @@ def _run_task(scenario: Scenario, task: dict, default_seed) -> dict:
     def done(payload, certificate):
         return {
             "op": op,
-            "status": "ok",
+            "status": "ok" if all(certificate.values()) else "certificate_failed",
             "payload": payload,
             "certificate": certificate,
             "time_ms": round((time.perf_counter() - started) * 1000.0, 3),
@@ -378,34 +388,18 @@ def _run_task(scenario: Scenario, task: dict, default_seed) -> dict:
                     "s": format_section(cls.witness.s),
                 },
             }
-            cert = {"verdict_rechecked": True, "witness_rechecked": True}
-            for g, flags in zip(form.gram, cls.per_component):
-                sym = g == linalg.transpose(g)
-                alt = all(
-                    g[i][i] == module.field.zero for i in range(module.rank)
-                ) and g == tuple(
-                    tuple(-x for x in row) for row in linalg.transpose(g)
-                )
-                if flags.symmetric != sym or flags.alternating != alt:
-                    cert["verdict_rechecked"] = False
-            if cls.witness is not None:
-                w = cls.witness
-                if not form.evaluate(w.r, w.s).is_zero():
-                    cert["witness_rechecked"] = False
-                if not form.evaluate(w.s, w.r).is_nowhere_zero():
-                    cert["witness_rechecked"] = False
-            assert cert["verdict_rechecked"] and cert["witness_rechecked"]
-            return done(payload, cert)
+            w = cls.witness
+            rechecked = w is None or (
+                form.evaluate(w.r, w.s).is_zero()
+                and form.evaluate(w.s, w.r).is_nowhere_zero()
+            )
+            return done(payload, {"witness_rechecked": rechecked})
 
         if op == "radical":
-            if "submodule" in task:
-                inside = parse_submodule(task["submodule"], module, "radical.submodule")
-            else:
-                inside = None
+            inside = _task_submodule(task, module, op) if "submodule" in task else None
             rad = form.radical(inside)
             carrier = inside if inside is not None else full_submodule(module)
             cert_ok = _certify_radical(form, rad, carrier)
-            assert cert_ok
             return done(
                 {"radical": format_submodule(rad)},
                 {"pairs_to_zero_inside_carrier": cert_ok},
@@ -415,19 +409,18 @@ def _run_task(scenario: Scenario, task: dict, default_seed) -> dict:
             side = task.get("side", "left")
             if side not in ("left", "right"):
                 raise ParseError(f"orthogonal: bad side {side!r}")
-            f = parse_submodule(task["submodule"], module, "orthogonal.submodule")
+            f = _task_submodule(task, module, op)
             perp = form.orthogonal(f, side=side)
             cert_ok = _certify_orthogonal(form, perp, f, side)
-            assert cert_ok
             return done(
                 {"orthogonal": format_submodule(perp), "side": side},
                 {"annihilates_carrier": cert_ok, "dimension_formula": cert_ok},
             )
 
         if op == "project":
-            f = parse_submodule(task["submodule"], module, "project.submodule")
+            f = _task_submodule(task, module, op)
             t = _require_nonempty(
-                parse_section(task["section"], module, "project.section"),
+                parse_section(_expect(task, "section", None, op), module, "project.section"),
                 "project target",
             )
             p = form.project(f, t)
@@ -443,7 +436,6 @@ def _run_task(scenario: Scenario, task: dict, default_seed) -> dict:
                     for b in _carrier_sections(f)
                 ),
             }
-            assert all(cert.values())
             return done({"projection": format_section(p)}, cert)
 
         if op == "symplectic_basis":
@@ -452,7 +444,6 @@ def _run_task(scenario: Scenario, task: dict, default_seed) -> dict:
                 _require_nonempty(sec, "partial family section")
             basis = gram_schmidt_extend(form, partial)
             cert_ok = certify_basis(form, basis, partial)
-            assert cert_ok
             return done(
                 {
                     "r": [format_section(sec) for sec in basis.r],
@@ -464,7 +455,6 @@ def _run_task(scenario: Scenario, task: dict, default_seed) -> dict:
         if op == "normal_form":
             mats = normal_form(form)
             cert_ok = _certify_normal_form(form, mats)
-            assert cert_ok
             return done(
                 {"matrices": [format_matrix(p, module.field) for p in mats]},
                 {"congruent_to_standard": cert_ok},
@@ -472,21 +462,17 @@ def _run_task(scenario: Scenario, task: dict, default_seed) -> dict:
 
         if op == "decomposition":
             planes = hyperbolic_decomposition(form)
-            cert = _certify_planes(form, planes)
-            assert cert
             return done(
                 {"planes": [_plane_payload(pl) for pl in planes]},
-                {"pairwise_orthogonal_nondegenerate": cert},
+                {"pairwise_orthogonal_nondegenerate": _certify_planes(form, planes)},
             )
 
         if op == "envelope":
-            f = parse_submodule(task["submodule"], module, "envelope.submodule")
+            f = _task_submodule(task, module, op)
             planes = hyperbolic_envelope(form, f)
-            cert_ok = certify_envelope(form, f, planes)
-            assert cert_ok
             return done(
                 {"planes": [_plane_payload(pl) for pl in planes]},
-                {"envelope_equations": cert_ok},
+                {"envelope_equations": certify_envelope(form, f, planes)},
             )
 
         if op == "witt":
@@ -497,7 +483,7 @@ def _run_task(scenario: Scenario, task: dict, default_seed) -> dict:
             if len(target_gram) != len(module.x_components()):
                 raise ParseError("witt: wrong number of target component matrices")
             target = BilinearForm(module, target_gram)
-            f = parse_submodule(task["submodule"], module, "witt.submodule")
+            f = _task_submodule(task, module, op)
             images = [
                 _require_nonempty(
                     parse_section(sec, module, f"witt.sigma[{i}]"), "sigma image"
@@ -505,18 +491,21 @@ def _run_task(scenario: Scenario, task: dict, default_seed) -> dict:
                 for i, sec in enumerate(_expect(task, "sigma", list, "witt"))
             ]
             iso = witt_extend(form, target, f, images)
-            cert_ok = _certify_witt(f, images, iso)
-            assert cert_ok
             return done(
                 {"matrices": [format_matrix(m, module.field) for m in iso.matrices]},
-                {"isometry_and_agreement": cert_ok},
+                {"isometry_and_agreement": _certify_witt(f, images, iso)},
             )
 
         if op == "oracle":
-            seed = task.get("seed", default_seed if default_seed is not None else 0)
-            bounds = dict(task.get("bounds") or {})
+            if "seed" in task:
+                seed = _expect(task, "seed", int, op)
+            else:
+                seed = default_seed if default_seed is not None else 0
+            bounds = dict(_expect(task, "bounds", dict, op)) if "bounds" in task else {}
             if "max_rank" in task:
                 bounds["max_rank"] = task["max_rank"]
+            for key in bounds:
+                _expect(bounds, key, int, op)
             field = scenario.field
             if "field" in task:
                 field = field_from_name(task["field"])
@@ -526,6 +515,10 @@ def _run_task(scenario: Scenario, task: dict, default_seed) -> dict:
         raise ParseError(f"unknown op {op!r}")
     except SheafFormsError as exc:
         return _error_entry(op, exc, round((time.perf_counter() - started) * 1000.0, 3))
+
+
+def _task_submodule(task: dict, module: FreeModule, op: str) -> Submodule:
+    return parse_submodule(_expect(task, "submodule", None, op), module, f"{op}.submodule")
 
 
 def _carrier_sections(f):

@@ -482,8 +482,8 @@ def certify_envelope(form: BilinearForm, f: Submodule, planes) -> bool:
             return False
         if plane.span.is_free() != 2:
             return False
-        rad = form.radical(plane.span)
-        if any(d != 0 for d in rad.dims):
+        _, rad_dims = form._restricted_grams(plane.span)
+        if any(rad_dims):
             return False
     for i, p in enumerate(planes):
         for q in planes[i + 1 :]:

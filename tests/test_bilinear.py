@@ -21,12 +21,15 @@ from sheafforms import (
     intersect_submodules,
     span,
     sum_submodules,
+    zero_submodule,
 )
+from sheafforms import bilinear, linalg
 from sheafforms.oracles import (
     discrete_pair_space,
     fixture_spaces,
     orthosymmetric_by_counting,
     orthosymmetric_by_literal_enumeration,
+    random_alternating_form,
     random_free_submodule,
     random_global_section,
     random_orthosymmetric_form,
@@ -298,3 +301,77 @@ class TestOrthosymmetry:
         assert not cls.orthosymmetric
         w = cls.witness
         assert discrete_pair.opens[w.open] == frozenset({"b"})
+
+
+def degenerate_symmetric_form(rng, module):
+    """A A^T per component, with the last column of A zero: symmetric and of
+    rank below the module rank."""
+    n, field = module.rank, module.field
+    grams = []
+    for _ in module.x_components():
+        a = tuple(
+            tuple(field.random_scalar(rng) if j < n - 1 else field.zero for j in range(n))
+            for _ in range(n)
+        )
+        grams.append(linalg.matmul(a, linalg.transpose(a)))
+    return BilinearForm(module, tuple(grams))
+
+
+class TestRadicalDimsWithoutRadical:
+    """dim rad f = dim f - rank(B G B^T) on each component, the test project
+    and certify_envelope use, against the radical f intersect f-perp."""
+
+    @pytest.mark.parametrize("field", [Q, F3, PrimeField(101)], ids=["Q", "GF3", "GF101"])
+    def test_matches_radical_dims(self, field):
+        rng = Random(61)
+        isotropic = 0
+        for space in fixture_spaces():
+            for rank in range(5):
+                module = FreeModule(space, field, rank)
+                forms = [
+                    random_orthosymmetric_form(rng, module),
+                    degenerate_symmetric_form(rng, module),
+                ]
+                if rank % 2 == 0:
+                    forms.append(random_alternating_form(rng, module))
+                for form in forms:
+                    subs = [
+                        zero_submodule(module),
+                        full_submodule(module),
+                        form.radical(),
+                    ] + [
+                        random_free_submodule(rng, module, rng.randrange(rank + 1))
+                        for _ in range(3)
+                    ]
+                    for f in subs:
+                        _, dims = form._restricted_grams(f)
+                        assert dims == form.radical(f).dims
+                        isotropic += any(dims)
+        assert isotropic > 0
+
+
+class TestClassifyOncePerCall:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        original = bilinear.classify_orthosymmetry
+
+        def counting(form):
+            seen.append(form)
+            return original(form)
+
+        monkeypatch.setattr(bilinear, "classify_orthosymmetry", counting)
+        return seen
+
+    @pytest.mark.parametrize("method", ["project", "orthogonal_split", "radical"])
+    def test_classifies_once(self, calls, diag2, method):
+        module = diag2.module
+        e1, e2 = module.canonical_basis()
+        f = span(module, [e1])
+        if method == "project":
+            diag2.project(f, e1 + e2)
+        elif method == "orthogonal_split":
+            diag2.orthogonal_split(f)
+        else:
+            diag2.radical(f)
+        assert calls == [diag2]

@@ -5,11 +5,12 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
 
-from sheafforms import FreeModule, ParseError, RationalField, UnknownSuite, span
+from sheafforms import FreeModule, ParseError, RationalField, UnknownSuite, cli, scenario, span
 from sheafforms.oracles import (
     discrete_pair_space,
     random_alternating_form,
@@ -43,13 +44,16 @@ def base_doc(**overrides):
     return doc
 
 
-def run_cli(*args, env=None):
+DEMOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
+
+
+def run_cli(*args, env=None, interpreter_flags=()):
     full_env = dict(os.environ)
     full_env.pop("SHEAFFORMS_FIELD", None)
     if env:
         full_env.update(env)
     return subprocess.run(
-        [sys.executable, "-m", "sheafforms", *args],
+        [sys.executable, *interpreter_flags, "-m", "sheafforms", *args],
         capture_output=True,
         text=True,
         env=full_env,
@@ -110,6 +114,40 @@ class TestParsing:
         with pytest.raises(ParseError) as err:
             scenario_from_dict(base_doc(rank=rank, gram=gram))
         assert "'rank' has the wrong type" in err.value.message
+
+    LINE = {"generators": [{"open": ["a", "b"], "vectors": [["1/1", "0/1"]]}]}
+    GRAM = [[["0/1", "1/1"], ["-1/1", "0/1"]]]
+
+    @pytest.mark.parametrize("level,doc", [
+        ("task", base_doc(tasks=[{"op": "orthogonal"}])),
+        ("task", base_doc(tasks=[{"op": "witt", "target_gram": GRAM, "sigma": []}])),
+        ("task", base_doc(tasks=[{"op": "project", "submodule": LINE}])),
+        ("task", base_doc(tasks=[{"op": "envelope"}])),
+        ("task", base_doc(tasks=[{"op": "orthogonal", "submodule": {"generators": 5}}])),
+        ("task", base_doc(tasks=[{"op": "symplectic_basis", "partial": [1]}])),
+        ("document", base_doc(space={"points": ["a", "b"], "opens": [1, 2]})),
+        ("task", base_doc(tasks=[
+            {"op": "oracle", "suite": "reflexivity", "bounds": {"cases": "x"}}])),
+        ("task", base_doc(tasks=[{"op": "oracle", "suite": "reflexivity", "bounds": [1]}])),
+        ("task", base_doc(tasks=[{"op": "oracle", "suite": "reflexivity", "max_rank": "2"}])),
+        ("task", base_doc(tasks=[{"op": "oracle", "suite": "reflexivity", "seed": "x"}])),
+        ("task", base_doc(tasks=[{"op": "oracle", "suite": "reflexivity", "seed": True}])),
+    ], ids=[
+        "orthogonal_no_submodule", "witt_no_submodule", "project_no_section",
+        "envelope_no_submodule", "generators_not_a_list", "partial_not_an_object",
+        "open_not_a_list", "bounds_cases_string", "bounds_not_an_object",
+        "max_rank_string", "seed_string", "seed_bool",
+    ])
+    def test_malformed_field_is_parse_error(self, level, doc):
+        if level == "document":
+            with pytest.raises(ParseError):
+                scenario_from_dict(doc)
+            return
+        report = run_scenario_dict(doc)
+        (task,) = report["tasks"]
+        assert task["status"] == "error"
+        assert task["error"]["code"] == "ParseError"
+        assert not report["ok"]
 
     def test_unknown_op(self):
         doc = base_doc(tasks=[{"op": "frobnicate"}])
@@ -259,6 +297,28 @@ class TestScenarioExecution:
         assert "time_ms" in report["tasks"][0]
 
 
+class TestCertificateStatus:
+    def test_false_certificate_fails_the_task(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(scenario, "_certify_normal_form", lambda form, mats: False)
+        doc = base_doc(tasks=[{"op": "normal_form"}, {"op": "classify"}])
+        report = run_scenario_dict(doc)
+        failed, fine = report["tasks"]
+        assert failed["status"] == "certificate_failed"
+        assert failed["certificate"] == {"congruent_to_standard": False}
+        assert failed["payload"]["matrices"] == [[["1/1", "0/1"], ["0/1", "1/1"]]]
+        assert fine["status"] == "ok"
+        assert report["ok"] is False
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", str(path)]) == 1
+        assert json.loads(capsys.readouterr().out)["ok"] is False
+
+    def test_classify_certificate_rechecks_the_witness(self):
+        doc = base_doc(gram=[[["1/1", "1/1"], ["0/1", "1/1"]]], tasks=[{"op": "classify"}])
+        (task,) = run_scenario_dict(doc)["tasks"]
+        assert task["certificate"] == {"witness_rechecked": True}
+
+
 def asymmetric_doc(side):
     """Gram [[1,1],[0,1]] is neither symmetric nor alternating, so the left
     and right orthogonals of span(e_1) differ: (1,-1) and (0,1)."""
@@ -355,6 +415,17 @@ class TestProcessLevel:
         assert proc.returncode == 2
         assert proc.stderr.startswith("ParseError:")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("name", ["finite_field_checks", "symplectic_tour"])
+    def test_demo_certificates_hold_under_optimize_flag(self, name):
+        # -O strips assert statements, so no certificate may rest on one
+        proc = run_cli("run", str(DEMOS / f"{name}.json"), interpreter_flags=("-O",))
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["ok"]
+        for task in report["tasks"]:
+            assert task["status"] == "ok", task
+            assert task["certificate"] and all(task["certificate"].values()), task
 
     def test_oracle_bitwise_determinism_across_processes(self):
         args = ("oracle", "gram_schmidt", "--seed", "12", "--cases", "6")

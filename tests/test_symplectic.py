@@ -15,6 +15,7 @@ from sheafforms import (
     Degenerate,
     FreeModule,
     FreenessViolated,
+    HyperbolicPlane,
     IsometryHypothesisViolated,
     ModuleMismatch,
     ModuleSection,
@@ -393,6 +394,17 @@ class TestEnvelope:
                     planes = hyperbolic_envelope(form, f)
                     assert len(planes) == k
                     assert certify_envelope(form, f, planes)
+
+    def test_degenerate_plane_span_rejected(self, sierpinski):
+        module = FreeModule(sierpinski, Q, 4)
+        form = standard_symplectic_form(module)
+        e = module.canonical_basis()
+        f = span(module, [e[0]])
+        (plane,) = hyperbolic_envelope(form, f)
+        assert certify_envelope(form, f, [plane])
+        # free of rank 2 and holding r_1, but the form vanishes on e_1, e_3
+        flat = HyperbolicPlane(plane.r, plane.s, span(module, [e[0], e[2]]))
+        assert certify_envelope(form, f, [flat]) is False
 
     def test_not_totally_isotropic_rejected(self, sierpinski):
         module = FreeModule(sierpinski, Q, 4)
