@@ -104,9 +104,6 @@ class BilinearForm:
         field = self.module.field
         return all(linalg.inverse(g, field) is not None for g in self.gram)
 
-    def classify(self) -> "OrthoClass":
-        return classify_orthosymmetry(self)
-
     def _require_orthosymmetric(self, what: str) -> None:
         cls = classify_orthosymmetry(self)
         if not cls.orthosymmetric:
@@ -262,13 +259,28 @@ class OrthogonalSplit:
     certificate: SplitCertificate
 
 
+def certify_projection(form: BilinearForm, f: Submodule, t, p) -> dict:
+    """The defining properties of the section p = project(f, t), each
+    recomputed from p: p lies in f, projecting p again returns p, and t - p
+    pairs to zero with every global basis section of f restricted to t's open."""
+    residual = t - p
+    return {
+        "in_submodule": f.contains(p),
+        "idempotent": form.project(f, p) == p,
+        "residual_orthogonal": all(
+            form.evaluate(residual, b.restrict(residual.open)).is_zero()
+            for b in f.global_basis()
+        ),
+    }
+
+
 def classify_orthosymmetry(form: BilinearForm) -> OrthoClass:
     """Componentwise symmetry flags, plus an explicit counterexample pair
     whenever some component is neither symmetric nor alternating.
 
     The witness is a pair of sections r, s over the offending component
     (components of opens are opens) with phi(r, s) = 0 while phi(s, r) is
-    nowhere-zero; it is re-verified by evaluation before being returned.
+    nowhere-zero; `certify_witness` re-checks it before it is returned.
     """
     field = form.module.field
     flags = []
@@ -291,10 +303,16 @@ def classify_orthosymmetry(form: BilinearForm) -> OrthoClass:
     comp_ref = space.ref(comp)
     r = ModuleSection(form.module, comp_ref, (u_vec,))
     s = ModuleSection(form.module, comp_ref, (v_vec,))
-    assert form.evaluate(r, s).is_zero()
-    assert form.evaluate(s, r).is_nowhere_zero()
     witness = OrthoWitness(comp_ref, r, s)
+    if not certify_witness(form, witness):
+        raise AssertionError("the asymmetry pair fails phi(r, s) = 0 != phi(s, r)")
     return OrthoClass(tuple(flags), False, witness)
+
+
+def certify_witness(form: BilinearForm, w: OrthoWitness) -> bool:
+    """phi(r, s) = 0 while phi(s, r) is nowhere zero: the pair shows that
+    the form is not orthosymmetric over the witness's open."""
+    return form.evaluate(w.r, w.s).is_zero() and form.evaluate(w.s, w.r).is_nowhere_zero()
 
 
 def _asymmetry_pair(g, field):

@@ -3,24 +3,37 @@
 Generators build seeded random instances (forms, submodules, partial
 families, isometries); the oracle suites check the library's answers against
 independent routes: definitions evaluated by enumeration or counting, and
-defining equations re-verified on the output. Every suite is a pure function
-of (seed, bounds), which is what makes oracle reports reproducible.
+defining equations re-verified on the output by the library's own
+certificate functions. A suite states only how it draws and checks one case;
+`run_suite` is the one loop: it checks the bounds, runs the enumerated cases
+and then `cases` random ones from `Random(seed)`, counts them, keeps the
+first counterexample and, for `witt`, the freeness-gated count. Every suite
+is thus a pure function of (seed, field, bounds), which is what makes oracle
+reports reproducible. Bounds are integers: `cases` >= 0, and `max_rank` at
+least 1, or 2 for `gram_schmidt` and `witt` (`scholium_invertibility` draws
+no rank); anything else is a `ParseError`.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from random import Random
+from typing import Callable, Optional
 
 from . import linalg
 from .algebra import AlgebraSection
-from .bilinear import BilinearForm, classify_orthosymmetry
-from .errors import FreenessViolated, NotNowhereZero, UnknownSuite
-from .fields import PrimeField, RationalField
+from .bilinear import (
+    BilinearForm,
+    OrthoWitness,
+    certify_projection,
+    certify_witness,
+    classify_orthosymmetry,
+)
+from .errors import FreenessViolated, NotNowhereZero, ParseError, UnknownSuite
 from .modules import (
     FreeModule,
     ModuleSection,
-    full_submodule,
     intersect_submodules,
     span,
     sum_submodules,
@@ -28,10 +41,10 @@ from .modules import (
 from .symplectic import (
     Isometry,
     PartialFamily,
+    SymplecticBasis,
     certify_basis,
-    certify_envelope,
+    certify_witt,
     gram_schmidt_extend,
-    hyperbolic_envelope,
     normal_form,
     standard_alternating,
     standard_isometry,
@@ -61,8 +74,13 @@ def three_point_space():
     )
 
 
+_FIXTURES = (point_space(), sierpinski_space(), discrete_pair_space())
+
+
 def fixture_spaces():
-    return (point_space(), sierpinski_space(), discrete_pair_space())
+    """The point, the Sierpinski space and the discrete pair, validated once
+    at import: every call returns the same tuple of immutable spaces."""
+    return _FIXTURES
 
 
 # -- seeded generators ----------------------------------------------------------
@@ -297,7 +315,7 @@ def orthosymmetric_by_counting(form: BilinearForm):
     zero-pair sets, and the sectionwise biconditional over U holds iff on
     every component the both-directions count equals the forward count.
     Returns (verdict, witness) with the witness a (open, r, s) triple over an
-    offending component, re-verified by evaluation."""
+    offending component, re-verified by `certify_witness`."""
     module = form.module
     field = module.field
     vectors = all_fiber_vectors(field, module.rank)
@@ -314,8 +332,8 @@ def orthosymmetric_by_counting(form: BilinearForm):
                 u_vec, v_vec = witness
                 r = ModuleSection(module, comp_ref, (u_vec,))
                 s = ModuleSection(module, comp_ref, (v_vec,))
-                assert form.evaluate(r, s).is_zero()
-                assert not form.evaluate(s, r).is_zero()
+                if not certify_witness(form, OrthoWitness(comp_ref, r, s)):
+                    raise AssertionError("the counted pair fails phi(r, s) = 0 != phi(s, r)")
                 return False, (comp_ref, r, s)
     return True, None
 
@@ -391,93 +409,87 @@ def scholium_check(section: AlgebraSection):
 
 # -- oracle suites -----------------------------------------------------------------
 
-def _suite_scholium(seed: int, field, bounds):
-    cases = 0
-    fail = None
-    for space in fixture_spaces():
-        if hasattr(field, "p"):
+_GATED = object()  # case outcome: the witt hypothesis failed freeness
+
+
+def _draw_space(rng: Random):
+    spaces = fixture_spaces()
+    return spaces[rng.randrange(len(spaces))]
+
+
+def _scholium_outcome(sec: AlgebraSection):
+    if scholium_check(sec):
+        return None
+    return {"open": sec.open, "values": [sec.field.format(v) for v in sec.values]}
+
+
+def _scholium_exhaustive(field):
+    if hasattr(field, "p"):
+        for space in fixture_spaces():
             for u_ref in range(len(space.opens)):
                 for sec in enumerate_algebra_sections(space, field, u_ref):
-                    cases += 1
-                    if not scholium_check(sec) and fail is None:
-                        fail = {"open": u_ref, "values": [field.format(v) for v in sec.values]}
-    rng = Random(seed)
-    n_random = bounds.get("cases", 400)
-    spaces = fixture_spaces()
-    for _ in range(n_random):
-        space = spaces[rng.randrange(len(spaces))]
-        u_ref = rng.randrange(len(space.opens))
-        ncomp = len(space.components_of(u_ref))
-        values = tuple(
-            field.random_scalar(rng) if rng.random() < 0.8 else field.zero
-            for _ in range(ncomp)
-        )
-        sec = AlgebraSection(space, field, u_ref, values)
-        cases += 1
-        if not scholium_check(sec) and fail is None:
-            fail = {"open": u_ref, "values": [field.format(v) for v in values]}
-    return cases, fail
+                    yield _scholium_outcome(sec)
 
 
-def _suite_dichotomy(seed: int, field, bounds):
-    rng = Random(seed)
-    max_rank = bounds.get("max_rank", 3)
-    cases = 0
-    fail = None
-    spaces = fixture_spaces()
+def _scholium_case(rng: Random, field, max_rank):
+    space = _draw_space(rng)
+    u_ref = rng.randrange(len(space.opens))
+    ncomp = len(space.components_of(u_ref))
+    values = tuple(
+        field.random_scalar(rng) if rng.random() < 0.8 else field.zero
+        for _ in range(ncomp)
+    )
+    return _scholium_outcome(AlgebraSection(space, field, u_ref, values))
 
-    if hasattr(field, "p") and field.p == 3:
-        # exhaustive at rank <= 2 on every fixture, uniform across components
-        for space in spaces:
-            ncomp = len(space.components_of(space.x_ref))
-            for rank in (1, 2):
-                module = FreeModule(space, field, rank)
-                entries = list(itertools.product(field.elements(), repeat=rank * rank))
-                for flat in entries:
-                    g = tuple(
-                        tuple(flat[i * rank + j] for j in range(rank))
-                        for i in range(rank)
-                    )
-                    form = BilinearForm(module, (g,) * ncomp)
-                    cases += 1
-                    verdict = classify_orthosymmetry(form).orthosymmetric
-                    brute, _ = orthosymmetric_by_counting(form)
-                    if verdict != brute and fail is None:
-                        fail = {"gram": [[field.format(x) for x in row] for row in g]}
 
-    n_random = bounds.get("cases", 200)
-    for _ in range(n_random):
-        space = spaces[rng.randrange(len(spaces))]
+def _dichotomy_exhaustive(field):
+    """Every Gram matrix at rank <= 2 over GF(3) on every fixture, uniform
+    across components."""
+    if not (hasattr(field, "p") and field.p == 3):
+        return
+    for space in fixture_spaces():
         ncomp = len(space.components_of(space.x_ref))
-        rank = rng.randrange(1, max_rank + 1)
-        module = FreeModule(space, field, rank)
-        gram = tuple(
-            tuple(
-                tuple(field.random_scalar(rng) for _ in range(rank))
-                for _ in range(rank)
-            )
-            for _ in range(ncomp)
+        for rank in (1, 2):
+            module = FreeModule(space, field, rank)
+            for flat in itertools.product(field.elements(), repeat=rank * rank):
+                g = tuple(
+                    tuple(flat[i * rank + j] for j in range(rank)) for i in range(rank)
+                )
+                form = BilinearForm(module, (g,) * ncomp)
+                verdict = classify_orthosymmetry(form).orthosymmetric
+                brute, _ = orthosymmetric_by_counting(form)
+                if verdict == brute:
+                    yield None
+                else:
+                    yield {"gram": [[field.format(x) for x in row] for row in g]}
+
+
+def _dichotomy_case(rng: Random, field, max_rank):
+    space = _draw_space(rng)
+    ncomp = len(space.components_of(space.x_ref))
+    rank = rng.randrange(1, max_rank + 1)
+    module = FreeModule(space, field, rank)
+    gram = tuple(
+        tuple(
+            tuple(field.random_scalar(rng) for _ in range(rank)) for _ in range(rank)
         )
-        form = BilinearForm(module, gram)
-        cases += 1
-        cls = classify_orthosymmetry(form)
-        if hasattr(field, "p"):
-            brute, _ = orthosymmetric_by_counting(form)
-            agreed = cls.orthosymmetric == brute
-        else:
-            found = orthosymmetry_counterexample_search(form, rng, 40)
-            agreed = not (cls.orthosymmetric and found is not None)
-        if cls.witness is not None:
-            w = cls.witness
-            agreed = agreed and form.evaluate(w.r, w.s).is_zero()
-            agreed = agreed and form.evaluate(w.s, w.r).is_nowhere_zero()
-        if not agreed and fail is None:
-            fail = {"rank": rank, "component_grams": len(gram)}
-    return cases, fail
+        for _ in range(ncomp)
+    )
+    form = BilinearForm(module, gram)
+    cls = classify_orthosymmetry(form)
+    if hasattr(field, "p"):
+        brute, _ = orthosymmetric_by_counting(form)
+        agreed = cls.orthosymmetric == brute
+    else:
+        found = orthosymmetry_counterexample_search(form, rng, 40)
+        agreed = not (cls.orthosymmetric and found is not None)
+    if cls.witness is not None:
+        agreed = agreed and certify_witness(form, cls.witness)
+    return None if agreed else {"rank": rank, "component_grams": len(gram)}
 
 
-def _random_form_and_submodules(rng, field, max_rank, spaces):
-    space = spaces[rng.randrange(len(spaces))]
+def _random_form_and_submodules(rng: Random, field, max_rank):
+    space = _draw_space(rng)
     rank = rng.randrange(1, max_rank + 1)
     module = FreeModule(space, field, rank)
     form = random_orthosymmetric_form(rng, module)
@@ -486,150 +498,113 @@ def _random_form_and_submodules(rng, field, max_rank, spaces):
     return form, f, g
 
 
-def _suite_calculus(seed: int, field, bounds):
-    rng = Random(seed)
-    max_rank = bounds.get("max_rank", 5)
-    cases = 0
-    fail = None
-    spaces = fixture_spaces()
-    for _ in range(bounds.get("cases", 150)):
-        form, f, g = _random_form_and_submodules(rng, field, max_rank, spaces)
-        cases += 1
-        ok = (
-            form.orthogonal(sum_submodules(f, g))
-            == intersect_submodules(form.orthogonal(f), form.orthogonal(g))
-        )
-        ok = ok and (
-            form.orthogonal(intersect_submodules(f, g))
-            == sum_submodules(form.orthogonal(f), form.orthogonal(g))
-        )
-        if not ok and fail is None:
-            fail = {"rank": form.module.rank, "dims_f": f.dims, "dims_g": g.dims}
-    return cases, fail
+def _calculus_case(rng: Random, field, max_rank):
+    form, f, g = _random_form_and_submodules(rng, field, max_rank)
+    ok = (
+        form.orthogonal(sum_submodules(f, g))
+        == intersect_submodules(form.orthogonal(f), form.orthogonal(g))
+    )
+    ok = ok and (
+        form.orthogonal(intersect_submodules(f, g))
+        == sum_submodules(form.orthogonal(f), form.orthogonal(g))
+    )
+    return None if ok else {"rank": form.module.rank, "dims_f": f.dims, "dims_g": g.dims}
 
 
-def _suite_reflexivity(seed: int, field, bounds):
-    rng = Random(seed)
-    max_rank = bounds.get("max_rank", 5)
-    cases = 0
-    fail = None
-    spaces = fixture_spaces()
-    for _ in range(bounds.get("cases", 150)):
-        form, f, _ = _random_form_and_submodules(rng, field, max_rank, spaces)
-        cases += 1
-        if form.orthogonal(form.orthogonal(f)) != f and fail is None:
-            fail = {"rank": form.module.rank, "dims": f.dims}
-    return cases, fail
+def _reflexivity_case(rng: Random, field, max_rank):
+    form, f, _ = _random_form_and_submodules(rng, field, max_rank)
+    if form.orthogonal(form.orthogonal(f)) == f:
+        return None
+    return {"rank": form.module.rank, "dims": f.dims}
 
 
-def _suite_splitting(seed: int, field, bounds):
-    rng = Random(seed)
-    max_rank = bounds.get("max_rank", 5)
-    cases = 0
-    fail = None
-    spaces = fixture_spaces()
-    for _ in range(bounds.get("cases", 100)):
-        space = spaces[rng.randrange(len(spaces))]
-        rank = rng.randrange(1, max_rank + 1)
-        module = FreeModule(space, field, rank)
-        form = random_orthosymmetric_form(rng, module, symmetric_only=True)
-        r = rng.randrange(rank + 1)
+def _splitting_case(rng: Random, field, max_rank):
+    space = _draw_space(rng)
+    rank = rng.randrange(1, max_rank + 1)
+    module = FreeModule(space, field, rank)
+    form = random_orthosymmetric_form(rng, module, symmetric_only=True)
+    r = rng.randrange(rank + 1)
+    f = random_nonisotropic_submodule(rng, form, r)
+    while f is None:
+        r -= 1
         f = random_nonisotropic_submodule(rng, form, r)
-        while f is None:
-            r -= 1
-            f = random_nonisotropic_submodule(rng, form, r)
-        cases += 1
-        split = form.orthogonal_split(f)
-        ok = split.certificate.ok
-        for _ in range(5):
-            t = random_global_section(rng, module)
-            p = form.project(f, t)
-            ok = ok and form.project(f, p) == p and f.contains(p)
-            residual = t - p
-            for b in f.global_basis():
-                ok = ok and form.evaluate(residual, b).is_zero()
-        if not ok and fail is None:
-            fail = {"rank": rank, "dims": f.dims}
-    return cases, fail
+    ok = form.orthogonal_split(f).certificate.ok
+    for _ in range(5):
+        t = random_global_section(rng, module)
+        p = form.project(f, t)
+        ok = ok and all(certify_projection(form, f, t, p).values())
+    return None if ok else {"rank": rank, "dims": f.dims}
 
 
-def _suite_gram_schmidt(seed: int, field, bounds):
-    rng = Random(seed)
-    max_rank = bounds.get("max_rank", 6)
-    cases = 0
-    fail = None
-    spaces = fixture_spaces()
-    for _ in range(bounds.get("cases", 60)):
-        space = spaces[rng.randrange(len(spaces))]
-        rank = 2 * rng.randrange(1, max_rank // 2 + 1)
-        module = FreeModule(space, field, rank)
-        form = random_alternating_form(rng, module)
-        partial = random_partial_family(rng, form)
-        cases += 1
-        basis = gram_schmidt_extend(form, partial)
-        ok = certify_basis(form, basis, partial)
-        mats = normal_form(form)
-        target = standard_alternating(rank, field)
-        for p, g in zip(mats, form.gram):
-            ok = ok and linalg.matmul(
-                linalg.transpose(p), linalg.matmul(g, p)
-            ) == target
-        other = random_alternating_form(rng, module)
-        iso = standard_isometry(form, other)
-        ok = ok and iso.holds()
-        if not ok and fail is None:
-            fail = {"rank": rank}
-    return cases, fail
+def _random_symplectic_module(rng: Random, field, max_rank):
+    space = _draw_space(rng)
+    return FreeModule(space, field, 2 * rng.randrange(1, max_rank // 2 + 1))
 
 
-def _suite_witt(seed: int, field, bounds):
-    rng = Random(seed)
-    max_rank = bounds.get("max_rank", 6)
-    cases = 0
-    gated = 0
-    fail = None
-    spaces = fixture_spaces()
-    for _ in range(bounds.get("cases", 40)):
-        space = spaces[rng.randrange(len(spaces))]
-        rank = 2 * rng.randrange(1, max_rank // 2 + 1)
-        module = FreeModule(space, field, rank)
-        source = random_alternating_form(rng, module)
-        target = random_alternating_form(rng, module)
-        basis = gram_schmidt_extend(source, PartialFamily.of())
-        n = rank // 2
-        iso_count = rng.randrange(n + 1)
-        hyp_count = rng.randrange(n - iso_count + 1)
-        picks = rng.sample(range(n), iso_count + hyp_count)
-        sections = [basis.r[i] for i in picks[:iso_count]]
-        for i in picks[iso_count:]:
-            sections.append(basis.r[i])
-            sections.append(basis.s[i])
-        f = span(module, sections)
-        carrier = random_symplectic_isometry(rng, source, target)
-        cases += 1
-        try:
-            fb = f.global_basis()
-            images = [carrier.apply(sec) for sec in fb]
-            iso = witt_extend(source, target, f, images)
-        except FreenessViolated:
-            gated += 1
-            continue
-        ok = iso.holds()
-        for sec, im in zip(fb, images):
-            ok = ok and iso.apply(sec) == im
-        if not ok and fail is None:
-            fail = {"rank": rank, "dims": f.dims}
-    return cases, fail, gated
+def _gram_schmidt_case(rng: Random, field, max_rank):
+    module = _random_symplectic_module(rng, field, max_rank)
+    form = random_alternating_form(rng, module)
+    partial = random_partial_family(rng, form)
+    basis = gram_schmidt_extend(form, partial)
+    mats = normal_form(form)
+    iso = standard_isometry(form, random_alternating_form(rng, module))
+    ok = (
+        certify_basis(form, basis, partial)
+        and certify_basis(form, SymplecticBasis.from_columns(module, mats))
+        and iso.holds()
+    )
+    return None if ok else {"rank": module.rank}
+
+
+def _witt_case(rng: Random, field, max_rank):
+    module = _random_symplectic_module(rng, field, max_rank)
+    source = random_alternating_form(rng, module)
+    target = random_alternating_form(rng, module)
+    basis = gram_schmidt_extend(source, PartialFamily.of())
+    n = module.rank // 2
+    iso_count = rng.randrange(n + 1)
+    hyp_count = rng.randrange(n - iso_count + 1)
+    picks = rng.sample(range(n), iso_count + hyp_count)
+    sections = [basis.r[i] for i in picks[:iso_count]]
+    for i in picks[iso_count:]:
+        sections.append(basis.r[i])
+        sections.append(basis.s[i])
+    f = span(module, sections)
+    carrier = random_symplectic_isometry(rng, source, target)
+    try:
+        images = [carrier.apply(sec) for sec in f.global_basis()]
+        iso = witt_extend(source, target, f, images)
+    except FreenessViolated:
+        return _GATED
+    return None if certify_witt(iso, f, images) else {"rank": module.rank, "dims": f.dims}
+
+
+@dataclass(frozen=True)
+class _Suite:
+    """How one suite draws and checks a case; `run_suite` owns the loop.
+
+    `case(rng, field, max_rank)` returns None when the case checks out, a
+    counterexample dictionary, or `_GATED`. `exhaustive(field)` yields the
+    same outcomes for the enumerated cases run before the random ones."""
+
+    case: Callable
+    cases: int  # default number of random cases
+    max_rank: Optional[int] = None  # default; None when the suite draws no rank
+    min_rank: Optional[int] = None  # the least max_rank the suite can draw from
+    exhaustive: Callable = lambda field: ()
+    gates: bool = False  # the payload counts the freeness-gated cases
 
 
 SUITES = {
-    "scholium_invertibility": _suite_scholium,
-    "orthosymmetry_dichotomy": _suite_dichotomy,
-    "orthogonal_calculus": _suite_calculus,
-    "reflexivity": _suite_reflexivity,
-    "splitting": _suite_splitting,
-    "gram_schmidt": _suite_gram_schmidt,
-    "witt": _suite_witt,
+    "scholium_invertibility": _Suite(_scholium_case, 400, exhaustive=_scholium_exhaustive),
+    "orthosymmetry_dichotomy": _Suite(
+        _dichotomy_case, 200, 3, 1, exhaustive=_dichotomy_exhaustive
+    ),
+    "orthogonal_calculus": _Suite(_calculus_case, 150, 5, 1),
+    "reflexivity": _Suite(_reflexivity_case, 150, 5, 1),
+    "splitting": _Suite(_splitting_case, 100, 5, 1),
+    "gram_schmidt": _Suite(_gram_schmidt_case, 60, 6, 2),
+    "witt": _Suite(_witt_case, 40, 6, 2, gates=True),
 }
 
 
@@ -637,8 +612,29 @@ def run_suite(suite: str, seed: int, field, bounds=None):
     """Run one oracle suite; returns a deterministic payload dictionary."""
     if suite not in SUITES:
         raise UnknownSuite(f"unknown oracle suite: {suite!r} (choices: {', '.join(SUITES)})")
-    # only the witt suite returns a third value, its freeness-gated count
-    cases, fail, *gated = SUITES[suite](seed, field, dict(bounds or {}))
+    spec = SUITES[suite]
+    bounds = dict(bounds or {})
+    for key, value in bounds.items():
+        # bool is a subclass of int, yet true is not a bound
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ParseError(f"oracle bound {key!r} must be an integer")
+    n_random = bounds.get("cases", spec.cases)
+    max_rank = bounds.get("max_rank", spec.max_rank)
+    if n_random < 0:
+        raise ParseError(f"oracle bound 'cases' must be non-negative, got {n_random}")
+    if spec.min_rank is not None and max_rank < spec.min_rank:
+        raise ParseError(f"oracle bound 'max_rank' must be at least {spec.min_rank} for {suite}")
+    rng = Random(seed)
+    cases = gated = 0
+    fail = None
+    for outcome in itertools.chain(
+        spec.exhaustive(field), (spec.case(rng, field, max_rank) for _ in range(n_random))
+    ):
+        cases += 1
+        if outcome is _GATED:
+            gated += 1
+        elif fail is None:
+            fail = outcome
     payload = {
         "suite": suite,
         "seed": seed,
@@ -647,6 +643,6 @@ def run_suite(suite: str, seed: int, field, bounds=None):
         "status": "ok" if fail is None else "counterexample",
         "counterexample": fail,
     }
-    if gated:
-        payload["freeness_gated"] = gated[0]
+    if spec.gates:
+        payload["freeness_gated"] = gated
     return payload

@@ -8,6 +8,15 @@ status is "ok" only when every certificate value is true; otherwise it is
 "certificate_failed", with payload and certificate kept to show which check
 failed, and the report is not ok (exit code 1 from `sheafforms run`).
 
+Each certificate is one library function, shared with the oracle suites
+and with the constructions that check themselves: `classify` calls
+`certify_witness` and `project` `certify_projection` (bilinear);
+`symplectic_basis`, `normal_form` (via `SymplecticBasis.from_columns`) and
+`decomposition` (on the planes' r and s) call `certify_basis`, `envelope`
+`certify_envelope` and `witt` `certify_witt` (symplectic). `radical` and
+`orthogonal` are certified here, by `_certify_radical` and
+`_certify_orthogonal`.
+
 Scalar encoding is the field's own string format, so parsing a serialized
 payload yields equal values.
 """
@@ -21,8 +30,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .bilinear import BilinearForm, classify_orthosymmetry
-from .errors import EmptyOpen, ParseError, SheafFormsError, UnknownSuite
+from .bilinear import (
+    BilinearForm,
+    certify_projection,
+    certify_witness,
+    classify_orthosymmetry,
+)
+from .errors import EmptyOpen, ParseError, SheafFormsError
 from .fields import FpElement, field_from_name
 from .modules import (
     FreeModule,
@@ -35,13 +49,14 @@ from .modules import (
 from .oracles import SUITES, run_suite
 from .symplectic import (
     PartialFamily,
+    SymplecticBasis,
     certify_basis,
     certify_envelope,
+    certify_witt,
     gram_schmidt_extend,
     hyperbolic_decomposition,
     hyperbolic_envelope,
     normal_form,
-    standard_alternating,
     witt_extend,
 )
 from .topology import validate_topology
@@ -83,6 +98,14 @@ def _expect(doc: dict, key: str, kind, where: str):
     return value
 
 
+def _points(value, where: str) -> tuple:
+    """A JSON list of points; a point is a string or an integer. The exact
+    type test rejects bool, a subclass of int."""
+    if not isinstance(value, list) or not set(map(type, value)) <= {str, int}:
+        raise ParseError(f"{where}: expected a list of points (strings or integers)")
+    return tuple(value)
+
+
 def parse_matrix(doc, field, n: int, where: str):
     if not isinstance(doc, list) or len(doc) != n:
         raise ParseError(f"{where}: expected {n} rows")
@@ -99,8 +122,7 @@ def format_matrix(m, field):
 
 
 def parse_section(doc, module: FreeModule, where: str) -> ModuleSection:
-    points = _expect(doc, "open", list, where)
-    u_ref = module.space.ref(tuple(points))
+    u_ref = module.space.ref(_points(_expect(doc, "open", None, where), f"{where}.open"))
     comps = module.space.components_of(u_ref)
     vecs = _expect(doc, "vectors", list, where)
     if len(vecs) != len(comps):
@@ -192,14 +214,11 @@ def parse_partial(doc, module: FreeModule, where: str) -> PartialFamily:
 def scenario_from_dict(doc: dict) -> Scenario:
     where = "scenario"
     space_doc = _expect(doc, "space", dict, where)
-    points = _expect(space_doc, "points", list, "space")
+    points = _points(_expect(space_doc, "points", None, "space"), "space.points")
     opens = _expect(space_doc, "opens", list, "space")
-    if not all(isinstance(u, list) for u in opens):
-        raise ParseError("space: every open must be a list of points")
+    opens = [_points(u, "space.opens") for u in opens]
     try:
-        space = validate_topology(
-            tuple(points), [tuple(u) for u in opens]
-        )
+        space = validate_topology(points, opens)
     except SheafFormsError as exc:
         raise ParseError(f"space: {exc.code}: {exc.message}") from exc
 
@@ -339,21 +358,6 @@ def _certify_orthogonal(form, perp, f, side):
     return True
 
 
-def _certify_normal_form(form, mats):
-    target = standard_alternating(form.module.rank, form.module.field)
-    return all(
-        linalg.matmul(linalg.transpose(p), linalg.matmul(g, p)) == target
-        for p, g in zip(mats, form.gram)
-    )
-
-
-def _certify_witt(f, images, iso):
-    ok = iso.holds()
-    for sec, image in zip(f.global_basis(), images):
-        ok = ok and iso.apply(sec) == image
-    return ok
-
-
 # -- task execution ---------------------------------------------------------
 
 def _run_task(scenario: Scenario, task: dict, default_seed) -> dict:
@@ -388,11 +392,7 @@ def _run_task(scenario: Scenario, task: dict, default_seed) -> dict:
                     "s": format_section(cls.witness.s),
                 },
             }
-            w = cls.witness
-            rechecked = w is None or (
-                form.evaluate(w.r, w.s).is_zero()
-                and form.evaluate(w.s, w.r).is_nowhere_zero()
-            )
+            rechecked = cls.witness is None or certify_witness(form, cls.witness)
             return done(payload, {"witness_rechecked": rechecked})
 
         if op == "radical":
@@ -424,19 +424,7 @@ def _run_task(scenario: Scenario, task: dict, default_seed) -> dict:
                 "project target",
             )
             p = form.project(f, t)
-            residual = t - p
-            cert = {
-                "in_submodule": f.contains(p),
-                "idempotent": form.project(f, p) == p,
-                "residual_orthogonal": all(
-                    form.evaluate(
-                        residual,
-                        b if b.open == residual.open else b.restrict(residual.open),
-                    ).is_zero()
-                    for b in _carrier_sections(f)
-                ),
-            }
-            return done({"projection": format_section(p)}, cert)
+            return done({"projection": format_section(p)}, certify_projection(form, f, t, p))
 
         if op == "symplectic_basis":
             partial = parse_partial(task.get("partial"), module, "symplectic_basis.partial")
@@ -454,7 +442,7 @@ def _run_task(scenario: Scenario, task: dict, default_seed) -> dict:
 
         if op == "normal_form":
             mats = normal_form(form)
-            cert_ok = _certify_normal_form(form, mats)
+            cert_ok = certify_basis(form, SymplecticBasis.from_columns(module, mats))
             return done(
                 {"matrices": [format_matrix(p, module.field) for p in mats]},
                 {"congruent_to_standard": cert_ok},
@@ -462,9 +450,12 @@ def _run_task(scenario: Scenario, task: dict, default_seed) -> dict:
 
         if op == "decomposition":
             planes = hyperbolic_decomposition(form)
+            basis = SymplecticBasis(
+                module, tuple(pl.r for pl in planes), tuple(pl.s for pl in planes)
+            )
             return done(
                 {"planes": [_plane_payload(pl) for pl in planes]},
-                {"pairwise_orthogonal_nondegenerate": _certify_planes(form, planes)},
+                {"pairwise_orthogonal_nondegenerate": certify_basis(form, basis)},
             )
 
         if op == "envelope":
@@ -493,7 +484,7 @@ def _run_task(scenario: Scenario, task: dict, default_seed) -> dict:
             iso = witt_extend(form, target, f, images)
             return done(
                 {"matrices": [format_matrix(m, module.field) for m in iso.matrices]},
-                {"isometry_and_agreement": _certify_witt(f, images, iso)},
+                {"isometry_and_agreement": certify_witt(iso, f, images)},
             )
 
         if op == "oracle":
@@ -504,8 +495,6 @@ def _run_task(scenario: Scenario, task: dict, default_seed) -> dict:
             bounds = dict(_expect(task, "bounds", dict, op)) if "bounds" in task else {}
             if "max_rank" in task:
                 bounds["max_rank"] = task["max_rank"]
-            for key in bounds:
-                _expect(bounds, key, int, op)
             field = scenario.field
             if "field" in task:
                 field = field_from_name(task["field"])
@@ -519,26 +508,6 @@ def _run_task(scenario: Scenario, task: dict, default_seed) -> dict:
 
 def _task_submodule(task: dict, module: FreeModule, op: str) -> Submodule:
     return parse_submodule(_expect(task, "submodule", None, op), module, f"{op}.submodule")
-
-
-def _carrier_sections(f):
-    try:
-        return f.global_basis()
-    except SheafFormsError:
-        return ()
-
-
-def _certify_planes(form, planes) -> bool:
-    ok = 2 * len(planes) == form.module.rank
-    for plane in planes:
-        ok = ok and form.evaluate(plane.r, plane.s).is_nowhere_zero()
-        for other in planes:
-            if other is plane:
-                continue
-            for a in (plane.r, plane.s):
-                for b in (other.r, other.s):
-                    ok = ok and form.evaluate(a, b).is_zero()
-    return ok
 
 
 # -- report assembly ----------------------------------------------------------
@@ -569,10 +538,6 @@ def oracle_report(suite: str, seed: int, field, bounds=None) -> dict:
     """Standalone oracle report. No timing: the whole report is a pure
     function of (suite, seed, field, bounds) and must be bit-identical
     across runs."""
-    if suite not in SUITES:
-        raise UnknownSuite(
-            f"unknown oracle suite: {suite!r} (choices: {', '.join(SUITES)})"
-        )
     header = {"field": field.name, "seed": seed}
     env = os.environ.get(ENV_FIELD)
     if env is not None:

@@ -12,7 +12,9 @@ Each fact is decided once. The public entry points validate their forms
 `_normal_form`, `_standard_isometry`) that do not validate again. `_extend`
 certifies every basis it builds by congruence, P^T G P == A_2n on every
 component (`certify_basis`); normal forms and standard isometries are built
-from such certified bases and need no further check.
+from such certified bases and need no further check. `witt_extend` checks
+its result with `certify_witt`; the report layer and the oracles call these
+same certificates.
 """
 
 from __future__ import annotations
@@ -74,6 +76,13 @@ class SymplecticBasis:
     @property
     def n(self) -> int:
         return len(self.r)
+
+    @staticmethod
+    def from_columns(module: FreeModule, mats) -> "SymplecticBasis":
+        """The basis whose interleaved sections r_1, s_1, r_2, ... are the
+        columns of P on each component, the layout `normal_form` returns."""
+        cols = [_glue(module, col) for col in zip(*map(linalg.transpose, mats))]
+        return SymplecticBasis(module, tuple(cols[0::2]), tuple(cols[1::2]))
 
     def interleaved(self):
         out = []
@@ -476,7 +485,7 @@ def certify_envelope(form: BilinearForm, f: Submodule, planes) -> bool:
     if len(planes) != len(basis):
         return False
     for sec, plane in zip(basis, planes):
-        if plane.r != sec or not plane.span.contains(sec):
+        if plane.r != sec or not (plane.span.contains(sec) and plane.span.contains(plane.s)):
             return False
         if not form.evaluate(plane.r, plane.s).is_nowhere_zero():
             return False
@@ -527,8 +536,8 @@ def witt_extend(
     envelopes of the radicals (inside the orthogonal complements of the
     non-isotropic parts), maps partner to partner (both envelopes normalize
     the pairing to 1), and finishes with a standard isometry between the residual
-    complements. The result is checked against the defining equation and
-    against sigma on the basis of f before being returned.
+    complements. `certify_witt` checks the result against the defining
+    equation and against sigma on the basis of f before it is returned.
     """
     _validate_pair(source, target)
     module = source.module
@@ -590,7 +599,6 @@ def witt_extend(
     comp_rows_per_c = [
         linalg.complement_rows(rb, fb, field) for rb, fb in zip(rad.bases, f.bases)
     ]
-    assert all(len(rows) == k - l for rows in comp_rows_per_c)
     gc_sections = [
         _glue(module, (rows[i] for rows in comp_rows_per_c)) for i in range(k - l)
     ]
@@ -617,9 +625,8 @@ def witt_extend(
     h_sections_t = [sec for q in planes_t for sec in (q.r, q.s)]
     j_source = source.orthogonal(span(module, gc_sections + h_sections), "left")
     j_target = target.orthogonal(span(module, sigma_gc + h_sections_t), "left")
+    # J and J' complement non-degenerate free parts of rank k + l: both free
     jr = j_source.is_free()
-    jr_t = j_target.is_free()
-    assert jr is not None and jr == jr_t
 
     source_secs = gc_sections + [p.r for p in planes] + [p.s for p in planes]
     target_secs = sigma_gc + [q.r for q in planes_t] + [q.s for q in planes_t]
@@ -648,10 +655,19 @@ def witt_extend(
         src = linalg.transpose(tuple(sec.vectors[c] for sec in source_secs))
         tgt = linalg.transpose(tuple(sec.vectors[c] for sec in target_secs))
         inv = linalg.inverse(src, field)
-        assert inv is not None  # the blocks sum to the whole module
+        if inv is None:
+            raise AssertionError("the assembled sections are not a basis")
         mats.append(linalg.matmul(tgt, inv))
     iso = Isometry(source, target, tuple(mats))
-    assert iso.holds()
-    for sec, im in zip(basis, images):
-        assert iso.apply(sec) == im
+    if not certify_witt(iso, f, images):
+        raise AssertionError("the extension fails M^T G' M == G or disagrees with sigma")
     return iso
+
+
+def certify_witt(iso: Isometry, f: Submodule, images) -> bool:
+    """M^T G' M = G on every component (`Isometry.holds`), and M carries the
+    canonical global basis of f to sigma's images, in order."""
+    basis = f.global_basis()
+    return len(basis) == len(images) and iso.holds() and all(
+        iso.apply(sec) == im for sec, im in zip(basis, images)
+    )

@@ -201,6 +201,19 @@ class TestProjection:
             for b in f.global_basis():
                 assert form.evaluate(t - p, b).is_zero()
 
+    def test_certificate_names_each_law(self, diag2):
+        module = diag2.module
+        e1, e2 = module.canonical_basis()
+        f = span(module, [e1])
+        t = Fraction(2) * e1 + Fraction(3) * e2
+        names = ("in_submodule", "idempotent", "residual_orthogonal")
+        good = bilinear.certify_projection(diag2, f, t, diag2.project(f, t))
+        assert good == dict.fromkeys(names, True)
+        # t itself lies outside f, and the residual 0 is trivially orthogonal
+        assert bilinear.certify_projection(diag2, f, t, t) == {
+            "in_submodule": False, "idempotent": False, "residual_orthogonal": True,
+        }
+
     def test_isotropic_submodule_refused(self, symplectic2):
         module = symplectic2.module
         e1, _ = module.canonical_basis()
@@ -254,6 +267,18 @@ class TestOrthosymmetry:
         assert form.evaluate(w.s, w.r).is_nowhere_zero()
         assert w.r.vectors == ((Fraction(0), Fraction(1)),)
         assert w.s.vectors == ((Fraction(1), Fraction(0)),)
+
+    def test_witness_certificate(self, sierpinski):
+        form = form_on(sierpinski, [[1, 1], [0, 1]])
+        w = classify_orthosymmetry(form).witness
+        assert bilinear.certify_witness(form, w)
+        assert not bilinear.certify_witness(form, bilinear.OrthoWitness(w.open, w.s, w.r))
+
+    def test_false_witness_certificate_raises(self, sierpinski, monkeypatch):
+        # a raise, not an assert: the self-check holds under python -O
+        monkeypatch.setattr(bilinear, "certify_witness", lambda form, witness: False)
+        with pytest.raises(AssertionError):
+            classify_orthosymmetry(form_on(sierpinski, [[1, 1], [0, 1]]))
 
     def test_radical_requires_orthosymmetry(self, sierpinski):
         form = form_on(sierpinski, [[1, 1], [0, 1]])

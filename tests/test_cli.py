@@ -149,6 +149,32 @@ class TestParsing:
         assert task["error"]["code"] == "ParseError"
         assert not report["ok"]
 
+    @pytest.mark.parametrize("level,doc", [
+        ("document", base_doc(space={"points": [["a"], "b"], "opens": [[], ["b"]]})),
+        ("document", base_doc(space={"points": ["a", True], "opens": [[], ["a"], ["a", True]]})),
+        ("document", base_doc(space={"points": ["a", "b"], "opens": [[], [["a"]], ["a", "b"]]})),
+        ("task", base_doc(tasks=[{"op": "orthogonal", "submodule": {"generators": [
+            {"open": [["a"]], "vectors": [["1/1", "0/1"]]}]}}])),
+        ("task", base_doc(tasks=[{"op": "orthogonal", "submodule": {"generators": [
+            {"open": "ab", "vectors": [["1/1", "0/1"]]}]}}])),
+    ], ids=["list_point", "bool_point", "list_in_open", "list_in_section_open",
+            "section_open_not_a_list"])
+    def test_point_must_be_a_string_or_integer(self, level, doc):
+        if level == "document":
+            with pytest.raises(ParseError):
+                scenario_from_dict(doc)
+            return
+        (task,) = run_scenario_dict(doc)["tasks"]
+        assert task["error"]["code"] == "ParseError"
+
+    def test_integer_points(self):
+        doc = base_doc(space={"points": [1, 2], "opens": [[], [1], [1, 2]]},
+                       tasks=[{"op": "orthogonal", "submodule": {"generators": [
+                           {"open": [1, 2], "vectors": [["1/1", "0/1"]]}]}}])
+        report = run_scenario_dict(doc)
+        assert report["header"]["points"] == [1, 2]
+        assert report["ok"]
+
     def test_unknown_op(self):
         doc = base_doc(tasks=[{"op": "frobnicate"}])
         with pytest.raises(ParseError):
@@ -299,7 +325,7 @@ class TestScenarioExecution:
 
 class TestCertificateStatus:
     def test_false_certificate_fails_the_task(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setattr(scenario, "_certify_normal_form", lambda form, mats: False)
+        monkeypatch.setattr(scenario, "certify_basis", lambda form, basis, partial=None: False)
         doc = base_doc(tasks=[{"op": "normal_form"}, {"op": "classify"}])
         report = run_scenario_dict(doc)
         failed, fine = report["tasks"]
@@ -366,6 +392,35 @@ class TestOracleReports:
     def test_no_timing_in_oracle_report(self):
         report = oracle_report("reflexivity", 1, Q, {"cases": 3})
         assert "time_ms" not in report_to_json(report)
+
+
+class TestOracleBounds:
+    @pytest.mark.parametrize("task", [
+        {"suite": "reflexivity", "max_rank": 0},
+        {"suite": "orthosymmetry_dichotomy", "bounds": {"max_rank": -1}},
+        {"suite": "gram_schmidt", "max_rank": 1},
+        {"suite": "witt", "bounds": {"max_rank": 1, "cases": 1}},
+        {"suite": "reflexivity", "bounds": {"cases": -3}},
+        {"suite": "scholium_invertibility", "bounds": {"cases": -1}},
+    ])
+    def test_out_of_range_bound_is_task_parse_error(self, task):
+        report = run_scenario_dict(base_doc(tasks=[{"op": "oracle", **task}]))
+        (entry,) = report["tasks"]
+        assert entry["status"] == "error"
+        assert entry["error"]["code"] == "ParseError"
+        assert not report["ok"]
+
+    @pytest.mark.parametrize("args", [
+        ("reflexivity", "--max-rank", "0"),
+        ("gram_schmidt", "--max-rank", "1"),
+        ("witt", "--cases", "-1"),
+    ])
+    def test_cli_exit_two_without_traceback(self, args):
+        proc = run_cli("oracle", *args)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("ParseError:")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
 
 class TestProcessLevel:

@@ -286,6 +286,20 @@ class TestNormalForm:
         for p, g in zip(normal_form(form), form.gram):
             assert linalg.matmul(linalg.transpose(p), linalg.matmul(g, p)) == target
 
+    def test_certified_through_its_basis(self, discrete_pair):
+        form = random_alternating_form(Random(5), FreeModule(discrete_pair, Q, 4))
+        mats = normal_form(form)
+        basis = SymplecticBasis.from_columns(form.module, mats)
+        for c, p in enumerate(mats):
+            assert linalg.transpose(tuple(sec.vectors[c] for sec in basis.interleaved())) == p
+        assert certify_basis(form, basis)
+        # doubling the column of s_1 breaks phi(r_1, s_1) = 1
+        scaled = tuple(
+            tuple(tuple(Fraction(2) * x if j == 1 else x for j, x in enumerate(row)) for row in p)
+            for p in mats
+        )
+        assert not certify_basis(form, SymplecticBasis.from_columns(form.module, scaled))
+
     def test_standard_form_gives_identity(self, sierpinski):
         module = FreeModule(sierpinski, Q, 4)
         form = standard_symplectic_form(module)
@@ -406,6 +420,18 @@ class TestEnvelope:
         flat = HyperbolicPlane(plane.r, plane.s, span(module, [e[0], e[2]]))
         assert certify_envelope(form, f, [flat]) is False
 
+    def test_plane_span_without_partner_rejected(self, sierpinski):
+        module = FreeModule(sierpinski, Q, 4)
+        form = standard_symplectic_form(module)
+        e = module.canonical_basis()
+        f = span(module, [e[0]])
+        (plane,) = hyperbolic_envelope(form, f)
+        # span(r_1, e_2 + e_3) is free of rank 2, non-degenerate and pairs
+        # r_1 nowhere-zero, but it is not span(r_1, s_1)
+        forged = span(module, [plane.r, e[1] + e[2]])
+        assert not forged.contains(plane.s)
+        assert not certify_envelope(form, f, [HyperbolicPlane(plane.r, plane.s, forged)])
+
     def test_not_totally_isotropic_rejected(self, sierpinski):
         module = FreeModule(sierpinski, Q, 4)
         form = standard_symplectic_form(module)
@@ -478,6 +504,29 @@ class TestWitt:
     def test_full_lagrangian_case(self):
         rng = Random(61)
         self.run_instance(rng, sierpinski_space(), 4, 2, 0)
+
+    def lagrangian_instance(self):
+        rng = Random(43)
+        module = FreeModule(sierpinski_space(), Q, 4)
+        source = random_alternating_form(rng, module)
+        target = random_alternating_form(rng, module)
+        f = hyperbolic_mix_submodule(rng, source, 2, 0)
+        carrier = random_symplectic_isometry(rng, source, target)
+        return source, target, f, [carrier.apply(sec) for sec in f.global_basis()]
+
+    def test_certificate_checks_agreement_with_sigma(self):
+        source, target, f, images = self.lagrangian_instance()
+        iso = witt_extend(source, target, f, images)
+        assert symplectic.certify_witt(iso, f, images)
+        assert not symplectic.certify_witt(iso, f, images[::-1])
+        assert not symplectic.certify_witt(iso, f, images[:1])
+
+    def test_false_certificate_raises(self, monkeypatch):
+        # a raise, not an assert: the self-check holds under python -O
+        source, target, f, images = self.lagrangian_instance()
+        monkeypatch.setattr(symplectic, "certify_witt", lambda iso, f, images: False)
+        with pytest.raises(AssertionError):
+            witt_extend(source, target, f, images)
 
     def test_sigma_must_preserve_pairings(self, sierpinski):
         module = FreeModule(sierpinski, Q, 4)
