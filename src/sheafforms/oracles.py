@@ -357,7 +357,7 @@ def orthosymmetric_by_literal_enumeration(form: BilinearForm):
 
 
 def orthosymmetry_counterexample_search(form: BilinearForm, rng: Random, tries: int):
-    """Sampling route for non-enumerable fields: look for a pair violating
+    """Sampling route for fields too large to count: look for a pair violating
     the biconditional over random opens."""
     module = form.module
     space = module.space
@@ -464,6 +464,11 @@ def _dichotomy_exhaustive(field):
                     yield {"gram": [[field.format(x) for x in row] for row in g]}
 
 
+# `orthosymmetric_by_counting` tabulates (p^rank)^2 fiber pairs; above this
+# many fiber vectors the dichotomy suite samples instead
+_COUNTING_LIMIT = 125
+
+
 def _dichotomy_case(rng: Random, field, max_rank):
     space = _draw_space(rng)
     ncomp = len(space.components_of(space.x_ref))
@@ -477,7 +482,7 @@ def _dichotomy_case(rng: Random, field, max_rank):
     )
     form = BilinearForm(module, gram)
     cls = classify_orthosymmetry(form)
-    if hasattr(field, "p"):
+    if hasattr(field, "p") and field.p**rank <= _COUNTING_LIMIT:
         brute, _ = orthosymmetric_by_counting(form)
         agreed = cls.orthosymmetric == brute
     else:

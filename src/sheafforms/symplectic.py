@@ -7,14 +7,18 @@ glued along the component table. The algorithms are deterministic: ambient
 complements are canonical echelon subspaces, partners are chosen as the least
 echelon basis row with non-vanishing pairing on each component.
 
-Each fact is decided once. The public entry points validate their forms
-(`validate_symplectic`) and then call private helpers (`_extend`,
-`_normal_form`, `_standard_isometry`) that do not validate again. `_extend`
-certifies every basis it builds by congruence, P^T G P == A_2n on every
-component (`certify_basis`); normal forms and standard isometries are built
-from such certified bases and need no further check. `witt_extend` checks
-its result with `certify_witt`; the report layer and the oracles call these
-same certificates.
+Every construction is one certified Gram-Schmidt completion, `_extend`,
+which certifies the basis it builds by congruence, P^T G P == A_2n on every
+component (`certify_basis`), and keeps the given partial family verbatim.
+The normal form is the matrix of a completion of the empty family; a
+hyperbolic envelope is the first k planes of the completion of a totally
+isotropic basis r_1..r_k; a standard isometry and a Witt extension are
+`_carry`, M = P' P^{-1} between the completions of two partial families
+(empty ones, or a basis adapted to f = g perp rad f and its sigma-image), so
+M^T G' M = G needs no further check. The public entry points validate their
+forms (`validate_symplectic`) once; the private helpers do not validate
+again. `certify_witt` and `certify_envelope` remain the certificates the
+report layer and the oracles call.
 """
 
 from __future__ import annotations
@@ -169,7 +173,8 @@ def validate_symplectic(form: BilinearForm) -> None:
 
 def standard_alternating(rank: int, field):
     """Block-diagonal Gram matrix with blocks [[0,1],[-1,0]]."""
-    assert rank % 2 == 0
+    if rank % 2 != 0:
+        raise OddRank(f"rank {rank} is odd")
     rows = []
     for i in range(rank):
         row = [field.zero] * rank
@@ -254,13 +259,26 @@ def _constrained_partner(form, ambient_rows, avoid, mate, label):
 
 
 def _check_partial_relations(form, rs, ss):
-    one = form.module.field.one
-    for a, xs, b, ys in (("r", rs, "r", rs), ("s", ss, "s", ss), ("r", rs, "s", ss)):
-        for i, x in xs.items():
-            for j, y in ys.items():
-                val = form.evaluate(x, y)
+    """phi(r_i, r_j) = phi(s_i, s_j) = 0 and phi(r_i, s_j) = delta_ij, read
+    off one pairing matrix per component; the first broken pair in the scan
+    order r-r, s-s, r-s is the witness."""
+    labels = [("r", i) for i in rs] + [("s", j) for j in ss]
+    if not labels:
+        return
+    sections = [*rs.values(), *ss.values()]
+    mats = [
+        _pairings(tuple(sec.vectors[c] for sec in sections), g)
+        for c, g in enumerate(form.gram)
+    ]
+    field = form.module.field
+    r_pos, s_pos = range(len(rs)), range(len(rs), len(labels))
+    for ps, qs in ((r_pos, r_pos), (s_pos, s_pos), (r_pos, s_pos)):
+        for p in ps:
+            for q in qs:
+                (a, i), (b, j) = labels[p], labels[q]
                 want_one = a != b and i == j
-                if not (all(v == one for v in val.values) if want_one else val.is_zero()):
+                want = field.one if want_one else field.zero
+                if any(m[p][q] != want for m in mats):
                     raise PartialRelationsViolated(
                         f"phi({a}_{i}, {b}_{j}) != {int(want_one)}", pair=((a, i), (b, j))
                     )
@@ -384,29 +402,33 @@ def certify_basis(form: BilinearForm, basis: SymplecticBasis, partial=None) -> b
     return True
 
 
-def hyperbolic_decomposition(form: BilinearForm):
-    """E as a perpendicular sum of hyperbolic planes span(r_i, s_i)."""
-    basis = gram_schmidt_extend(form, PartialFamily.of())
+def _planes(form: BilinearForm, basis: SymplecticBasis, count=None):
+    """The hyperbolic planes span(r_i, s_i) of the first `count` pairs."""
     return [
         HyperbolicPlane(r, s, span(form.module, [r, s]))
-        for r, s in zip(basis.r, basis.s)
+        for r, s in zip(basis.r[:count], basis.s[:count])
     ]
+
+
+def hyperbolic_decomposition(form: BilinearForm):
+    """E as a perpendicular sum of hyperbolic planes span(r_i, s_i)."""
+    return _planes(form, gram_schmidt_extend(form, PartialFamily.of()))
+
+
+def _columns(form: BilinearForm, basis: SymplecticBasis):
+    """Per component, the matrix P whose columns are r_1, s_1, r_2, s_2, ..."""
+    sections = basis.interleaved()
+    return tuple(
+        linalg.transpose(tuple(sec.vectors[c] for sec in sections))
+        for c in range(len(form.gram))
+    )
 
 
 def normal_form(form: BilinearForm):
     """Per-component change of basis P with P^T G P the standard alternating
     matrix. Columns of P are the symplectic basis interleaved r_1, s_1, ..."""
     validate_symplectic(form)
-    return _normal_form(form)
-
-
-def _normal_form(form: BilinearForm):
-    basis = _extend(form, PartialFamily.of())
-    sections = basis.interleaved()
-    return tuple(
-        linalg.transpose(tuple(sec.vectors[c] for sec in sections))
-        for c in range(len(form.gram))
-    )
+    return _columns(form, _extend(form, PartialFamily.of()))
 
 
 def _validate_pair(source: BilinearForm, target: BilinearForm) -> None:
@@ -421,47 +443,41 @@ def _validate_pair(source: BilinearForm, target: BilinearForm) -> None:
     validate_symplectic(target)
 
 
-def standard_isometry(source: BilinearForm, target: BilinearForm) -> Isometry:
-    """An exact isometry between two symplectic forms of the same rank over
-    the same space: M = P' P^{-1} built from the two normal forms."""
-    _validate_pair(source, target)
-    return _standard_isometry(source, target)
-
-
-def _standard_isometry(source: BilinearForm, target: BilinearForm) -> Isometry:
+def _carry(
+    source: BilinearForm, target: BilinearForm, partial: PartialFamily, partial_t: PartialFamily
+) -> Isometry:
+    """M = P' P^{-1} per component, with P and P' the completions of the two
+    partial families on the source and the target form."""
     # _extend certified P^T G P = A = P'^T G' P', so M = P' P^{-1} has
-    # M^T G' M = P^{-T} A P^{-1} = G: M is an isometry without a further check
+    # M^T G' M = P^{-T} A P^{-1} = G: M is an isometry without a further
+    # check. Both families sit verbatim at the same columns of P and P', so
+    # M sends each partial section to its partner.
     field = source.module.field
     mats = tuple(
         linalg.matmul(p2, linalg.inverse(p, field))
-        for p, p2 in zip(_normal_form(source), _normal_form(target))
+        for p, p2 in zip(
+            _columns(source, _extend(source, partial)),
+            _columns(target, _extend(target, partial_t)),
+        )
     )
     return Isometry(source, target, mats)
 
 
+def standard_isometry(source: BilinearForm, target: BilinearForm) -> Isometry:
+    """An exact isometry between two symplectic forms of the same rank over
+    the same space: M = P' P^{-1} built from the two normal forms."""
+    _validate_pair(source, target)
+    return _carry(source, target, PartialFamily.of(), PartialFamily.of())
+
+
 # -- hyperbolic envelopes and isometry extension ------------------------------
-
-def _envelope(form, basis_sections, ambient_rows):
-    """Hyperbolic planes H_i = span(f_i, w_i) for the given totally isotropic
-    sections, built inside the ambient subspace. Works from the last section
-    down: its partner is chosen orthogonal to the remaining ones, the plane
-    is split off the ambient, and the rest recurses into the complement.
-    Partners are normalized to pairing 1."""
-    if not basis_sections:
-        return []
-    f = basis_sections[-1]
-    rest = list(basis_sections[:-1])
-    w = _constrained_partner(form, ambient_rows, rest, f, "envelope partner")
-    u = form.evaluate(f, w)
-    s = u.invert() * w
-    plane = HyperbolicPlane(f, s, span(form.module, [f, s]))
-    shrunk = _project_rows_away(form, ambient_rows, [(f, s)])
-    return _envelope(form, rest, shrunk) + [plane]
-
 
 def hyperbolic_envelope(form: BilinearForm, f: Submodule):
     """Pairwise orthogonal hyperbolic planes H_i with r_i in H_i, where
-    r_1..r_k is the canonical global basis of the totally isotropic free f."""
+    r_1..r_k is the canonical global basis of the totally isotropic free f.
+
+    The planes are the first k pairs of the completion of the partial family
+    r_1..r_k (nothing given on the s side), so they are certified with it."""
     validate_symplectic(form)
     if f.module != form.module:
         raise ModuleMismatch("submodule belongs to a different module")
@@ -475,9 +491,8 @@ def hyperbolic_envelope(form: BilinearForm, f: Submodule):
         if any(x != field.zero for row in gram_on_f for x in row):
             raise NotTotallyIsotropic("the form does not vanish on the submodule")
     basis = f.global_basis()
-    ident = linalg.identity(form.module.rank, field)
-    ambient = (ident,) * len(form.module.x_components())
-    return _envelope(form, basis, ambient)
+    partial = PartialFamily.of(r=enumerate(basis, 1))
+    return _planes(form, _extend(form, partial), len(basis))
 
 
 def certify_envelope(form: BilinearForm, f: Submodule, planes) -> bool:
@@ -531,13 +546,14 @@ def witt_extend(
 
     sigma is given by the images of the canonical global basis of f; it must
     preserve all pairings exactly and be injective on every component. The
-    construction splits f into a non-isotropic part and its radical, carries
-    the non-isotropic part over verbatim, matches the two hyperbolic
-    envelopes of the radicals (inside the orthogonal complements of the
-    non-isotropic parts), maps partner to partner (both envelopes normalize
-    the pairing to 1), and finishes with a standard isometry between the residual
-    complements. `certify_witt` checks the result against the defining
-    equation and against sigma on the basis of f before it is returned.
+    extension is a completion of an adapted partial family (Artin's route):
+    f = g perp rad f, with g a non-degenerate complement of the radical.
+    A symplectic basis r_1, s_1, .., r_m, s_m of g and the basis of rad f as
+    r_{m+1}, .., r_{m+l} form a partial family; their sigma-images form one
+    for the target at the same indices. `_carry` completes both and sends
+    one completed basis to the other, so the result is certified by the two
+    congruences P^T G P = A_2n = P'^T G' P' and agrees with sigma on a basis
+    of f by construction.
     """
     _validate_pair(source, target)
     module = source.module
@@ -593,75 +609,27 @@ def witt_extend(
         raise FreenessViolated(
             f"radical component dimensions differ: {rad.dims}", dims=rad.dims
         )
-    sigma = _sigma_from_images(f, images) if k else None
+    sigma = _sigma_from_images(f, images)
 
-    # non-isotropic complement of the radical inside f, one glued row basis
-    comp_rows_per_c = [
-        linalg.complement_rows(rb, fb, field) for rb, fb in zip(rad.bases, f.bases)
-    ]
-    gc_sections = [
-        _glue(module, (rows[i] for rows in comp_rows_per_c)) for i in range(k - l)
-    ]
-    rad_basis = rad.global_basis()
-    sigma_gc = [sigma(sec) for sec in gc_sections]
-    sigma_rad = [sigma(sec) for sec in rad_basis]
-
-    # orthogonal complements of the carried-over part, on both sides
-    if gc_sections:
-        gc = span(module, gc_sections)
-        gc_t = span(module, sigma_gc)
-        amb_source = source.orthogonal(gc, "left").bases
-        amb_target = target.orthogonal(gc_t, "left").bases
-    else:
-        ident = linalg.identity(module.rank, field)
-        amb_source = (ident,) * ncomp
-        amb_target = amb_source
-
-    planes = _envelope(source, rad_basis, amb_source)
-    planes_t = _envelope(target, sigma_rad, amb_target)
-
-    # residual complements J and J' and a standard isometry between them
-    h_sections = [sec for p in planes for sec in (p.r, p.s)]
-    h_sections_t = [sec for q in planes_t for sec in (q.r, q.s)]
-    j_source = source.orthogonal(span(module, gc_sections + h_sections), "left")
-    j_target = target.orthogonal(span(module, sigma_gc + h_sections_t), "left")
-    # J and J' complement non-degenerate free parts of rank k + l: both free
-    jr = j_source.is_free()
-
-    source_secs = gc_sections + [p.r for p in planes] + [p.s for p in planes]
-    target_secs = sigma_gc + [q.r for q in planes_t] + [q.s for q in planes_t]
-    if jr:
-        j_basis = j_source.global_basis()
-        j_module = FreeModule(module.space, field, jr)
-        restricted = BilinearForm(
-            j_module, tuple(map(_pairings, j_source.bases, source.gram))
+    # f = g perp rad f with g a complement of the radical inside f; g is
+    # non-degenerate, so the restricted form B_g G B_g^T is symplectic, and a
+    # basis completed on it lifts through B_g to symplectic pairs of g
+    g_rows = [linalg.complement_rows(rb, fb, field) for rb, fb in zip(rad.bases, f.bases)]
+    rs, ss = {}, {}
+    if k > l:
+        g_form = BilinearForm(
+            FreeModule(module.space, field, k - l), tuple(map(_pairings, g_rows, source.gram))
         )
-        restricted_t = BilinearForm(
-            j_module, tuple(map(_pairings, j_target.bases, target.gram))
-        )
-        # J is the orthogonal complement of a non-degenerate part, so both
-        # restrictions are symplectic and need no second validation
-        n_iso = _standard_isometry(restricted, restricted_t)
-        for idx in range(jr):
-            vectors = []
-            for c in range(ncomp):
-                col = tuple(n_iso.matrices[c][i][idx] for i in range(jr))
-                vectors.append(linalg.vec_mat(col, j_target.bases[c]))
-            source_secs.append(j_basis[idx])
-            target_secs.append(_glue(target.module, vectors))
-
-    mats = []
-    for c in range(ncomp):
-        src = linalg.transpose(tuple(sec.vectors[c] for sec in source_secs))
-        tgt = linalg.transpose(tuple(sec.vectors[c] for sec in target_secs))
-        inv = linalg.inverse(src, field)
-        if inv is None:
-            raise AssertionError("the assembled sections are not a basis")
-        mats.append(linalg.matmul(tgt, inv))
-    iso = Isometry(source, target, tuple(mats))
-    if not certify_witt(iso, f, images):
-        raise AssertionError("the extension fails M^T G' M == G or disagrees with sigma")
-    return iso
+        g_basis = _extend(g_form, PartialFamily.of())
+        for i, (r, s) in enumerate(zip(g_basis.r, g_basis.s), 1):
+            rs[i] = _glue(module, map(linalg.vec_mat, r.vectors, g_rows))
+            ss[i] = _glue(module, map(linalg.vec_mat, s.vectors, g_rows))
+    rs.update(enumerate(rad.global_basis(), len(rs) + 1))
+    partial = PartialFamily.of(rs, ss)
+    partial_t = PartialFamily.of(
+        {i: sigma(sec) for i, sec in rs.items()}, {i: sigma(sec) for i, sec in ss.items()}
+    )
+    return _carry(source, target, partial, partial_t)
 
 
 def certify_witt(iso: Isometry, f: Submodule, images) -> bool:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from sheafforms import ParseError, RationalField
+from sheafforms import ParseError, PrimeField, RationalField, oracles
 from sheafforms.oracles import SUITES, fixture_spaces, run_suite
 
 Q = RationalField()
@@ -47,3 +47,37 @@ def test_zero_cases_allowed_and_negative_refused(suite):
     assert payload["cases"] == 0
     assert payload["status"] == "ok"
     assert ("freeness_gated" in payload) == (suite == "witt")
+
+
+class TestDichotomyRoute:
+    """The dichotomy suite counts zero pairs only on fibers of at most 125
+    vectors and samples above them, so a large prime field runs in bounded
+    memory."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Ranks the counting route ran at; it refuses fibers above 125."""
+        ranks = []
+        original = oracles.orthosymmetric_by_counting
+
+        def counting(form):
+            field, rank = form.module.field, form.module.rank
+            if field.p**rank > 125:
+                raise AssertionError(f"counted GF({field.p})^{rank}")
+            ranks.append(rank)
+            return original(form)
+
+        monkeypatch.setattr(oracles, "orthosymmetric_by_counting", counting)
+        return ranks
+
+    def test_large_prime_field_samples(self, counted):
+        payload = run_suite("orthosymmetry_dichotomy", 0, PrimeField(101))
+        assert payload["cases"] == 200
+        assert payload["status"] == "ok"
+        # 101 vectors at rank 1 are counted; ranks 2 and 3 are sampled
+        assert set(counted) == {1} and len(counted) < 200
+
+    def test_small_fibers_still_count(self, counted):
+        payload = run_suite("orthosymmetry_dichotomy", 0, PrimeField(5), {"cases": 20})
+        assert payload["status"] == "ok"
+        assert len(counted) == 20 and 3 in counted

@@ -98,6 +98,12 @@ class TestValidate:
             validate_symplectic(BilinearForm(module, (good, bad)))
         assert err.value.witness["component"] == 1
 
+    def test_standard_alternating_refuses_odd_rank(self):
+        # a raise, not an assert, so python -O does not turn it into IndexError
+        with pytest.raises(OddRank):
+            standard_alternating(3, Q)
+        assert standard_alternating(2, Q) == frac([[0, 1], [-1, 0]])
+
     def test_standard_form_is_symplectic(self, discrete_pair):
         module = FreeModule(discrete_pair, Q, 6)
         validate_symplectic(standard_symplectic_form(module))
@@ -181,6 +187,41 @@ class TestGramSchmidt:
         e1, e2 = module.canonical_basis()
         with pytest.raises(PartialRelationsViolated):
             gram_schmidt_extend(form, PartialFamily.of(r={1: e1}, s={1: e1}))
+
+    @pytest.mark.parametrize("r,s,pair,message", [
+        ({1: 0, 2: 1}, {}, (("r", 1), ("r", 2)), "phi(r_1, r_2) != 0"),
+        ({}, {1: 1, 2: 0}, (("s", 1), ("s", 2)), "phi(s_1, s_2) != 0"),
+        ({1: 0}, {2: 1}, (("r", 1), ("s", 2)), "phi(r_1, s_2) != 0"),
+        ({1: 0}, {1: "2e_2"}, (("r", 1), ("s", 1)), "phi(r_1, s_1) != 1"),
+        # s-s is scanned before r-s, though phi(r_1, s_1) = 0 breaks too
+        ({1: 0}, {1: 2, 2: 3}, (("s", 1), ("s", 2)), "phi(s_1, s_2) != 0"),
+    ], ids=["r_r", "s_s", "r_s_off_diagonal", "r_s_not_one", "scan_order"])
+    def test_first_broken_relation_is_the_witness(self, sierpinski, r, s, pair, message):
+        module = FreeModule(sierpinski, Q, 4)
+        form = standard_symplectic_form(module)
+        e = module.canonical_basis()
+
+        def section(spec):
+            return e[1] + e[1] if spec == "2e_2" else e[spec]
+
+        partial = PartialFamily.of(
+            {i: section(x) for i, x in r.items()}, {j: section(x) for j, x in s.items()}
+        )
+        with pytest.raises(PartialRelationsViolated) as err:
+            gram_schmidt_extend(form, partial)
+        assert err.value.witness["pair"] == pair
+        assert str(err.value) == message
+
+    def test_relation_broken_on_one_component(self, discrete_pair):
+        module = FreeModule(discrete_pair, Q, 4)
+        form = standard_symplectic_form(module)
+        e = module.canonical_basis()
+        # s_1 is e_2 on component a and 2 e_2 on component b
+        v_a, v_b = e[1].vectors
+        s1 = ModuleSection(module, e[1].open, (v_a, linalg.add_vec(v_b, v_b)))
+        with pytest.raises(PartialRelationsViolated) as err:
+            gram_schmidt_extend(form, PartialFamily.of(r={1: e[0]}, s={1: s1}))
+        assert err.value.witness["pair"] == (("r", 1), ("s", 1))
 
     def test_index_out_of_range(self, sierpinski):
         module = FreeModule(sierpinski, Q, 2)
@@ -524,9 +565,33 @@ class TestWitt:
     def test_false_certificate_raises(self, monkeypatch):
         # a raise, not an assert: the self-check holds under python -O
         source, target, f, images = self.lagrangian_instance()
-        monkeypatch.setattr(symplectic, "certify_witt", lambda iso, f, images: False)
+        monkeypatch.setattr(symplectic, "certify_basis", lambda form, basis, partial=None: False)
         with pytest.raises(AssertionError):
             witt_extend(source, target, f, images)
+
+    def test_built_on_completions_alone(self, monkeypatch):
+        # the two certified completions decide the result: witt_extend needs
+        # neither certify_witt nor Isometry.holds, and meets orthogonal only
+        # inside radical
+        source, target, f, images = self.lagrangian_instance()
+
+        def refuse(*args):
+            raise AssertionError("witt_extend re-checked its result")
+
+        orthogonals = []
+        original = BilinearForm.orthogonal
+
+        def counting(form, sub, side="left"):
+            orthogonals.append(side)
+            return original(form, sub, side)
+
+        monkeypatch.setattr(symplectic, "certify_witt", refuse)
+        monkeypatch.setattr(symplectic.Isometry, "holds", refuse)
+        monkeypatch.setattr(BilinearForm, "orthogonal", counting)
+        iso = witt_extend(source, target, f, images)
+        monkeypatch.undo()
+        assert len(orthogonals) == 1
+        assert symplectic.certify_witt(iso, f, images)
 
     def test_sigma_must_preserve_pairings(self, sierpinski):
         module = FreeModule(sierpinski, Q, 4)
@@ -624,11 +689,23 @@ class TestValidateOnce:
         assert calls == [source, target]
 
     def test_witt_extend_validates_each_form_once(self, calls, sierpinski):
-        # f = span(e_1) leaves a rank-4 residual complement, so the
-        # restricted standard isometry runs too
+        # f = span(e_1) is its own radical: the partial family r_1 = e_1 is
+        # completed on both forms, and neither completion validates again
         module = FreeModule(sierpinski, Q, 6)
         form = standard_symplectic_form(module)
         e = module.canonical_basis()
         iso = witt_extend(form, form, span(module, [e[0]]), [e[0]])
         assert iso.holds()
         assert calls == [form, form]
+
+    def test_hyperbolic_envelope_validates_once(self, calls, sierpinski):
+        module = FreeModule(sierpinski, Q, 6)
+        form = standard_symplectic_form(module)
+        e = module.canonical_basis()
+        assert len(hyperbolic_envelope(form, span(module, [e[0], e[2]]))) == 2
+        assert calls == [form]
+
+    def test_hyperbolic_decomposition_validates_once(self, calls, sierpinski):
+        form, _ = self.forms(sierpinski)
+        assert len(hyperbolic_decomposition(form)) == 3
+        assert calls == [form]
