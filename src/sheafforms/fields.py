@@ -12,6 +12,10 @@ from fractions import Fraction
 
 from .errors import ParseError
 
+# Largest accepted order of GF(p): it keeps trial division in `_is_prime`
+# below 50,000 steps and field elements within a machine word.
+MAX_PRIME = 2**31
+
 
 def _is_prime(n: int) -> bool:
     if n < 2:
@@ -163,6 +167,8 @@ class PrimeField:
     """GF(p) for an odd prime p >= 3 (characteristic 2 is out of scope)."""
 
     def __init__(self, p: int):
+        if p > MAX_PRIME:
+            raise ParseError(f"prime field order must be at most {MAX_PRIME}, got {p}")
         if not _is_prime(p) or p < 3:
             raise ParseError(f"prime field order must be an odd prime >= 3, got {p}")
         self.p = p

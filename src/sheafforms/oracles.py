@@ -9,9 +9,10 @@ certificate functions. A suite states only how it draws and checks one case;
 and then `cases` random ones from `Random(seed)`, counts them, keeps the
 first counterexample and, for `witt`, the freeness-gated count. Every suite
 is thus a pure function of (seed, field, bounds), which is what makes oracle
-reports reproducible. Bounds are integers: `cases` >= 0, and `max_rank` at
-least 1, or 2 for `gram_schmidt` and `witt` (`scholium_invertibility` draws
-no rank); anything else is a `ParseError`.
+reports reproducible. Bounds are integers: 0 <= `cases` <= `MAX_CASES`, and
+`max_rank` at most `MAX_RANK` and at least 1, or 2 for `gram_schmidt` and
+`witt` (`scholium_invertibility` draws no rank and ignores it); anything else
+is a `ParseError`.
 """
 
 from __future__ import annotations
@@ -584,6 +585,12 @@ def _witt_case(rng: Random, field, max_rank):
     return None if certify_witt(iso, f, images) else {"rank": module.rank, "dims": f.dims}
 
 
+# Upper limits on the bounds, which scenario documents and the command line
+# supply; MAX_CASES admits every suite's default number of cases.
+MAX_CASES = 400
+MAX_RANK = 8
+
+
 @dataclass(frozen=True)
 class _Suite:
     """How one suite draws and checks a case; `run_suite` owns the loop.
@@ -627,8 +634,12 @@ def run_suite(suite: str, seed: int, field, bounds=None):
     max_rank = bounds.get("max_rank", spec.max_rank)
     if n_random < 0:
         raise ParseError(f"oracle bound 'cases' must be non-negative, got {n_random}")
+    if n_random > MAX_CASES:
+        raise ParseError(f"oracle bound 'cases' must be at most {MAX_CASES}, got {n_random}")
     if spec.min_rank is not None and max_rank < spec.min_rank:
         raise ParseError(f"oracle bound 'max_rank' must be at least {spec.min_rank} for {suite}")
+    if spec.max_rank is not None and max_rank > MAX_RANK:
+        raise ParseError(f"oracle bound 'max_rank' must be at most {MAX_RANK}, got {max_rank}")
     rng = Random(seed)
     cases = gated = 0
     fail = None

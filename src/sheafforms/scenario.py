@@ -63,6 +63,13 @@ from .topology import validate_topology
 
 ENV_FIELD = "SHEAFFORMS_FIELD"
 
+# Size limits on a document, which is untrusted input. They admit every
+# shipped document (at most 10 points, 243 opens, rank 4) and bound the work a
+# document can ask for: a new space's closure check is quadratic in its opens.
+MAX_POINTS = 64
+MAX_OPENS = 1024
+MAX_RANK = 16
+
 TASK_OPS = (
     "classify",
     "radical",
@@ -215,7 +222,11 @@ def scenario_from_dict(doc: dict) -> Scenario:
     where = "scenario"
     space_doc = _expect(doc, "space", dict, where)
     points = _points(_expect(space_doc, "points", None, "space"), "space.points")
+    if len(points) > MAX_POINTS:
+        raise ParseError(f"space: at most {MAX_POINTS} points are allowed, got {len(points)}")
     opens = _expect(space_doc, "opens", list, "space")
+    if len(opens) > MAX_OPENS:
+        raise ParseError(f"space: at most {MAX_OPENS} opens are allowed, got {len(opens)}")
     opens = [_points(u, "space.opens") for u in opens]
     try:
         space = validate_topology(points, opens)
@@ -230,6 +241,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
     rank = _expect(doc, "rank", int, where)
     if rank < 0:
         raise ParseError("scenario: rank must be non-negative")
+    if rank > MAX_RANK:
+        raise ParseError(f"scenario: rank must be at most {MAX_RANK}, got {rank}")
     module = FreeModule(space, field, rank)
 
     gram_doc = _expect(doc, "gram", list, where)

@@ -140,9 +140,11 @@ def compose_isometries(first: Isometry, second: Isometry) -> Isometry:
 def invert_isometry(iso: Isometry) -> Isometry:
     field = iso.source.module.field
     mats = []
-    for m in iso.matrices:
+    for c, m in enumerate(iso.matrices):
         inv = linalg.inverse(m, field)
-        assert inv is not None  # isometries of non-degenerate forms are invertible
+        if inv is None:
+            # `Isometry` is not validated, so its matrices may be singular
+            raise Degenerate(f"component {c}: isometry matrix is singular", component=c)
         mats.append(inv)
     return Isometry(iso.target, iso.source, tuple(mats))
 

@@ -3,19 +3,41 @@
 A space is a finite ordered point set plus an explicit list of opens that is
 validated to be a topology (empty set and total set present, closed under
 pairwise union and intersection; finiteness makes pairwise closure enough).
-Opens are referenced everywhere by their stable index in the list.
+Opens are referenced everywhere by their stable index in the list. The
+public `FiniteSpace.opens` is a tuple of frozensets.
+
+Validation holds each open as an int bitmask over the point order (bit i is
+points[i]), so the closure check on a pair of opens is one OR, one AND and
+two set lookups. Pairs are scanned in list order, union before
+intersection, and the first failing pair is the witness.
 
 Components are computed through minimal open neighborhoods: U_x, the
-intersection of all opens containing x, is itself open and connected, and two
-points of an open U lie in the same component of U iff they are linked by a
-chain x ~ y with y in U_x or x in U_y. Components of opens are again open
-(finite spaces are locally connected); this is asserted defensively.
+intersection of all opens containing x (the AND of their masks), is itself
+open and connected, and two points of an open U lie in the same component of
+U iff they are linked by a chain x ~ y with y in U_x or x in U_y. Components
+of opens are again open (finite spaces are locally connected), so each
+component is stored as the open with its points.
 Component lists are ordered by their smallest point (in point order), which
 fixes the layout of every section-valued structure built on top.
+`components_by_separation` computes the same components from the definition
+and is the reference that tests compare against.
+
+Validated spaces are remembered by content in a weak table
+(`weakref.WeakValueDictionary`): the key is the ordered points, each tagged
+with its type (so 1, True and 1.0 stay apart), and the ordered candidate
+opens as frozensets. A call that finds no entry validates and stores the
+space it builds. While that space is alive, a call with the same content
+skips validation and returns a new `FiniteSpace` sharing its `points`,
+`opens` and `components` tuples, equal to what validating afresh would
+return; being a new object, it keeps the spaces of separate calls apart by
+identity. The entry goes when the stored space does, so the table keeps no
+space alive. Only valid spaces are stored: an invalid input raises its
+witness on every call. `space_memo_stats()` reports the hit and miss counts.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -82,83 +104,120 @@ class FiniteSpace:
         return f"FiniteSpace(points={list(self.points)!r}, opens={len(self.opens)})"
 
 
-def _sorted_component(comp, index):
-    return min(index[p] for p in comp)
+# content key -> a live space validated from that content
+_SPACES = weakref.WeakValueDictionary()
+_COUNTS = {"hits": 0, "misses": 0}
 
 
-def _components_of_open(u, min_nbhd, index):
-    """Connected components of an open set, via minimal neighborhood chains."""
-    remaining = set(u)
+def space_memo_stats() -> dict:
+    """Counts of the validated-space memo since import: `hits` (calls that
+    reused a live space), `misses` (lookups that found none, valid input or
+    not) and `live` (entries whose space is still alive)."""
+    return {**_COUNTS, "live": len(_SPACES)}
+
+
+def _bits(mask: int):
+    """Indices of the set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _component_masks(u: int, link) -> list:
+    """Connected components of an open, as masks, via minimal neighborhood
+    chains; `link[i]` is U_i together with every point whose U holds i.
+    Each block grows from the lowest point left, so the list is ordered by
+    first point."""
     comps = []
-    while remaining:
-        seed = min(remaining, key=index.get)
-        block = {seed}
-        frontier = [seed]
+    while u:
+        block = frontier = u & -u
         while frontier:
-            x = frontier.pop()
-            for y in remaining - block:
-                if y in min_nbhd[x] or x in min_nbhd[y]:
-                    block.add(y)
-                    frontier.append(y)
-        comps.append(frozenset(block))
-        remaining -= block
-    comps.sort(key=lambda c: _sorted_component(c, index))
-    return tuple(comps)
+            reach = 0
+            for i in _bits(frontier):
+                reach |= link[i]
+            frontier = reach & u & ~block
+            block |= frontier
+        comps.append(block)
+        u &= ~block
+    return comps
+
+
+def _pair_error(kind, what: str, a: frozenset, b: frozenset):
+    return kind(f"{what} of {set(a)!r} and {set(b)!r} is not open", pair=(set(a), set(b)))
+
+
+def _build(points: tuple, candidates: list) -> FiniteSpace:
+    """Check the axioms on bitmask opens and build the space (a memo miss)."""
+    bit = {p: 1 << i for i, p in enumerate(points)}
+    opens, masks, seen = [], [], set()
+    for fo in candidates:
+        m = sum(bit[p] for p in fo)
+        if m not in seen:
+            seen.add(m)
+            opens.append(fo)
+            masks.append(m)
+
+    full = (1 << len(points)) - 1
+    if 0 not in seen or full not in seen:
+        raise MissingEmptyOrTotal("opens must contain the empty set and the total set")
+
+    for i, a in enumerate(masks):
+        for j in range(i + 1, len(masks)):
+            b = masks[j]
+            if a | b not in seen:
+                raise _pair_error(NotClosedUnderUnion, "union", opens[i], opens[j])
+            if a & b not in seen:
+                raise _pair_error(NotClosedUnderIntersection, "intersection", opens[i], opens[j])
+
+    min_nbhd = []
+    for i in range(len(points)):
+        nbhd = full
+        for m in masks:
+            if m >> i & 1:
+                nbhd &= m
+        assert nbhd in seen  # closure under intersection makes U_x open
+        min_nbhd.append(nbhd)
+    link = [
+        u | sum(1 << j for j, v in enumerate(min_nbhd) if v >> i & 1)
+        for i, u in enumerate(min_nbhd)
+    ]
+
+    # components of opens are opens in finite spaces, so each has its entry
+    by_mask = dict(zip(masks, opens))
+    components = tuple(
+        tuple(by_mask[c] for c in _component_masks(m, link)) for m in masks
+    )
+    return FiniteSpace(points=points, opens=tuple(opens), components=components)
 
 
 def validate_topology(points, candidate_opens) -> FiniteSpace:
     """Check the topology axioms and build the space, or raise with a witness.
 
     Duplicate candidate opens are dropped (first occurrence keeps the index).
+    Content seen before, while its space is alive, is not checked again (see
+    the module docstring).
     """
     points = tuple(points)
     if len(set(points)) != len(points):
         raise NotASubset("duplicate points")
     total = frozenset(points)
-
-    opens = []
+    candidates = []
     for o in candidate_opens:
         fo = frozenset(o)
         if not fo <= total:
             raise NotASubset(f"open {set(fo)!r} contains points outside the space")
-        if fo not in opens:
-            opens.append(fo)
+        candidates.append(fo)
 
-    if frozenset() not in opens or total not in opens:
-        raise MissingEmptyOrTotal("opens must contain the empty set and the total set")
-
-    open_set = set(opens)
-    for i, a in enumerate(opens):
-        for b in opens[i + 1 :]:
-            if a | b not in open_set:
-                raise NotClosedUnderUnion(
-                    f"union of {set(a)!r} and {set(b)!r} is not open",
-                    pair=(set(a), set(b)),
-                )
-            if a & b not in open_set:
-                raise NotClosedUnderIntersection(
-                    f"intersection of {set(a)!r} and {set(b)!r} is not open",
-                    pair=(set(a), set(b)),
-                )
-
-    index = {p: i for i, p in enumerate(points)}
-    min_nbhd = {}
-    for p in points:
-        nbhd = total
-        for o in opens:
-            if p in o:
-                nbhd = nbhd & o
-        assert nbhd in open_set  # closure under intersection makes U_x open
-        min_nbhd[p] = nbhd
-
-    components = []
-    for o in opens:
-        comps = _components_of_open(o, min_nbhd, index)
-        for c in comps:
-            assert c in open_set  # components of opens are open in finite spaces
-        components.append(comps)
-
-    return FiniteSpace(points=points, opens=tuple(opens), components=tuple(components))
+    key = (tuple((type(p), p) for p in points), tuple(candidates))
+    live = _SPACES.get(key)
+    if live is not None:
+        _COUNTS["hits"] += 1
+        return FiniteSpace(live.points, live.opens, live.components)
+    _COUNTS["misses"] += 1
+    space = _build(points, candidates)
+    _SPACES[key] = space
+    return space
 
 
 def components_by_separation(space: FiniteSpace, u: OpenRef):

@@ -118,6 +118,32 @@ class TestParsing:
     LINE = {"generators": [{"open": ["a", "b"], "vectors": [["1/1", "0/1"]]}]}
     GRAM = [[["0/1", "1/1"], ["-1/1", "0/1"]]]
 
+    @staticmethod
+    def indiscrete(npoints, nopens):
+        """A space on npoints points whose opens list holds nopens entries."""
+        points = [f"p{i}" for i in range(npoints)]
+        return {"points": points, "opens": [[]] * (nopens - 1) + [points]}
+
+    @pytest.mark.parametrize("npoints,nopens,rank,message", [
+        (scenario.MAX_POINTS + 1, 2, 1,
+         f"space: at most {scenario.MAX_POINTS} points are allowed, got {scenario.MAX_POINTS + 1}"),
+        (2, scenario.MAX_OPENS + 1, 1,
+         f"space: at most {scenario.MAX_OPENS} opens are allowed, got {scenario.MAX_OPENS + 1}"),
+        (2, 2, scenario.MAX_RANK + 1,
+         f"scenario: rank must be at most {scenario.MAX_RANK}, got {scenario.MAX_RANK + 1}"),
+        (scenario.MAX_POINTS, scenario.MAX_OPENS, scenario.MAX_RANK, None),
+    ], ids=["points_above", "opens_above", "rank_above", "all_at_limit"])
+    def test_document_size_limits(self, npoints, nopens, rank, message):
+        gram = [[["0/1"] * rank for _ in range(rank)]]
+        doc = base_doc(space=self.indiscrete(npoints, nopens), rank=rank, gram=gram)
+        if message is None:
+            scn = scenario_from_dict(doc)
+            assert (len(scn.space.points), scn.module.rank) == (npoints, rank)
+            return
+        with pytest.raises(ParseError) as err:
+            scenario_from_dict(doc)
+        assert err.value.message == message
+
     @pytest.mark.parametrize("level,doc", [
         ("task", base_doc(tasks=[{"op": "orthogonal"}])),
         ("task", base_doc(tasks=[{"op": "witt", "target_gram": GRAM, "sigma": []}])),
@@ -402,6 +428,8 @@ class TestOracleBounds:
         {"suite": "witt", "bounds": {"max_rank": 1, "cases": 1}},
         {"suite": "reflexivity", "bounds": {"cases": -3}},
         {"suite": "scholium_invertibility", "bounds": {"cases": -1}},
+        {"suite": "reflexivity", "bounds": {"cases": 401}},
+        {"suite": "gram_schmidt", "max_rank": 9},
     ])
     def test_out_of_range_bound_is_task_parse_error(self, task):
         report = run_scenario_dict(base_doc(tasks=[{"op": "oracle", **task}]))
@@ -414,6 +442,8 @@ class TestOracleBounds:
         ("reflexivity", "--max-rank", "0"),
         ("gram_schmidt", "--max-rank", "1"),
         ("witt", "--cases", "-1"),
+        ("scholium_invertibility", "--cases", "401"),
+        ("witt", "--max-rank", "9"),
     ])
     def test_cli_exit_two_without_traceback(self, args):
         proc = run_cli("oracle", *args)

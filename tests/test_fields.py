@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sheafforms import FpElement, ParseError, PrimeField, RationalField, field_from_name
+from sheafforms.fields import MAX_PRIME
 
 
 class TestRationals:
@@ -45,6 +46,20 @@ class TestPrimeField:
         for bad in (1, 2, 4, 9, 15):
             with pytest.raises(ParseError):
                 PrimeField(bad)
+
+    def test_order_at_the_limit_and_above(self):
+        largest = 2**31 - 1  # a prime
+        assert largest <= MAX_PRIME < largest + 2
+        assert PrimeField(largest).p == largest
+        for big in (MAX_PRIME + 1, 10**18 + 3):  # the second is prime
+            with pytest.raises(ParseError) as err:
+                PrimeField(big)
+            assert err.value.message == f"prime field order must be at most {MAX_PRIME}, got {big}"
+
+    def test_huge_prime_name_is_refused(self):
+        # trial division on this prime would not finish
+        with pytest.raises(ParseError):
+            field_from_name("gf:1000000000000000003")
 
     def test_arithmetic(self, gf3):
         one = gf3.one

@@ -3,7 +3,7 @@
 import pytest
 
 from sheafforms import ParseError, PrimeField, RationalField, oracles
-from sheafforms.oracles import SUITES, fixture_spaces, run_suite
+from sheafforms.oracles import MAX_CASES, MAX_RANK, SUITES, fixture_spaces, run_suite
 
 Q = RationalField()
 
@@ -33,6 +33,27 @@ def test_max_rank_floor(suite, least):
     with pytest.raises(ParseError):
         run_suite(suite, 0, Q, {"max_rank": least - 1, "cases": 1})
     assert run_suite(suite, 0, Q, {"max_rank": least, "cases": 1})["cases"] == 1
+
+
+@pytest.mark.parametrize("suite", [name for name, spec in SUITES.items() if spec.max_rank])
+def test_max_rank_ceiling(suite):
+    with pytest.raises(ParseError) as err:
+        run_suite(suite, 0, Q, {"max_rank": MAX_RANK + 1, "cases": 1})
+    assert err.value.message == (
+        f"oracle bound 'max_rank' must be at most {MAX_RANK}, got {MAX_RANK + 1}"
+    )
+    assert run_suite(suite, 0, Q, {"max_rank": MAX_RANK, "cases": 1})["cases"] == 1
+
+
+def test_cases_ceiling_admits_every_default():
+    assert max(spec.cases for spec in SUITES.values()) <= MAX_CASES
+    with pytest.raises(ParseError) as err:
+        run_suite("scholium_invertibility", 0, PrimeField(3), {"cases": MAX_CASES + 1})
+    assert err.value.message == (
+        f"oracle bound 'cases' must be at most {MAX_CASES}, got {MAX_CASES + 1}"
+    )
+    payload = run_suite("scholium_invertibility", 0, PrimeField(3), {"cases": MAX_CASES})
+    assert payload["status"] == "ok"
 
 
 def test_scholium_draws_no_rank():

@@ -5,7 +5,11 @@ conventions (rows are vectors, phi(u, v) = u G v^T) and double-checked by
 direct evaluation.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -16,6 +20,7 @@ from sheafforms import (
     FreeModule,
     FreenessViolated,
     HyperbolicPlane,
+    Isometry,
     IsometryHypothesisViolated,
     ModuleMismatch,
     ModuleSection,
@@ -387,6 +392,36 @@ class TestStandardIsometry:
         round_trip = compose_isometries(ab, back)
         for sec in module.canonical_basis():
             assert round_trip.apply(sec) == sec
+
+    def test_invert_refuses_a_singular_matrix(self, discrete_pair):
+        form = form_on(discrete_pair, [[0, 1], [-1, 0]], [[0, 1], [-1, 0]])
+        iso = Isometry(form, form, (frac([[1, 0], [0, 1]]), frac([[0, 0], [0, 0]])))
+        with pytest.raises(Degenerate) as err:
+            invert_isometry(iso)
+        assert err.value.witness == {"component": 1}
+
+    def test_invert_refuses_a_singular_matrix_under_optimize_flag(self):
+        # -O strips assert statements, so the refusal may not rest on one
+        script = (
+            "from fractions import Fraction\n"
+            "from sheafforms import (Degenerate, FreeModule, Isometry, RationalField,\n"
+            "    invert_isometry, standard_symplectic_form, validate_topology)\n"
+            "space = validate_topology(('a',), [(), ('a',)])\n"
+            "form = standard_symplectic_form(FreeModule(space, RationalField(), 2))\n"
+            "zero = ((Fraction(0),) * 2,) * 2\n"
+            "try:\n"
+            "    invert_isometry(Isometry(form, form, (zero,)))\n"
+            "except Degenerate as exc:\n"
+            "    print(__debug__, exc.code, exc.witness)\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False Degenerate {'component': 0}\n"
 
     def test_compose_requires_matching_forms(self, sierpinski):
         rng = Random(19)

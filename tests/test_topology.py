@@ -1,6 +1,8 @@
 """Topology validation, component structure, and restriction plumbing."""
 
+import gc
 import itertools
+from random import Random
 
 import pytest
 
@@ -12,6 +14,7 @@ from sheafforms import (
     components_by_separation,
     validate_topology,
 )
+from sheafforms.topology import space_memo_stats
 
 
 def test_accepts_standard_spaces(point_space, sierpinski, discrete_pair, three_point):
@@ -135,3 +138,125 @@ def test_all_sub_opens_enumerated(discrete_pair):
     assert len(subs) == 4
     a_only = discrete_pair.ref(("a",))
     assert discrete_pair.sub_opens(a_only) == (discrete_pair.empty_ref, a_only)
+
+
+def _memo_delta(before):
+    after = space_memo_stats()
+    return after["hits"] - before["hits"], after["misses"] - before["misses"]
+
+
+class TestSpaceMemo:
+    """Validated spaces are remembered by content while one is alive."""
+
+    def test_hit_is_a_new_space_sharing_the_validated_tuples(self):
+        points, opens = ("ha", "hb"), [(), ("ha",), ("ha", "hb")]
+        first = validate_topology(points, opens)
+        before = space_memo_stats()
+        second = validate_topology(list(points), [list(o) for o in opens])
+        assert _memo_delta(before) == (1, 0)
+        assert second == first and second is not first
+        assert second.points is first.points
+        assert second.opens is first.opens
+        assert second.components is first.components
+
+    def test_points_of_equal_value_and_other_type_stay_apart(self):
+        kinds = (1, True, 1.0)
+        spaces = [validate_topology((p,), [(), (p,)]) for p in kinds]
+        before = space_memo_stats()
+        again = [validate_topology((p,), [(), (p,)]) for p in kinds]
+        assert _memo_delta(before) == (3, 0)
+        for p, first, second in zip(kinds, spaces, again):
+            assert type(first.points[0]) is type(second.points[0]) is type(p)
+            assert second.opens is first.opens
+
+    def test_invalid_input_raises_each_time_and_is_never_a_hit(self):
+        points, opens = ("ia", "ib", "ic"), [(), ("ia",), ("ib",), ("ia", "ib", "ic")]
+        before = space_memo_stats()
+        errors = []
+        for _ in range(3):
+            with pytest.raises(NotClosedUnderUnion) as err:
+                validate_topology(points, opens)
+            errors.append((err.value.code, err.value.message, err.value.witness))
+        assert _memo_delta(before) == (0, 3)
+        assert errors[0] == errors[1] == errors[2]
+        assert errors[0][2] == {"pair": ({"ia"}, {"ib"})}
+
+    def test_entry_goes_with_the_last_space(self):
+        points, opens = ("wa", "wb"), [(), ("wa",), ("wa", "wb")]
+        space = validate_topology(points, opens)
+        copy = validate_topology(points, opens)
+        live = space_memo_stats()["live"]
+        del space, copy
+        gc.collect()
+        assert space_memo_stats()["live"] < live
+        before = space_memo_stats()
+        validate_topology(points, opens)
+        assert _memo_delta(before) == (0, 1)
+
+    def test_duplicate_candidate_keeps_its_first_index(self):
+        opens = [("da",), (), ("da",), ("da", "db"), ()]
+        expected = (frozenset({"da"}), frozenset(), frozenset({"da", "db"}))
+        first = validate_topology(("da", "db"), opens)
+        second = validate_topology(("da", "db"), opens)
+        assert first.opens == second.opens == expected
+        assert (first.ref(("da",)), first.empty_ref, first.x_ref) == (0, 1, 2)
+
+
+def _reference_axiom_error(points, candidates):
+    """The pairwise frozenset scan the bitmask check replaced: the code,
+    message and witness of the first failing pair, or None."""
+    opens = []
+    for o in candidates:
+        if frozenset(o) not in opens:
+            opens.append(frozenset(o))
+    open_set = set(opens)
+    for i, a in enumerate(opens):
+        for b in opens[i + 1:]:
+            for code, what, c in (
+                ("NotClosedUnderUnion", "union", a | b),
+                ("NotClosedUnderIntersection", "intersection", a & b),
+            ):
+                if c not in open_set:
+                    pair = (set(a), set(b))
+                    return code, f"{what} of {set(a)!r} and {set(b)!r} is not open", pair
+    return None
+
+
+def _broken_topologies(seed, count):
+    """Topologies (the down-sets of a random relation) with opens dropped or
+    added, and random families; all hold the empty and the total set."""
+    rng = Random(seed)
+    for _ in range(count):
+        points = tuple(f"q{i}" for i in range(rng.randint(2, 5)))
+        subsets = [c for k in range(len(points) + 1) for c in itertools.combinations(points, k)]
+        if rng.random() < 0.5:
+            below = {(a, b) for a in points for b in points if a == b or rng.random() < 0.3}
+            opens = [
+                u for u in subsets if all(b in u for a in u for b in points if (b, a) in below)
+            ]
+            for _ in range(rng.randint(1, 2)):
+                if rng.random() < 0.5 and len(opens) > 2:
+                    del opens[rng.randrange(len(opens))]
+                else:
+                    opens.append(rng.choice(subsets))
+        else:
+            opens = [u for u in subsets if rng.random() < 0.4]
+        opens += [(), points]
+        rng.shuffle(opens)
+        yield points, opens
+
+
+def test_axiom_witness_matches_the_pairwise_scan():
+    failures = 0
+    for points, opens in _broken_topologies(seed=7, count=400):
+        expected = _reference_axiom_error(points, opens)
+        try:
+            space = validate_topology(points, opens)
+        except (NotClosedUnderUnion, NotClosedUnderIntersection) as err:
+            failures += 1
+            assert (err.code, err.message, err.witness["pair"]) == expected
+        else:
+            assert expected is None
+            for u in range(len(space.opens)):
+                assert space.components_of(u) == components_by_separation(space, u)
+    assert 100 < failures < 400  # the corpus holds both outcomes
