@@ -30,9 +30,11 @@ space it builds. While that space is alive, a call with the same content
 skips validation and returns a new `FiniteSpace` sharing its `points`,
 `opens` and `components` tuples, equal to what validating afresh would
 return; being a new object, it keeps the spaces of separate calls apart by
-identity. The entry goes when the stored space does, so the table keeps no
-space alive. Only valid spaces are stored: an invalid input raises its
-witness on every call. `space_memo_stats()` reports the hit and miss counts.
+identity. Each such copy holds the stored space, so the entry lives as long
+as any space of that content does, whichever was made first; the table
+itself keeps no space alive. Only valid spaces are stored: an invalid input
+raises its witness on every call. `space_memo_stats()` reports the hit and
+miss counts.
 """
 
 from __future__ import annotations
@@ -55,6 +57,9 @@ class FiniteSpace:
     points: tuple
     opens: tuple  # of frozensets, stable order
     components: tuple = field(compare=False)  # per open: tuple of frozensets
+    # on a memo hit, the space the memo stores for this content: holding it
+    # keeps the memo entry alive as long as any space from the content lives
+    _origin: object = field(default=None, compare=False, repr=False)
 
     @property
     def point_index(self):
@@ -213,7 +218,7 @@ def validate_topology(points, candidate_opens) -> FiniteSpace:
     live = _SPACES.get(key)
     if live is not None:
         _COUNTS["hits"] += 1
-        return FiniteSpace(live.points, live.opens, live.components)
+        return FiniteSpace(live.points, live.opens, live.components, live)
     _COUNTS["misses"] += 1
     space = _build(points, candidates)
     _SPACES[key] = space

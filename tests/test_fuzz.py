@@ -1,5 +1,6 @@
 """Fuzz test of the scenario boundary: every document, however malformed,
-yields a report from `run_scenario_dict` or a `ParseError`.
+yields a report from `run_scenario_dict` or a `ParseError`, and the `run`
+subcommand ends with exit code 0, 1 or 2, never an exception.
 
 Documents are the demo scenarios with one or two values replaced, dropped or
 duplicated, demo scenarios whose top-level values are dropped or replaced by
@@ -8,14 +9,18 @@ tasks, so each example costs at most one task's run. The document limits
 keep every case small, so no example has a time bound.
 """
 
+import contextlib
 import copy
+import io
 import json
+import os
+import tempfile
 from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sheafforms import ParseError
+from sheafforms import ParseError, cli
 from sheafforms.scenario import TASK_OPS, report_to_json, run_scenario_dict
 
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos" / "scenarios").glob("*.json"))
@@ -125,3 +130,22 @@ def test_arbitrary_json(doc):
 @given(shaped())
 def test_demo_keys_with_arbitrary_values(doc):
     _report_or_parse_error(doc)
+
+
+@settings(FUZZ, max_examples=60)
+@given(mutated_demos(), st.none() | st.integers(0, 400))
+def test_cli_run_on_mutated_documents(doc, cut):
+    """The document goes through a file and `cli.main(["run", path])`; `cut`
+    truncates the text, so some files are not JSON at all."""
+    text = json.dumps(doc)
+    if cut is not None:
+        text = text[:cut]
+    handle, path = tempfile.mkstemp(suffix=".json")
+    try:
+        with os.fdopen(handle, "w", encoding="utf-8") as out:
+            out.write(text)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["run", path])
+    finally:
+        os.unlink(path)
+    assert code in (0, 1, 2)

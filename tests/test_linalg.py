@@ -1,15 +1,34 @@
 """Exact row-vector linear algebra kernel, cross-checked by brute force
-enumeration over GF(3) where exhaustive checking is affordable."""
+enumeration over GF(3) where exhaustive checking is affordable, and the
+word-size GF(p) kernel against the generic elimination over FpElement."""
 
 import itertools
 from fractions import Fraction
 from random import Random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sheafforms import PrimeField, RationalField
+from sheafforms import (
+    FpElement,
+    FreeModule,
+    PartialFamily,
+    PrimeField,
+    RationalField,
+    gram_schmidt_extend,
+    intersect_submodules,
+    sum_submodules,
+    validate_topology,
+)
 from sheafforms import linalg
+from sheafforms.oracles import (
+    random_alternating_form,
+    random_free_submodule,
+    random_global_section,
+    random_nonisotropic_submodule,
+    random_orthosymmetric_form,
+)
 
 Q = RationalField()
 F3 = PrimeField(3)
@@ -170,3 +189,257 @@ def test_rank_bounded_by_shape(rows):
     m = tuple(tuple(r) for r in rows)
     r = linalg.rank(m, Q)
     assert 0 <= r <= min(len(m), 3)
+
+
+# -- the word-size GF(p) kernel against the generic FpElement elimination -----
+#
+# The references below are the generic loops over field elements that GF(p)
+# used before it had its own kernel; the reduced echelon form is unique, so
+# the two must agree entry for entry, FpElement for FpElement.
+
+PRIMES = (3, 101, 10007, 2**31 - 1)  # 2**31 - 1: the largest accepted order
+
+
+def ref_dot(u, v):
+    it = iter(zip(u, v))
+    x, y = next(it)
+    acc = x * y
+    for x, y in it:
+        acc = acc + x * y
+    return acc
+
+
+def ref_matmul(a, b):
+    bt = linalg.transpose(b)
+    return tuple(tuple(ref_dot(row, col) for col in bt) for row in a)
+
+
+def ref_mat_vec(m, v):
+    return tuple(ref_dot(row, v) for row in m)
+
+
+def ref_rref(rows, field):
+    work = [list(r) for r in rows]
+    if not work:
+        return (), ()
+    width = len(work[0])
+    pivots = []
+    r = 0
+    for col in range(width):
+        pivot = None
+        for i in range(r, len(work)):
+            if work[i][col] != field.zero:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        inv = field.one / work[r][col]
+        work[r] = [inv * x for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][col] != field.zero:
+                c = work[i][col]
+                work[i] = [a - c * b for a, b in zip(work[i], work[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(work):
+            break
+    return tuple(tuple(row) for row in work[:r]), tuple(pivots)
+
+
+def ref_nullspace(rows, width, field):
+    ech, pivots = ref_rref(rows, field)
+    basis = []
+    for j in range(width):
+        if j in pivots:
+            continue
+        v = [field.zero] * width
+        v[j] = field.one
+        for i, pc in enumerate(pivots):
+            v[pc] = -ech[i][j]
+        basis.append(tuple(v))
+    return ref_rref(basis, field)[0]
+
+
+def ref_solve(rows, rhs, field):
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    width = len(rows[0]) if rows else 0
+    ech, pivots = ref_rref(aug, field)
+    x = [field.zero] * width
+    for row, pc in zip(ech, pivots):
+        if pc == width:
+            return None
+        x[pc] = row[width]
+    return tuple(x)
+
+
+def ref_inverse(m, field):
+    n = len(m)
+    aug = [list(row) + list(ident) for row, ident in zip(m, linalg.identity(n, field))]
+    ech, pivots = ref_rref(aug, field)
+    if tuple(pivots) != tuple(range(n)):
+        return None
+    return tuple(tuple(row[n:]) for row in ech)
+
+
+def same(new, ref):
+    """Equal values of equal types: repr tells an int from an FpElement."""
+    return repr(new) == repr(ref)
+
+
+def random_rows(rng, field, n, m):
+    """An n x m matrix: dense, sparse, of low rank, with zero rows, or with
+    some entries plain ints (negative or past p included)."""
+    kind = rng.choice(("dense", "sparse", "low_rank", "zero_rows", "ints"))
+    if kind == "low_rank" and n and m:
+        k = rng.randrange(min(n, m))
+        left = random_rows(rng, field, n, k) if k else ()
+        right = random_rows(rng, field, k, m) if k else ()
+        if k:
+            return ref_matmul(left, right)
+        return tuple((field.zero,) * m for _ in range(n))
+    rows = []
+    for _ in range(n):
+        if kind == "zero_rows" and rng.random() < 0.4:
+            rows.append((field.zero,) * m)
+        elif kind == "sparse":
+            rows.append(tuple(field.random_nonzero(rng) if rng.random() < 0.2 else field.zero
+                              for _ in range(m)))
+        else:
+            rows.append(tuple(field.random_scalar(rng) for _ in range(m)))
+    if kind == "ints":
+        p = field.p
+        rows = [
+            tuple(rng.randrange(-2 * p, 2 * p) if rng.random() < 0.5 else x for x in row)
+            for row in rows
+        ]
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_word_kernel_matches_generic_elimination(p):
+    field = PrimeField(p)
+    rng = Random(p)
+    before = linalg.kernel_stats()
+    for _ in range(110):
+        n, m = rng.randrange(8), rng.randrange(1, 9)  # wide, square and tall
+        rows = random_rows(rng, field, n, m)
+        assert same(linalg.rref(rows, field), ref_rref(rows, field))
+        assert same(linalg.nullspace(rows, m, field), ref_nullspace(rows, m, field))
+        x = tuple(field.random_scalar(rng) for _ in range(m))
+        rhs = ref_mat_vec(rows, x)
+        if rhs and rng.random() < 0.5:
+            rhs = tuple(field.random_scalar(rng) for _ in rhs)
+        assert same(linalg.solve(rows, rhs, field), ref_solve(rows, rhs, field))
+        k = rng.randrange(7)
+        square = random_rows(rng, field, k, k)
+        assert same(linalg.inverse(square, field), ref_inverse(square, field))
+        other = random_rows(rng, field, m, rng.randrange(1, 6))
+        assert same(linalg.matmul(rows, other), ref_matmul(rows, other))
+        assert same(linalg.mat_vec(rows, x), ref_mat_vec(rows, x))
+        if rows:
+            assert same(linalg.vec_mat(rows[0], other), ref_matmul((rows[0],), other)[0])
+    # every elimination above took the word-size kernel
+    assert linalg.kernel_stats()["gfp"] - before["gfp"] >= 4 * 110
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_word_kernel_on_empty_input(p):
+    field = PrimeField(p)
+    for width in (0, 3):
+        assert same(linalg.rref((), field), ref_rref((), field))
+        assert same(linalg.nullspace((), width, field), ref_nullspace((), width, field))
+        rows = ((), ()) if width == 0 else ()
+        assert same(linalg.rref(rows, field), ref_rref(rows, field))
+    assert same(linalg.solve((), (), field), ref_solve((), (), field))
+    assert same(linalg.inverse((), field), ref_inverse((), field))
+    b = ((field.one, field.zero),)
+    assert same(linalg.matmul((), b), ref_matmul((), b))
+    a = ((field.one,), (field.zero,))
+    assert same(linalg.matmul(a, ((field.one,),)), ref_matmul(a, ((field.one,),)))
+    assert same(linalg.matmul(a, ()), ref_matmul(a, ()))
+
+
+F7 = PrimeField(7)
+FOREIGN = [(FpElement(1, 5), ValueError), (FpElement(0, 5), ValueError),
+           (Fraction(1, 2), TypeError), (Fraction(0), TypeError)]
+
+
+def _with_entry(rows, i, j, x):
+    out = [list(r) for r in rows]
+    out[i][j] = x
+    return tuple(tuple(r) for r in out)
+
+
+@pytest.mark.parametrize("foreign, error", FOREIGN)
+@pytest.mark.parametrize("where", [(0, 0), (1, 2), (2, 1)])
+def test_foreign_entry_raises_as_before(foreign, error, where):
+    base = ((F7.one, 2, F7.zero), (F7.zero, F7.zero, F7.zero), (3, F7.one, 5))
+    rows = _with_entry(base, *where, foreign)
+    rhs = (F7.one, F7.zero, 2)
+    cases = [
+        (lambda: linalg.rref(rows, F7), lambda: ref_rref(rows, F7)),
+        (lambda: linalg.nullspace(rows, 3, F7), lambda: ref_nullspace(rows, 3, F7)),
+        (lambda: linalg.solve(rows, rhs, F7), lambda: ref_solve(rows, rhs, F7)),
+        (lambda: linalg.inverse(rows, F7), lambda: ref_inverse(rows, F7)),
+        (lambda: linalg.matmul(rows, base), lambda: ref_matmul(rows, base)),
+        (lambda: linalg.rowspace_intersect(rows, base, 3, F7), lambda: ref_nullspace(rows, 3, F7)),
+    ]
+    for new, ref in cases:
+        with pytest.raises(error) as got:
+            new()
+        with pytest.raises(error) as expected:
+            ref()
+        if error is ValueError:
+            assert str(got.value).startswith("mixed characteristics")
+            assert str(expected.value).startswith("mixed characteristics")
+
+
+def _calculus_gf_sequence(rng):
+    """The calls of one `calculus_gf` benchmark item, on a smaller module."""
+    points = ("c0", "c1", "c2")
+    space = validate_topology(points, [c for k in range(4) for c in itertools.combinations(points, k)])
+    module = FreeModule(space, PrimeField(10007), 6)
+    form = random_orthosymmetric_form(rng, module)
+    f = random_free_submodule(rng, module, 3)
+    g = random_free_submodule(rng, module, 2)
+    sym = random_orthosymmetric_form(rng, module, symmetric_only=True)
+    h = random_nonisotropic_submodule(rng, sym, 2)
+    t = random_global_section(rng, module)
+
+    def run():
+        perp_f, perp_g = form.orthogonal(f), form.orthogonal(g)
+        assert form.orthogonal(sum_submodules(f, g)) == intersect_submodules(perp_f, perp_g)
+        assert form.orthogonal(intersect_submodules(f, g)) == sum_submodules(perp_f, perp_g)
+        assert form.orthogonal(perp_f) == f
+        assert sym.orthogonal_split(h).certificate.ok
+        assert h.contains(sym.project(h, t))
+
+    return run
+
+
+def test_kernel_stats_count_the_path_each_call_took(sierpinski):
+    run = _calculus_gf_sequence(Random(5))
+    before = linalg.kernel_stats()
+    run()
+    after = linalg.kernel_stats()
+    assert after["generic"] == before["generic"]
+    assert after["gfp"] > before["gfp"]
+
+    form = random_alternating_form(Random(6), FreeModule(sierpinski, Q, 4))
+    before = linalg.kernel_stats()
+    gram_schmidt_extend(form, PartialFamily.of())
+    after = linalg.kernel_stats()
+    assert after["gfp"] == before["gfp"]
+    assert after["generic"] > before["generic"]
+
+
+def test_inner_calls_on_ints_are_not_counted_again():
+    rows = ((F7.one, 2, 3), (F7.zero, F7.one, 4))
+    for call in (lambda: linalg.nullspace(rows, 3, F7),
+                 lambda: linalg.rowspace_intersect(rows, rows, 3, F7),
+                 lambda: linalg.inverse(rows[:1] + ((0, F7.one, 0), (0, 0, F7.one)), F7)):
+        before = linalg.kernel_stats()
+        call()
+        after = linalg.kernel_stats()
+        assert (after["gfp"] - before["gfp"], after["generic"] - before["generic"]) == (1, 0)

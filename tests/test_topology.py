@@ -193,6 +193,18 @@ class TestSpaceMemo:
         validate_topology(points, opens)
         assert _memo_delta(before) == (0, 1)
 
+    def test_entry_outlives_the_first_space_while_a_copy_lives(self):
+        points, opens = ("sa", "sb"), [(), ("sa",), ("sa", "sb")]
+        before = space_memo_stats()
+        first = validate_topology(points, opens)
+        second = validate_topology(points, opens)
+        del first
+        gc.collect()
+        third = validate_topology(points, opens)
+        assert _memo_delta(before) == (2, 1)
+        assert third.opens is second.opens
+        assert third.components is second.components
+
     def test_duplicate_candidate_keeps_its_first_index(self):
         opens = [("da",), (), ("da",), ("da", "db"), ()]
         expected = (frozenset({"da"}), frozenset(), frozenset({"da", "db"}))
