@@ -5,25 +5,27 @@ first row with a non-zero entry in the leftmost unfinished column, so every
 subspace has one canonical reduced echelon basis and subspace equality is
 plain tuple equality.
 
-Two kernels sit behind one dispatch point on the field (`_word_field`):
+Two kernels sit behind one dispatch point on the field (`_word_modulus`):
 
 - GF(p), a `PrimeField`: the word-size kernel. `rref`, `nullspace`,
   `solve`, `inverse` and `rowspace_intersect` turn their entries into ints
-  in [0, p) once, on entry, eliminate on plain ints reducing mod p (pivot
-  inverses from `pow(x, -1, p)`), and turn the result back into
-  `FpElement`s once, on exit. Ints in the input are lifted; an `FpElement`
-  of another characteristic raises `ValueError("mixed characteristics
-  ...")` and any other entry `TypeError`, as `FpElement` arithmetic does,
-  so no foreign entry is ever reduced. Their inner `rref` and `nullspace`
-  calls pass the int field `_Words(p)`, so rows stay ints in between.
+  in [0, p) once, on entry (`_words`), eliminate on plain ints reducing
+  mod p (`_eliminate`, `_int_nullspace`; pivot inverses from
+  `pow(x, -1, p)`), and turn the result back into `FpElement`s once, on
+  exit (`_elements`). Between their inner eliminations rows stay ints.
+  Ints in the input are lifted; an `FpElement` of another characteristic
+  raises `ValueError("mixed characteristics ...")` and any other entry
+  `TypeError`, as `FpElement` arithmetic does, so no foreign entry is ever
+  reduced.
 - Any other field (`RationalField`, on `Fraction`): the generic loop over
   field elements. A fraction-free rational kernel would be one more branch
   of the same dispatch point.
 
 `matmul`, `mat_vec` and `vec_mat` take no field, so they dispatch on their
-entries (`_product_words`): plain ints mod p when every entry is an
-`FpElement` of one modulus, the generic `dot` loop otherwise, so a product
-mixing ints with `FpElement`s keeps the types `FpElement` arithmetic gives.
+entries (`_product_words`): when every entry is an `FpElement` of one
+modulus they run `dot` on ints and reduce mod p on exit; otherwise `dot`
+runs on the entries as given, so a product mixing ints with `FpElement`s
+keeps the types `FpElement` arithmetic gives.
 
 The reduced echelon form is unique and both kernels choose the same pivots,
 so the paths give identical output. `kernel_stats()` counts the calls that
@@ -42,31 +44,18 @@ _COUNTS = {"gfp": 0, "generic": 0}
 def kernel_stats() -> dict:
     """Calls since import by the kernel they took: `gfp` (the word-size
     GF(p) kernel) and `generic` (the loop over field elements). A call
-    counts where it dispatches; the inner calls a GF(p) call makes on ints
+    counts where it dispatches; the eliminations a GF(p) call makes on ints
     are part of it and are not counted again. A product with no entries has
     no field to go by and counts as generic."""
     return dict(_COUNTS)
 
 
-class _Words:
-    """GF(p) on plain ints in [0, p): the field the inner calls of the
-    word-size kernel pass, so their rows stay ints. It never leaves this
-    module."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: int):
-        self.p = p
-
-
-def _word_field(field):
-    """The dispatch point: the int field the word-size kernel runs in for
-    `field`, or None for the generic loop."""
-    if type(field) is _Words:
-        return field
+def _word_modulus(field):
+    """The dispatch point: p when the word-size kernel runs in `field`
+    = GF(p), or None for the generic loop."""
     if isinstance(field, PrimeField):
         _COUNTS["gfp"] += 1
-        return _Words(field.p)
+        return field.p
     _COUNTS["generic"] += 1
     return None
 
@@ -83,19 +72,23 @@ def _lift(x, p: int) -> int:
     raise TypeError(f"unsupported entry for GF({p}): {type(x).__name__} {x!r}")
 
 
-def _words(rows, p: int) -> list:
-    """Rows as lists of ints in [0, p): the one conversion on entry."""
+def _words(rows, p: int, strict: bool = False):
+    """Rows as lists of ints in [0, p): the one conversion on entry. With
+    `strict`, None unless every entry is an `FpElement` of GF(p)."""
     out = []
     for row in rows:
         ints = [x.val for x in row if type(x) is FpElement and x.p == p]
         if len(ints) != len(row):
+            if strict:
+                return None
             ints = [_lift(x, p) for x in row]
         out.append(ints)
     return out
 
 
 def _elements(rows, p: int) -> tuple:
-    """Int rows back as tuples of `FpElement`s: the one conversion on exit."""
+    """Int rows back as tuples of `FpElement`s, reduced mod p: the one
+    conversion on exit."""
     return tuple(tuple([FpElement(v, p) for v in row]) for row in rows)
 
 
@@ -110,13 +103,8 @@ def _product_words(*mats):
             break
     if type(first) is FpElement:
         p = first.p
-        out = []
-        for m in mats:
-            ints = [[x.val for x in row if type(x) is FpElement and x.p == p] for row in m]
-            if any(len(a) != len(b) for a, b in zip(ints, m)):
-                break
-            out.append(ints)
-        else:
+        out = [_words(m, p, strict=True) for m in mats]
+        if None not in out:
             _COUNTS["gfp"] += 1
             return p, out
     _COUNTS["generic"] += 1
@@ -158,6 +146,21 @@ def _eliminate(work: list, p: int):
     return work[:r], tuple(pivots)
 
 
+def _int_nullspace(work: list, width: int, p: int) -> list:
+    """Canonical echelon basis, as int rows, of the nullspace of the int
+    rows `work` mod p (the list is consumed)."""
+    ech, pivots = _eliminate(work, p)
+    basis = []
+    for j in range(width):
+        if j not in pivots:
+            v = [0] * width
+            v[j] = 1
+            for i, pc in enumerate(pivots):
+                v[pc] = -ech[i][j] % p
+            basis.append(v)
+    return _eliminate(basis, p)[0]
+
+
 def identity(n, field):
     return tuple(
         tuple(field.one if i == j else field.zero for j in range(n)) for i in range(n)
@@ -172,23 +175,16 @@ def matmul(a, b):
     words = _product_words(a, b)
     if words is not None:
         p, (a, b) = words
-        if b and any(len(row) != len(b) for row in a):
-            raise ValueError("matrix shapes do not match")
-        bt = list(zip(*b))
-        return tuple(tuple([FpElement(sum(map(mul, row, col)), p) for col in bt]) for row in a)
     bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
+    out = tuple(tuple(dot(row, col) for col in bt) for row in a)
+    return out if words is None else _elements(out, p)
 
 
 def dot(u, v):
     if len(u) != len(v):
         raise ValueError(f"vectors of lengths {len(u)} and {len(v)}")
-    it = iter(zip(u, v))
-    x, y = next(it)
-    acc = x * y
-    for x, y in it:
-        acc = acc + x * y
-    return acc
+    terms = map(mul, u, v)
+    return sum(terms, next(terms))
 
 
 def mat_vec(m, v):
@@ -196,10 +192,8 @@ def mat_vec(m, v):
     words = _product_words(m, (v,))
     if words is not None:
         p, (m, (v,)) = words
-        if any(len(row) != len(v) for row in m):
-            raise ValueError("matrix and vector shapes do not match")
-        return tuple([FpElement(sum(map(mul, row, v)), p) for row in m])
-    return tuple(dot(row, v) for row in m)
+    out = tuple(dot(row, v) for row in m)
+    return out if words is None else _elements((out,), p)[0]
 
 
 def vec_mat(v, m):
@@ -207,10 +201,8 @@ def vec_mat(v, m):
     words = _product_words((v,), m)
     if words is not None:
         p, ((v,), m) = words
-        if len(v) != len(m):
-            raise ValueError("vector and matrix shapes do not match")
-        return tuple([FpElement(sum(map(mul, v, col)), p) for col in zip(*m)])
-    return tuple(dot(v, col) for col in transpose(m))
+    out = tuple(dot(v, col) for col in transpose(m))
+    return out if words is None else _elements((out,), p)[0]
 
 
 def scale(c, v):
@@ -235,12 +227,10 @@ def is_zero_vec(v, field):
 
 def rref(rows, field):
     """Reduced row echelon form; returns (pivot rows only, pivot columns)."""
-    words = _word_field(field)
-    if words is field:
-        return _eliminate(list(rows), field.p)
-    if words is not None:
-        ech, pivots = _eliminate(_words(rows, words.p), words.p)
-        return _elements(ech, words.p), pivots
+    p = _word_modulus(field)
+    if p is not None:
+        ech, pivots = _eliminate(_words(rows, p), p)
+        return _elements(ech, p), pivots
     work = [list(r) for r in rows]
     if not work:
         return (), ()
@@ -275,20 +265,9 @@ def rank(rows, field):
 
 def nullspace(rows, width, field):
     """Canonical echelon basis of {x in k^width : rows @ x = 0}."""
-    words = _word_field(field)
-    if words is not None:
-        p = words.p
-        ech, pivots = rref(rows if words is field else _words(rows, p), words)
-        basis = []
-        for j in range(width):
-            if j not in pivots:
-                v = [0] * width
-                v[j] = 1
-                for i, pc in enumerate(pivots):
-                    v[pc] = -ech[i][j] % p
-                basis.append(v)
-        out = rref(basis, words)[0]
-        return out if words is field else _elements(out, p)
+    p = _word_modulus(field)
+    if p is not None:
+        return _elements(_int_nullspace(_words(rows, p), width, p), p)
     ech, pivots = rref(rows, field)
     pivot_set = set(pivots)
     free = [j for j in range(width) if j not in pivot_set]
@@ -304,11 +283,10 @@ def nullspace(rows, width, field):
 
 def solve(rows, rhs, field):
     """One solution x (tuple) of rows @ x = rhs, or None if inconsistent."""
-    words = _word_field(field)
-    if words is not None:
-        p = words.p
+    p = _word_modulus(field)
+    if p is not None:
         width = len(rows[0]) if rows else 0
-        ech, pivots = rref(_words([list(r) + [b] for r, b in zip(rows, rhs)], p), words)
+        ech, pivots = _eliminate(_words([list(r) + [b] for r, b in zip(rows, rhs)], p), p)
         x = [0] * width
         for row, pc in zip(ech, pivots):
             if pc == width:
@@ -328,17 +306,17 @@ def solve(rows, rhs, field):
 
 def inverse(m, field):
     """Matrix inverse, or None if singular."""
-    words = _word_field(field)
-    if words is not None:
+    p = _word_modulus(field)
+    if p is not None:
         n = len(m)
-        aug = _words(m, words.p)
+        aug = _words(m, p)
         for i, row in enumerate(aug):
             row.extend([0] * n)
-            row[n + i] = 1
-        ech, pivots = rref(aug, words)
+            row[i - n] = 1  # the identity block follows the row, square or not
+        ech, pivots = _eliminate(aug, p)
         if pivots != tuple(range(n)):
             return None
-        return _elements([row[n:] for row in ech], words.p)
+        return _elements([row[n:] for row in ech], p)
     n = len(m)
     aug = [list(row) + list(ident) for row, ident in zip(m, identity(n, field))]
     ech, pivots = rref(aug, field)
@@ -396,12 +374,11 @@ def rowspace_intersect(a_rows, b_rows, width, field):
     x lies in rowspace(A) iff x is orthogonal (standard dot) to nullspace(A),
     so the intersection is the nullspace of the stacked annihilator bases.
     """
-    words = _word_field(field)
-    if words is not None:
-        p = words.p
-        na = nullspace(_words(a_rows, p), width, words)
-        nb = nullspace(_words(b_rows, p), width, words)
-        return _elements(nullspace(na + nb, width, words), p)
+    p = _word_modulus(field)
+    if p is not None:
+        na = _int_nullspace(_words(a_rows, p), width, p)
+        nb = _int_nullspace(_words(b_rows, p), width, p)
+        return _elements(_int_nullspace(na + nb, width, p), p)
     na = nullspace(a_rows, width, field)
     nb = nullspace(b_rows, width, field)
     return nullspace(na + nb, width, field)

@@ -334,6 +334,8 @@ def test_word_kernel_matches_generic_elimination(p):
         k = rng.randrange(7)
         square = random_rows(rng, field, k, k)
         assert same(linalg.inverse(square, field), ref_inverse(square, field))
+        # wide and tall input keeps the augmented layout: identity after each row
+        assert same(linalg.inverse(rows, field), ref_inverse(rows, field))
         other = random_rows(rng, field, m, rng.randrange(1, 6))
         assert same(linalg.matmul(rows, other), ref_matmul(rows, other))
         assert same(linalg.mat_vec(rows, x), ref_mat_vec(rows, x))
@@ -432,6 +434,25 @@ def test_kernel_stats_count_the_path_each_call_took(sierpinski):
     after = linalg.kernel_stats()
     assert after["gfp"] == before["gfp"]
     assert after["generic"] > before["generic"]
+
+
+def test_gfp_products_count_one_dot_per_entry(monkeypatch):
+    # the benchmark counts scalar multiplications at `linalg.dot`, so the
+    # int path must still take one `dot` of the full length per entry
+    lengths = []
+    real_dot = linalg.dot
+
+    def counted(u, v):
+        lengths.append(len(u))
+        return real_dot(u, v)
+
+    monkeypatch.setattr(linalg, "dot", counted)
+    a = ((F7.one, 2 * F7.one, F7.zero), (3 * F7.one, F7.one, 5 * F7.one))
+    b = linalg.transpose(a)
+    assert same(linalg.matmul(a, b), ref_matmul(a, b))
+    assert same(linalg.mat_vec(a, a[0]), ref_mat_vec(a, a[0]))
+    assert same(linalg.vec_mat(a[1], b), ref_matmul((a[1],), b)[0])
+    assert lengths == [3] * (4 + 2 + 2)
 
 
 def test_inner_calls_on_ints_are_not_counted_again():
