@@ -7,7 +7,8 @@ Two subcommands:
                             [--field rationals|gf:p] [--out PATH]
 
 Exit codes: 0 when every task (or the whole suite) checks out, 1 when any
-task reports a violation or a counterexample is found, 2 on malformed input.
+task reports a violation or a counterexample is found, 2 on malformed input
+or when the report cannot be written to --out.
 """
 
 from __future__ import annotations
@@ -28,12 +29,18 @@ from .scenario import (
 )
 
 
-def _emit(report: dict, out_path):
+def _emit(report: dict, out_path) -> int:
+    """Print the report, write it to `out_path` if given; the exit code."""
     text = report_to_json(report)
     print(text)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        except OSError as exc:
+            print(f"cannot write --out {out_path}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
+    return 0 if report["ok"] else 1
 
 
 def _cmd_run(args) -> int:
@@ -42,8 +49,7 @@ def _cmd_run(args) -> int:
     except ParseError as exc:
         print(f"{exc.code}: {exc.message}", file=sys.stderr)
         return 2
-    _emit(report, args.out)
-    return 0 if report["ok"] else 1
+    return _emit(report, args.out)
 
 
 def _cmd_oracle(args) -> int:
@@ -59,8 +65,7 @@ def _cmd_oracle(args) -> int:
     except (ParseError, UnknownSuite) as exc:
         print(f"{exc.code}: {exc.message}", file=sys.stderr)
         return 2
-    _emit(report, args.out)
-    return 0 if report["ok"] else 1
+    return _emit(report, args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:

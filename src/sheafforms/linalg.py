@@ -5,31 +5,32 @@ first row with a non-zero entry in the leftmost unfinished column, so every
 subspace has one canonical reduced echelon basis and subspace equality is
 plain tuple equality.
 
-Two kernels sit behind one dispatch point on the field (`_word_modulus`):
+One elimination (`_eliminate`) and one nullspace construction (`_nullspace`)
+serve every field. `rref`, `nullspace`, `solve`, `inverse` and
+`rowspace_intersect` each have one body: ask the field how entries are held
+(`_word_modulus`, the one dispatch point), convert on entry (`_words`),
+eliminate, and convert on exit (`_elements`). Entries are held two ways:
 
-- GF(p), a `PrimeField`: the word-size kernel. `rref`, `nullspace`,
-  `solve`, `inverse` and `rowspace_intersect` turn their entries into ints
-  in [0, p) once, on entry (`_words`), eliminate on plain ints reducing
-  mod p (`_eliminate`, `_int_nullspace`; pivot inverses from
-  `pow(x, -1, p)`), and turn the result back into `FpElement`s once, on
-  exit (`_elements`). Between their inner eliminations rows stay ints.
-  Ints in the input are lifted; an `FpElement` of another characteristic
-  raises `ValueError("mixed characteristics ...")` and any other entry
+- GF(p), a `PrimeField`: as ints in [0, p), reduced mod p after every row
+  operation, with pivot inverses from `pow(x, -1, p)`. Ints in the input
+  are lifted; an `FpElement` of another characteristic raises
+  `ValueError("mixed characteristics ...")` and any other entry
   `TypeError`, as `FpElement` arithmetic does, so no foreign entry is ever
   reduced.
-- Any other field (`RationalField`, on `Fraction`): the generic loop over
-  field elements. A fraction-free rational kernel would be one more branch
-  of the same dispatch point.
+- Any other field (`RationalField`, on `Fraction`): as the field elements
+  given, in lists; the pivot row is scaled by `field.one / c`.
+
+The kernel reads the field at two places only, the pivot inverse and the row
+update, once per pivot or per updated row. Between the inner eliminations
+of `nullspace`, `inverse` and `rowspace_intersect` rows stay as the kernel
+holds them.
 
 `matmul`, `mat_vec` and `vec_mat` take no field, so they dispatch on their
 entries (`_product_words`): when every entry is an `FpElement` of one
 modulus they run `dot` on ints and reduce mod p on exit; otherwise `dot`
 runs on the entries as given, so a product mixing ints with `FpElement`s
-keeps the types `FpElement` arithmetic gives.
-
-The reduced echelon form is unique and both kernels choose the same pivots,
-so the paths give identical output. `kernel_stats()` counts the calls that
-took each path.
+keeps the types `FpElement` arithmetic gives. `kernel_stats()` counts the
+calls that held entries each way.
 """
 
 from __future__ import annotations
@@ -42,17 +43,17 @@ _COUNTS = {"gfp": 0, "generic": 0}
 
 
 def kernel_stats() -> dict:
-    """Calls since import by the kernel they took: `gfp` (the word-size
-    GF(p) kernel) and `generic` (the loop over field elements). A call
-    counts where it dispatches; the eliminations a GF(p) call makes on ints
-    are part of it and are not counted again. A product with no entries has
-    no field to go by and counts as generic."""
+    """Calls since import by how they held entries: `gfp` (ints mod p, over
+    GF(p)) and `generic` (field elements as given). A call counts where it
+    dispatches; the eliminations it makes inside are part of it and are not
+    counted again. A product with no entries has no field to go by and
+    counts as generic."""
     return dict(_COUNTS)
 
 
 def _word_modulus(field):
-    """The dispatch point: p when the word-size kernel runs in `field`
-    = GF(p), or None for the generic loop."""
+    """The dispatch point: p when entries of `field` = GF(p) are held as
+    ints mod p, or None when they are held as the field elements given."""
     if isinstance(field, PrimeField):
         _COUNTS["gfp"] += 1
         return field.p
@@ -72,9 +73,12 @@ def _lift(x, p: int) -> int:
     raise TypeError(f"unsupported entry for GF({p}): {type(x).__name__} {x!r}")
 
 
-def _words(rows, p: int, strict: bool = False):
-    """Rows as lists of ints in [0, p): the one conversion on entry. With
-    `strict`, None unless every entry is an `FpElement` of GF(p)."""
+def _words(rows, p, strict: bool = False):
+    """Rows as the kernel holds them, in new lists: the one conversion on
+    entry. Over GF(p), ints in [0, p); with `strict`, None unless every
+    entry is an `FpElement` of GF(p). With p None, the entries as given."""
+    if p is None:
+        return [list(row) for row in rows]
     out = []
     for row in rows:
         ints = [x.val for x in row if type(x) is FpElement and x.p == p]
@@ -86,10 +90,18 @@ def _words(rows, p: int, strict: bool = False):
     return out
 
 
-def _elements(rows, p: int) -> tuple:
-    """Int rows back as tuples of `FpElement`s, reduced mod p: the one
-    conversion on exit."""
+def _elements(rows, p) -> tuple:
+    """Rows back as tuples of field elements: the one conversion on exit.
+    Over GF(p), ints become `FpElement`s; with p None, entries pass as
+    they are."""
+    if p is None:
+        return tuple(tuple(row) for row in rows)
     return tuple(tuple([FpElement(v, p) for v in row]) for row in rows)
+
+
+def _units(field, p) -> tuple:
+    """Zero and one of `field`, held as the kernel holds entries."""
+    return (field.zero, field.one) if p is None else (0, 1)
 
 
 def _product_words(*mats):
@@ -111,9 +123,13 @@ def _product_words(*mats):
     return None
 
 
-def _eliminate(work: list, p: int):
-    """Reduced echelon form of int rows mod p, on the list `work` (its rows
-    are replaced, never changed in place): (pivot rows, pivot columns)."""
+def _eliminate(work: list, p, field):
+    """Reduced echelon form of the rows `work`, held as `_words` holds them
+    (the list's rows are replaced, never changed in place): (pivot rows,
+    pivot columns). An entry is zero exactly when it is falsy. The field
+    is read at the pivot inverse and the row update only: over GF(p),
+    `pow(c, -1, p)` and a reduction mod p; otherwise `field.one / c`, never
+    `1 / c`, so an int pivot still gives field elements."""
     if not work:
         return [], ()
     width = len(work[0])
@@ -131,14 +147,20 @@ def _eliminate(work: list, p: int):
         row = work[i]
         work[i] = work[r]
         c = row[col]
-        if c != 1:
+        if p is None:
+            c = field.one / c
+            row = [c * x for x in row]
+        elif c != 1:
             c = pow(c, -1, p)
             row = [x * c % p for x in row]
         work[r] = row
         for i in range(n):
             c = work[i][col]
             if c and i != r:
-                work[i] = [(x - c * y) % p for x, y in zip(work[i], row)]
+                if p is None:
+                    work[i] = [x - c * y for x, y in zip(work[i], row)]
+                else:
+                    work[i] = [(x - c * y) % p for x, y in zip(work[i], row)]
         pivots.append(col)
         r += 1
         if r == n:
@@ -146,19 +168,20 @@ def _eliminate(work: list, p: int):
     return work[:r], tuple(pivots)
 
 
-def _int_nullspace(work: list, width: int, p: int) -> list:
-    """Canonical echelon basis, as int rows, of the nullspace of the int
-    rows `work` mod p (the list is consumed)."""
-    ech, pivots = _eliminate(work, p)
+def _nullspace(work: list, width: int, p, field) -> list:
+    """Canonical echelon basis of the nullspace of the rows `work` (the list
+    is consumed), held as `_words` holds rows."""
+    zero, one = _units(field, p)
+    ech, pivots = _eliminate(work, p, field)
     basis = []
     for j in range(width):
         if j not in pivots:
-            v = [0] * width
-            v[j] = 1
+            v = [zero] * width
+            v[j] = one
             for i, pc in enumerate(pivots):
-                v[pc] = -ech[i][j] % p
-            basis.append(v)
-    return _eliminate(basis, p)[0]
+                v[pc] = -ech[i][j]
+            basis.append(v if p is None else [x % p for x in v])
+    return _eliminate(basis, p, field)[0]
 
 
 def identity(n, field):
@@ -228,35 +251,8 @@ def is_zero_vec(v, field):
 def rref(rows, field):
     """Reduced row echelon form; returns (pivot rows only, pivot columns)."""
     p = _word_modulus(field)
-    if p is not None:
-        ech, pivots = _eliminate(_words(rows, p), p)
-        return _elements(ech, p), pivots
-    work = [list(r) for r in rows]
-    if not work:
-        return (), ()
-    width = len(work[0])
-    pivots = []
-    r = 0
-    for col in range(width):
-        pivot = None
-        for i in range(r, len(work)):
-            if work[i][col] != field.zero:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = field.one / work[r][col]
-        work[r] = [inv * x for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][col] != field.zero:
-                c = work[i][col]
-                work[i] = [a - c * b for a, b in zip(work[i], work[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(work):
-            break
-    return tuple(tuple(row) for row in work[:r]), tuple(pivots)
+    ech, pivots = _eliminate(_words(rows, p), p, field)
+    return _elements(ech, p), pivots
 
 
 def rank(rows, field):
@@ -266,63 +262,36 @@ def rank(rows, field):
 def nullspace(rows, width, field):
     """Canonical echelon basis of {x in k^width : rows @ x = 0}."""
     p = _word_modulus(field)
-    if p is not None:
-        return _elements(_int_nullspace(_words(rows, p), width, p), p)
-    ech, pivots = rref(rows, field)
-    pivot_set = set(pivots)
-    free = [j for j in range(width) if j not in pivot_set]
-    basis = []
-    for j in free:
-        v = [field.zero] * width
-        v[j] = field.one
-        for i, pc in enumerate(pivots):
-            v[pc] = -ech[i][j]
-        basis.append(tuple(v))
-    return rref(basis, field)[0]
+    return _elements(_nullspace(_words(rows, p), width, p, field), p)
 
 
 def solve(rows, rhs, field):
     """One solution x (tuple) of rows @ x = rhs, or None if inconsistent."""
     p = _word_modulus(field)
-    if p is not None:
-        width = len(rows[0]) if rows else 0
-        ech, pivots = _eliminate(_words([list(r) + [b] for r, b in zip(rows, rhs)], p), p)
-        x = [0] * width
-        for row, pc in zip(ech, pivots):
-            if pc == width:
-                return None  # a pivot in the rhs column: inconsistent
-            x[pc] = row[width]
-        return tuple([FpElement(v, p) for v in x])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
     width = len(rows[0]) if rows else 0
-    ech, pivots = rref(aug, field)
-    x = [field.zero] * width
+    aug = _words([list(r) + [b] for r, b in zip(rows, rhs)], p)
+    ech, pivots = _eliminate(aug, p, field)
+    x = [_units(field, p)[0]] * width
     for row, pc in zip(ech, pivots):
         if pc == width:
             return None  # a pivot in the rhs column: inconsistent
         x[pc] = row[width]
-    return tuple(x)
+    return _elements((x,), p)[0]
 
 
 def inverse(m, field):
     """Matrix inverse, or None if singular."""
     p = _word_modulus(field)
-    if p is not None:
-        n = len(m)
-        aug = _words(m, p)
-        for i, row in enumerate(aug):
-            row.extend([0] * n)
-            row[i - n] = 1  # the identity block follows the row, square or not
-        ech, pivots = _eliminate(aug, p)
-        if pivots != tuple(range(n)):
-            return None
-        return _elements([row[n:] for row in ech], p)
+    zero, one = _units(field, p)
     n = len(m)
-    aug = [list(row) + list(ident) for row, ident in zip(m, identity(n, field))]
-    ech, pivots = rref(aug, field)
-    if tuple(pivots) != tuple(range(n)):
+    aug = _words(m, p)
+    for i, row in enumerate(aug):
+        row.extend([zero] * n)
+        row[i - n] = one  # the identity block follows the row, square or not
+    ech, pivots = _eliminate(aug, p, field)
+    if pivots != tuple(range(n)):
         return None
-    return tuple(tuple(row[n:]) for row in ech)
+    return _elements([row[n:] for row in ech], p)
 
 
 def reduce_against(echelon, v, field):
@@ -375,10 +344,6 @@ def rowspace_intersect(a_rows, b_rows, width, field):
     so the intersection is the nullspace of the stacked annihilator bases.
     """
     p = _word_modulus(field)
-    if p is not None:
-        na = _int_nullspace(_words(a_rows, p), width, p)
-        nb = _int_nullspace(_words(b_rows, p), width, p)
-        return _elements(_int_nullspace(na + nb, width, p), p)
-    na = nullspace(a_rows, width, field)
-    nb = nullspace(b_rows, width, field)
-    return nullspace(na + nb, width, field)
+    na = _nullspace(_words(a_rows, p), width, p, field)
+    nb = _nullspace(_words(b_rows, p), width, p, field)
+    return _elements(_nullspace(na + nb, width, p, field), p)

@@ -131,14 +131,7 @@ def random_orthosymmetric_form(
 
 
 def random_global_section(rng: Random, module: FreeModule) -> ModuleSection:
-    return ModuleSection(
-        module,
-        module.space.x_ref,
-        tuple(
-            tuple(module.field.random_scalar(rng) for _ in range(module.rank))
-            for _ in module.x_components()
-        ),
-    )
+    return random_section_over(rng, module, module.space.x_ref)
 
 
 def random_free_submodule(rng: Random, module: FreeModule, r: int):
@@ -290,21 +283,19 @@ def _zero_pair_counts(g, vectors, field):
     """Exhaustive fiber pairing table: how many ordered vector pairs vanish
     forward, and how many vanish in both directions; plus a pair vanishing
     forward but not backward, if any."""
-    table = {}
-    for u in vectors:
-        gu = linalg.vec_mat(u, g)  # phi(u, v) = (u G) . v
-        for v in vectors:
-            table[(u, v)] = linalg.dot(gu, v)
+    # phi(u, v) = (u G) . v for every pair at once: the matrix V G V^T
+    table = linalg.matmul(linalg.matmul(vectors, g), linalg.transpose(vectors))
     forward = 0
     both = 0
     witness = None
-    for (u, v), val in table.items():
-        if val == field.zero:
-            forward += 1
-            if table[(v, u)] == field.zero:
-                both += 1
-            elif witness is None:
-                witness = (u, v)
+    for i, row in enumerate(table):
+        for j, val in enumerate(row):
+            if val == field.zero:
+                forward += 1
+                if table[j][i] == field.zero:
+                    both += 1
+                elif witness is None:
+                    witness = (vectors[i], vectors[j])
     return forward, both, witness
 
 

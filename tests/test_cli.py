@@ -519,6 +519,20 @@ class TestProcessLevel:
         assert first.returncode == 0
         assert first.stdout == second.stdout
 
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    def test_unwritable_out_exit_two_without_traceback(self, tmp_path, command):
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(base_doc(tasks=[{"op": "normal_form"}])))
+        out_path = tmp_path / "missing" / "report.json"
+        args = (str(path),) if command == "run" else ("reflexivity", "--cases", "2")
+        proc = run_cli(command, *args, "--out", str(out_path))
+        assert proc.returncode == 2
+        assert json.loads(proc.stdout)["ok"]  # the report is still printed
+        assert proc.stderr.startswith(f"cannot write --out {out_path}:")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+        assert not out_path.exists()
+
     def test_oracle_unknown_suite_exit_two(self):
         proc = run_cli("oracle", "made_up")
         assert proc.returncode == 2

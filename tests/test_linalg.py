@@ -1,6 +1,7 @@
 """Exact row-vector linear algebra kernel, cross-checked by brute force
-enumeration over GF(3) where exhaustive checking is affordable, and the
-word-size GF(p) kernel against the generic elimination over FpElement."""
+enumeration over GF(3) where exhaustive checking is affordable, and the one
+elimination kernel, over GF(p) and over Q, against the generic elimination
+over field elements."""
 
 import itertools
 from fractions import Fraction
@@ -191,13 +192,21 @@ def test_rank_bounded_by_shape(rows):
     assert 0 <= r <= min(len(m), 3)
 
 
-# -- the word-size GF(p) kernel against the generic FpElement elimination -----
+# -- the one kernel against the generic elimination over field elements -----
 #
-# The references below are the generic loops over field elements that GF(p)
-# used before it had its own kernel; the reduced echelon form is unique, so
-# the two must agree entry for entry, FpElement for FpElement.
+# The references below are the generic loops over field elements that every
+# field used before entries of GF(p) were held as ints; they are the only
+# copy of that loop left. The reduced echelon form is unique, so the kernel
+# must agree with them entry for entry, FpElement for FpElement; over Q it
+# makes the same operations in the same order, so even int-mixed input gives
+# the same types.
 
 PRIMES = (3, 101, 10007, 2**31 - 1)  # 2**31 - 1: the largest accepted order
+KERNEL_FIELDS = PRIMES + ("rationals",)
+
+
+def kernel_field(order):
+    return Q if order == "rationals" else PrimeField(order)
 
 
 def ref_dot(u, v):
@@ -289,7 +298,7 @@ def same(new, ref):
 
 def random_rows(rng, field, n, m):
     """An n x m matrix: dense, sparse, of low rank, with zero rows, or with
-    some entries plain ints (negative or past p included)."""
+    some entries plain ints (negative, or past p over GF(p), included)."""
     kind = rng.choice(("dense", "sparse", "low_rank", "zero_rows", "ints"))
     if kind == "low_rank" and n and m:
         k = rng.randrange(min(n, m))
@@ -308,18 +317,19 @@ def random_rows(rng, field, n, m):
         else:
             rows.append(tuple(field.random_scalar(rng) for _ in range(m)))
     if kind == "ints":
-        p = field.p
+        bound = 2 * (field.characteristic or 5)
         rows = [
-            tuple(rng.randrange(-2 * p, 2 * p) if rng.random() < 0.5 else x for x in row)
+            tuple(rng.randrange(-bound, bound) if rng.random() < 0.5 else x for x in row)
             for row in rows
         ]
     return tuple(rows)
 
 
-@pytest.mark.parametrize("p", PRIMES)
-def test_word_kernel_matches_generic_elimination(p):
-    field = PrimeField(p)
-    rng = Random(p)
+@pytest.mark.parametrize("order", KERNEL_FIELDS)
+def test_word_kernel_matches_generic_elimination(order):
+    field = kernel_field(order)
+    rng = Random(order)
+    path = "generic" if field is Q else "gfp"
     before = linalg.kernel_stats()
     for _ in range(110):
         n, m = rng.randrange(8), rng.randrange(1, 9)  # wide, square and tall
@@ -341,13 +351,13 @@ def test_word_kernel_matches_generic_elimination(p):
         assert same(linalg.mat_vec(rows, x), ref_mat_vec(rows, x))
         if rows:
             assert same(linalg.vec_mat(rows[0], other), ref_matmul((rows[0],), other)[0])
-    # every elimination above took the word-size kernel
-    assert linalg.kernel_stats()["gfp"] - before["gfp"] >= 4 * 110
+    # every elimination above held its entries the field's way
+    assert linalg.kernel_stats()[path] - before[path] >= 4 * 110
 
 
-@pytest.mark.parametrize("p", PRIMES)
-def test_word_kernel_on_empty_input(p):
-    field = PrimeField(p)
+@pytest.mark.parametrize("order", KERNEL_FIELDS)
+def test_word_kernel_on_empty_input(order):
+    field = kernel_field(order)
     for width in (0, 3):
         assert same(linalg.rref((), field), ref_rref((), field))
         assert same(linalg.nullspace((), width, field), ref_nullspace((), width, field))
@@ -360,6 +370,19 @@ def test_word_kernel_on_empty_input(p):
     a = ((field.one,), (field.zero,))
     assert same(linalg.matmul(a, ((field.one,),)), ref_matmul(a, ((field.one,),)))
     assert same(linalg.matmul(a, ()), ref_matmul(a, ()))
+
+
+def test_rational_kernel_gives_fractions_for_int_input():
+    # the pivot row is scaled by field.one / c even when c is 1, so plain
+    # int input (unit pivots included) comes out as Fractions, as in the reference
+    rows = ((1, 0, 2), (0, 1, 0), (0, 0, 0))
+    for new, ref in ((linalg.rref(rows, Q), ref_rref(rows, Q)),
+                     (linalg.nullspace(rows, 3, Q), ref_nullspace(rows, 3, Q)),
+                     (linalg.solve(rows, (3, 4, 0), Q), ref_solve(rows, (3, 4, 0), Q)),
+                     (linalg.inverse(rows[:2] + ((0, 0, 1),), Q),
+                      ref_inverse(rows[:2] + ((0, 0, 1),), Q))):
+        assert same(new, ref)
+    assert all(type(x) is Fraction for row in linalg.rref(rows, Q)[0] for x in row)
 
 
 F7 = PrimeField(7)
@@ -456,11 +479,14 @@ def test_gfp_products_count_one_dot_per_entry(monkeypatch):
 
 
 def test_inner_calls_on_ints_are_not_counted_again():
-    rows = ((F7.one, 2, 3), (F7.zero, F7.one, 4))
-    for call in (lambda: linalg.nullspace(rows, 3, F7),
-                 lambda: linalg.rowspace_intersect(rows, rows, 3, F7),
-                 lambda: linalg.inverse(rows[:1] + ((0, F7.one, 0), (0, 0, F7.one)), F7)):
-        before = linalg.kernel_stats()
-        call()
-        after = linalg.kernel_stats()
-        assert (after["gfp"] - before["gfp"], after["generic"] - before["generic"]) == (1, 0)
+    # one call counts once, over GF(p) and over Q alike, whatever it eliminates inside
+    for field, moved in ((F7, (1, 0)), (Q, (0, 1))):
+        one, zero = field.one, field.zero
+        rows = ((one, 2, 3), (zero, one, 4))
+        for call in (lambda: linalg.nullspace(rows, 3, field),
+                     lambda: linalg.rowspace_intersect(rows, rows, 3, field),
+                     lambda: linalg.inverse(rows[:1] + ((0, one, 0), (0, 0, one)), field)):
+            before = linalg.kernel_stats()
+            call()
+            after = linalg.kernel_stats()
+            assert (after["gfp"] - before["gfp"], after["generic"] - before["generic"]) == moved
