@@ -17,48 +17,60 @@ eliminate, and convert on exit (`_elements`). Entries are held two ways:
   `ValueError("mixed characteristics ...")` and any other entry
   `TypeError`, as `FpElement` arithmetic does, so no foreign entry is ever
   reduced.
-- Any other field (`RationalField`, on `Fraction`): as the field elements
-  given, in lists; the pivot row is scaled by `field.one / c`.
+- Q, a `RationalField`: as integer rows, fraction-free (Bareiss 1968;
+  Geddes, Czapor and Labahn 1992). A held row stands for its non-zero
+  rational multiples, which is all an elimination needs: on entry each row
+  is multiplied by the lcm of its denominators and divided by its content;
+  the row update cross-multiplies, a*x - c*y with a the pivot and c the
+  entry to clear, and divides the new row by its content; on exit each
+  echelon row is divided by its pivot, one `Fraction` per entry. An entry
+  that is neither an int nor a `Fraction` raises `TypeError`.
 
-The kernel reads the field at two places only, the pivot inverse and the row
+The kernel reads the field at two places only, the pivot and the row
 update, once per pivot or per updated row. Between the inner eliminations
 of `nullspace`, `inverse` and `rowspace_intersect` rows stay as the kernel
 holds them.
 
 `matmul`, `mat_vec` and `vec_mat` take no field, so they dispatch on their
-entries (`_product_words`): when every entry is an `FpElement` of one
-modulus they run `dot` on ints and reduce mod p on exit; otherwise `dot`
-runs on the entries as given, so a product mixing ints with `FpElement`s
-keeps the types `FpElement` arithmetic gives. `kernel_stats()` counts the
-calls that held entries each way.
+entries (`_product`): when every entry is an `FpElement` of one modulus
+they run `dot` on ints and reduce mod p on exit; when every entry is an int
+or a `Fraction` they clear denominators per row of the left factor and per
+column of the right, run `dot` on ints and divide once per entry (an entry
+whose row and column held only ints stays an int); otherwise `dot` runs on
+the entries as given, so a product mixing ints with `FpElement`s keeps the
+types `FpElement` arithmetic gives. `kernel_stats()` counts the calls that
+held entries each way.
 """
 
 from __future__ import annotations
 
-from operator import mul
+from fractions import Fraction
+from math import gcd, lcm
+from operator import attrgetter, mul
 
 from .fields import FpElement, PrimeField
 
-_COUNTS = {"gfp": 0, "generic": 0}
+_COUNTS = {"gfp": 0, "rational": 0, "generic": 0}
+_numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
 
 
 def kernel_stats() -> dict:
     """Calls since import by how they held entries: `gfp` (ints mod p, over
-    GF(p)) and `generic` (field elements as given). A call counts where it
-    dispatches; the eliminations it makes inside are part of it and are not
-    counted again. A product with no entries has no field to go by and
-    counts as generic."""
+    GF(p)), `rational` (integer rows, over Q) and `generic` (a product's
+    entries as given). A call counts where it dispatches; the eliminations
+    it makes inside are part of it and are not counted again. A product
+    with no entries has no field to go by and counts as generic."""
     return dict(_COUNTS)
 
 
 def _word_modulus(field):
     """The dispatch point: p when entries of `field` = GF(p) are held as
-    ints mod p, or None when they are held as the field elements given."""
+    ints mod p, or 0 when entries of Q are held as integer rows."""
     if isinstance(field, PrimeField):
         _COUNTS["gfp"] += 1
         return field.p
-    _COUNTS["generic"] += 1
-    return None
+    _COUNTS["rational"] += 1
+    return 0
 
 
 def _lift(x, p: int) -> int:
@@ -73,12 +85,35 @@ def _lift(x, p: int) -> int:
     raise TypeError(f"unsupported entry for GF({p}): {type(x).__name__} {x!r}")
 
 
+def _cleared(row):
+    """A row of ints and `Fraction`s as (integer row, d) with row = integer
+    row / d, d the lcm of the entries' denominators, or d None when every
+    entry is an int. Any other entry raises `TypeError`."""
+    kinds = set(map(type, row))
+    if kinds <= {int}:
+        return list(row), None
+    if not kinds <= {int, Fraction}:
+        for x in row:
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError(f"unsupported entry for the rationals: {type(x).__name__} {x!r}")
+    dens = list(map(_denominator, row))
+    den = lcm(*dens)
+    return [n * (den // d) for n, d in zip(map(_numerator, row), dens)], den
+
+
+def _primitive(row: list) -> list:
+    """An integer row divided by its content; a zero row stays as it is."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
 def _words(rows, p, strict: bool = False):
     """Rows as the kernel holds them, in new lists: the one conversion on
     entry. Over GF(p), ints in [0, p); with `strict`, None unless every
-    entry is an `FpElement` of GF(p). With p None, the entries as given."""
-    if p is None:
-        return [list(row) for row in rows]
+    entry is an `FpElement` of GF(p). Over Q (p = 0), primitive integer
+    rows."""
+    if not p:
+        return [_primitive(_cleared(row)[0]) for row in rows]
     out = []
     for row in rows:
         ints = [x.val for x in row if type(x) is FpElement and x.p == p]
@@ -90,46 +125,27 @@ def _words(rows, p, strict: bool = False):
     return out
 
 
-def _elements(rows, p) -> tuple:
+def _elements(rows, p, dens=None) -> tuple:
     """Rows back as tuples of field elements: the one conversion on exit.
-    Over GF(p), ints become `FpElement`s; with p None, entries pass as
-    they are."""
-    if p is None:
-        return tuple(tuple(row) for row in rows)
-    return tuple(tuple([FpElement(v, p) for v in row]) for row in rows)
+    Over GF(p), ints become `FpElement`s. Over Q, row i becomes `Fraction`s
+    over dens[i], by default its first non-zero entry, the pivot of an
+    echelon row."""
+    if p:
+        return tuple(tuple([FpElement(v, p) for v in row]) for row in rows)
+    if dens is None:
+        dens = [next(filter(None, row), 1) for row in rows]
+    return tuple(tuple([Fraction(v, d) for v in row]) for row, d in zip(rows, dens))
 
 
-def _units(field, p) -> tuple:
-    """Zero and one of `field`, held as the kernel holds entries."""
-    return (field.zero, field.one) if p is None else (0, 1)
-
-
-def _product_words(*mats):
-    """The dispatch point of the products, which take no field: (p, the
-    matrices as int rows) when every entry is an `FpElement` of one
-    modulus p, else None."""
-    first = None
-    for m in mats:
-        if m and m[0]:
-            first = m[0][0]
-            break
-    if type(first) is FpElement:
-        p = first.p
-        out = [_words(m, p, strict=True) for m in mats]
-        if None not in out:
-            _COUNTS["gfp"] += 1
-            return p, out
-    _COUNTS["generic"] += 1
-    return None
-
-
-def _eliminate(work: list, p, field):
+def _eliminate(work: list, p):
     """Reduced echelon form of the rows `work`, held as `_words` holds them
     (the list's rows are replaced, never changed in place): (pivot rows,
-    pivot columns). An entry is zero exactly when it is falsy. The field
-    is read at the pivot inverse and the row update only: over GF(p),
-    `pow(c, -1, p)` and a reduction mod p; otherwise `field.one / c`, never
-    `1 / c`, so an int pivot still gives field elements."""
+    pivot columns). The field is read at the pivot and the row update only:
+    over GF(p) the pivot row is scaled by `pow(a, -1, p)` and updates are
+    reduced mod p; over Q the pivot row y keeps its pivot a, and a row x
+    with entry c becomes a*x - c*y (a and c first divided by their gcd)
+    over its content, so rows stay primitive and each pivot row is its
+    reduced echelon row times its pivot."""
     if not work:
         return [], ()
     width = len(work[0])
@@ -146,21 +162,20 @@ def _eliminate(work: list, p, field):
             continue
         row = work[i]
         work[i] = work[r]
-        c = row[col]
-        if p is None:
-            c = field.one / c
-            row = [c * x for x in row]
-        elif c != 1:
-            c = pow(c, -1, p)
-            row = [x * c % p for x in row]
+        a = row[col]
+        if p and a != 1:
+            a = pow(a, -1, p)
+            row = [x * a % p for x in row]
         work[r] = row
         for i in range(n):
             c = work[i][col]
             if c and i != r:
-                if p is None:
-                    work[i] = [x - c * y for x, y in zip(work[i], row)]
-                else:
+                if p:
                     work[i] = [(x - c * y) % p for x, y in zip(work[i], row)]
+                else:
+                    g = gcd(a, c)
+                    s, t = a // g, c // g
+                    work[i] = _primitive([s * x - t * y for x, y in zip(work[i], row)])
         pivots.append(col)
         r += 1
         if r == n:
@@ -168,20 +183,30 @@ def _eliminate(work: list, p, field):
     return work[:r], tuple(pivots)
 
 
-def _nullspace(work: list, width: int, p, field) -> list:
+def _back_substitute(ech, pivots, j, width: int, p):
+    """The vector x of length `width` with x[pc] = ech[i][j] / ech[i][pc] at
+    each pivot column pc, held as the kernel holds rows, and its
+    denominator: over Q, x is scaled by the lcm of the pivots it divides by;
+    over GF(p) pivots are 1."""
+    den = 1 if p else lcm(*[row[pc] for row, pc in zip(ech, pivots) if row[j]])
+    x = [0] * width
+    for row, pc in zip(ech, pivots):
+        x[pc] = row[j] * (den // row[pc])
+    return x, den
+
+
+def _nullspace(work: list, width: int, p) -> list:
     """Canonical echelon basis of the nullspace of the rows `work` (the list
-    is consumed), held as `_words` holds rows."""
-    zero, one = _units(field, p)
-    ech, pivots = _eliminate(work, p, field)
+    is consumed), held as `_words` holds rows: for each non-pivot column j,
+    e_j minus the combination of pivot columns that column j is."""
+    ech, pivots = _eliminate(work, p)
     basis = []
     for j in range(width):
         if j not in pivots:
-            v = [zero] * width
-            v[j] = one
-            for i, pc in enumerate(pivots):
-                v[pc] = -ech[i][j]
-            basis.append(v if p is None else [x % p for x in v])
-    return _eliminate(basis, p, field)[0]
+            x, den = _back_substitute(ech, pivots, j, width, p)
+            x[j] = -den  # the vector is den e_j - x
+            basis.append([-y % p for y in x] if p else _primitive([-y for y in x]))
+    return _eliminate(basis, p)[0]
 
 
 def identity(n, field):
@@ -194,13 +219,40 @@ def transpose(m):
     return tuple(zip(*m)) if m else ()
 
 
+def _product(rows, cols) -> tuple:
+    """The matrix of `dot(row, col)` over the rows of the left factor and the
+    columns of the right: the one body of the products, which take no field
+    and so dispatch on their entries. `dot` runs once per entry, on ints
+    whenever every entry is an `FpElement` of one modulus, or an int or a
+    `Fraction`."""
+    first = next((m[0][0] for m in (rows, cols) if m and m[0]), None)
+    if type(first) is FpElement:
+        p = first.p
+        left, right = _words(rows, p, strict=True), _words(cols, p, strict=True)
+        if left is not None and right is not None:
+            _COUNTS["gfp"] += 1
+            return _elements([[dot(u, v) for v in right] for u in left], p)
+    elif first is not None:
+        try:
+            left, right = [_cleared(u) for u in rows], [_cleared(v) for v in cols]
+        except TypeError:
+            pass
+        else:
+            _COUNTS["rational"] += 1
+            return tuple(
+                tuple([
+                    dot(u, v) if du is None and dv is None
+                    else Fraction(dot(u, v), (du or 1) * (dv or 1))
+                    for v, dv in right
+                ])
+                for u, du in left
+            )
+    _COUNTS["generic"] += 1
+    return tuple(tuple(dot(u, v) for v in cols) for u in rows)
+
+
 def matmul(a, b):
-    words = _product_words(a, b)
-    if words is not None:
-        p, (a, b) = words
-    bt = transpose(b)
-    out = tuple(tuple(dot(row, col) for col in bt) for row in a)
-    return out if words is None else _elements(out, p)
+    return _product(a, transpose(b))
 
 
 def dot(u, v):
@@ -212,20 +264,12 @@ def dot(u, v):
 
 def mat_vec(m, v):
     """m times a column vector, returned as a tuple."""
-    words = _product_words(m, (v,))
-    if words is not None:
-        p, (m, (v,)) = words
-    out = tuple(dot(row, v) for row in m)
-    return out if words is None else _elements((out,), p)[0]
+    return _product((v,), m)[0]  # dot(v, row) for each row of m: one row out
 
 
 def vec_mat(v, m):
     """Row vector times m."""
-    words = _product_words((v,), m)
-    if words is not None:
-        p, ((v,), m) = words
-    out = tuple(dot(v, col) for col in transpose(m))
-    return out if words is None else _elements((out,), p)[0]
+    return _product((v,), transpose(m))[0]
 
 
 def scale(c, v):
@@ -251,7 +295,7 @@ def is_zero_vec(v, field):
 def rref(rows, field):
     """Reduced row echelon form; returns (pivot rows only, pivot columns)."""
     p = _word_modulus(field)
-    ech, pivots = _eliminate(_words(rows, p), p, field)
+    ech, pivots = _eliminate(_words(rows, p), p)
     return _elements(ech, p), pivots
 
 
@@ -262,7 +306,7 @@ def rank(rows, field):
 def nullspace(rows, width, field):
     """Canonical echelon basis of {x in k^width : rows @ x = 0}."""
     p = _word_modulus(field)
-    return _elements(_nullspace(_words(rows, p), width, p, field), p)
+    return _elements(_nullspace(_words(rows, p), width, p), p)
 
 
 def solve(rows, rhs, field):
@@ -270,28 +314,23 @@ def solve(rows, rhs, field):
     p = _word_modulus(field)
     width = len(rows[0]) if rows else 0
     aug = _words([list(r) + [b] for r, b in zip(rows, rhs)], p)
-    ech, pivots = _eliminate(aug, p, field)
-    x = [_units(field, p)[0]] * width
-    for row, pc in zip(ech, pivots):
-        if pc == width:
-            return None  # a pivot in the rhs column: inconsistent
-        x[pc] = row[width]
-    return _elements((x,), p)[0]
+    ech, pivots = _eliminate(aug, p)
+    if pivots and pivots[-1] == width:
+        return None  # a pivot in the rhs column: inconsistent
+    x, den = _back_substitute(ech, pivots, width, width, p)
+    return _elements((x,), p, (den,))[0]
 
 
 def inverse(m, field):
     """Matrix inverse, or None if singular."""
     p = _word_modulus(field)
-    zero, one = _units(field, p)
     n = len(m)
-    aug = _words(m, p)
-    for i, row in enumerate(aug):
-        row.extend([zero] * n)
-        row[i - n] = one  # the identity block follows the row, square or not
-    ech, pivots = _eliminate(aug, p, field)
+    # the identity block follows each row, square or not
+    aug = _words([(*row, *e) for row, e in zip(m, identity(n, field))], p)
+    ech, pivots = _eliminate(aug, p)
     if pivots != tuple(range(n)):
         return None
-    return _elements([row[n:] for row in ech], p)
+    return _elements([row[n:] for row in ech], p, [row[i] for i, row in enumerate(ech)])
 
 
 def reduce_against(echelon, v, field):
@@ -344,6 +383,6 @@ def rowspace_intersect(a_rows, b_rows, width, field):
     so the intersection is the nullspace of the stacked annihilator bases.
     """
     p = _word_modulus(field)
-    na = _nullspace(_words(a_rows, p), width, p, field)
-    nb = _nullspace(_words(b_rows, p), width, p, field)
-    return _elements(_nullspace(na + nb, width, p, field), p)
+    na = _nullspace(_words(a_rows, p), width, p)
+    nb = _nullspace(_words(b_rows, p), width, p)
+    return _elements(_nullspace(na + nb, width, p), p)

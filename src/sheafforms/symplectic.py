@@ -121,7 +121,13 @@ class Isometry:
         return ModuleSection(self.target.module, section.open, vectors)
 
     def holds(self) -> bool:
-        """The defining equation M^T G' M = G on every component."""
+        """The defining equation M^T G' M = G on every component, with one
+        square matrix of the module's rank per component."""
+        rank = self.source.module.rank
+        if not len(self.matrices) == len(self.source.gram) == len(self.target.gram):
+            return False
+        if any(len(m) != rank or any(len(row) != rank for row in m) for m in self.matrices):
+            return False
         return all(
             linalg.matmul(linalg.transpose(m), linalg.matmul(g2, m)) == g
             for m, g, g2 in zip(self.matrices, self.source.gram, self.target.gram)
@@ -152,7 +158,9 @@ def invert_isometry(iso: Isometry) -> Isometry:
 # -- validation ---------------------------------------------------------------
 
 def validate_symplectic(form: BilinearForm) -> None:
-    """Alternating on every component, even rank, full-rank Gram matrices."""
+    """Alternating on every component, even rank, full-rank Gram matrices.
+    Each skew pair is checked once, at (i, j) with j > i: the check at (j, i)
+    is the same, and the row-major scan reaches (min, max) first."""
     field = form.module.field
     for c, g in enumerate(form.gram):
         n = len(g)
@@ -161,7 +169,7 @@ def validate_symplectic(form: BilinearForm) -> None:
                 raise NotAlternating(
                     f"component {c}: diagonal entry {i} is non-zero", component=c
                 )
-            for j in range(n):
+            for j in range(i + 1, n):
                 if g[i][j] != -g[j][i]:
                     raise NotAlternating(
                         f"component {c}: entry ({i},{j}) is not skew", component=c
@@ -212,21 +220,19 @@ def _project_rows_away(form: BilinearForm, rows_per_comp, pairs):
     field = form.module.field
     out = []
     for c, rows in enumerate(rows_per_comp):
-        g = form.gram[c]
-        # (r, s, G r^T, G s^T) per pair, so phi(z, r) = z . G r^T
-        fiber_pairs = []
-        for r, s in pairs:
-            rv, sv = r.vectors[c], s.vectors[c]
-            fiber_pairs.append((rv, sv, linalg.mat_vec(g, rv), linalg.mat_vec(g, sv)))
-        new = []
-        for z in rows:
-            acc = z
-            for rv, sv, grv, gsv in fiber_pairs:
-                a = linalg.dot(z, grv)
-                b = linalg.dot(z, gsv)
-                acc = linalg.add_vec(acc, linalg.sub_vec(linalg.scale(a, sv), linalg.scale(b, rv)))
-            new.append(acc)
-        out.append(linalg.rref(new, field)[0])
+        if pairs:
+            rs = tuple(r.vectors[c] for r, _ in pairs)
+            ss = tuple(s.vectors[c] for _, s in pairs)
+            # phi(z, u) = z . G u^T, so the pairings of every row z with
+            # r_1..r_k, s_1..s_k are the rows [A | B] of Z (G [R; S]^T), and
+            # the sum over i of phi(z, r_i) s_i - phi(z, s_i) r_i is the row
+            # of [A | B] [S; -R]: two products, not an n x n projector
+            gt = linalg.matmul(form.gram[c], linalg.transpose(rs + ss))
+            shift = linalg.matmul(
+                linalg.matmul(rows, gt), ss + tuple(linalg.scale(-1, r) for r in rs)
+            )
+            rows = tuple(map(linalg.add_vec, rows, shift))
+        out.append(linalg.rref(rows, field)[0])
     return tuple(out)
 
 

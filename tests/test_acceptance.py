@@ -115,10 +115,15 @@ def test_criterion_01_symplectic_gram_schmidt():
         prepared.append((form, random_partial_family(rng, form, config=config)))
     checked = 0
     extension_time = 0.0
+    paths = {"gfp": 0, "rational": 0, "generic": 0}
     for form, partial in prepared:
+        before = linalg.kernel_stats()
         started = time.perf_counter()
         basis = gram_schmidt_extend(form, partial)
         extension_time += time.perf_counter() - started
+        after = linalg.kernel_stats()
+        for key in paths:
+            paths[key] += after[key] - before[key]
         assert certify_basis(form, basis, partial)
         # the partial is contained verbatim
         for i, sec in partial.r:
@@ -126,12 +131,15 @@ def test_criterion_01_symplectic_gram_schmidt():
         for j, sec in partial.s:
             assert basis.s[j - 1] == sec
         checked += 1
-    ok = checked == 200 and extension_time < 5.0
+    # host-independent: every extension ran on the integer-row kernel
+    on_integer_rows = paths["rational"] > 0 and paths["generic"] == paths["gfp"] == 0
+    ok = checked == 200 and extension_time < 5.0 and on_integer_rows
     verdict(
         "01 symplectic Gram-Schmidt",
         ok,
         f"{checked} seeded forms (ranks 2-8, 3 spaces, partial configs "
-        f"|I|,|J|<=2), relations exact, extensions took {extension_time:.2f}s",
+        f"|I|,|J|<=2), relations exact, extensions took {extension_time:.2f}s, "
+        f"kernel calls {paths}",
     )
 
 
@@ -402,6 +410,7 @@ def test_criterion_09_witt_extension():
     rng = Random(909)
     checked = 0
     gated = 0
+    paths = {"gfp": 0, "rational": 0, "generic": 0}
     for i in range(100):
         space = SPACES[i % len(SPACES)]
         rank = (4, 6, 8)[rng.randrange(3)]
@@ -427,11 +436,16 @@ def test_criterion_09_witt_extension():
         carrier = random_symplectic_isometry(rng, source, target)
         fb = f.global_basis()
         images = [carrier.apply(sec) for sec in fb]
+        before = linalg.kernel_stats()
         try:
             iso = witt_extend(source, target, f, images)
         except FreenessViolated:
             gated += 1
             continue
+        finally:
+            after = linalg.kernel_stats()
+            for key in paths:
+                paths[key] += after[key] - before[key]
         for m, g, g2 in zip(iso.matrices, source.gram, target.gram):
             assert (
                 linalg.matmul(linalg.transpose(m), linalg.matmul(g2, m)) == g
@@ -439,11 +453,14 @@ def test_criterion_09_witt_extension():
         for sec, image in zip(fb, images):
             assert iso.apply(sec) == image
         checked += 1
+    # host-independent: every extension ran on the integer-row kernel
+    on_integer_rows = paths["rational"] > 0 and paths["generic"] == paths["gfp"] == 0
     verdict(
         "09 Witt extension",
-        checked + gated == 100,
+        checked + gated == 100 and on_integer_rows,
         f"M^T G' M = G and agreement with sigma exact on {checked} instances "
-        f"(isotropic/hyperbolic/mixed radical); {gated} hit the freeness gate",
+        f"(isotropic/hyperbolic/mixed radical); {gated} hit the freeness gate; "
+        f"kernel calls {paths}",
     )
 
 

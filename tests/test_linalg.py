@@ -195,17 +195,30 @@ def test_rank_bounded_by_shape(rows):
 # -- the one kernel against the generic elimination over field elements -----
 #
 # The references below are the generic loops over field elements that every
-# field used before entries of GF(p) were held as ints; they are the only
-# copy of that loop left. The reduced echelon form is unique, so the kernel
-# must agree with them entry for entry, FpElement for FpElement; over Q it
-# makes the same operations in the same order, so even int-mixed input gives
-# the same types.
+# field used before entries of GF(p) were held as ints and entries of Q as
+# integer rows; they are the only copy of that loop left. The reduced
+# echelon form is unique, so the kernel must agree with them entry for
+# entry, FpElement for FpElement and Fraction for Fraction: over Q every
+# elimination returns Fractions, as the reference's `field.one / c` does,
+# and a product entry stays an int exactly when the reference multiplies
+# ints only.
+
+
+class BigRationals(RationalField):
+    """Q with entries of several hundred bits, the size `symplectic_q`
+    reaches, where the reference's Fractions pay a large gcd per operation."""
+
+    def random_scalar(self, rng):
+        return Fraction(rng.randrange(-2**256, 2**256), rng.randrange(1, 2**128))
+
 
 PRIMES = (3, 101, 10007, 2**31 - 1)  # 2**31 - 1: the largest accepted order
-KERNEL_FIELDS = PRIMES + ("rationals",)
+KERNEL_FIELDS = PRIMES + ("rationals", "rationals:big")
 
 
 def kernel_field(order):
+    if order == "rationals:big":
+        return BigRationals()
     return Q if order == "rationals" else PrimeField(order)
 
 
@@ -296,14 +309,22 @@ def same(new, ref):
     return repr(new) == repr(ref)
 
 
-def random_rows(rng, field, n, m):
+KINDS = ("dense", "sparse", "low_rank", "zero_rows", "ints")
+# and over Q: some rows of ints only (of the field's size), or all zero
+RATIONAL_KINDS = KINDS + ("int_rows", "all_zero")
+
+
+def random_rows(rng, field, n, m, kinds=KINDS):
     """An n x m matrix: dense, sparse, of low rank, with zero rows, or with
-    some entries plain ints (negative, or past p over GF(p), included)."""
-    kind = rng.choice(("dense", "sparse", "low_rank", "zero_rows", "ints"))
+    some entries plain ints (negative, or past p over GF(p), included); of
+    the `RATIONAL_KINDS`, with some rows of ints only, or all zero."""
+    kind = rng.choice(kinds)
+    if kind == "all_zero":
+        return tuple((0,) * m for _ in range(n))
     if kind == "low_rank" and n and m:
         k = rng.randrange(min(n, m))
-        left = random_rows(rng, field, n, k) if k else ()
-        right = random_rows(rng, field, k, m) if k else ()
+        left = random_rows(rng, field, n, k, kinds) if k else ()
+        right = random_rows(rng, field, k, m, kinds) if k else ()
         if k:
             return ref_matmul(left, right)
         return tuple((field.zero,) * m for _ in range(n))
@@ -311,6 +332,8 @@ def random_rows(rng, field, n, m):
     for _ in range(n):
         if kind == "zero_rows" and rng.random() < 0.4:
             rows.append((field.zero,) * m)
+        elif kind == "int_rows" and rng.random() < 0.5:
+            rows.append(tuple(field.random_scalar(rng).numerator for _ in range(m)))
         elif kind == "sparse":
             rows.append(tuple(field.random_nonzero(rng) if rng.random() < 0.2 else field.zero
                               for _ in range(m)))
@@ -329,11 +352,12 @@ def random_rows(rng, field, n, m):
 def test_word_kernel_matches_generic_elimination(order):
     field = kernel_field(order)
     rng = Random(order)
-    path = "generic" if field is Q else "gfp"
+    path = "gfp" if isinstance(field, PrimeField) else "rational"
+    kinds = RATIONAL_KINDS if order == "rationals:big" else KINDS
     before = linalg.kernel_stats()
     for _ in range(110):
         n, m = rng.randrange(8), rng.randrange(1, 9)  # wide, square and tall
-        rows = random_rows(rng, field, n, m)
+        rows = random_rows(rng, field, n, m, kinds)
         assert same(linalg.rref(rows, field), ref_rref(rows, field))
         assert same(linalg.nullspace(rows, m, field), ref_nullspace(rows, m, field))
         x = tuple(field.random_scalar(rng) for _ in range(m))
@@ -342,11 +366,11 @@ def test_word_kernel_matches_generic_elimination(order):
             rhs = tuple(field.random_scalar(rng) for _ in rhs)
         assert same(linalg.solve(rows, rhs, field), ref_solve(rows, rhs, field))
         k = rng.randrange(7)
-        square = random_rows(rng, field, k, k)
+        square = random_rows(rng, field, k, k, kinds)
         assert same(linalg.inverse(square, field), ref_inverse(square, field))
         # wide and tall input keeps the augmented layout: identity after each row
         assert same(linalg.inverse(rows, field), ref_inverse(rows, field))
-        other = random_rows(rng, field, m, rng.randrange(1, 6))
+        other = random_rows(rng, field, m, rng.randrange(1, 6), kinds)
         assert same(linalg.matmul(rows, other), ref_matmul(rows, other))
         assert same(linalg.mat_vec(rows, x), ref_mat_vec(rows, x))
         if rows:
@@ -373,8 +397,8 @@ def test_word_kernel_on_empty_input(order):
 
 
 def test_rational_kernel_gives_fractions_for_int_input():
-    # the pivot row is scaled by field.one / c even when c is 1, so plain
-    # int input (unit pivots included) comes out as Fractions, as in the reference
+    # every echelon row leaves the kernel divided by its pivot, so plain int
+    # input (unit pivots included) comes out as Fractions, as in the reference
     rows = ((1, 0, 2), (0, 1, 0), (0, 0, 0))
     for new, ref in ((linalg.rref(rows, Q), ref_rref(rows, Q)),
                      (linalg.nullspace(rows, 3, Q), ref_nullspace(rows, 3, Q)),
@@ -386,8 +410,18 @@ def test_rational_kernel_gives_fractions_for_int_input():
 
 
 F7 = PrimeField(7)
-FOREIGN = [(FpElement(1, 5), ValueError), (FpElement(0, 5), ValueError),
-           (Fraction(1, 2), TypeError), (Fraction(0), TypeError)]
+# (field, foreign entry, error); the ids of the GF(7) cases are those they
+# had when GF(7) was the only field here
+FOREIGN = [
+    pytest.param(F7, FpElement(1, 5), ValueError, id="foreign0-ValueError"),
+    pytest.param(F7, FpElement(0, 5), ValueError, id="foreign1-ValueError"),
+    pytest.param(F7, Fraction(1, 2), TypeError, id="foreign2-TypeError"),
+    pytest.param(F7, Fraction(0), TypeError, id="foreign3-TypeError"),
+    pytest.param(Q, 0.5, TypeError, id="rationals-float-TypeError"),
+    pytest.param(Q, 0.0, TypeError, id="rationals-zero_float-TypeError"),
+    pytest.param(Q, FpElement(1, 5), TypeError, id="rationals-FpElement-TypeError"),
+    pytest.param(Q, FpElement(0, 5), TypeError, id="rationals-zero_FpElement-TypeError"),
+]
 
 
 def _with_entry(rows, i, j, x):
@@ -396,19 +430,38 @@ def _with_entry(rows, i, j, x):
     return tuple(tuple(r) for r in out)
 
 
-@pytest.mark.parametrize("foreign, error", FOREIGN)
+@pytest.mark.parametrize("field, foreign, error", FOREIGN)
 @pytest.mark.parametrize("where", [(0, 0), (1, 2), (2, 1)])
-def test_foreign_entry_raises_as_before(foreign, error, where):
-    base = ((F7.one, 2, F7.zero), (F7.zero, F7.zero, F7.zero), (3, F7.one, 5))
+def test_foreign_entry_raises_as_before(field, foreign, error, where):
+    one, zero = field.one, field.zero
+    base = ((one, 2, zero), (zero, zero, zero), (3, one, 5))
     rows = _with_entry(base, *where, foreign)
-    rhs = (F7.one, F7.zero, 2)
-    cases = [
-        (lambda: linalg.rref(rows, F7), lambda: ref_rref(rows, F7)),
-        (lambda: linalg.nullspace(rows, 3, F7), lambda: ref_nullspace(rows, 3, F7)),
-        (lambda: linalg.solve(rows, rhs, F7), lambda: ref_solve(rows, rhs, F7)),
-        (lambda: linalg.inverse(rows, F7), lambda: ref_inverse(rows, F7)),
+    rhs = (one, zero, 2)
+    eliminations = [
+        (lambda: linalg.rref(rows, field), lambda: ref_rref(rows, field)),
+        (lambda: linalg.nullspace(rows, 3, field), lambda: ref_nullspace(rows, 3, field)),
+        (lambda: linalg.solve(rows, rhs, field), lambda: ref_solve(rows, rhs, field)),
+        (lambda: linalg.inverse(rows, field), lambda: ref_inverse(rows, field)),
+        (lambda: linalg.rowspace_intersect(rows, base, 3, field),
+         lambda: ref_nullspace(rows, 3, field)),
+    ]
+    if field is Q:
+        # over Q a foreign entry is refused: the old loop gave float
+        # arithmetic on a float entry, silently
+        for new, _ in eliminations:
+            with pytest.raises(TypeError, match="unsupported entry for the rationals"):
+                new()
+        # the products take no field: they keep the entries as given
+        try:
+            expected = ref_matmul(rows, base)
+        except TypeError:
+            with pytest.raises(TypeError):
+                linalg.matmul(rows, base)
+        else:
+            assert same(linalg.matmul(rows, base), expected)
+        return
+    cases = eliminations + [
         (lambda: linalg.matmul(rows, base), lambda: ref_matmul(rows, base)),
-        (lambda: linalg.rowspace_intersect(rows, base, 3, F7), lambda: ref_nullspace(rows, 3, F7)),
     ]
     for new, ref in cases:
         with pytest.raises(error) as got:
@@ -449,6 +502,7 @@ def test_kernel_stats_count_the_path_each_call_took(sierpinski):
     run()
     after = linalg.kernel_stats()
     assert after["generic"] == before["generic"]
+    assert after["rational"] == before["rational"]
     assert after["gfp"] > before["gfp"]
 
     form = random_alternating_form(Random(6), FreeModule(sierpinski, Q, 4))
@@ -456,7 +510,8 @@ def test_kernel_stats_count_the_path_each_call_took(sierpinski):
     gram_schmidt_extend(form, PartialFamily.of())
     after = linalg.kernel_stats()
     assert after["gfp"] == before["gfp"]
-    assert after["generic"] > before["generic"]
+    assert after["generic"] == before["generic"]
+    assert after["rational"] > before["rational"]
 
 
 def test_gfp_products_count_one_dot_per_entry(monkeypatch):
@@ -480,7 +535,7 @@ def test_gfp_products_count_one_dot_per_entry(monkeypatch):
 
 def test_inner_calls_on_ints_are_not_counted_again():
     # one call counts once, over GF(p) and over Q alike, whatever it eliminates inside
-    for field, moved in ((F7, (1, 0)), (Q, (0, 1))):
+    for field, moved in ((F7, (1, 0, 0)), (Q, (0, 1, 0))):
         one, zero = field.one, field.zero
         rows = ((one, 2, 3), (zero, one, 4))
         for call in (lambda: linalg.nullspace(rows, 3, field),
@@ -489,4 +544,4 @@ def test_inner_calls_on_ints_are_not_counted_again():
             before = linalg.kernel_stats()
             call()
             after = linalg.kernel_stats()
-            assert (after["gfp"] - before["gfp"], after["generic"] - before["generic"]) == moved
+            assert tuple(after[k] - before[k] for k in ("gfp", "rational", "generic")) == moved

@@ -113,6 +113,51 @@ class TestValidate:
         module = FreeModule(discrete_pair, Q, 6)
         validate_symplectic(standard_symplectic_form(module))
 
+    @staticmethod
+    def old_scan(form):
+        """The scan before each skew pair was checked once: every (i, j)."""
+        for c, g in enumerate(form.gram):
+            for i in range(len(g)):
+                if g[i][i] != 0:
+                    raise NotAlternating(
+                        f"component {c}: diagonal entry {i} is non-zero", component=c
+                    )
+                for j in range(len(g)):
+                    if g[i][j] != -g[j][i]:
+                        raise NotAlternating(
+                            f"component {c}: entry ({i},{j}) is not skew", component=c
+                        )
+
+    @pytest.mark.parametrize("field", [Q, PrimeField(5)], ids=["Q", "GF5"])
+    def test_skew_pairs_checked_once_give_the_old_witness(self, field):
+        rng = Random(71)
+        space = discrete_pair_space()
+        broken = 0
+        for _ in range(150):
+            rank = rng.choice((2, 4, 6))
+            module = FreeModule(space, field, rank)
+            form = random_alternating_form(rng, module)
+            grams = [[list(row) for row in g] for g in form.gram]
+            # break one to three entries, on the diagonal or off it
+            for _ in range(rng.randrange(1, 4)):
+                g = grams[rng.randrange(len(grams))]
+                i, j = rng.randrange(rank), rng.randrange(rank)
+                g[i][j] = g[i][j] + field.random_nonzero(rng)
+            form = BilinearForm(module, tuple(tuple(map(tuple, g)) for g in grams))
+            try:
+                self.old_scan(form)
+            except NotAlternating as exc:
+                expected = exc
+            else:
+                continue
+            broken += 1
+            with pytest.raises(NotAlternating) as got:
+                validate_symplectic(form)
+            assert got.value.code == expected.code
+            assert got.value.message == expected.message
+            assert got.value.witness == expected.witness
+        assert broken > 100
+
 
 class TestGramSchmidt:
     def test_frozen_rank4_example(self, sierpinski):
@@ -596,6 +641,19 @@ class TestWitt:
         assert symplectic.certify_witt(iso, f, images)
         assert not symplectic.certify_witt(iso, f, images[::-1])
         assert not symplectic.certify_witt(iso, f, images[:1])
+
+    def test_too_few_matrices_are_no_isometry(self, discrete_pair):
+        # one square matrix of the module's rank per component, or no
+        # isometry: zipping matrices against components accepted these
+        module = FreeModule(discrete_pair, Q, 4)
+        form = standard_symplectic_form(module)
+        ident = linalg.identity(4, Q)
+        assert Isometry(form, form, (ident, ident)).holds()
+        nothing = span(module, [])
+        for matrices in ((), (ident,), (ident, ident[:2]), (ident, tuple(r[:2] for r in ident))):
+            forged = Isometry(form, form, matrices)
+            assert not forged.holds()
+            assert not symplectic.certify_witt(forged, nothing, ())
 
     def test_false_certificate_raises(self, monkeypatch):
         # a raise, not an assert: the self-check holds under python -O
