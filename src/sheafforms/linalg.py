@@ -38,8 +38,21 @@ or a `Fraction` they clear denominators per row of the left factor and per
 column of the right, run `dot` on ints and divide once per entry (an entry
 whose row and column held only ints stays an int); otherwise `dot` runs on
 the entries as given, so a product mixing ints with `FpElement`s keeps the
-types `FpElement` arithmetic gives. `kernel_stats()` counts the calls that
-held entries each way.
+types `FpElement` arithmetic gives.
+
+A caller that chains many steps on the same rows holds them itself, so the
+rows cross the boundary once each way instead of at every step: `hold`
+converts rows of field elements into held rows, `release` turns held rows
+back into field elements, and between the two `held_product` (the matrix
+of `dot(row, col)`, A B^T), `held_transpose`, `held_add`, `held_divide`,
+`held_rref`, `held_nullspace`, `held_equal` and `held_nonzero` work on held
+rows only. A held row is exact: over GF(p) it is (ints in [0, p), 1); over
+Q it is (integer row, d), the row divided by d > 0, with no common factor
+of d and all the entries left. The format is private to this module: other
+modules only pass held rows (and tuples of them) around. Every held call
+takes the field and dispatches through `_word_modulus` like the routines
+above. `kernel_stats()` counts the calls that held entries each way, the
+rows converted on entry and the entries built on exit.
 """
 
 from __future__ import annotations
@@ -50,7 +63,7 @@ from operator import attrgetter, mul
 
 from .fields import FpElement, PrimeField
 
-_COUNTS = {"gfp": 0, "rational": 0, "generic": 0}
+_COUNTS = {"gfp": 0, "rational": 0, "generic": 0, "rows_in": 0, "entries_out": 0}
 _numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
 
 
@@ -59,7 +72,9 @@ def kernel_stats() -> dict:
     GF(p)), `rational` (integer rows, over Q) and `generic` (a product's
     entries as given). A call counts where it dispatches; the eliminations
     it makes inside are part of it and are not counted again. A product
-    with no entries has no field to go by and counts as generic."""
+    with no entries has no field to go by and counts as generic. Beside the
+    calls, `rows_in` counts the rows (and a product's columns) converted on
+    entry and `entries_out` the field elements built on exit."""
     return dict(_COUNTS)
 
 
@@ -89,6 +104,7 @@ def _cleared(row):
     """A row of ints and `Fraction`s as (integer row, d) with row = integer
     row / d, d the lcm of the entries' denominators, or d None when every
     entry is an int. Any other entry raises `TypeError`."""
+    _COUNTS["rows_in"] += 1
     kinds = set(map(type, row))
     if kinds <= {int}:
         return list(row), None
@@ -122,6 +138,7 @@ def _words(rows, p, strict: bool = False):
                 return None
             ints = [_lift(x, p) for x in row]
         out.append(ints)
+    _COUNTS["rows_in"] += len(out)
     return out
 
 
@@ -130,11 +147,25 @@ def _elements(rows, p, dens=None) -> tuple:
     Over GF(p), ints become `FpElement`s. Over Q, row i becomes `Fraction`s
     over dens[i], by default its first non-zero entry, the pivot of an
     echelon row."""
+    _COUNTS["entries_out"] += sum(map(len, rows))
     if p:
         return tuple(tuple([FpElement(v, p) for v in row]) for row in rows)
     if dens is None:
         dens = [next(filter(None, row), 1) for row in rows]
     return tuple(tuple([Fraction(v, d) for v in row]) for row, d in zip(rows, dens))
+
+
+def _update(x, y, col: int, p):
+    """Row x with its entry at `col` cleared by the pivot row y: over GF(p)
+    (where y[col] is 1) x - c*y mod p; over Q a*x - c*y, with a = y[col] and
+    c = x[col] first divided by their gcd, over the new row's content."""
+    c = x[col]
+    if p:
+        return [(u - c * v) % p for u, v in zip(x, y)]
+    a = y[col]
+    g = gcd(a, c)
+    s, t = a // g, c // g
+    return _primitive([s * u - t * v for u, v in zip(x, y)])
 
 
 def _eliminate(work: list, p):
@@ -167,6 +198,8 @@ def _eliminate(work: list, p):
             a = pow(a, -1, p)
             row = [x * a % p for x in row]
         work[r] = row
+        # the row update is `_update` written out: a call per updated row
+        # costs about 4 % of an elimination over GF(p)
         for i in range(n):
             c = work[i][col]
             if c and i != r:
@@ -239,6 +272,7 @@ def _product(rows, cols) -> tuple:
             pass
         else:
             _COUNTS["rational"] += 1
+            _COUNTS["entries_out"] += len(left) * len(right)
             return tuple(
                 tuple([
                     dot(u, v) if du is None and dv is None
@@ -300,7 +334,8 @@ def rref(rows, field):
 
 
 def rank(rows, field):
-    return len(rref(rows, field)[0])
+    p = _word_modulus(field)
+    return len(_eliminate(_words(rows, p), p)[0])
 
 
 def nullspace(rows, width, field):
@@ -357,18 +392,29 @@ def complement_rows(sub_rows, big_rows, field):
 
     Greedy and deterministic: scan big_rows in order, keep a row iff it
     raises the rank. With sub_rows inside the span of big_rows this returns
-    a basis of a complement of the small space inside the big one.
+    a basis of a complement of the small space inside the big one. One
+    pass: each row is reduced against the echelon rows of sub_rows and the
+    remainders of the rows kept so far, each of which is zero at the pivot
+    columns of those before it, so the row raises the rank iff something is
+    left.
     """
+    p = _word_modulus(field)
+    ech, pivots = _eliminate(_words(sub_rows, p), p)
+    basis = list(zip(ech, pivots))
     kept = []
-    current = list(sub_rows)
-    r = len(rref(current, field)[0])
-    for row in big_rows:
-        candidate = current + [row]
-        r2 = len(rref(candidate, field)[0])
-        if r2 > r:
+    for row, x in zip(big_rows, _words(big_rows, p)):
+        if basis and len(x) != len(basis[0][0]):
+            raise ValueError("rows of unequal length")
+        for y, col in basis:
+            if x[col]:
+                x = _update(x, y, col, p)
+        col = next((j for j, v in enumerate(x) if v), None)
+        if col is not None:
+            if p and x[col] != 1:
+                a = pow(x[col], -1, p)
+                x = [v * a % p for v in x]
+            basis.append((x, col))
             kept.append(tuple(row))
-            current = candidate
-            r = r2
     return tuple(kept)
 
 
@@ -386,3 +432,127 @@ def rowspace_intersect(a_rows, b_rows, width, field):
     na = _nullspace(_words(a_rows, p), width, p)
     nb = _nullspace(_words(b_rows, p), width, p)
     return _elements(_nullspace(na + nb, width, p), p)
+
+
+# -- held rows ------------------------------------------------------------------
+
+
+def _reduced(row: list, den: int):
+    """The exact row `row` / `den` as a held row: over a positive
+    denominator that shares no factor with all the entries."""
+    if den < 0:
+        row, den = [-x for x in row], -den
+    g = gcd(den, *row)
+    return ([x // g for x in row], den // g) if g > 1 else (row, den)
+
+
+def _pivoted(ech, p) -> tuple:
+    """Echelon rows from the kernel as exact held rows: over Q each row is
+    primitive and is held over its pivot (signs turned to make it positive),
+    so it stands for its reduced echelon row."""
+    if p:
+        return tuple((row, 1) for row in ech)
+    out = []
+    for row in ech:
+        a = next(filter(None, row))
+        out.append((row, a) if a > 0 else ([-x for x in row], -a))
+    return tuple(out)
+
+
+def _primitive_words(held, p) -> list:
+    """Held rows as `_eliminate` takes them: over Q divided by their content."""
+    return [row if p else _primitive(row) for row, _ in held]
+
+
+def hold(rows, field) -> tuple:
+    """Rows of field elements as held rows: the one conversion on entry."""
+    p = _word_modulus(field)
+    if p:
+        return tuple((row, 1) for row in _words(rows, p))
+    return tuple((row, den or 1) for row, den in map(_cleared, rows))
+
+
+def release(held, field) -> tuple:
+    """Held rows back as tuples of field elements: the one conversion on
+    exit."""
+    p = _word_modulus(field)
+    return _elements([row for row, _ in held], p, [den for _, den in held])
+
+
+def held_product(rows, cols, field) -> tuple:
+    """The held matrix of `dot(row, col)` over the held rows `rows` and
+    `cols` (A B^T), one `dot` on ints per entry. Over Q entry (i, j) is
+    dot(a_i, b_j) / (d_i e_j), so row i is held over d_i times the lcm of the
+    e_j, each dot scaled by that lcm over e_j."""
+    p = _word_modulus(field)
+    right = [v for v, _ in cols]
+    if p:
+        return tuple(([dot(u, v) % p for v in right], 1) for u, _ in rows)
+    den = lcm(*[e for _, e in cols])
+    scales = [den // e for _, e in cols]
+    return tuple(
+        _reduced([dot(u, v) * s for v, s in zip(right, scales)], d * den) for u, d in rows
+    )
+
+
+def held_transpose(held, field) -> tuple:
+    """The columns of a held matrix as held rows: each entry is brought over
+    the lcm of the row denominators."""
+    _word_modulus(field)
+    if not held:
+        return ()
+    den = lcm(*[d for _, d in held])
+    scaled = [[x * (den // d) for x in row] for row, d in held]
+    return tuple(_reduced(list(col), den) for col in zip(*scaled))
+
+
+def held_add(a, b, field) -> tuple:
+    """Row i of a plus row i of b, for held rows of equal length."""
+    p = _word_modulus(field)
+    if p:
+        return tuple(([(x + y) % p for x, y in zip(u, v)], 1) for (u, _), (v, _) in zip(a, b))
+    out = []
+    for (u, d), (v, e) in zip(a, b):
+        den = lcm(d, e)
+        s, t = den // d, den // e
+        out.append(_reduced([x * s + y * t for x, y in zip(u, v)], den))
+    return tuple(out)
+
+
+def held_divide(held, by, field) -> tuple:
+    """Every held row divided by the one entry of the 1 x 1 held matrix
+    `by`, which must not be zero."""
+    p = _word_modulus(field)
+    (((n,), d),) = by
+    if p:
+        c = pow(n, -1, p)
+        return tuple(([x * c % p for x in row], 1) for row, _ in held)
+    return tuple(_reduced([x * d for x in row], e * n) for row, e in held)
+
+
+def held_rref(held, field):
+    """`rref` on held rows: (the reduced echelon rows, held, pivot columns)."""
+    p = _word_modulus(field)
+    ech, pivots = _eliminate(_primitive_words(held, p), p)
+    return _pivoted(ech, p), pivots
+
+
+def held_nullspace(held, width, field) -> tuple:
+    """`nullspace` on held rows: its canonical echelon basis, held."""
+    p = _word_modulus(field)
+    return _pivoted(_nullspace(_primitive_words(held, p), width, p), p)
+
+
+def held_equal(a, b, field) -> bool:
+    """Whether two held matrices are equal, entry for entry."""
+    _word_modulus(field)
+    return len(a) == len(b) and all(
+        len(u) == len(v) and all(x * e == y * d for x, y in zip(u, v))
+        for (u, d), (v, e) in zip(a, b)
+    )
+
+
+def held_nonzero(held, field) -> tuple:
+    """Per held row, which of its entries are non-zero."""
+    _word_modulus(field)
+    return tuple(tuple(x != 0 for x in row) for row, _ in held)

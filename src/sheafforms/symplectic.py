@@ -9,16 +9,22 @@ echelon basis row with non-vanishing pairing on each component.
 
 Every construction is one certified Gram-Schmidt completion, `_extend`,
 which certifies the basis it builds by congruence, P^T G P == A_2n on every
-component (`certify_basis`), and keeps the given partial family verbatim.
+component (the check `certify_basis` makes, run on the rows the completion
+holds), and keeps the given partial family verbatim. The completion works
+on rows held as the `linalg` kernel holds them from start to end (integer
+rows over Q, ints mod p over GF(p)) and builds field elements only for the
+sections it found.
+
 The normal form is the matrix of a completion of the empty family; a
 hyperbolic envelope is the first k planes of the completion of a totally
 isotropic basis r_1..r_k; a standard isometry and a Witt extension are
 `_carry`, M = P' P^{-1} between the completions of two partial families
 (empty ones, or a basis adapted to f = g perp rad f and its sigma-image), so
-M^T G' M = G needs no further check. The public entry points validate their
-forms (`validate_symplectic`) once; the private helpers do not validate
-again. `certify_witt` and `certify_envelope` remain the certificates the
-report layer and the oracles call.
+M^T G' M = G needs no further check, and P^{-1} = A^T P^T G needs no
+elimination. The public entry points validate their forms
+(`validate_symplectic`) once; the private helpers do not validate again.
+`certify_witt` and `certify_envelope` remain the certificates the report
+layer and the oracles call.
 """
 
 from __future__ import annotations
@@ -109,9 +115,25 @@ class Isometry:
     target: BilinearForm
     matrices: tuple  # per X-component; columns act on coordinate columns
 
+    def _check_shape(self) -> None:
+        """One square matrix of the module's rank per component, or a named
+        error."""
+        ncomp = len(self.source.gram)
+        if not len(self.matrices) == ncomp == len(self.target.gram):
+            raise ModuleMismatch(
+                f"{len(self.matrices)} isometry matrices for {ncomp} components"
+            )
+        rank = self.source.module.rank
+        for c, m in enumerate(self.matrices):
+            if len(m) != rank or any(len(row) != rank for row in m):
+                raise RankMismatch(
+                    f"component {c}: isometry matrix is not {rank} x {rank}", component=c
+                )
+
     def apply(self, section: ModuleSection) -> ModuleSection:
         if section.module != self.source.module:
             raise ModuleMismatch("section does not belong to the source module")
+        self._check_shape()
         space = self.source.module.space
         refinement = space.component_refinement(section.open, space.x_ref)
         vectors = tuple(
@@ -123,10 +145,9 @@ class Isometry:
     def holds(self) -> bool:
         """The defining equation M^T G' M = G on every component, with one
         square matrix of the module's rank per component."""
-        rank = self.source.module.rank
-        if not len(self.matrices) == len(self.source.gram) == len(self.target.gram):
-            return False
-        if any(len(m) != rank or any(len(row) != rank for row in m) for m in self.matrices):
+        try:
+            self._check_shape()
+        except (ModuleMismatch, RankMismatch):
             return False
         return all(
             linalg.matmul(linalg.transpose(m), linalg.matmul(g2, m)) == g
@@ -137,6 +158,8 @@ class Isometry:
 def compose_isometries(first: Isometry, second: Isometry) -> Isometry:
     if first.target != second.source:
         raise ModuleMismatch("isometries do not compose: target/source forms differ")
+    first._check_shape()
+    second._check_shape()
     mats = tuple(
         linalg.matmul(m2, m1) for m1, m2 in zip(first.matrices, second.matrices)
     )
@@ -144,6 +167,7 @@ def compose_isometries(first: Isometry, second: Isometry) -> Isometry:
 
 
 def invert_isometry(iso: Isometry) -> Isometry:
+    iso._check_shape()
     field = iso.source.module.field
     mats = []
     for c, m in enumerate(iso.matrices):
@@ -202,94 +226,164 @@ def standard_symplectic_form(module: FreeModule) -> BilinearForm:
 
 
 # -- the extension theorem ------------------------------------------------------
+#
+# The completion holds every row it works on as the kernel holds it
+# (`linalg.hold`), per component and for its whole run: the Gram matrix,
+# the given and found sections, the ambient complement and the pairings.
+# Field elements are built once, when the finished basis is glued.
 
-def _pairings(rows, g):
-    """R G R^T: the matrix of pairings phi(u, v) between the rows of R."""
-    return linalg.matmul(linalg.matmul(rows, g), linalg.transpose(rows))
+def _held_grams(form: BilinearForm):
+    """Per component, (G, the columns of G) held: t G^T is held_product(t, G)
+    and u G is held_product(u, columns)."""
+    field = form.module.field
+    grams = [linalg.hold(g, field) for g in form.gram]
+    return [(g, linalg.held_transpose(g, field)) for g in grams]
+
+
+def _gram_columns(form: BilinearForm):
+    """Per component, the columns of G held."""
+    return [cols for _, cols in _held_grams(form)]
+
+
+def _held_vectors(form: BilinearForm, sections):
+    """Per component, the vectors of `sections` held, in order."""
+    field = form.module.field
+    return [
+        linalg.hold(tuple(sec.vectors[c] for sec in sections), field)
+        for c in range(len(form.gram))
+    ]
+
+
+def _pairings(rows, cols, gram_cols, field):
+    """The held matrix of phi(u, v) = u G v^T over the held rows u of `rows`
+    and v of `cols`, with `gram_cols` the held columns of G."""
+    return linalg.held_product(linalg.held_product(rows, gram_cols, field), cols, field)
 
 
 def _glue(module: FreeModule, per_component_vectors) -> ModuleSection:
     return ModuleSection(module, module.space.x_ref, tuple(per_component_vectors))
 
 
-def _project_rows_away(form: BilinearForm, rows_per_comp, pairs):
-    """Image of each row under z -> z + sum_i phi(z, r_i) s_i - phi(z, s_i) r_i,
-    echelonized per component. For pairs with phi(r_i, s_i) = 1 satisfying the
-    pairing relations this is the projection onto the orthogonal complement
-    of their span."""
-    field = form.module.field
+def _project_rows_away(field, grams, rows_per_comp, pairs):
+    """Image of each held row under z -> z + sum_i phi(z, r_i) s_i - phi(z, s_i) r_i,
+    echelonized per component; `pairs` holds (r_i, s_i) as one held row per
+    component each. For pairs with phi(r_i, s_i) = 1 satisfying the pairing
+    relations this is the projection onto the orthogonal complement of their
+    span."""
     out = []
     for c, rows in enumerate(rows_per_comp):
         if pairs:
-            rs = tuple(r.vectors[c] for r, _ in pairs)
-            ss = tuple(s.vectors[c] for _, s in pairs)
-            # phi(z, u) = z . G u^T, so the pairings of every row z with
-            # r_1..r_k, s_1..s_k are the rows [A | B] of Z (G [R; S]^T), and
-            # the sum over i of phi(z, r_i) s_i - phi(z, s_i) r_i is the row
-            # of [A | B] [S; -R]: two products, not an n x n projector
-            gt = linalg.matmul(form.gram[c], linalg.transpose(rs + ss))
-            shift = linalg.matmul(
-                linalg.matmul(rows, gt), ss + tuple(linalg.scale(-1, r) for r in rs)
-            )
-            rows = tuple(map(linalg.add_vec, rows, shift))
-        out.append(linalg.rref(rows, field)[0])
-    return tuple(out)
+            g, cols = grams[c]
+            rs = tuple(r[c] for r, _ in pairs)
+            ss = tuple(s[c] for _, s in pairs)
+            # phi(z, r) = z . (r G^T), and G being alternating, -phi(z, s) =
+            # z . (s G): the coefficients of s_1..s_k and r_1..r_k in the sum
+            # over i of phi(z, r_i) s_i - phi(z, s_i) r_i are the row of z in
+            # Z [R G^T; S G]^T, and the sum is that row times [S; R]: two
+            # products, not an n x n projector
+            tg = linalg.held_product(rs, g, field) + linalg.held_product(ss, cols, field)
+            coeffs = linalg.held_product(rows, tg, field)
+            shift = linalg.held_product(coeffs, linalg.held_transpose(ss + rs, field), field)
+            rows = linalg.held_add(rows, shift, field)
+        out.append(linalg.held_rref(rows, field)[0])
+    return out
 
 
-def _constrained_partner(form, ambient_rows, avoid, mate, label):
+def _constrained_partner(field, grams, ambient, avoid, mate, label):
     """On each component, the least echelon basis row w of
     {w in ambient : phi(a, w) = 0 for a in avoid} with phi(mate, w) != 0,
-    glued into a global section. Raises PartnerNotFound when some component
-    has no such row (which signals an inconsistent input family)."""
-    field = form.module.field
+    all held. Raises PartnerNotFound when some component has no such row
+    (which signals an inconsistent input family)."""
     picks = []
-    for c, amb in enumerate(ambient_rows):
-        g = form.gram[c]
+    for c, amb in enumerate(ambient):
+        cols = grams[c][1]
         if avoid:
-            stacked = tuple(a.vectors[c] for a in avoid)
-            m = linalg.matmul(linalg.matmul(stacked, g), linalg.transpose(amb))
-            coeffs = linalg.nullspace(m, len(amb), field)
-            w_rows = linalg.rref(linalg.matmul(coeffs, amb), field)[0] if coeffs else ()
+            stacked = tuple(a[c] for a in avoid)
+            coeffs = linalg.held_nullspace(_pairings(stacked, amb, cols, field), len(amb), field)
+            w_rows = linalg.held_rref(
+                linalg.held_product(coeffs, linalg.held_transpose(amb, field), field), field
+            )[0] if coeffs else ()
         else:
             w_rows = amb
-        mate_g = linalg.vec_mat(mate.vectors[c], g)  # phi(mate, w) = mate_g . w
-        pick = None
+        mate_g = linalg.held_product((mate[c],), cols, field)  # phi(mate, w) = mate_g . w
         for w in w_rows:
-            if linalg.dot(mate_g, w) != field.zero:
-                pick = w
+            if linalg.held_nonzero(linalg.held_product(mate_g, (w,), field), field)[0][0]:
+                picks.append(w)
                 break
-        if pick is None:
+        else:
             raise PartnerNotFound(
                 f"no admissible partner for {label} on component {c}", component=c
             )
-        picks.append(pick)
-    return _glue(form.module, picks)
+    return tuple(picks)
 
 
-def _check_partial_relations(form, rs, ss):
-    """phi(r_i, r_j) = phi(s_i, s_j) = 0 and phi(r_i, s_j) = delta_ij, read
-    off one pairing matrix per component; the first broken pair in the scan
-    order r-r, s-s, r-s is the witness."""
+def _over_pairing(field, grams, v, a, b):
+    """v / phi(a, b) on each component, all held."""
+    return tuple(
+        linalg.held_divide((vc,), _pairings((ac,), (bc,), cols, field), field)[0]
+        for vc, ac, bc, (_, cols) in zip(v, a, b, grams)
+    )
+
+
+def _check_partial_relations(field, grams, rs, ss):
+    """phi(r_i, r_j) = phi(s_i, s_j) = 0 and phi(r_i, s_j) = delta_ij for held
+    sections (index -> one held row per component): one pairing matrix per
+    component against the matrix the relations prescribe, whose s-r block
+    follows from the r-s block since the form is alternating. When one
+    differs, the first broken pair in the scan order r-r, s-s, r-s is the
+    witness."""
     labels = [("r", i) for i in rs] + [("s", j) for j in ss]
     if not labels:
         return
+    one, zero = field.one, field.zero
+    prescribed = linalg.hold(
+        tuple(
+            tuple(
+                (one if a == "r" else -one) if a != b and i == j else zero
+                for b, j in labels
+            )
+            for a, i in labels
+        ),
+        field,
+    )
     sections = [*rs.values(), *ss.values()]
-    mats = [
-        _pairings(tuple(sec.vectors[c] for sec in sections), g)
-        for c, g in enumerate(form.gram)
-    ]
-    field = form.module.field
+    mats = []
+    for c, (_, cols) in enumerate(grams):
+        rows = tuple(sec[c] for sec in sections)
+        mats.append(_pairings(rows, rows, cols, field))
+    if all(linalg.held_equal(m, prescribed, field) for m in mats):
+        return
+    mats = [linalg.release(m, field) for m in mats]
     r_pos, s_pos = range(len(rs)), range(len(rs), len(labels))
     for ps, qs in ((r_pos, r_pos), (s_pos, s_pos), (r_pos, s_pos)):
         for p in ps:
             for q in qs:
                 (a, i), (b, j) = labels[p], labels[q]
                 want_one = a != b and i == j
-                want = field.one if want_one else field.zero
+                want = one if want_one else zero
                 if any(m[p][q] != want for m in mats):
                     raise PartialRelationsViolated(
                         f"phi({a}_{i}, {b}_{j}) != {int(want_one)}", pair=((a, i), (b, j))
                     )
+
+
+def _congruent(form: BilinearForm, gram_cols, rows) -> bool:
+    """P^T G P == A_2n on every component, with the held rows of P^T (the
+    interleaved basis r_1, s_1, r_2, ...) and the held columns of G per
+    component."""
+    field = form.module.field
+    target = linalg.hold(standard_alternating(form.module.rank, field), field)
+    return all(
+        linalg.held_equal(_pairings(p, p, cols, field), target, field)
+        for p, cols in zip(rows, gram_cols)
+    )
+
+
+def _contains(basis: SymplecticBasis, partial: PartialFamily) -> bool:
+    """The partial family sits verbatim at its indices of the basis."""
+    return all(basis.r[i - 1] == sec for i, sec in partial.r) and all(
+        basis.s[i - 1] == sec for i, sec in partial.s
+    )
 
 
 def gram_schmidt_extend(form: BilinearForm, partial: PartialFamily) -> SymplecticBasis:
@@ -305,12 +399,14 @@ def gram_schmidt_extend(form: BilinearForm, partial: PartialFamily) -> Symplecti
     given) funnel through the same loop.
     """
     validate_symplectic(form)
-    return _extend(form, partial)
+    return _extend(form, partial)[0]
 
 
-def _extend(form: BilinearForm, partial: PartialFamily) -> SymplecticBasis:
-    """gram_schmidt_extend on a form already known to be symplectic."""
+def _extend(form: BilinearForm, partial: PartialFamily):
+    """gram_schmidt_extend on a form already known to be symplectic: the
+    basis and, per component, its held rows r_1, s_1, r_2, ... (P^T)."""
     module = form.module
+    field = module.field
     n = module.rank // 2
     rs = partial.r_dict
     ss = partial.s_dict
@@ -330,16 +426,20 @@ def _extend(form: BilinearForm, partial: PartialFamily) -> SymplecticBasis:
                 raise PartialRelationsViolated(
                     f"{label}_{i} vanishes on some component", index=i
                 )
-    _check_partial_relations(form, rs, ss)
+    grams = _held_grams(form)
+    # index -> one held row per component, for the given sections and then
+    # for the found ones
+    given = list(zip(*_held_vectors(form, [*rs.values(), *ss.values()])))
+    hr = dict(zip(rs, given[: len(rs)]))
+    hs = dict(zip(ss, given[len(rs):]))
+    _check_partial_relations(field, grams, hr, hs)
 
     matched = sorted(set(rs) & set(ss))
     singles = sorted((set(rs) | set(ss)) - set(matched))
 
-    ident = linalg.identity(module.rank, module.field)
+    ident = linalg.hold(linalg.identity(module.rank, field), field)
     ambient = _project_rows_away(
-        form,
-        (ident,) * len(module.x_components()),
-        [(rs[i], ss[i]) for i in matched],
+        field, grams, [ident] * len(grams), [(hr[i], hs[i]) for i in matched]
     )
     expected = module.rank - 2 * len(matched)
     assert all(len(b) == expected for b in ambient)
@@ -347,39 +447,48 @@ def _extend(form: BilinearForm, partial: PartialFamily) -> SymplecticBasis:
     pending = list(singles)
     for k in list(singles):
         pending.remove(k)
-        others = [rs[i] if i in rs else ss[i] for i in pending]
-        if k in rs:
-            w = _constrained_partner(form, ambient, others, rs[k], f"s_{k}")
-            u = form.evaluate(rs[k], w)
-            ss[k] = u.invert() * w
+        others = [hr[i] if i in hr else hs[i] for i in pending]
+        if k in hr:
+            w = _constrained_partner(field, grams, ambient, others, hr[k], f"s_{k}")
+            hs[k] = _over_pairing(field, grams, w, hr[k], w)
         else:
-            w = _constrained_partner(form, ambient, others, ss[k], f"r_{k}")
-            u = form.evaluate(w, ss[k])
-            rs[k] = u.invert() * w
-        ambient = _project_rows_away(form, ambient, [(rs[k], ss[k])])
+            w = _constrained_partner(field, grams, ambient, others, hs[k], f"r_{k}")
+            hr[k] = _over_pairing(field, grams, w, w, hs[k])
+        ambient = _project_rows_away(field, grams, ambient, [(hr[k], hs[k])])
         expected -= 2
         assert all(len(b) == expected for b in ambient)
 
     for k in range(1, n + 1):
-        if k in rs:
+        if k in hr:
             continue
         assert expected > 0
-        r = _glue(module, (b[0] for b in ambient))
-        w = _constrained_partner(form, ambient, [], r, f"s_{k}")
-        u = form.evaluate(r, w)
-        rs[k] = r
-        ss[k] = u.invert() * w
-        ambient = _project_rows_away(form, ambient, [(rs[k], ss[k])])
+        r = tuple(b[0] for b in ambient)
+        w = _constrained_partner(field, grams, ambient, [], r, f"s_{k}")
+        hr[k] = r
+        hs[k] = _over_pairing(field, grams, w, r, w)
+        ambient = _project_rows_away(field, grams, ambient, [(hr[k], hs[k])])
         expected -= 2
         assert all(len(b) == expected for b in ambient)
 
     assert expected == 0
+    rows = [
+        tuple(h[c] for i in range(1, n + 1) for h in (hr[i], hs[i]))
+        for c in range(len(grams))
+    ]
+    # glue: the given sections verbatim, the found ones from their held rows
+    found = [(rs, i, hr[i]) for i in range(1, n + 1) if i not in rs]
+    found += [(ss, i, hs[i]) for i in range(1, n + 1) if i not in ss]
+    vectors = [
+        linalg.release(tuple(h[c] for _, _, h in found), field) for c in range(len(grams))
+    ]
+    for idx, (sections, i, _) in enumerate(found):
+        sections[i] = _glue(module, (v[idx] for v in vectors))
     basis = SymplecticBasis(
         module, tuple(rs[i] for i in range(1, n + 1)), tuple(ss[i] for i in range(1, n + 1))
     )
-    if not certify_basis(form, basis, partial):
+    if not (_congruent(form, [cols for _, cols in grams], rows) and _contains(basis, partial)):
         raise AssertionError("the completed basis fails P^T G P == A_2n")
-    return basis
+    return basis, rows
 
 
 def certify_basis(form: BilinearForm, basis: SymplecticBasis, partial=None) -> bool:
@@ -395,19 +504,9 @@ def certify_basis(form: BilinearForm, basis: SymplecticBasis, partial=None) -> b
         sec.module != module or sec.open != x for sec in sections
     ):
         return False
-    target = standard_alternating(module.rank, module.field)
-    for c, g in enumerate(form.gram):
-        rows = tuple(sec.vectors[c] for sec in sections)
-        if _pairings(rows, g) != target:
-            return False
-    if partial is not None:
-        for i, sec in partial.r:
-            if basis.r[i - 1] != sec:
-                return False
-        for i, sec in partial.s:
-            if basis.s[i - 1] != sec:
-                return False
-    return True
+    if not _congruent(form, _gram_columns(form), _held_vectors(form, sections)):
+        return False
+    return partial is None or _contains(basis, partial)
 
 
 def _planes(form: BilinearForm, basis: SymplecticBasis, count=None):
@@ -436,7 +535,7 @@ def normal_form(form: BilinearForm):
     """Per-component change of basis P with P^T G P the standard alternating
     matrix. Columns of P are the symplectic basis interleaved r_1, s_1, ..."""
     validate_symplectic(form)
-    return _columns(form, _extend(form, PartialFamily.of()))
+    return _columns(form, _extend(form, PartialFamily.of())[0])
 
 
 def _validate_pair(source: BilinearForm, target: BilinearForm) -> None:
@@ -459,16 +558,23 @@ def _carry(
     # _extend certified P^T G P = A = P'^T G' P', so M = P' P^{-1} has
     # M^T G' M = P^{-T} A P^{-1} = G: M is an isometry without a further
     # check. Both families sit verbatim at the same columns of P and P', so
-    # M sends each partial section to its partner.
+    # M sends each partial section to its partner. The same congruence gives
+    # P^{-1} = A^T P^T G (A^T A = 1), so no elimination runs on P; the
+    # inverse is unique, so M is the same matrix entry for entry. G being
+    # alternating, the rows of A^T P^T G are s_1 G^T, r_1 G, s_2 G^T, ...
     field = source.module.field
-    mats = tuple(
-        linalg.matmul(p2, linalg.inverse(p, field))
-        for p, p2 in zip(
-            _columns(source, _extend(source, partial)),
-            _columns(target, _extend(target, partial_t)),
+    mats = []
+    for (g, cols), p, p2 in zip(
+        _held_grams(source), _extend(source, partial)[1], _extend(target, partial_t)[1]
+    ):
+        sg = linalg.held_product(p[1::2], g, field)
+        rg = linalg.held_product(p[0::2], cols, field)
+        inverse = tuple(row for pair in zip(sg, rg) for row in pair)
+        m = linalg.held_product(
+            linalg.held_transpose(p2, field), linalg.held_transpose(inverse, field), field
         )
-    )
-    return Isometry(source, target, mats)
+        mats.append(linalg.release(m, field))
+    return Isometry(source, target, tuple(mats))
 
 
 def standard_isometry(source: BilinearForm, target: BilinearForm) -> Isometry:
@@ -494,13 +600,13 @@ def hyperbolic_envelope(form: BilinearForm, f: Submodule):
             f"submodule component dimensions differ: {f.dims}", dims=f.dims
         )
     field = form.module.field
-    for b, g in zip(f.bases, form.gram):
-        gram_on_f = _pairings(b, g)
-        if any(x != field.zero for row in gram_on_f for x in row):
+    for b, cols in zip(f.bases, _gram_columns(form)):
+        held = linalg.hold(b, field)
+        if any(map(any, linalg.held_nonzero(_pairings(held, held, cols, field), field))):
             raise NotTotallyIsotropic("the form does not vanish on the submodule")
     basis = f.global_basis()
     partial = PartialFamily.of(r=enumerate(basis, 1))
-    return _planes(form, _extend(form, partial), len(basis))
+    return _planes(form, _extend(form, partial)[0], len(basis))
 
 
 def certify_envelope(form: BilinearForm, f: Submodule, planes) -> bool:
@@ -588,21 +694,24 @@ def witt_extend(
         if im.open != x:
             raise OpenMismatch("images must be global sections")
     ncomp = len(module.x_components())
-    # per component, the k x k Gram matrices B G B^T and Im G' Im^T
+    # per component, the k x k Gram matrices B G B^T and Im G' Im^T, held;
+    # when they differ, the first pair in row-major order is the witness
     grams = [
-        (
-            _pairings(tuple(sec.vectors[c] for sec in basis), source.gram[c]),
-            _pairings(tuple(im.vectors[c] for im in images), target.gram[c]),
+        (_pairings(b, b, cols, field), _pairings(im, im, cols_t, field))
+        for b, im, cols, cols_t in zip(
+            _held_vectors(source, basis), _held_vectors(target, images),
+            _gram_columns(source), _gram_columns(target),
         )
-        for c in range(ncomp)
     ]
-    for i in range(k):
-        for j in range(k):
-            if any(gb[i][j] != gi[i][j] for gb, gi in grams):
-                raise IsometryHypothesisViolated(
-                    f"pairing of basis sections {i} and {j} is not preserved",
-                    pair=(i, j),
-                )
+    if not all(linalg.held_equal(gb, gi, field) for gb, gi in grams):
+        grams = [(linalg.release(gb, field), linalg.release(gi, field)) for gb, gi in grams]
+        for i in range(k):
+            for j in range(k):
+                if any(gb[i][j] != gi[i][j] for gb, gi in grams):
+                    raise IsometryHypothesisViolated(
+                        f"pairing of basis sections {i} and {j} is not preserved",
+                        pair=(i, j),
+                    )
     for c in range(ncomp):
         stacked = tuple(im.vectors[c] for im in images)
         if linalg.rank(stacked, field) != k:
@@ -625,10 +734,12 @@ def witt_extend(
     g_rows = [linalg.complement_rows(rb, fb, field) for rb, fb in zip(rad.bases, f.bases)]
     rs, ss = {}, {}
     if k > l:
-        g_form = BilinearForm(
-            FreeModule(module.space, field, k - l), tuple(map(_pairings, g_rows, source.gram))
-        )
-        g_basis = _extend(g_form, PartialFamily.of())
+        restricted = []
+        for rows, cols in zip(g_rows, _gram_columns(source)):
+            held = linalg.hold(rows, field)
+            restricted.append(linalg.release(_pairings(held, held, cols, field), field))
+        g_form = BilinearForm(FreeModule(module.space, field, k - l), tuple(restricted))
+        g_basis = _extend(g_form, PartialFamily.of())[0]
         for i, (r, s) in enumerate(zip(g_basis.r, g_basis.s), 1):
             rs[i] = _glue(module, map(linalg.vec_mat, r.vectors, g_rows))
             ss[i] = _glue(module, map(linalg.vec_mat, s.vectors, g_rows))

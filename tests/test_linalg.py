@@ -26,6 +26,7 @@ from sheafforms import linalg
 from sheafforms.oracles import (
     random_alternating_form,
     random_free_submodule,
+    random_partial_family,
     random_global_section,
     random_nonisotropic_submodule,
     random_orthosymmetric_form,
@@ -473,6 +474,65 @@ def test_foreign_entry_raises_as_before(field, foreign, error, where):
             assert str(expected.value).startswith("mixed characteristics")
 
 
+@pytest.mark.parametrize("order", KERNEL_FIELDS)
+def test_held_rows_match_the_routines_on_field_elements(order):
+    # hold, work on held rows, release: the same values as the routines on
+    # field elements, and Fractions or FpElements on exit whatever came in
+    field = kernel_field(order)
+    rng = Random(f"held:{order}")
+    kinds = RATIONAL_KINDS if order == "rationals:big" else KINDS
+    for _ in range(60):
+        n, m = rng.randrange(1, 7), rng.randrange(1, 7)
+        a = random_rows(rng, field, n, m, kinds)
+        b = random_rows(rng, field, rng.randrange(1, 6), m, kinds)
+        c = random_rows(rng, field, n, m, kinds)
+        ha, hb, hc = (linalg.hold(rows, field) for rows in (a, b, c))
+        back = linalg.release(ha, field)
+        assert back == a and all(type(x) is type(field.one) for row in back for x in row)
+        assert linalg.release(linalg.held_product(ha, hb, field), field) == ref_matmul(
+            a, linalg.transpose(b))
+        assert linalg.release(linalg.held_transpose(ha, field), field) == linalg.transpose(a)
+        assert linalg.release(linalg.held_add(ha, hc, field), field) == tuple(
+            linalg.add_vec(u, v) for u, v in zip(a, c))
+        ech, pivots = linalg.held_rref(ha, field)
+        assert same((linalg.release(ech, field), pivots), ref_rref(a, field))
+        assert same(linalg.release(linalg.held_nullspace(ha, m, field), field),
+                    ref_nullspace(a, m, field))
+        x = field.random_nonzero(rng)
+        assert linalg.release(
+            linalg.held_divide(ha, linalg.hold(((x,),), field), field), field
+        ) == tuple(linalg.scale(field.one / x, row) for row in a)
+        assert linalg.held_equal(ha, linalg.hold(linalg.release(ha, field), field), field)
+        assert linalg.held_equal(ha, hc, field) == (linalg.release(ha, field) == linalg.release(hc, field))
+        assert linalg.held_nonzero(ha, field) == tuple(
+            tuple(x != field.zero for x in row) for row in a)
+
+
+def ref_complement_rows(sub_rows, big_rows, field):
+    """The greedy scan as one elimination of the growing stack per row."""
+    kept, current = [], list(sub_rows)
+    r = linalg.rank(current, field)
+    for row in big_rows:
+        r2 = linalg.rank(current + [row], field)
+        if r2 > r:
+            kept.append(tuple(row))
+            current.append(row)
+            r = r2
+    return tuple(kept)
+
+
+@pytest.mark.parametrize("order", KERNEL_FIELDS)
+def test_complement_rows_keeps_the_rows_of_the_greedy_scan(order):
+    field = kernel_field(order)
+    rng = Random(f"complement:{order}")
+    for _ in range(60):
+        m = rng.randrange(1, 7)
+        sub = random_rows(rng, field, rng.randrange(4), m)
+        big = list(random_rows(rng, field, rng.randrange(9), m) + sub)
+        rng.shuffle(big)
+        assert linalg.complement_rows(sub, big, field) == ref_complement_rows(sub, big, field)
+
+
 def _calculus_gf_sequence(rng):
     """The calls of one `calculus_gf` benchmark item, on a smaller module."""
     points = ("c0", "c1", "c2")
@@ -512,6 +572,22 @@ def test_kernel_stats_count_the_path_each_call_took(sierpinski):
     assert after["gfp"] == before["gfp"]
     assert after["generic"] == before["generic"]
     assert after["rational"] > before["rational"]
+
+
+def test_a_completion_converts_each_row_once(sierpinski):
+    # exact counts, no clock: a rank-8 completion with r_1 and s_2 given
+    # converts on entry the Gram matrix for the validation (8 rows) and once
+    # more for the completion (8), the two given sections (2), the 2 x 2
+    # matrix their relations prescribe (2), the identity the ambient
+    # complement starts from (8) and A_2n for the congruence (8); on exit it
+    # builds the entries of the six sections it found, 6 x 8, and nothing else
+    form = random_alternating_form(Random(8), FreeModule(sierpinski, Q, 8))
+    partial = random_partial_family(Random(9), form, config=({1}, {2}))
+    before = linalg.kernel_stats()
+    gram_schmidt_extend(form, partial)
+    after = linalg.kernel_stats()
+    moved = {key: after[key] - before[key] for key in ("rows_in", "entries_out")}
+    assert moved == {"rows_in": 8 + 8 + 2 + 2 + 8 + 8, "entries_out": 6 * 8}
 
 
 def test_gfp_products_count_one_dot_per_entry(monkeypatch):

@@ -655,10 +655,39 @@ class TestWitt:
             assert not forged.holds()
             assert not symplectic.certify_witt(forged, nothing, ())
 
+    def test_malformed_matrices_raise_named_errors(self, discrete_pair):
+        # compose, invert and apply require what `holds` requires: one square
+        # matrix of the module's rank per component
+        module = FreeModule(discrete_pair, Q, 4)
+        form = standard_symplectic_form(module)
+        ident = linalg.identity(4, Q)
+        good = Isometry(form, form, (ident, ident))
+        sec = module.canonical_basis()[0]
+        cases = [
+            ((), ModuleMismatch),
+            ((ident,), ModuleMismatch),
+            ((ident, ident[:2]), RankMismatch),
+            ((ident, tuple(r[:2] for r in ident)), RankMismatch),
+        ]
+        for matrices, error in cases:
+            forged = Isometry(form, form, matrices)
+            with pytest.raises(error):
+                compose_isometries(forged, good)
+            with pytest.raises(error):
+                compose_isometries(good, forged)
+            with pytest.raises(error):
+                invert_isometry(forged)
+            with pytest.raises(error):
+                forged.apply(sec)
+        assert compose_isometries(good, good).matrices == (ident, ident)
+        assert invert_isometry(good).matrices == (ident, ident)
+        assert good.apply(sec) == sec
+
     def test_false_certificate_raises(self, monkeypatch):
-        # a raise, not an assert: the self-check holds under python -O
+        # a raise, not an assert: the self-check holds under python -O; the
+        # completion checks its congruence on the rows it holds
         source, target, f, images = self.lagrangian_instance()
-        monkeypatch.setattr(symplectic, "certify_basis", lambda form, basis, partial=None: False)
+        monkeypatch.setattr(symplectic, "_congruent", lambda form, gram_cols, rows: False)
         with pytest.raises(AssertionError):
             witt_extend(source, target, f, images)
 
