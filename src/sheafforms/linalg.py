@@ -5,54 +5,36 @@ first row with a non-zero entry in the leftmost unfinished column, so every
 subspace has one canonical reduced echelon basis and subspace equality is
 plain tuple equality.
 
-One elimination (`_eliminate`) and one nullspace construction (`_nullspace`)
-serve every field. `rref`, `nullspace`, `solve`, `inverse` and
-`rowspace_intersect` each have one body: ask the field how entries are held
-(`_word_modulus`, the one dispatch point), convert on entry (`_words`),
-eliminate, and convert on exit (`_elements`). Entries are held two ways:
+There is one boundary: rows of field elements are converted once on entry
+(`hold`) and once on exit (`release`), and every public routine is a hold,
+one operation on held rows, and a release or a count. A held row is exact
+and in lowest terms, so equal held rows are equal tuples:
 
-- GF(p), a `PrimeField`: as ints in [0, p), reduced mod p after every row
-  operation, with pivot inverses from `pow(x, -1, p)`. Ints in the input
-  are lifted; an `FpElement` of another characteristic raises
-  `ValueError("mixed characteristics ...")` and any other entry
-  `TypeError`, as `FpElement` arithmetic does, so no foreign entry is ever
-  reduced.
-- Q, a `RationalField`: as integer rows, fraction-free (Bareiss 1968;
-  Geddes, Czapor and Labahn 1992). A held row stands for its non-zero
-  rational multiples, which is all an elimination needs: on entry each row
-  is multiplied by the lcm of its denominators and divided by its content;
-  the row update cross-multiplies, a*x - c*y with a the pivot and c the
-  entry to clear, and divides the new row by its content; on exit each
-  echelon row is divided by its pivot, one `Fraction` per entry. An entry
-  that is neither an int nor a `Fraction` raises `TypeError`.
+- over GF(p), a `PrimeField`: (ints in [0, p), 1). Ints in the input are
+  lifted; an `FpElement` of another characteristic raises `ValueError
+  ("mixed characteristics ...")` and any other entry `TypeError`, as
+  `FpElement` arithmetic does. Row operations reduce mod p.
+- over Q, a `RationalField`: (integer row, d), the row divided by d > 0,
+  with no common factor of d and all the entries. An entry that is neither
+  an int nor a `Fraction` raises `TypeError`. Elimination is fraction-free
+  (Bareiss 1968; Geddes, Czapor and Labahn 1992) on rows divided by their
+  content, and an echelon row leaves held over its pivot.
 
-The kernel reads the field at two places only, the pivot and the row
-update, once per pivot or per updated row. Between the inner eliminations
-of `nullspace`, `inverse` and `rowspace_intersect` rows stay as the kernel
-holds them.
+Each routine reads its field at one dispatch point (`_word_modulus`).
+`matmul`, `mat_vec` and `vec_mat` take no field, so they read it off the
+first entry, in the left factor and then the right, that is not a plain
+int: an `FpElement` of p means GF(p), any other entry means Q. So they
+return `FpElement`s or `Fraction`s whatever mix of ints came in. An empty
+factor holds no entry and the field is read off the other; with no entry
+at all the product is over Q.
 
-`matmul`, `mat_vec` and `vec_mat` take no field, so they dispatch on their
-entries (`_product`): when every entry is an `FpElement` of one modulus
-they run `dot` on ints and reduce mod p on exit; when every entry is an int
-or a `Fraction` they clear denominators per row of the left factor and per
-column of the right, run `dot` on ints and divide once per entry (an entry
-whose row and column held only ints stays an int); otherwise `dot` runs on
-the entries as given, so a product mixing ints with `FpElement`s keeps the
-types `FpElement` arithmetic gives.
-
-A caller that chains many steps on the same rows holds them itself, so the
-rows cross the boundary once each way instead of at every step: `hold`
-converts rows of field elements into held rows, `release` turns held rows
-back into field elements, and between the two `held_product` (the matrix
-of `dot(row, col)`, A B^T), `held_transpose`, `held_add`, `held_divide`,
-`held_rref`, `held_nullspace`, `held_equal` and `held_nonzero` work on held
-rows only. A held row is exact: over GF(p) it is (ints in [0, p), 1); over
-Q it is (integer row, d), the row divided by d > 0, with no common factor
-of d and all the entries left. The format is private to this module: other
-modules only pass held rows (and tuples of them) around. Every held call
-takes the field and dispatches through `_word_modulus` like the routines
-above. `kernel_stats()` counts the calls that held entries each way, the
-rows converted on entry and the entries built on exit.
+A caller that chains many steps holds its rows itself and works on them
+with `held_product` (the matrix of `dot(row, col)`, A B^T),
+`held_transpose`, `held_add`, `held_divide`, `held_rref`, `held_nullspace`,
+`held_equal` and `held_nonzero`. The format is private to this module:
+other modules only pass held rows (and tuples of them) around.
+`kernel_stats()` counts the calls by field, the rows converted on entry
+and the entries built on exit.
 """
 
 from __future__ import annotations
@@ -63,29 +45,29 @@ from operator import attrgetter, mul
 
 from .fields import FpElement, PrimeField
 
-_COUNTS = {"gfp": 0, "rational": 0, "generic": 0, "rows_in": 0, "entries_out": 0}
+_COUNTS = {"gfp": 0, "rational": 0, "rows_in": 0, "entries_out": 0}
 _numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
 
 
 def kernel_stats() -> dict:
-    """Calls since import by how they held entries: `gfp` (ints mod p, over
-    GF(p)), `rational` (integer rows, over Q) and `generic` (a product's
-    entries as given). A call counts where it dispatches; the eliminations
-    it makes inside are part of it and are not counted again. A product
-    with no entries has no field to go by and counts as generic. Beside the
-    calls, `rows_in` counts the rows (and a product's columns) converted on
-    entry and `entries_out` the field elements built on exit."""
+    """Calls since import by field: `gfp` (ints mod p, over GF(p)) and
+    `rational` (integer rows, over Q). A call counts where it dispatches;
+    the eliminations it makes inside are part of it and are not counted
+    again. Beside the calls, `rows_in` counts the rows (and a product's
+    columns) converted on entry and `entries_out` the field elements built
+    on exit."""
     return dict(_COUNTS)
+
+
+def _counted(p: int) -> int:
+    _COUNTS["gfp" if p else "rational"] += 1
+    return p
 
 
 def _word_modulus(field):
     """The dispatch point: p when entries of `field` = GF(p) are held as
     ints mod p, or 0 when entries of Q are held as integer rows."""
-    if isinstance(field, PrimeField):
-        _COUNTS["gfp"] += 1
-        return field.p
-    _COUNTS["rational"] += 1
-    return 0
+    return _counted(field.p if isinstance(field, PrimeField) else 0)
 
 
 def _lift(x, p: int) -> int:
@@ -101,13 +83,11 @@ def _lift(x, p: int) -> int:
 
 
 def _cleared(row):
-    """A row of ints and `Fraction`s as (integer row, d) with row = integer
-    row / d, d the lcm of the entries' denominators, or d None when every
-    entry is an int. Any other entry raises `TypeError`."""
-    _COUNTS["rows_in"] += 1
+    """A row of ints and `Fraction`s as the held row (integer row, d), d the
+    lcm of the entries' denominators. Any other entry raises `TypeError`."""
     kinds = set(map(type, row))
     if kinds <= {int}:
-        return list(row), None
+        return list(row), 1
     if not kinds <= {int, Fraction}:
         for x in row:
             if not isinstance(x, (int, Fraction)):
@@ -117,42 +97,49 @@ def _cleared(row):
     return [n * (den // d) for n, d in zip(map(_numerator, row), dens)], den
 
 
+def _hold(rows, p) -> tuple:
+    """The body of `hold`: the one conversion on entry."""
+    if p:
+        held = []
+        for row in rows:
+            ints = [x.val for x in row if type(x) is FpElement and x.p == p]
+            if len(ints) != len(row):
+                ints = [_lift(x, p) for x in row]
+            held.append((ints, 1))
+    else:
+        held = list(map(_cleared, rows))
+    _COUNTS["rows_in"] += len(held)
+    return tuple(held)
+
+
+def _release(held, p) -> tuple:
+    """The body of `release`: the one conversion on exit, of any exact held
+    rows, in lowest terms or not."""
+    _COUNTS["entries_out"] += sum([len(row) for row, _ in held])
+    if p:
+        return tuple([tuple([FpElement(v, p) for v in row]) for row, _ in held])
+    return tuple([tuple([Fraction(v, d) for v in row]) for row, d in held])
+
+
 def _primitive(row: list) -> list:
     """An integer row divided by its content; a zero row stays as it is."""
     g = gcd(*row)
     return [x // g for x in row] if g > 1 else row
 
 
-def _words(rows, p, strict: bool = False):
-    """Rows as the kernel holds them, in new lists: the one conversion on
-    entry. Over GF(p), ints in [0, p); with `strict`, None unless every
-    entry is an `FpElement` of GF(p). Over Q (p = 0), primitive integer
-    rows."""
-    if not p:
-        return [_primitive(_cleared(row)[0]) for row in rows]
-    out = []
-    for row in rows:
-        ints = [x.val for x in row if type(x) is FpElement and x.p == p]
-        if len(ints) != len(row):
-            if strict:
-                return None
-            ints = [_lift(x, p) for x in row]
-        out.append(ints)
-    _COUNTS["rows_in"] += len(out)
-    return out
+def _primitive_rows(held, p) -> list:
+    """Held rows as `_eliminate` takes them: over Q divided by their
+    content, which drops the denominator an elimination has no use for."""
+    return [row if p else _primitive(row) for row, _ in held]
 
 
-def _elements(rows, p, dens=None) -> tuple:
-    """Rows back as tuples of field elements: the one conversion on exit.
-    Over GF(p), ints become `FpElement`s. Over Q, row i becomes `Fraction`s
-    over dens[i], by default its first non-zero entry, the pivot of an
-    echelon row."""
-    _COUNTS["entries_out"] += sum(map(len, rows))
-    if p:
-        return tuple(tuple([FpElement(v, p) for v in row]) for row in rows)
-    if dens is None:
-        dens = [next(filter(None, row), 1) for row in rows]
-    return tuple(tuple([Fraction(v, d) for v in row]) for row, d in zip(rows, dens))
+def _reduced(row: list, den: int):
+    """The exact row `row` / `den` as a held row: over a positive
+    denominator that shares no factor with all the entries."""
+    if den < 0:
+        row, den = [-x for x in row], -den
+    g = gcd(den, *row)
+    return ([x // g for x in row], den // g) if g > 1 else (row, den)
 
 
 def _update(x, y, col: int, p):
@@ -169,14 +156,12 @@ def _update(x, y, col: int, p):
 
 
 def _eliminate(work: list, p):
-    """Reduced echelon form of the rows `work`, held as `_words` holds them
-    (the list's rows are replaced, never changed in place): (pivot rows,
-    pivot columns). The field is read at the pivot and the row update only:
-    over GF(p) the pivot row is scaled by `pow(a, -1, p)` and updates are
-    reduced mod p; over Q the pivot row y keeps its pivot a, and a row x
-    with entry c becomes a*x - c*y (a and c first divided by their gcd)
-    over its content, so rows stay primitive and each pivot row is its
-    reduced echelon row times its pivot."""
+    """Reduced echelon form of the rows `work`, as `_primitive_rows` gives
+    them (the list's rows are replaced, never changed in place): (pivot
+    rows, pivot columns). Over GF(p) the pivot row is scaled by
+    `pow(a, -1, p)`; over Q the row update is `_update`, so rows stay
+    primitive and each pivot row is its reduced echelon row times its
+    pivot."""
     if not work:
         return [], ()
     width = len(work[0])
@@ -216,11 +201,29 @@ def _eliminate(work: list, p):
     return work[:r], tuple(pivots)
 
 
+def _pivoted(ech, p) -> tuple:
+    """Echelon rows from `_eliminate` as held rows: over Q each row is held
+    over its pivot (signs turned to make it positive), so it stands for its
+    reduced echelon row."""
+    if p:
+        return tuple([(row, 1) for row in ech])
+    out = []
+    for row in ech:
+        a = next(filter(None, row))
+        out.append((row, a) if a > 0 else ([-x for x in row], -a))
+    return tuple(out)
+
+
+def _rref(held, p):
+    """The body of `held_rref`."""
+    ech, pivots = _eliminate(_primitive_rows(held, p), p)
+    return _pivoted(ech, p), pivots
+
+
 def _back_substitute(ech, pivots, j, width: int, p):
-    """The vector x of length `width` with x[pc] = ech[i][j] / ech[i][pc] at
-    each pivot column pc, held as the kernel holds rows, and its
-    denominator: over Q, x is scaled by the lcm of the pivots it divides by;
-    over GF(p) pivots are 1."""
+    """The held row x of length `width` with x[pc] = ech[i][j] / ech[i][pc]
+    at each pivot column pc: over Q, over the lcm of the pivots it divides
+    by; over GF(p) pivots are 1."""
     den = 1 if p else lcm(*[row[pc] for row, pc in zip(ech, pivots) if row[j]])
     x = [0] * width
     for row, pc in zip(ech, pivots):
@@ -228,18 +231,31 @@ def _back_substitute(ech, pivots, j, width: int, p):
     return x, den
 
 
-def _nullspace(work: list, width: int, p) -> list:
-    """Canonical echelon basis of the nullspace of the rows `work` (the list
-    is consumed), held as `_words` holds rows: for each non-pivot column j,
-    e_j minus the combination of pivot columns that column j is."""
-    ech, pivots = _eliminate(work, p)
+def _nullspace(held, width: int, p) -> tuple:
+    """The body of `held_nullspace`: for each non-pivot column j, e_j minus
+    the combination of pivot columns that column j is, in echelon form."""
+    ech, pivots = _eliminate(_primitive_rows(held, p), p)
     basis = []
     for j in range(width):
         if j not in pivots:
             x, den = _back_substitute(ech, pivots, j, width, p)
             x[j] = -den  # the vector is den e_j - x
             basis.append([-y % p for y in x] if p else _primitive([-y for y in x]))
-    return _eliminate(basis, p)[0]
+    return _pivoted(_eliminate(basis, p)[0], p)
+
+
+def _product(rows, cols, p) -> tuple:
+    """The body of `held_product`: one `dot` on ints per entry. Over Q
+    entry (i, j) is dot(a_i, b_j) / (d_i e_j), so row i is held over d_i
+    times the lcm of the e_j, each dot scaled by that lcm over e_j."""
+    right = [v for v, _ in cols]
+    if p:
+        return tuple([([dot(u, v) % p for v in right], 1) for u, _ in rows])
+    den = lcm(*[e for _, e in cols])
+    scales = [den // e for _, e in cols]
+    return tuple(
+        _reduced([dot(u, v) * s for v, s in zip(right, scales)], d * den) for u, d in rows
+    )
 
 
 def identity(n, field):
@@ -252,41 +268,26 @@ def transpose(m):
     return tuple(zip(*m)) if m else ()
 
 
-def _product(rows, cols) -> tuple:
-    """The matrix of `dot(row, col)` over the rows of the left factor and the
-    columns of the right: the one body of the products, which take no field
-    and so dispatch on their entries. `dot` runs once per entry, on ints
-    whenever every entry is an `FpElement` of one modulus, or an int or a
-    `Fraction`."""
-    first = next((m[0][0] for m in (rows, cols) if m and m[0]), None)
-    if type(first) is FpElement:
-        p = first.p
-        left, right = _words(rows, p, strict=True), _words(cols, p, strict=True)
-        if left is not None and right is not None:
-            _COUNTS["gfp"] += 1
-            return _elements([[dot(u, v) for v in right] for u in left], p)
-    elif first is not None:
-        try:
-            left, right = [_cleared(u) for u in rows], [_cleared(v) for v in cols]
-        except TypeError:
-            pass
-        else:
-            _COUNTS["rational"] += 1
-            _COUNTS["entries_out"] += len(left) * len(right)
-            return tuple(
-                tuple([
-                    dot(u, v) if du is None and dv is None
-                    else Fraction(dot(u, v), (du or 1) * (dv or 1))
-                    for v, dv in right
-                ])
-                for u, du in left
-            )
-    _COUNTS["generic"] += 1
-    return tuple(tuple(dot(u, v) for v in cols) for u in rows)
+def _entry_modulus(rows, cols) -> int:
+    """The dispatch point of the products: p when the first entry that is
+    not a plain int is an `FpElement` of p, else 0."""
+    for m in (rows, cols):
+        for row in m:
+            for x in row:
+                if type(x) is not int:
+                    return _counted(x.p if type(x) is FpElement else 0)
+    return _counted(0)
+
+
+def _dot_matrix(rows, cols) -> tuple:
+    """The matrix of `dot(row, col)` over rows and columns of field
+    elements, over the field its entries name."""
+    p = _entry_modulus(rows, cols)
+    return _release(_product(_hold(rows, p), _hold(cols, p), p), p)
 
 
 def matmul(a, b):
-    return _product(a, transpose(b))
+    return _dot_matrix(a, transpose(b))
 
 
 def dot(u, v):
@@ -298,12 +299,12 @@ def dot(u, v):
 
 def mat_vec(m, v):
     """m times a column vector, returned as a tuple."""
-    return _product((v,), m)[0]  # dot(v, row) for each row of m: one row out
+    return _dot_matrix((v,), m)[0]  # dot(v, row) for each row of m: one row out
 
 
 def vec_mat(v, m):
     """Row vector times m."""
-    return _product((v,), transpose(m))[0]
+    return _dot_matrix((v,), transpose(m))[0]
 
 
 def scale(c, v):
@@ -329,31 +330,32 @@ def is_zero_vec(v, field):
 def rref(rows, field):
     """Reduced row echelon form; returns (pivot rows only, pivot columns)."""
     p = _word_modulus(field)
-    ech, pivots = _eliminate(_words(rows, p), p)
-    return _elements(ech, p), pivots
+    ech, pivots = _rref(_hold(rows, p), p)
+    return _release(ech, p), pivots
 
 
 def rank(rows, field):
     p = _word_modulus(field)
-    return len(_eliminate(_words(rows, p), p)[0])
+    return len(_eliminate(_primitive_rows(_hold(rows, p), p), p)[1])
 
 
 def nullspace(rows, width, field):
     """Canonical echelon basis of {x in k^width : rows @ x = 0}."""
     p = _word_modulus(field)
-    return _elements(_nullspace(_words(rows, p), width, p), p)
+    return _release(_nullspace(_hold(rows, p), width, p), p)
 
 
 def solve(rows, rhs, field):
     """One solution x (tuple) of rows @ x = rhs, or None if inconsistent."""
+    if len(rhs) != len(rows):
+        raise ValueError(f"{len(rhs)} right-hand sides for {len(rows)} equations")
     p = _word_modulus(field)
     width = len(rows[0]) if rows else 0
-    aug = _words([list(r) + [b] for r, b in zip(rows, rhs)], p)
-    ech, pivots = _eliminate(aug, p)
+    aug = _hold([(*r, b) for r, b in zip(rows, rhs)], p)
+    ech, pivots = _eliminate(_primitive_rows(aug, p), p)
     if pivots and pivots[-1] == width:
         return None  # a pivot in the rhs column: inconsistent
-    x, den = _back_substitute(ech, pivots, width, width, p)
-    return _elements((x,), p, (den,))[0]
+    return _release((_back_substitute(ech, pivots, width, width, p),), p)[0]
 
 
 def inverse(m, field):
@@ -361,30 +363,30 @@ def inverse(m, field):
     p = _word_modulus(field)
     n = len(m)
     # the identity block follows each row, square or not
-    aug = _words([(*row, *e) for row, e in zip(m, identity(n, field))], p)
-    ech, pivots = _eliminate(aug, p)
+    ech, pivots = _rref(_hold([(*row, *e) for row, e in zip(m, identity(n, field))], p), p)
     if pivots != tuple(range(n)):
         return None
-    return _elements([row[n:] for row in ech], p, [row[i] for i, row in enumerate(ech)])
+    return _release(tuple((row[n:], d) for row, d in ech), p)
 
 
 def reduce_against(echelon, v, field):
     """Express v over echelon rows: returns coefficients, or None if outside.
 
     Requires echelon to be the output of rref. The coefficient of row i is
-    just v at row i's pivot column, since pivot columns are elsewhere zero.
+    just v at row i's pivot column, since pivot columns are elsewhere zero,
+    so v lies in the span iff those coefficients times the rows give v: one
+    held product, compared with v held. The coefficients are v's own
+    entries.
     """
-    coeffs = []
-    rem = list(v)
-    for row in echelon:
-        pc = next(j for j, x in enumerate(row) if x != field.zero)
-        c = rem[pc]
-        coeffs.append(c)
-        if c != field.zero:
-            rem = [a - c * b for a, b in zip(rem, row)]
-    if any(x != field.zero for x in rem):
+    p = _word_modulus(field)
+    (target,) = _hold((v,), p)
+    if not echelon:
+        return None if any(target[0]) else ()
+    pivots = [next(j for j, x in enumerate(row) if x) for row in echelon]
+    coeffs = ([target[0][pc] for pc in pivots], target[1])
+    if _product((coeffs,), _hold(transpose(echelon), p), p) != (target,):
         return None
-    return tuple(coeffs)
+    return tuple(v[pc] for pc in pivots)
 
 
 def complement_rows(sub_rows, big_rows, field):
@@ -399,10 +401,10 @@ def complement_rows(sub_rows, big_rows, field):
     left.
     """
     p = _word_modulus(field)
-    ech, pivots = _eliminate(_words(sub_rows, p), p)
+    ech, pivots = _eliminate(_primitive_rows(_hold(sub_rows, p), p), p)
     basis = list(zip(ech, pivots))
     kept = []
-    for row, x in zip(big_rows, _words(big_rows, p)):
+    for row, x in zip(big_rows, _primitive_rows(_hold(big_rows, p), p)):
         if basis and len(x) != len(basis[0][0]):
             raise ValueError("rows of unequal length")
         for y, col in basis:
@@ -429,78 +431,35 @@ def rowspace_intersect(a_rows, b_rows, width, field):
     so the intersection is the nullspace of the stacked annihilator bases.
     """
     p = _word_modulus(field)
-    na = _nullspace(_words(a_rows, p), width, p)
-    nb = _nullspace(_words(b_rows, p), width, p)
-    return _elements(_nullspace(na + nb, width, p), p)
+    na = _nullspace(_hold(a_rows, p), width, p)
+    nb = _nullspace(_hold(b_rows, p), width, p)
+    return _release(_nullspace(na + nb, width, p), p)
 
 
 # -- held rows ------------------------------------------------------------------
 
 
-def _reduced(row: list, den: int):
-    """The exact row `row` / `den` as a held row: over a positive
-    denominator that shares no factor with all the entries."""
-    if den < 0:
-        row, den = [-x for x in row], -den
-    g = gcd(den, *row)
-    return ([x // g for x in row], den // g) if g > 1 else (row, den)
-
-
-def _pivoted(ech, p) -> tuple:
-    """Echelon rows from the kernel as exact held rows: over Q each row is
-    primitive and is held over its pivot (signs turned to make it positive),
-    so it stands for its reduced echelon row."""
-    if p:
-        return tuple((row, 1) for row in ech)
-    out = []
-    for row in ech:
-        a = next(filter(None, row))
-        out.append((row, a) if a > 0 else ([-x for x in row], -a))
-    return tuple(out)
-
-
-def _primitive_words(held, p) -> list:
-    """Held rows as `_eliminate` takes them: over Q divided by their content."""
-    return [row if p else _primitive(row) for row, _ in held]
-
-
 def hold(rows, field) -> tuple:
     """Rows of field elements as held rows: the one conversion on entry."""
-    p = _word_modulus(field)
-    if p:
-        return tuple((row, 1) for row in _words(rows, p))
-    return tuple((row, den or 1) for row, den in map(_cleared, rows))
+    return _hold(rows, _word_modulus(field))
 
 
 def release(held, field) -> tuple:
     """Held rows back as tuples of field elements: the one conversion on
     exit."""
-    p = _word_modulus(field)
-    return _elements([row for row, _ in held], p, [den for _, den in held])
+    return _release(held, _word_modulus(field))
 
 
 def held_product(rows, cols, field) -> tuple:
     """The held matrix of `dot(row, col)` over the held rows `rows` and
-    `cols` (A B^T), one `dot` on ints per entry. Over Q entry (i, j) is
-    dot(a_i, b_j) / (d_i e_j), so row i is held over d_i times the lcm of the
-    e_j, each dot scaled by that lcm over e_j."""
-    p = _word_modulus(field)
-    right = [v for v, _ in cols]
-    if p:
-        return tuple(([dot(u, v) % p for v in right], 1) for u, _ in rows)
-    den = lcm(*[e for _, e in cols])
-    scales = [den // e for _, e in cols]
-    return tuple(
-        _reduced([dot(u, v) * s for v, s in zip(right, scales)], d * den) for u, d in rows
-    )
+    `cols` (A B^T)."""
+    return _product(rows, cols, _word_modulus(field))
 
 
 def held_transpose(held, field) -> tuple:
     """The columns of a held matrix as held rows: each entry is brought over
     the lcm of the row denominators."""
     _word_modulus(field)
-    if not held:
-        return ()
     den = lcm(*[d for _, d in held])
     scaled = [[x * (den // d) for x in row] for row, d in held]
     return tuple(_reduced(list(col), den) for col in zip(*scaled))
@@ -532,24 +491,19 @@ def held_divide(held, by, field) -> tuple:
 
 def held_rref(held, field):
     """`rref` on held rows: (the reduced echelon rows, held, pivot columns)."""
-    p = _word_modulus(field)
-    ech, pivots = _eliminate(_primitive_words(held, p), p)
-    return _pivoted(ech, p), pivots
+    return _rref(held, _word_modulus(field))
 
 
 def held_nullspace(held, width, field) -> tuple:
     """`nullspace` on held rows: its canonical echelon basis, held."""
-    p = _word_modulus(field)
-    return _pivoted(_nullspace(_primitive_words(held, p), width, p), p)
+    return _nullspace(held, width, _word_modulus(field))
 
 
 def held_equal(a, b, field) -> bool:
-    """Whether two held matrices are equal, entry for entry."""
+    """Whether two held matrices are equal, entry for entry: held rows are
+    in lowest terms, so they are equal as tuples."""
     _word_modulus(field)
-    return len(a) == len(b) and all(
-        len(u) == len(v) and all(x * e == y * d for x, y in zip(u, v))
-        for (u, d), (v, e) in zip(a, b)
-    )
+    return a == b
 
 
 def held_nonzero(held, field) -> tuple:

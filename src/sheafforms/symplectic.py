@@ -634,7 +634,8 @@ def certify_envelope(form: BilinearForm, f: Submodule, planes) -> bool:
 
 def _sigma_from_images(f: Submodule, images):
     """A-linear map on sections of f determined by images of the canonical
-    global basis: express per component over the echelon basis, recombine."""
+    global basis: express per component over the echelon basis, then
+    recombine with one product, the coefficients times the image rows."""
     field = f.module.field
 
     def apply(section: ModuleSection) -> ModuleSection:
@@ -643,11 +644,9 @@ def _sigma_from_images(f: Submodule, images):
         out = []
         for vec, xc in zip(section.vectors, refinement):
             coeffs = linalg.reduce_against(f.bases[xc], vec, field)
-            assert coeffs is not None
-            img = linalg.zero_vec(images[0].module.rank, field) if images else ()
-            for c, im in zip(coeffs, images):
-                img = linalg.add_vec(img, linalg.scale(c, im.vectors[xc]))
-            out.append(img)
+            if coeffs is None:
+                raise AssertionError("sigma was applied to a section outside f")
+            out.append(linalg.vec_mat(coeffs, tuple(im.vectors[xc] for im in images)))
         return ModuleSection(images[0].module, section.open, tuple(out))
 
     return apply

@@ -715,6 +715,35 @@ class TestWitt:
         assert len(orthogonals) == 1
         assert symplectic.certify_witt(iso, f, images)
 
+    def test_sigma_outside_f_raises_under_optimize_flag(self):
+        # a raise, not an assert: sigma refuses a section it cannot express
+        # over f under python -O too
+        script = (
+            "from fractions import Fraction\n"
+            "from sheafforms import (FreeModule, ModuleSection, RationalField, linalg,\n"
+            "    span, validate_topology)\n"
+            "from sheafforms.symplectic import _sigma_from_images\n"
+            "space = validate_topology(('a',), [(), ('a',)])\n"
+            "module = FreeModule(space, RationalField(), 2)\n"
+            "sec = ModuleSection(module, space.x_ref, ((Fraction(1), Fraction(2)),))\n"
+            "f = span(module, [sec])\n"
+            "sigma = _sigma_from_images(f, f.global_basis())\n"
+            "print(sigma(sec) == sec)\n"
+            "linalg.reduce_against = lambda echelon, v, field: None\n"
+            "try:\n"
+            "    sigma(sec)\n"
+            "except AssertionError as exc:\n"
+            "    print(__debug__, exc)\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "True\nFalse sigma was applied to a section outside f\n"
+
     def test_sigma_must_preserve_pairings(self, sierpinski):
         module = FreeModule(sierpinski, Q, 4)
         form = standard_symplectic_form(module)
