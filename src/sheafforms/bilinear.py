@@ -12,11 +12,18 @@ Non-isotropy is decided without forming the radical. For the echelon basis
 B of a submodule f on one component, rad f = {x B : (B G B^T) x^T = 0}, so
 dim rad f = dim f - rank(B G B^T), and f is non-isotropic (E splits as
 f perp-oplus f-perp) exactly when B G B^T is invertible on every component.
+
+The calculus (`orthogonal`, `radical`, `project`, `orthogonal_split`) runs
+on held rows from start to end: a form keeps its Gram matrices and their
+columns as `linalg` holds them, and a submodule its echelon rows, each held
+on first use; every output is released once. `classify_orthosymmetry` works
+on the form's field elements and keeps its result on the form, so each form
+is classified once. `form_memo_stats()` counts the hits and misses of both.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from . import linalg
@@ -32,17 +39,33 @@ from .modules import (
     FreeModule,
     ModuleSection,
     Submodule,
-    from_rows,
+    _from_held,
     full_submodule,
     intersect_submodules,
 )
 from .topology import OpenRef
+
+_COUNTS = {"gram_hits": 0, "gram_misses": 0, "class_hits": 0, "class_misses": 0}
+
+
+def form_memo_stats() -> dict:
+    """Uses of what a `BilinearForm` keeps, since import: `gram_hits` and
+    `gram_misses` for its held Gram matrices (read from the form, or held on
+    first use), `class_hits` and `class_misses` for its
+    `classify_orthosymmetry` result (returned from the form, or computed)."""
+    return dict(_COUNTS)
 
 
 @dataclass(frozen=True)
 class BilinearForm:
     module: FreeModule
     gram: tuple  # per X-component: rank x rank matrix (tuple of row tuples)
+    # set on first use and not part of the value: per X-component the held
+    # Gram matrix and its held columns, and the orthosymmetry class
+    _held: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
+    _class: Optional["OrthoClass"] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         n = self.module.rank
@@ -54,6 +77,20 @@ class BilinearForm:
         for g in self.gram:
             if len(g) != n or any(len(row) != n for row in g):
                 raise ModuleMismatch(f"Gram matrix is not {n} x {n}")
+
+    def _held_grams(self) -> tuple:
+        """Per X-component, (G, the columns of G) held: t G^T is
+        held_product(t, G) and u G is held_product(u, columns)."""
+        if self._held is None:
+            _COUNTS["gram_misses"] += 1
+            field = self.module.field
+            grams = [linalg.hold(g, field) for g in self.gram]
+            object.__setattr__(
+                self, "_held", tuple((g, linalg.held_transpose(g, field)) for g in grams)
+            )
+        else:
+            _COUNTS["gram_hits"] += 1
+        return self._held
 
     def _xc_of(self, open: OpenRef):
         space = self.module.space
@@ -94,11 +131,12 @@ class BilinearForm:
             raise ModuleMismatch("submodule belongs to a different module")
         n = self.module.rank
         field = self.module.field
-        rows = []
-        for b, g in zip(f.bases, self.gram):
-            m = linalg.matmul(b, g if side == "left" else linalg.transpose(g))
-            rows.append(linalg.nullspace(m, n, field))
-        return from_rows(self.module, rows)
+        perps = []
+        for b, (g, cols) in zip(f._held_bases(), self._held_grams()):
+            # the rows of B G (left) or B G^T (right), each paired with t
+            m = linalg.held_product(b, cols if side == "left" else g, field)
+            perps.append(linalg.held_nullspace(m, n, field))
+        return _from_held(self.module, perps)
 
     def is_nondegenerate(self) -> bool:
         field = self.module.field
@@ -112,18 +150,18 @@ class BilinearForm:
             )
 
     def _restricted_grams(self, f: Submodule):
-        """Per X-component (B G, B G B^T) for the echelon basis B of f, and
-        the radical dimensions dim f - rank(B G B^T)."""
+        """Per X-component (B G, B G B^T) held, for the echelon basis B of
+        f, and the radical dimensions dim f - rank(B G B^T)."""
         if f.module != self.module:
             raise ModuleMismatch("submodule belongs to a different module")
         field = self.module.field
         grams = []
         dims = []
-        for b, g in zip(f.bases, self.gram):
-            bg = linalg.matmul(b, g)
-            m = linalg.matmul(bg, linalg.transpose(b))
+        for b, (_, cols) in zip(f._held_bases(), self._held_grams()):
+            bg = linalg.held_product(b, cols, field)
+            m = linalg.held_product(bg, b, field)
             grams.append((bg, m))
-            dims.append(len(b) - linalg.rank(m, field))
+            dims.append(len(b) - len(linalg.held_rref(m, field)[1]))
         return grams, tuple(dims)
 
     def radical(self, f: Optional[Submodule] = None) -> Submodule:
@@ -147,15 +185,15 @@ class BilinearForm:
         _require_nonisotropic(rad_dims)
         if t.module != self.module:
             raise ModuleMismatch("section belongs to a different module")
+        if r == 0:
+            return self.module.zero_section(t.open)
+        columns = [linalg.held_transpose(b, field) for b in f._held_bases()]
         out = []
-        for tv, xc in zip(t.vectors, self._xc_of(t.open)):
-            if r == 0:
-                out.append(linalg.zero_vec(self.module.rank, field))
-                continue
+        for tv, xc in zip(linalg.hold(t.vectors, field), self._xc_of(t.open)):
             bg, m = grams[xc]
-            x = linalg.solve(m, linalg.mat_vec(bg, tv), field)
-            out.append(linalg.vec_mat(x, f.bases[xc]))
-        return ModuleSection(self.module, t.open, tuple(out))
+            x = linalg.held_solve(m, linalg.held_product(bg, (tv,), field), field)
+            out.append(linalg.held_product((x,), columns[xc], field)[0])
+        return ModuleSection(self.module, t.open, linalg.release(tuple(out), field))
 
     def orthogonal_split(self, f: Submodule) -> "OrthogonalSplit":
         """E = f perp-oplus f-perp for free non-isotropic f, with the
@@ -280,8 +318,20 @@ def classify_orthosymmetry(form: BilinearForm) -> OrthoClass:
 
     The witness is a pair of sections r, s over the offending component
     (components of opens are opens) with phi(r, s) = 0 while phi(s, r) is
-    nowhere-zero; `certify_witness` re-checks it before it is returned.
+    nowhere-zero; `certify_witness` re-checks it before it is returned. The
+    class is computed once per form and kept on it.
     """
+    if form._class is not None:
+        _COUNTS["class_hits"] += 1
+        return form._class
+    _COUNTS["class_misses"] += 1
+    cls = _classify(form)
+    object.__setattr__(form, "_class", cls)
+    return cls
+
+
+def _classify(form: BilinearForm) -> OrthoClass:
+    """The body of `classify_orthosymmetry`, on the form's field elements."""
     field = form.module.field
     flags = []
     bad = None
@@ -341,7 +391,8 @@ def _asymmetry_pair(g, field):
                 break
         if a is not None:
             break
-    assert a is not None
+    if a is None:
+        raise AssertionError("the matrix is symmetric: no asymmetry pair exists")
 
     def orthogonalize(x, y):
         # phi(x, x) != 0: subtract the projection so phi(x, s) = 0
@@ -368,7 +419,8 @@ def _asymmetry_pair(g, field):
                     break
             if u is not None:
                 break
-    assert u is not None and phi(u, u) != field.zero
+    if u is None or phi(u, u) == field.zero:
+        raise AssertionError("the matrix is alternating: no asymmetry pair exists")
 
     if phi(a, u) != phi(u, a):
         return orthogonalize(u, a)

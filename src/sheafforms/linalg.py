@@ -31,8 +31,20 @@ at all the product is over Q.
 A caller that chains many steps holds its rows itself and works on them
 with `held_product` (the matrix of `dot(row, col)`, A B^T),
 `held_transpose`, `held_add`, `held_divide`, `held_rref`, `held_nullspace`,
-`held_equal` and `held_nonzero`. The format is private to this module:
-other modules only pass held rows (and tuples of them) around.
+`held_intersect`, `held_solve`, `held_coordinates`, `held_equal` and
+`held_nonzero`. `rref`, `nullspace`, `solve`, `rowspace_intersect` and
+`reduce_against` share their bodies with `held_rref`, `held_nullspace`,
+`held_solve`, `held_intersect` and `held_coordinates`. The format is
+private to this module: other modules only pass held rows (and tuples of
+them) around, as the symplectic completion and the orthogonal calculus do,
+and keep them (`Submodule` its echelon rows, `BilinearForm` its Gram
+matrices).
+
+The intersection of two row spaces is one Zassenhaus elimination of the
+rows [A | A] and [B | 0]: the echelon rows whose pivot falls in the right
+half are (0, w), and the w are the reduced echelon basis of the
+intersection.
+
 `kernel_stats()` counts the calls by field, the rows converted on entry
 and the entries built on exit.
 """
@@ -258,6 +270,41 @@ def _product(rows, cols, p) -> tuple:
     )
 
 
+def _solve(aug, width: int, p):
+    """The body of `solve` and `held_solve`: one solution of the system whose
+    held augmented rows are `aug` (the coefficients, then the right-hand side
+    at column `width`), held, or None if it is inconsistent."""
+    ech, pivots = _eliminate(_primitive_rows(aug, p), p)
+    if pivots and pivots[-1] == width:
+        return None  # a pivot in the rhs column: inconsistent
+    return _reduced(*_back_substitute(ech, pivots, width, width, p))
+
+
+def _intersect(a, b, width: int, p) -> tuple:
+    """The body of `held_intersect` (Zassenhaus): one elimination of the
+    rows [a | a] and [b | 0]. A row (u, w) of their span has u = x + y and
+    w = x for x in rowspace(a) and y in rowspace(b), so u = 0 exactly when
+    w = -y lies in both; in reduced echelon form the rows with a pivot in the
+    right half are (0, w), and their w are the reduced echelon basis of the
+    intersection."""
+    zero = [0] * width
+    work = [x + x for x in _primitive_rows(a, p)] + [y + zero for y in _primitive_rows(b, p)]
+    ech, pivots = _eliminate(work, p)
+    first = next((i for i, pc in enumerate(pivots) if pc >= width), len(pivots))
+    return _pivoted([row[width:] for row in ech[first:]], p)
+
+
+def _coordinates(pivots, columns, target, p):
+    """The coordinates of the held row `target` over reduced echelon rows
+    with pivot columns `pivots` and held columns `columns`: the row's entries
+    at the pivot columns, held, if those times the echelon rows give the row
+    back, else None (the row lies outside their span)."""
+    coeffs = _reduced([target[0][pc] for pc in pivots], target[1])
+    if not pivots:
+        return None if any(target[0]) else coeffs
+    return coeffs if _product((coeffs,), columns, p) == (target,) else None
+
+
 def identity(n, field):
     return tuple(
         tuple(field.one if i == j else field.zero for j in range(n)) for i in range(n)
@@ -351,11 +398,8 @@ def solve(rows, rhs, field):
         raise ValueError(f"{len(rhs)} right-hand sides for {len(rows)} equations")
     p = _word_modulus(field)
     width = len(rows[0]) if rows else 0
-    aug = _hold([(*r, b) for r, b in zip(rows, rhs)], p)
-    ech, pivots = _eliminate(_primitive_rows(aug, p), p)
-    if pivots and pivots[-1] == width:
-        return None  # a pivot in the rhs column: inconsistent
-    return _release((_back_substitute(ech, pivots, width, width, p),), p)[0]
+    x = _solve(_hold([(*r, b) for r, b in zip(rows, rhs)], p), width, p)
+    return None if x is None else _release((x,), p)[0]
 
 
 def inverse(m, field):
@@ -380,11 +424,8 @@ def reduce_against(echelon, v, field):
     """
     p = _word_modulus(field)
     (target,) = _hold((v,), p)
-    if not echelon:
-        return None if any(target[0]) else ()
     pivots = [next(j for j, x in enumerate(row) if x) for row in echelon]
-    coeffs = ([target[0][pc] for pc in pivots], target[1])
-    if _product((coeffs,), _hold(transpose(echelon), p), p) != (target,):
+    if _coordinates(pivots, _hold(transpose(echelon), p), target, p) is None:
         return None
     return tuple(v[pc] for pc in pivots)
 
@@ -425,15 +466,10 @@ def rowspace_sum(a_rows, b_rows, field):
 
 
 def rowspace_intersect(a_rows, b_rows, width, field):
-    """Intersection of two row spaces via annihilators.
-
-    x lies in rowspace(A) iff x is orthogonal (standard dot) to nullspace(A),
-    so the intersection is the nullspace of the stacked annihilator bases.
-    """
+    """Canonical echelon basis of the intersection of two row spaces, by one
+    Zassenhaus elimination (`held_intersect`)."""
     p = _word_modulus(field)
-    na = _nullspace(_hold(a_rows, p), width, p)
-    nb = _nullspace(_hold(b_rows, p), width, p)
-    return _release(_nullspace(na + nb, width, p), p)
+    return _release(_intersect(_hold(a_rows, p), _hold(b_rows, p), width, p), p)
 
 
 # -- held rows ------------------------------------------------------------------
@@ -497,6 +533,36 @@ def held_rref(held, field):
 def held_nullspace(held, width, field) -> tuple:
     """`nullspace` on held rows: its canonical echelon basis, held."""
     return _nullspace(held, width, _word_modulus(field))
+
+
+def held_intersect(a, b, width, field) -> tuple:
+    """`rowspace_intersect` on held rows of length `width`: the canonical
+    echelon basis of the intersection of their row spaces, held."""
+    return _intersect(a, b, width, _word_modulus(field))
+
+
+def held_solve(rows, rhs, field):
+    """`solve` on held rows: one solution x of rows x^T = rhs, for `rhs` a
+    held column (one held row of one entry per row, as `held_product` gives
+    it for one column), held, or None if the system is inconsistent."""
+    p = _word_modulus(field)
+    width = len(rows[0][0]) if rows else 0
+    if p:
+        aug = [(u + v, 1) for (u, _), (v, _) in zip(rows, rhs)]
+    else:
+        aug = []
+        for (u, d), (v, e) in zip(rows, rhs):
+            den = lcm(d, e)
+            aug.append(([x * (den // d) for x in u] + [x * (den // e) for x in v], den))
+    return _solve(aug, width, p)
+
+
+def held_coordinates(echelon, columns, v, field):
+    """`reduce_against` on held rows: the coordinates of the held row v over
+    held reduced echelon rows `echelon`, whose held columns are `columns`,
+    held, or None if v lies outside their span."""
+    pivots = [next(j for j, x in enumerate(row) if x) for row, _ in echelon]
+    return _coordinates(pivots, columns, v, _word_modulus(field))
 
 
 def held_equal(a, b, field) -> bool:

@@ -10,11 +10,20 @@ total space. That representation is canonical, so submodule equality is
 syntactic equality, and the sections of the submodule over any open U are
 read off through the refinement map (on each U-component, membership in the
 subspace attached to the containing X-component).
+
+A submodule also keeps its echelon rows as `linalg` holds them (`_held`,
+not part of its value): set by `_from_held` when an operation already has
+them, or held on first use. `sum_submodules` (one `held_rref` of the stacked
+rows) and `intersect_submodules` (one Zassenhaus elimination,
+`held_intersect`) work on those held rows and release each output basis
+once. `submodule_memo_stats()` counts the uses: hits, and misses that held
+the rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
 from . import linalg
 from .algebra import AlgebraSection
@@ -147,10 +156,33 @@ class ModuleSection:
         return f"ModuleSection(open={self.open}, {comps})"
 
 
+_COUNTS = {"hits": 0, "misses": 0}
+
+
+def submodule_memo_stats() -> dict:
+    """Uses of the held echelon rows a `Submodule` keeps, since import:
+    `hits` (read from the submodule) and `misses` (held on first use). A
+    submodule built from held rows starts with them and counts neither."""
+    return dict(_COUNTS)
+
+
 @dataclass(frozen=True)
 class Submodule:
     module: FreeModule
     bases: tuple  # per X-component: tuple of reduced echelon rows
+    # per X-component: `bases` as `linalg` holds them, set on first use or by
+    # `_from_held`; not part of the value
+    _held: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
+
+    def _held_bases(self) -> tuple:
+        """Per X-component, the echelon rows held (`linalg.hold`)."""
+        if self._held is None:
+            _COUNTS["misses"] += 1
+            field = self.module.field
+            object.__setattr__(self, "_held", tuple(linalg.hold(b, field) for b in self.bases))
+        else:
+            _COUNTS["hits"] += 1
+        return self._held
 
     @property
     def dims(self):
@@ -215,10 +247,21 @@ def span(module: FreeModule, sections) -> Submodule:
 
 def from_rows(module: FreeModule, per_component_rows) -> Submodule:
     """Internal constructor: echelonize raw per-component row lists."""
-    bases = tuple(
-        linalg.rref(rows, module.field)[0] for rows in per_component_rows
+    field = module.field
+    return _from_held(
+        module,
+        [linalg.held_rref(linalg.hold(rows, field), field)[0] for rows in per_component_rows],
     )
-    return Submodule(module, bases)
+
+
+def _from_held(module: FreeModule, held_bases) -> Submodule:
+    """The submodule whose per-component reduced echelon rows are given held,
+    as `held_rref`, `held_nullspace` and `held_intersect` return them: each
+    basis is released once, and the held rows are kept."""
+    field = module.field
+    sub = Submodule(module, tuple(linalg.release(h, field) for h in held_bases))
+    object.__setattr__(sub, "_held", tuple(held_bases))
+    return sub
 
 
 def full_submodule(module: FreeModule) -> Submodule:
@@ -234,21 +277,17 @@ def sum_submodules(f: Submodule, g: Submodule) -> Submodule:
     if f.module != g.module:
         raise ModuleMismatch("submodules of different modules")
     field = f.module.field
-    return Submodule(
+    return _from_held(
         f.module,
-        tuple(linalg.rowspace_sum(a, b, field) for a, b in zip(f.bases, g.bases)),
+        [linalg.held_rref(a + b, field)[0] for a, b in zip(f._held_bases(), g._held_bases())],
     )
 
 
 def intersect_submodules(f: Submodule, g: Submodule) -> Submodule:
     if f.module != g.module:
         raise ModuleMismatch("submodules of different modules")
-    field = f.module.field
-    n = f.module.rank
-    return Submodule(
+    field, n = f.module.field, f.module.rank
+    return _from_held(
         f.module,
-        tuple(
-            linalg.rowspace_intersect(a, b, n, field)
-            for a, b in zip(f.bases, g.bases)
-        ),
+        [linalg.held_intersect(a, b, n, field) for a, b in zip(f._held_bases(), g._held_bases())],
     )

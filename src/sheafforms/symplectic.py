@@ -228,21 +228,14 @@ def standard_symplectic_form(module: FreeModule) -> BilinearForm:
 # -- the extension theorem ------------------------------------------------------
 #
 # The completion holds every row it works on as the kernel holds it
-# (`linalg.hold`), per component and for its whole run: the Gram matrix,
-# the given and found sections, the ambient complement and the pairings.
-# Field elements are built once, when the finished basis is glued.
-
-def _held_grams(form: BilinearForm):
-    """Per component, (G, the columns of G) held: t G^T is held_product(t, G)
-    and u G is held_product(u, columns)."""
-    field = form.module.field
-    grams = [linalg.hold(g, field) for g in form.gram]
-    return [(g, linalg.held_transpose(g, field)) for g in grams]
-
+# (`linalg.hold`), per component and for its whole run: the Gram matrix
+# (which the form keeps, `BilinearForm._held_grams`), the given and found
+# sections, the ambient complement and the pairings. Field elements are
+# built once, when the finished basis is glued.
 
 def _gram_columns(form: BilinearForm):
     """Per component, the columns of G held."""
-    return [cols for _, cols in _held_grams(form)]
+    return [cols for _, cols in form._held_grams()]
 
 
 def _held_vectors(form: BilinearForm, sections):
@@ -426,7 +419,7 @@ def _extend(form: BilinearForm, partial: PartialFamily):
                 raise PartialRelationsViolated(
                     f"{label}_{i} vanishes on some component", index=i
                 )
-    grams = _held_grams(form)
+    grams = form._held_grams()
     # index -> one held row per component, for the given sections and then
     # for the found ones
     given = list(zip(*_held_vectors(form, [*rs.values(), *ss.values()])))
@@ -565,7 +558,7 @@ def _carry(
     field = source.module.field
     mats = []
     for (g, cols), p, p2 in zip(
-        _held_grams(source), _extend(source, partial)[1], _extend(target, partial_t)[1]
+        source._held_grams(), _extend(source, partial)[1], _extend(target, partial_t)[1]
     ):
         sg = linalg.held_product(p[1::2], g, field)
         rg = linalg.held_product(p[0::2], cols, field)
@@ -635,19 +628,27 @@ def certify_envelope(form: BilinearForm, f: Submodule, planes) -> bool:
 def _sigma_from_images(f: Submodule, images):
     """A-linear map on sections of f determined by images of the canonical
     global basis: express per component over the echelon basis, then
-    recombine with one product, the coefficients times the image rows."""
+    recombine with one product, the coefficients times the image rows. The
+    echelon rows of f, their columns and the columns of the image rows are
+    held once per map."""
     field = f.module.field
+    echelons = f._held_bases()
+    columns = [linalg.held_transpose(b, field) for b in echelons]
+    image_columns = [
+        linalg.held_transpose(linalg.hold(tuple(im.vectors[xc] for im in images), field), field)
+        for xc in range(len(echelons))
+    ]
 
     def apply(section: ModuleSection) -> ModuleSection:
         space = f.module.space
         refinement = space.component_refinement(section.open, space.x_ref)
         out = []
-        for vec, xc in zip(section.vectors, refinement):
-            coeffs = linalg.reduce_against(f.bases[xc], vec, field)
+        for v, xc in zip(linalg.hold(section.vectors, field), refinement):
+            coeffs = linalg.held_coordinates(echelons[xc], columns[xc], v, field)
             if coeffs is None:
                 raise AssertionError("sigma was applied to a section outside f")
-            out.append(linalg.vec_mat(coeffs, tuple(im.vectors[xc] for im in images)))
-        return ModuleSection(images[0].module, section.open, tuple(out))
+            out.append(linalg.held_product((coeffs,), image_columns[xc], field)[0])
+        return ModuleSection(images[0].module, section.open, linalg.release(tuple(out), field))
 
     return apply
 

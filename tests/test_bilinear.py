@@ -2,7 +2,11 @@
 splitting, and the orthosymmetry classifier with its enumeration oracles."""
 
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -32,9 +36,11 @@ from sheafforms.oracles import (
     random_alternating_form,
     random_free_submodule,
     random_global_section,
+    random_nonisotropic_submodule,
     random_orthosymmetric_form,
     sierpinski_space,
 )
+from sheafforms.modules import submodule_memo_stats
 
 Q = RationalField()
 F3 = PrimeField(3)
@@ -400,3 +406,100 @@ class TestClassifyOncePerCall:
         else:
             diag2.radical(f)
         assert calls == [diag2]
+
+
+class TestWhatAFormKeeps:
+    def test_a_second_classification_of_a_form_is_a_hit(self, sierpinski):
+        form = form_on(sierpinski, [[1, 2], [0, 1]])
+        moves, classes = [], []
+        for _ in range(2):
+            before = bilinear.form_memo_stats()
+            classes.append(classify_orthosymmetry(form))
+            after = bilinear.form_memo_stats()
+            moves.append((after["class_hits"] - before["class_hits"],
+                          after["class_misses"] - before["class_misses"]))
+        assert moves == [(0, 1), (1, 0)]
+        cls = classes[0]
+        assert classes[1] is cls and not cls.orthosymmetric
+        # an equal form is another object and is classified again
+        before = bilinear.form_memo_stats()
+        assert classify_orthosymmetry(BilinearForm(form.module, form.gram)) == cls
+        assert bilinear.form_memo_stats()["class_misses"] == before["class_misses"] + 1
+
+    def test_held_rows_are_held_once(self, diag2):
+        full = full_submodule(diag2.module)
+        moves = []
+        for _ in range(2):
+            forms, subs = bilinear.form_memo_stats(), submodule_memo_stats()
+            perp = diag2.orthogonal(full)
+            forms_after, subs_after = bilinear.form_memo_stats(), submodule_memo_stats()
+            moves.append((
+                forms_after["gram_hits"] - forms["gram_hits"],
+                forms_after["gram_misses"] - forms["gram_misses"],
+                subs_after["hits"] - subs["hits"],
+                subs_after["misses"] - subs["misses"],
+            ))
+        assert moves == [(0, 1, 0, 1), (1, 0, 1, 0)]
+        # a submodule the calculus builds starts with its held rows
+        before = submodule_memo_stats()
+        diag2.orthogonal(perp)
+        assert submodule_memo_stats()["misses"] == before["misses"]
+
+    @pytest.mark.parametrize("field", [Q, PrimeField(10007)], ids=lambda f: f.name)
+    def test_the_calculus_keeps_held_rows_equal_to_its_public_rows(self, field):
+        rng = Random(f"held:{field.name}")
+
+        def held_as_fresh(sub):
+            assert sub._held is not None
+            assert sub._held == tuple(linalg.hold(b, field) for b in sub.bases)
+
+        for i in range(12):
+            space = fixture_spaces()[i % 3]
+            rank = (2, 3, 4, 5)[i % 4]
+            module = FreeModule(space, field, rank)
+            form = random_orthosymmetric_form(rng, module)
+            f = random_free_submodule(rng, module, rng.randrange(rank + 1))
+            g = random_free_submodule(rng, module, rng.randrange(rank + 1))
+            subs = [
+                form.orthogonal(f), form.orthogonal(g, "right"), sum_submodules(f, g),
+                intersect_submodules(f, g), form.radical(f), form.radical(),
+            ]
+            sym = random_orthosymmetric_form(rng, module, symmetric_only=True)
+            h = random_nonisotropic_submodule(rng, sym, rng.randrange(1, rank + 1))
+            if h is not None:
+                split = sym.orthogonal_split(h)
+                sym.project(h, random_global_section(rng, module))
+                subs += [split.submodule, split.complement, h]
+            for sub in subs + [f, g]:
+                held_as_fresh(sub)
+            for b in (form, sym):
+                assert b._held == tuple(
+                    (linalg.hold(m, field), linalg.held_transpose(linalg.hold(m, field), field))
+                    for m in b.gram
+                )
+
+    def test_asymmetry_pair_refuses_under_optimize_flag(self):
+        # the two invariants of `_asymmetry_pair` are raises, not asserts, so
+        # they hold under python -O too
+        script = (
+            "from fractions import Fraction\n"
+            "from sheafforms import RationalField\n"
+            "from sheafforms.bilinear import _asymmetry_pair\n"
+            "one, zero = Fraction(1), Fraction(0)\n"
+            "for g in (((one, zero), (zero, one)), ((zero, one), (-one, zero))):\n"
+            "    try:\n"
+            "        _asymmetry_pair(g, RationalField())\n"
+            "    except AssertionError as exc:\n"
+            "        print(__debug__, exc)\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (
+            "False the matrix is symmetric: no asymmetry pair exists\n"
+            "False the matrix is alternating: no asymmetry pair exists\n"
+        )

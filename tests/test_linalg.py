@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sheafforms import (
+    BilinearForm,
     FpElement,
     FreeModule,
     PartialFamily,
@@ -305,6 +306,14 @@ def ref_solve(rows, rhs, field):
     return tuple(x)
 
 
+def ref_intersect(a, b, width, field):
+    """The annihilator route: x lies in rowspace(A) iff x is orthogonal to
+    nullspace(A), so the intersection is the nullspace of both annihilators
+    stacked."""
+    na, nb = ref_nullspace(a, width, field), ref_nullspace(b, width, field)
+    return ref_nullspace(na + nb, width, field)
+
+
 def ref_inverse(m, field):
     n = len(m)
     aug = [list(row) + list(ident) for row, ident in zip(m, linalg.identity(n, field))]
@@ -511,14 +520,62 @@ def test_held_rows_match_the_routines_on_field_elements(order):
         assert same((linalg.release(ech, field), pivots), ref_rref(a, field))
         assert same(linalg.release(linalg.held_nullspace(ha, m, field), field),
                     ref_nullspace(a, m, field))
+        assert same(linalg.release(linalg.held_intersect(ha, hc, m, field), field),
+                    ref_intersect(a, c, m, field))
         x = field.random_nonzero(rng)
         assert linalg.release(
             linalg.held_divide(ha, linalg.hold(((x,),), field), field), field
         ) == tuple(linalg.scale(field.one / x, row) for row in a)
+        rhs = tuple(field.random_scalar(rng) for _ in range(n))
+        held_x = linalg.held_solve(ha, linalg.hold(tuple((y,) for y in rhs), field), field)
+        expected = ref_solve(a, rhs, field)
+        assert (held_x is None) == (expected is None)
+        if held_x is not None:
+            assert linalg.release((held_x,), field) == (expected,)
+        # coordinates of a row of b, mostly outside rowspace(a), and of a row inside
+        ech_rows = linalg.release(ech, field)
+        inside = (field.zero,) * m
+        if ech_rows:
+            weights = tuple(field.random_scalar(rng) for _ in ech_rows)
+            inside = ref_matmul((weights,), ech_rows)[0]
+        for v in (b[0], inside):
+            coords = linalg.held_coordinates(
+                ech, linalg.held_transpose(ech, field), linalg.hold((v,), field)[0], field)
+            expected = linalg.reduce_against(ech_rows, v, field)
+            assert (coords is None) == (expected is None)
+            if coords is not None:
+                assert linalg.release((coords,), field) == (in_field((expected,), field)[0],)
         assert linalg.held_equal(ha, linalg.hold(linalg.release(ha, field), field), field)
         assert linalg.held_equal(ha, hc, field) == (linalg.release(ha, field) == linalg.release(hc, field))
         assert linalg.held_nonzero(ha, field) == tuple(
             tuple(x != field.zero for x in row) for row in a)
+
+
+@pytest.mark.parametrize("order", ("rationals", 7, 10007))
+def test_zassenhaus_intersection_matches_the_annihilator_route(order):
+    # one elimination of [[A, A], [B, 0]] against the three nullspaces of the
+    # annihilator route, on random pairs and on empty, full, equal and
+    # trivially meeting row spaces
+    field = kernel_field(order)
+    rng = Random(f"meet:{order}")
+    for width in (1, 3, 5):
+        full = linalg.identity(width, field)
+        for _ in range(30):
+            a = random_rows(rng, field, rng.randrange(width + 2), width)
+            b = random_rows(rng, field, rng.randrange(width + 2), width)
+            k = rng.randrange(width + 1)
+            respanned = tuple(reversed(linalg.rref(a, field)[0]))
+            cases = [
+                (a, b), (a, ()), ((), b), ((), ()), (a, full), (full, b), (full, full),
+                (a, a), (a, respanned), (full[:k], full[k:]), (full[k:], full[:k]),
+            ]
+            for x, y in cases:
+                expected = ref_intersect(x, y, width, field)
+                assert same(linalg.rowspace_intersect(x, y, width, field), expected)
+                held = linalg.held_intersect(
+                    linalg.hold(x, field), linalg.hold(y, field), width, field)
+                assert same(linalg.release(held, field), expected)
+        assert linalg.rowspace_intersect(full[:1], full[1:], width, field) == ()
 
 
 def ref_complement_rows(sub_rows, big_rows, field):
@@ -591,14 +648,18 @@ def test_a_completion_converts_each_row_once(sierpinski):
     # more for the completion (8), the two given sections (2), the 2 x 2
     # matrix their relations prescribe (2), the identity the ambient
     # complement starts from (8) and A_2n for the congruence (8); on exit it
-    # builds the entries of the six sections it found, 6 x 8, and nothing else
-    form = random_alternating_form(Random(8), FreeModule(sierpinski, Q, 8))
-    partial = random_partial_family(Random(9), form, config=({1}, {2}))
-    before = linalg.kernel_stats()
-    gram_schmidt_extend(form, partial)
-    after = linalg.kernel_stats()
-    moved = {key: after[key] - before[key] for key in ("rows_in", "entries_out")}
-    assert moved == {"rows_in": 8 + 8 + 2 + 2 + 8 + 8, "entries_out": 6 * 8}
+    # builds the entries of the six sections it found, 6 x 8, and nothing else.
+    # The form keeps its held Gram matrix, so a second completion on the
+    # same form converts it for the validation only
+    drawn = random_alternating_form(Random(8), FreeModule(sierpinski, Q, 8))
+    partial = random_partial_family(Random(9), drawn, config=({1}, {2}))
+    form = BilinearForm(drawn.module, drawn.gram)  # nothing held yet
+    for gram_rows in (8, 0):
+        before = linalg.kernel_stats()
+        gram_schmidt_extend(form, partial)
+        after = linalg.kernel_stats()
+        moved = {key: after[key] - before[key] for key in ("rows_in", "entries_out")}
+        assert moved == {"rows_in": 8 + gram_rows + 2 + 2 + 8 + 8, "entries_out": 6 * 8}
 
 
 def test_gfp_products_count_one_dot_per_entry(monkeypatch):

@@ -720,8 +720,8 @@ class TestWitt:
         # over f under python -O too
         script = (
             "from fractions import Fraction\n"
-            "from sheafforms import (FreeModule, ModuleSection, RationalField, linalg,\n"
-            "    span, validate_topology)\n"
+            "from sheafforms import (FreeModule, ModuleSection, RationalField, span,\n"
+            "    validate_topology)\n"
             "from sheafforms.symplectic import _sigma_from_images\n"
             "space = validate_topology(('a',), [(), ('a',)])\n"
             "module = FreeModule(space, RationalField(), 2)\n"
@@ -729,9 +729,9 @@ class TestWitt:
             "f = span(module, [sec])\n"
             "sigma = _sigma_from_images(f, f.global_basis())\n"
             "print(sigma(sec) == sec)\n"
-            "linalg.reduce_against = lambda echelon, v, field: None\n"
+            "outside = ModuleSection(module, space.x_ref, ((Fraction(0), Fraction(1)),))\n"
             "try:\n"
-            "    sigma(sec)\n"
+            "    sigma(outside)\n"
             "except AssertionError as exc:\n"
             "    print(__debug__, exc)\n"
         )
