@@ -18,7 +18,9 @@ on held rows from start to end: a form keeps its Gram matrices and their
 columns as `linalg` holds them, and a submodule its echelon rows, each held
 on first use; every output is released once. `classify_orthosymmetry` works
 on the form's field elements and keeps its result on the form, so each form
-is classified once. `form_memo_stats()` counts the hits and misses of both.
+is classified once. The symplectic layer keeps two more facts on a form: that
+it passed `validate_symplectic`, and the completion of the empty family.
+`form_memo_stats()` counts the hits and misses of all four.
 """
 
 from __future__ import annotations
@@ -45,15 +47,33 @@ from .modules import (
 )
 from .topology import OpenRef
 
-_COUNTS = {"gram_hits": 0, "gram_misses": 0, "class_hits": 0, "class_misses": 0}
+_COUNTS = {
+    f"{what}_{use}": 0
+    for what in ("gram", "class", "symplectic", "completion")
+    for use in ("hits", "misses")
+}
 
 
 def form_memo_stats() -> dict:
-    """Uses of what a `BilinearForm` keeps, since import: `gram_hits` and
-    `gram_misses` for its held Gram matrices (read from the form, or held on
-    first use), `class_hits` and `class_misses` for its
-    `classify_orthosymmetry` result (returned from the form, or computed)."""
+    """Uses of what a `BilinearForm` keeps, since import, as hits (read from
+    the form) and misses (computed on first use): `gram_*` for its held Gram
+    matrices, `class_*` for its `classify_orthosymmetry` result,
+    `symplectic_*` for a passed `validate_symplectic` and `completion_*` for
+    the completion of the empty partial family."""
     return dict(_COUNTS)
+
+
+def _kept(form, name: str, counter: str, make):
+    """The value `form` keeps in its field `name`, made by `make()` on first
+    use and counted under `counter`. When `make` raises, nothing is kept."""
+    value = getattr(form, name)
+    if value is None:
+        _COUNTS[f"{counter}_misses"] += 1
+        value = make()
+        object.__setattr__(form, name, value)
+    else:
+        _COUNTS[f"{counter}_hits"] += 1
+    return value
 
 
 @dataclass(frozen=True)
@@ -61,9 +81,17 @@ class BilinearForm:
     module: FreeModule
     gram: tuple  # per X-component: rank x rank matrix (tuple of row tuples)
     # set on first use and not part of the value: per X-component the held
-    # Gram matrix and its held columns, and the orthosymmetry class
+    # Gram matrix and its held columns, the orthosymmetry class, True once
+    # the form passed `validate_symplectic`, and the completion of the empty
+    # partial family (the basis and its held rows)
     _held: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
     _class: Optional["OrthoClass"] = field(
+        default=None, init=False, compare=False, repr=False
+    )
+    _symplectic: Optional[bool] = field(
+        default=None, init=False, compare=False, repr=False
+    )
+    _completion: Optional[tuple] = field(
         default=None, init=False, compare=False, repr=False
     )
 
@@ -81,16 +109,13 @@ class BilinearForm:
     def _held_grams(self) -> tuple:
         """Per X-component, (G, the columns of G) held: t G^T is
         held_product(t, G) and u G is held_product(u, columns)."""
-        if self._held is None:
-            _COUNTS["gram_misses"] += 1
-            field = self.module.field
+        field = self.module.field
+
+        def hold():
             grams = [linalg.hold(g, field) for g in self.gram]
-            object.__setattr__(
-                self, "_held", tuple((g, linalg.held_transpose(g, field)) for g in grams)
-            )
-        else:
-            _COUNTS["gram_hits"] += 1
-        return self._held
+            return tuple((g, linalg.held_transpose(g, field)) for g in grams)
+
+        return _kept(self, "_held", "gram", hold)
 
     def _xc_of(self, open: OpenRef):
         space = self.module.space
@@ -321,13 +346,7 @@ def classify_orthosymmetry(form: BilinearForm) -> OrthoClass:
     nowhere-zero; `certify_witness` re-checks it before it is returned. The
     class is computed once per form and kept on it.
     """
-    if form._class is not None:
-        _COUNTS["class_hits"] += 1
-        return form._class
-    _COUNTS["class_misses"] += 1
-    cls = _classify(form)
-    object.__setattr__(form, "_class", cls)
-    return cls
+    return _kept(form, "_class", "class", lambda: _classify(form))
 
 
 def _classify(form: BilinearForm) -> OrthoClass:

@@ -30,11 +30,12 @@ at all the product is over Q.
 
 A caller that chains many steps holds its rows itself and works on them
 with `held_product` (the matrix of `dot(row, col)`, A B^T),
-`held_transpose`, `held_add`, `held_divide`, `held_rref`, `held_nullspace`,
-`held_intersect`, `held_solve`, `held_coordinates`, `held_equal` and
-`held_nonzero`. `rref`, `nullspace`, `solve`, `rowspace_intersect` and
-`reduce_against` share their bodies with `held_rref`, `held_nullspace`,
-`held_solve`, `held_intersect` and `held_coordinates`. The format is
+`held_transpose`, `held_add`, `held_divide`, `held_rref`, `held_rank`,
+`held_nullspace`, `held_intersect`, `held_solve`, `held_coordinates`,
+`held_equal` and `held_nonzero`. `rref`, `rank`, `nullspace`, `solve`,
+`rowspace_intersect` and `reduce_against` share their bodies with
+`held_rref`, `held_rank`, `held_nullspace`, `held_solve`, `held_intersect`
+and `held_coordinates`. The format is
 private to this module: other modules only pass held rows (and tuples of
 them) around, as the symplectic completion and the orthogonal calculus do,
 and keep them (`Submodule` its echelon rows, `BilinearForm` its Gram
@@ -243,6 +244,11 @@ def _back_substitute(ech, pivots, j, width: int, p):
     return x, den
 
 
+def _rank(held, p) -> int:
+    """The body of `held_rank`."""
+    return len(_eliminate(_primitive_rows(held, p), p)[1])
+
+
 def _nullspace(held, width: int, p) -> tuple:
     """The body of `held_nullspace`: for each non-pivot column j, e_j minus
     the combination of pivot columns that column j is, in echelon form."""
@@ -383,7 +389,7 @@ def rref(rows, field):
 
 def rank(rows, field):
     p = _word_modulus(field)
-    return len(_eliminate(_primitive_rows(_hold(rows, p), p), p)[1])
+    return _rank(_hold(rows, p), p)
 
 
 def nullspace(rows, width, field):
@@ -528,6 +534,11 @@ def held_divide(held, by, field) -> tuple:
 def held_rref(held, field):
     """`rref` on held rows: (the reduced echelon rows, held, pivot columns)."""
     return _rref(held, _word_modulus(field))
+
+
+def held_rank(held, field) -> int:
+    """`rank` on held rows."""
+    return _rank(held, _word_modulus(field))
 
 
 def held_nullspace(held, width, field) -> tuple:

@@ -137,7 +137,8 @@ def random_global_section(rng: Random, module: FreeModule) -> ModuleSection:
 def random_free_submodule(rng: Random, module: FreeModule, r: int):
     """Span of r random global sections, resampled until the span has
     dimension r on every component."""
-    assert 0 <= r <= module.rank
+    if not 0 <= r <= module.rank:
+        raise AssertionError(f"rank {r} outside 0..{module.rank}")
     while True:
         f = span(module, [random_global_section(rng, module) for _ in range(r)])
         if f.is_free() == r:
@@ -229,7 +230,8 @@ def random_symplectic_isometry(
             linalg.matmul(b, linalg.matmul(w_interleaved, linalg.inverse(a, field)))
         )
     iso = Isometry(source, target, tuple(mats))
-    assert iso.holds()
+    if not iso.holds():
+        raise AssertionError("the random symplectic isometry fails M^T G' M == G")
     return iso
 
 
@@ -258,7 +260,8 @@ def random_totally_isotropic(rng: Random, form: BilinearForm, k: int):
     """Rank-k totally isotropic free submodule: the span of k distinct
     r-sections of a random symplectic basis, lightly recombined."""
     n = form.module.rank // 2
-    assert 0 <= k <= n
+    if not 0 <= k <= n:
+        raise AssertionError(f"rank {k} outside 0..{n}")
     basis = gram_schmidt_extend(form, PartialFamily.of())
     picks = [basis.r[i] for i in sorted(rng.sample(range(n), k))]
     if k > 1:

@@ -15,6 +15,14 @@ on rows held as the `linalg` kernel holds them from start to end (integer
 rows over Q, ints mod p over GF(p)) and builds field elements only for the
 sections it found.
 
+Each pair is found in the orthogonal complement of the pairs before it (the
+ambient), held per component as a reduced echelon basis A. Fixing a pair
+shrinks it without projecting and eliminating: with C the reduced echelon
+nullspace of the pairings of the pair with the rows of A, C A is the reduced
+echelon basis of the new ambient, since x A has the entry x_t at the pivot
+column of row t of A. The partner search takes its constrained rows the same
+way. With no matched pairs given, the first ambient is the identity.
+
 The normal form is the matrix of a completion of the empty family; a
 hyperbolic envelope is the first k planes of the completion of a totally
 isotropic basis r_1..r_k; a standard isometry and a Witt extension are
@@ -23,8 +31,12 @@ isotropic basis r_1..r_k; a standard isometry and a Witt extension are
 M^T G' M = G needs no further check, and P^{-1} = A^T P^T G needs no
 elimination. The public entry points validate their forms
 (`validate_symplectic`) once; the private helpers do not validate again.
-`certify_witt` and `certify_envelope` remain the certificates the report
-layer and the oracles call.
+A form keeps what is decided about it: that it passed the validation (which
+ranks the Gram matrices the form holds), and the completion of the empty
+family, which `normal_form`, `standard_isometry` and
+`hyperbolic_decomposition` share (`form_memo_stats()` counts both). A
+failed validation is not kept. `certify_witt` and `certify_envelope` remain
+the certificates the report layer and the oracles call.
 """
 
 from __future__ import annotations
@@ -32,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .bilinear import BilinearForm
+from .bilinear import BilinearForm, _kept
 from .errors import (
     Degenerate,
     FreenessViolated,
@@ -184,7 +196,15 @@ def invert_isometry(iso: Isometry) -> Isometry:
 def validate_symplectic(form: BilinearForm) -> None:
     """Alternating on every component, even rank, full-rank Gram matrices.
     Each skew pair is checked once, at (i, j) with j > i: the check at (j, i)
-    is the same, and the row-major scan reaches (min, max) first."""
+    is the same, and the row-major scan reaches (min, max) first. The rank
+    is taken on the Gram matrices the form holds. A pass is kept on the form,
+    so each form is validated once; a failure is not kept, and raises the
+    same error on every call."""
+    _kept(form, "_symplectic", "symplectic", lambda: _check_symplectic(form))
+
+
+def _check_symplectic(form: BilinearForm) -> bool:
+    """The body of `validate_symplectic`: True, or the first failure."""
     field = form.module.field
     for c, g in enumerate(form.gram):
         n = len(g)
@@ -200,9 +220,10 @@ def validate_symplectic(form: BilinearForm) -> None:
                     )
     if form.module.rank % 2 != 0:
         raise OddRank(f"rank {form.module.rank} is odd")
-    for c, g in enumerate(form.gram):
-        if linalg.rank(g, field) != len(g):
+    for c, (g, _) in enumerate(form._held_grams()):
+        if linalg.held_rank(g, field) != len(g):
             raise Degenerate(f"component {c}: Gram matrix is singular", component=c)
+    return True
 
 
 def standard_alternating(rank: int, field):
@@ -257,65 +278,55 @@ def _glue(module: FreeModule, per_component_vectors) -> ModuleSection:
     return ModuleSection(module, module.space.x_ref, tuple(per_component_vectors))
 
 
-def _project_rows_away(field, grams, rows_per_comp, pairs):
-    """Image of each held row under z -> z + sum_i phi(z, r_i) s_i - phi(z, s_i) r_i,
-    echelonized per component; `pairs` holds (r_i, s_i) as one held row per
-    component each. For pairs with phi(r_i, s_i) = 1 satisfying the pairing
-    relations this is the projection onto the orthogonal complement of their
-    span."""
+def _shrink(field, grams, ambient, sections):
+    """Per component, the reduced echelon basis of {w in span(amb) : phi(a,
+    w) = 0 for a in `sections`}, held, for `amb` the component's held rows
+    of `ambient`, in reduced echelon form, and `sections` held (one row per
+    component each). It is C amb, with C the reduced echelon basis of {x :
+    phi(a, x amb) = 0}, the nullspace of the pairings of the sections with
+    amb: x amb has the entry x_t at the pivot column of row t of amb, so C
+    amb is in reduced echelon form already, its pivots those of C carried to
+    the pivot columns of amb."""
+    if not sections:
+        return ambient
     out = []
-    for c, rows in enumerate(rows_per_comp):
-        if pairs:
-            g, cols = grams[c]
-            rs = tuple(r[c] for r, _ in pairs)
-            ss = tuple(s[c] for _, s in pairs)
-            # phi(z, r) = z . (r G^T), and G being alternating, -phi(z, s) =
-            # z . (s G): the coefficients of s_1..s_k and r_1..r_k in the sum
-            # over i of phi(z, r_i) s_i - phi(z, s_i) r_i are the row of z in
-            # Z [R G^T; S G]^T, and the sum is that row times [S; R]: two
-            # products, not an n x n projector
-            tg = linalg.held_product(rs, g, field) + linalg.held_product(ss, cols, field)
-            coeffs = linalg.held_product(rows, tg, field)
-            shift = linalg.held_product(coeffs, linalg.held_transpose(ss + rs, field), field)
-            rows = linalg.held_add(rows, shift, field)
-        out.append(linalg.held_rref(rows, field)[0])
+    for c, (amb, (_, cols)) in enumerate(zip(ambient, grams)):
+        avoid = tuple(sec[c] for sec in sections)
+        coeffs = linalg.held_nullspace(_pairings(avoid, amb, cols, field), len(amb), field)
+        out.append(linalg.held_product(coeffs, linalg.held_transpose(amb, field), field))
     return out
 
 
-def _constrained_partner(field, grams, ambient, avoid, mate, label):
-    """On each component, the least echelon basis row w of
-    {w in ambient : phi(a, w) = 0 for a in avoid} with phi(mate, w) != 0,
-    all held. Raises PartnerNotFound when some component has no such row
-    (which signals an inconsistent input family)."""
-    picks = []
+def _check_ambient(ambient, expected: int) -> None:
+    """The ambient complement has `expected` rows on every component."""
     for c, amb in enumerate(ambient):
-        cols = grams[c][1]
-        if avoid:
-            stacked = tuple(a[c] for a in avoid)
-            coeffs = linalg.held_nullspace(_pairings(stacked, amb, cols, field), len(amb), field)
-            w_rows = linalg.held_rref(
-                linalg.held_product(coeffs, linalg.held_transpose(amb, field), field), field
-            )[0] if coeffs else ()
-        else:
-            w_rows = amb
-        mate_g = linalg.held_product((mate[c],), cols, field)  # phi(mate, w) = mate_g . w
+        if len(amb) != expected:
+            raise AssertionError(
+                f"component {c}: the ambient complement has {len(amb)} rows, not {expected}"
+            )
+
+
+def _partner(field, grams, ambient, avoid, given, side, label):
+    """On each component, the partner of the held section `given` (an r_k
+    when `side` is "r", an s_k when it is "s"): the least echelon basis row w
+    of {w in ambient : phi(a, w) = 0 for a in avoid} whose pairing with
+    `given` is non-zero, divided by that pairing, phi(r_k, w) or phi(w, s_k),
+    so that the pair pairs to 1; all held. Raises PartnerNotFound when some
+    component has no such row (which signals an inconsistent input family)."""
+    picks = []
+    for c, (w_rows, (g, cols)) in enumerate(zip(_shrink(field, grams, ambient, avoid), grams)):
+        # phi(r_k, w) = (r_k G) . w and phi(w, s_k) = (s_k G^T) . w
+        v = linalg.held_product((given[c],), cols if side == "r" else g, field)
         for w in w_rows:
-            if linalg.held_nonzero(linalg.held_product(mate_g, (w,), field), field)[0][0]:
-                picks.append(w)
+            pairing = linalg.held_product(v, (w,), field)
+            if linalg.held_nonzero(pairing, field)[0][0]:
+                picks.append(linalg.held_divide((w,), pairing, field)[0])
                 break
         else:
             raise PartnerNotFound(
                 f"no admissible partner for {label} on component {c}", component=c
             )
     return tuple(picks)
-
-
-def _over_pairing(field, grams, v, a, b):
-    """v / phi(a, b) on each component, all held."""
-    return tuple(
-        linalg.held_divide((vc,), _pairings((ac,), (bc,), cols, field), field)[0]
-        for vc, ac, bc, (_, cols) in zip(v, a, b, grams)
-    )
 
 
 def _check_partial_relations(field, grams, rs, ss):
@@ -397,7 +408,15 @@ def gram_schmidt_extend(form: BilinearForm, partial: PartialFamily) -> Symplecti
 
 def _extend(form: BilinearForm, partial: PartialFamily):
     """gram_schmidt_extend on a form already known to be symplectic: the
-    basis and, per component, its held rows r_1, s_1, r_2, ... (P^T)."""
+    basis and, per component, its held rows r_1, s_1, r_2, ... (P^T). The
+    completion of the empty family is kept on the form."""
+    if partial.r or partial.s:
+        return _complete(form, partial)
+    return _kept(form, "_completion", "completion", lambda: _complete(form, partial))
+
+
+def _complete(form: BilinearForm, partial: PartialFamily):
+    """The body of `_extend`."""
     module = form.module
     field = module.field
     n = module.rank // 2
@@ -430,44 +449,45 @@ def _extend(form: BilinearForm, partial: PartialFamily):
     matched = sorted(set(rs) & set(ss))
     singles = sorted((set(rs) | set(ss)) - set(matched))
 
+    # the ambient complement: per component the reduced echelon basis of
+    # the orthogonal complement of the pairs fixed so far, shrunk in place
+    # as each pair is fixed. Every pair lies in the ambient it is removed
+    # from, so the complement is taken inside the ambient.
     ident = linalg.hold(linalg.identity(module.rank, field), field)
-    ambient = _project_rows_away(
-        field, grams, [ident] * len(grams), [(hr[i], hs[i]) for i in matched]
+    ambient = _shrink(
+        field, grams, [ident] * len(grams), [hr[i] for i in matched] + [hs[i] for i in matched]
     )
     expected = module.rank - 2 * len(matched)
-    assert all(len(b) == expected for b in ambient)
+    _check_ambient(ambient, expected)
 
     pending = list(singles)
     for k in list(singles):
         pending.remove(k)
         others = [hr[i] if i in hr else hs[i] for i in pending]
         if k in hr:
-            w = _constrained_partner(field, grams, ambient, others, hr[k], f"s_{k}")
-            hs[k] = _over_pairing(field, grams, w, hr[k], w)
+            hs[k] = _partner(field, grams, ambient, others, hr[k], "r", f"s_{k}")
         else:
-            w = _constrained_partner(field, grams, ambient, others, hs[k], f"r_{k}")
-            hr[k] = _over_pairing(field, grams, w, w, hs[k])
-        ambient = _project_rows_away(field, grams, ambient, [(hr[k], hs[k])])
+            hr[k] = _partner(field, grams, ambient, others, hs[k], "s", f"r_{k}")
+        ambient = _shrink(field, grams, ambient, [hr[k], hs[k]])
         expected -= 2
-        assert all(len(b) == expected for b in ambient)
+        _check_ambient(ambient, expected)
 
     for k in range(1, n + 1):
         if k in hr:
             continue
-        assert expected > 0
-        r = tuple(b[0] for b in ambient)
-        w = _constrained_partner(field, grams, ambient, [], r, f"s_{k}")
-        hr[k] = r
-        hs[k] = _over_pairing(field, grams, w, r, w)
-        ambient = _project_rows_away(field, grams, ambient, [(hr[k], hs[k])])
+        if expected <= 0:
+            raise AssertionError(f"no ambient complement is left for r_{k}")
+        hr[k] = tuple(b[0] for b in ambient)
+        hs[k] = _partner(field, grams, ambient, [], hr[k], "r", f"s_{k}")
+        ambient = _shrink(field, grams, ambient, [hr[k], hs[k]])
         expected -= 2
-        assert all(len(b) == expected for b in ambient)
+        _check_ambient(ambient, expected)
 
-    assert expected == 0
-    rows = [
+    _check_ambient(ambient, 0)
+    rows = tuple(
         tuple(h[c] for i in range(1, n + 1) for h in (hr[i], hs[i]))
         for c in range(len(grams))
-    ]
+    )
     # glue: the given sections verbatim, the found ones from their held rows
     found = [(rs, i, hr[i]) for i in range(1, n + 1) if i not in rs]
     found += [(ss, i, hs[i]) for i in range(1, n + 1) if i not in ss]
@@ -625,19 +645,16 @@ def certify_envelope(form: BilinearForm, f: Submodule, planes) -> bool:
     return True
 
 
-def _sigma_from_images(f: Submodule, images):
-    """A-linear map on sections of f determined by images of the canonical
-    global basis: express per component over the echelon basis, then
-    recombine with one product, the coefficients times the image rows. The
-    echelon rows of f, their columns and the columns of the image rows are
-    held once per map."""
+def _sigma_from_images(f: Submodule, module: FreeModule, held_images):
+    """A-linear map from sections of f to sections of `module` determined by
+    images of the canonical global basis, given per component as held rows:
+    express per component over the echelon basis, then recombine with one
+    product, the coefficients times the image rows. The echelon rows of f,
+    their columns and the columns of the image rows are held once per map."""
     field = f.module.field
     echelons = f._held_bases()
     columns = [linalg.held_transpose(b, field) for b in echelons]
-    image_columns = [
-        linalg.held_transpose(linalg.hold(tuple(im.vectors[xc] for im in images), field), field)
-        for xc in range(len(echelons))
-    ]
+    image_columns = [linalg.held_transpose(im, field) for im in held_images]
 
     def apply(section: ModuleSection) -> ModuleSection:
         space = f.module.space
@@ -648,7 +665,7 @@ def _sigma_from_images(f: Submodule, images):
             if coeffs is None:
                 raise AssertionError("sigma was applied to a section outside f")
             out.append(linalg.held_product((coeffs,), image_columns[xc], field)[0])
-        return ModuleSection(images[0].module, section.open, linalg.release(tuple(out), field))
+        return ModuleSection(module, section.open, linalg.release(tuple(out), field))
 
     return apply
 
@@ -693,13 +710,14 @@ def witt_extend(
             raise ModuleMismatch("an image belongs to a different module")
         if im.open != x:
             raise OpenMismatch("images must be global sections")
-    ncomp = len(module.x_components())
+    # the images, held once per component for the checks and for sigma
+    held_images = _held_vectors(target, images)
     # per component, the k x k Gram matrices B G B^T and Im G' Im^T, held;
     # when they differ, the first pair in row-major order is the witness
     grams = [
         (_pairings(b, b, cols, field), _pairings(im, im, cols_t, field))
         for b, im, cols, cols_t in zip(
-            _held_vectors(source, basis), _held_vectors(target, images),
+            _held_vectors(source, basis), held_images,
             _gram_columns(source), _gram_columns(target),
         )
     ]
@@ -712,9 +730,8 @@ def witt_extend(
                         f"pairing of basis sections {i} and {j} is not preserved",
                         pair=(i, j),
                     )
-    for c in range(ncomp):
-        stacked = tuple(im.vectors[c] for im in images)
-        if linalg.rank(stacked, field) != k:
+    for c, im in enumerate(held_images):
+        if linalg.held_rank(im, field) != k:
             raise IsometryHypothesisViolated(
                 f"images are dependent on component {c}: sigma is not injective",
                 component=c,
@@ -726,7 +743,7 @@ def witt_extend(
         raise FreenessViolated(
             f"radical component dimensions differ: {rad.dims}", dims=rad.dims
         )
-    sigma = _sigma_from_images(f, images)
+    sigma = _sigma_from_images(f, target.module, held_images)
 
     # f = g perp rad f with g a complement of the radical inside f; g is
     # non-degenerate, so the restricted form B_g G B_g^T is symplectic, and a

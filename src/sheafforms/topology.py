@@ -41,6 +41,8 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 
 from .errors import (
     MissingEmptyOrTotal,
@@ -61,15 +63,18 @@ class FiniteSpace:
     # keeps the memo entry alive as long as any space from the content lives
     _origin: object = field(default=None, compare=False, repr=False)
 
-    @property
+    # computed on first use and kept on the space (a frozen dataclass keeps
+    # them in its instance dict, outside its fields)
+    @cached_property
     def point_index(self):
-        return {p: i for i, p in enumerate(self.points)}
+        """Point -> its position in `points`, read-only."""
+        return MappingProxyType({p: i for i, p in enumerate(self.points)})
 
-    @property
+    @cached_property
     def x_ref(self) -> OpenRef:
         return self.opens.index(frozenset(self.points))
 
-    @property
+    @cached_property
     def empty_ref(self) -> OpenRef:
         return self.opens.index(frozenset())
 
@@ -100,8 +105,11 @@ class FiniteSpace:
         for comp in self.components[v]:
             rep = next(iter(comp))
             hits = [i for i, uc in enumerate(ucomps) if rep in uc]
-            assert len(hits) == 1
-            assert comp <= ucomps[hits[0]]  # connected piece lies in one component
+            # a connected piece lies in exactly one component
+            if len(hits) != 1 or not comp <= ucomps[hits[0]]:
+                raise AssertionError(
+                    f"component {set(comp)!r} of open {v} lies in no single component of open {u}"
+                )
             out.append(hits[0])
         return tuple(out)
 
@@ -181,7 +189,8 @@ def _build(points: tuple, candidates: list) -> FiniteSpace:
         for m in masks:
             if m >> i & 1:
                 nbhd &= m
-        assert nbhd in seen  # closure under intersection makes U_x open
+        if nbhd not in seen:  # closure under intersection makes U_x open
+            raise AssertionError(f"the minimal neighborhood of {points[i]!r} is not open")
         min_nbhd.append(nbhd)
     link = [
         u | sum(1 << j for j, v in enumerate(min_nbhd) if v >> i & 1)

@@ -518,6 +518,7 @@ def test_held_rows_match_the_routines_on_field_elements(order):
             linalg.add_vec(u, v) for u, v in zip(a, c))
         ech, pivots = linalg.held_rref(ha, field)
         assert same((linalg.release(ech, field), pivots), ref_rref(a, field))
+        assert linalg.held_rank(ha, field) == len(pivots) == linalg.rank(a, field)
         assert same(linalg.release(linalg.held_nullspace(ha, m, field), field),
                     ref_nullspace(a, m, field))
         assert same(linalg.release(linalg.held_intersect(ha, hc, m, field), field),
@@ -644,13 +645,13 @@ def test_kernel_stats_count_the_path_each_call_took(sierpinski):
 
 def test_a_completion_converts_each_row_once(sierpinski):
     # exact counts, no clock: a rank-8 completion with r_1 and s_2 given
-    # converts on entry the Gram matrix for the validation (8 rows) and once
-    # more for the completion (8), the two given sections (2), the 2 x 2
+    # converts on entry the Gram matrix (8 rows), which the validation ranks
+    # and the completion pairs with, the two given sections (2), the 2 x 2
     # matrix their relations prescribe (2), the identity the ambient
     # complement starts from (8) and A_2n for the congruence (8); on exit it
     # builds the entries of the six sections it found, 6 x 8, and nothing else.
-    # The form keeps its held Gram matrix, so a second completion on the
-    # same form converts it for the validation only
+    # The form keeps its held Gram matrix and its validation, so a second
+    # completion on the same form converts the Gram matrix no more
     drawn = random_alternating_form(Random(8), FreeModule(sierpinski, Q, 8))
     partial = random_partial_family(Random(9), drawn, config=({1}, {2}))
     form = BilinearForm(drawn.module, drawn.gram)  # nothing held yet
@@ -659,7 +660,7 @@ def test_a_completion_converts_each_row_once(sierpinski):
         gram_schmidt_extend(form, partial)
         after = linalg.kernel_stats()
         moved = {key: after[key] - before[key] for key in ("rows_in", "entries_out")}
-        assert moved == {"rows_in": 8 + gram_rows + 2 + 2 + 8 + 8, "entries_out": 6 * 8}
+        assert moved == {"rows_in": gram_rows + 2 + 2 + 8 + 8, "entries_out": 6 * 8}
 
 
 def test_gfp_products_count_one_dot_per_entry(monkeypatch):

@@ -51,7 +51,7 @@ from sheafforms import (
     validate_symplectic,
     witt_extend,
 )
-from sheafforms import linalg, symplectic
+from sheafforms import bilinear, linalg, symplectic
 from sheafforms.oracles import (
     discrete_pair_space,
     random_alternating_form,
@@ -720,14 +720,15 @@ class TestWitt:
         # over f under python -O too
         script = (
             "from fractions import Fraction\n"
-            "from sheafforms import (FreeModule, ModuleSection, RationalField, span,\n"
+            "from sheafforms import (FreeModule, ModuleSection, RationalField, linalg, span,\n"
             "    validate_topology)\n"
             "from sheafforms.symplectic import _sigma_from_images\n"
             "space = validate_topology(('a',), [(), ('a',)])\n"
             "module = FreeModule(space, RationalField(), 2)\n"
             "sec = ModuleSection(module, space.x_ref, ((Fraction(1), Fraction(2)),))\n"
             "f = span(module, [sec])\n"
-            "sigma = _sigma_from_images(f, f.global_basis())\n"
+            "held = linalg.hold(tuple(b.vectors[0] for b in f.global_basis()), module.field)\n"
+            "sigma = _sigma_from_images(f, module, [held])\n"
             "print(sigma(sec) == sec)\n"
             "outside = ModuleSection(module, space.x_ref, ((Fraction(0), Fraction(1)),))\n"
             "try:\n"
@@ -860,3 +861,167 @@ class TestValidateOnce:
         form, _ = self.forms(sierpinski)
         assert len(hyperbolic_decomposition(form)) == 3
         assert calls == [form]
+
+
+# -- the ambient step -----------------------------------------------------------
+
+
+def ref_project_rows_away(field, grams, rows_per_comp, pairs):
+    """The ambient step as it ran before it worked in echelon coordinates:
+    the image of each held row under z -> z + sum_i phi(z, r_i) s_i -
+    phi(z, s_i) r_i, echelonized per component. For pairs with phi(r_i, s_i)
+    = 1 satisfying the pairing relations this projects onto the orthogonal
+    complement of their span."""
+    out = []
+    for c, rows in enumerate(rows_per_comp):
+        g, cols = grams[c]
+        rs = tuple(r[c] for r, _ in pairs)
+        ss = tuple(s[c] for _, s in pairs)
+        tg = linalg.held_product(rs, g, field) + linalg.held_product(ss, cols, field)
+        coeffs = linalg.held_product(rows, tg, field)
+        shift = linalg.held_product(coeffs, linalg.held_transpose(ss + rs, field), field)
+        out.append(linalg.held_rref(linalg.held_add(rows, shift, field), field)[0])
+    return out
+
+
+def ref_orthogonal_rows(field, grams, rows_per_comp, avoid):
+    """The partner search's constrained rows as they were found before: the
+    nullspace of the pairings, times the rows, echelonized again."""
+    out = []
+    for c, amb in enumerate(rows_per_comp):
+        cols = grams[c][1]
+        stacked = tuple(a[c] for a in avoid)
+        coeffs = linalg.held_nullspace(
+            symplectic._pairings(stacked, amb, cols, field), len(amb), field
+        )
+        product = linalg.held_product(coeffs, linalg.held_transpose(amb, field), field)
+        out.append(linalg.held_rref(product, field)[0] if coeffs else ())
+    return out
+
+
+class TestAmbientStep:
+    """The ambient complement shrinks in echelon coordinates: C amb, with C
+    the echelon nullspace of the pairings, is the echelon basis the old
+    projection and elimination gave, held row for held row."""
+
+    CONFIGS = [
+        (set(), set()),
+        ({1}, {1}),
+        ({1, 3}, {1, 3}),
+        ({2}, set()),
+        (set(), {2}),
+        ({1}, {2}),
+        ({1, 2}, {3}),
+        ({1, 2}, {1, 3}),
+    ]
+
+    @pytest.mark.parametrize(
+        "field", [Q, PrimeField(7), PrimeField(101)], ids=["Q", "GF7", "GF101"]
+    )
+    def test_matches_projection_then_elimination(self, field, monkeypatch):
+        rng = Random(f"ambient:{field}")
+        seen = {"_complete": 0, "_partner": 0}
+        real = symplectic._shrink
+
+        def checked(fld, grams, ambient, sections):
+            out = real(fld, grams, ambient, sections)
+            caller = sys._getframe(1).f_code.co_name
+            seen[caller] += bool(sections)
+            if caller == "_complete":
+                # r_1..r_k then s_1..s_k: the pairs fixed at this step
+                k = len(sections) // 2
+                pairs = list(zip(sections[:k], sections[k:]))
+                expected = ref_project_rows_away(fld, grams, ambient, pairs) if pairs else ambient
+            else:
+                expected = (
+                    ref_orthogonal_rows(fld, grams, ambient, sections) if sections else ambient
+                )
+            assert list(out) == list(expected)
+            return out
+
+        monkeypatch.setattr(symplectic, "_shrink", checked)
+        for space in (sierpinski_space(), discrete_pair_space()):
+            module = FreeModule(space, field, 6)
+            for config in self.CONFIGS:
+                form = random_alternating_form(rng, module)
+                partial = random_partial_family(rng, form, config=config)
+                basis = gram_schmidt_extend(form, partial)
+                assert certify_basis(form, basis, partial)
+        assert seen["_complete"] > 0 and seen["_partner"] > 0
+
+    def test_wrong_ambient_size_raises_under_optimize_flag(self):
+        # -O strips assert statements: a completion whose ambient complement
+        # has lost a row must still refuse to go on
+        script = (
+            "from sheafforms import (FreeModule, PartialFamily, RationalField,\n"
+            "    gram_schmidt_extend, standard_symplectic_form, validate_topology)\n"
+            "from sheafforms import symplectic\n"
+            "real = symplectic._shrink\n"
+            "symplectic._shrink = lambda *args: [amb[:-1] for amb in real(*args)]\n"
+            "space = validate_topology(('a',), [(), ('a',)])\n"
+            "form = standard_symplectic_form(FreeModule(space, RationalField(), 4))\n"
+            "try:\n"
+            "    gram_schmidt_extend(form, PartialFamily.of())\n"
+            "except AssertionError as exc:\n"
+            "    print(__debug__, exc)\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (
+            "False component 0: the ambient complement has 3 rows, not 4\n"
+        )
+
+
+class TestWhatAFormKeeps:
+    """A symplectic form keeps its passed validation and the completion of
+    the empty family; a failed validation is never kept."""
+
+    @staticmethod
+    def moved(before, after, what):
+        return (after[f"{what}_hits"] - before[f"{what}_hits"],
+                after[f"{what}_misses"] - before[f"{what}_misses"])
+
+    def test_normal_form_and_standard_isometry_share_one_completion(self, discrete_pair):
+        rng = Random(29)
+        module = FreeModule(discrete_pair, Q, 6)
+        form, target = random_alternating_form(rng, module), random_alternating_form(rng, module)
+        before = bilinear.form_memo_stats()
+        mats = normal_form(form)
+        middle = bilinear.form_memo_stats()
+        iso = standard_isometry(form, target)
+        after = bilinear.form_memo_stats()
+        assert self.moved(before, middle, "completion") == (0, 1)
+        # the form's completion is a hit; the target's is its own miss
+        assert self.moved(middle, after, "completion") == (1, 1)
+        assert self.moved(before, middle, "symplectic") == (0, 1)
+        assert self.moved(middle, after, "symplectic") == (1, 1)
+        assert iso.holds()
+        # the kept completion is the one an equal form completes afresh
+        assert mats == normal_form(BilinearForm(module, form.gram))
+        before = bilinear.form_memo_stats()
+        planes = hyperbolic_decomposition(form)
+        assert self.moved(before, bilinear.form_memo_stats(), "completion") == (1, 0)
+        basis = SymplecticBasis.from_columns(module, mats)
+        assert [(p.r, p.s) for p in planes] == list(zip(basis.r, basis.s))
+
+    @pytest.mark.parametrize("grams, error", [
+        ([[[0, 1], [1, 0]]], NotAlternating),
+        ([[[0, 1, 0], [-1, 0, 0], [0, 0, 0]]], OddRank),
+        ([[[0, 0], [0, 0]]], Degenerate),
+    ])
+    def test_a_failed_validation_is_never_kept(self, sierpinski, grams, error):
+        form = form_on(sierpinski, *grams)
+        raised = []
+        for _ in range(3):
+            before = bilinear.form_memo_stats()
+            with pytest.raises(error) as err:
+                normal_form(form)
+            assert self.moved(before, bilinear.form_memo_stats(), "symplectic") == (0, 1)
+            raised.append((err.value.code, err.value.message, err.value.witness))
+            assert form._symplectic is None and form._completion is None
+        assert raised == [raised[0]] * 3

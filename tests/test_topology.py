@@ -272,3 +272,20 @@ def test_axiom_witness_matches_the_pairwise_scan():
             for u in range(len(space.opens)):
                 assert space.components_of(u) == components_by_separation(space, u)
     assert 100 < failures < 400  # the corpus holds both outcomes
+
+
+def test_refs_and_point_index_are_computed_once_per_space(
+    point_space, sierpinski, discrete_pair, three_point
+):
+    # a memo hit is a new space and computes its own, equal to the scan
+    copy = validate_topology(three_point.points, three_point.opens)
+    assert copy is not three_point and copy.opens is three_point.opens
+    for space in (point_space, sierpinski, discrete_pair, three_point, copy):
+        assert space.x_ref == space.opens.index(frozenset(space.points))
+        assert space.empty_ref == space.opens.index(frozenset())
+        assert space.point_index == {p: i for i, p in enumerate(space.points)}
+        kept = vars(space)
+        assert {"x_ref", "empty_ref", "point_index"} <= kept.keys()
+        assert space.point_index is kept["point_index"]
+        with pytest.raises(TypeError):
+            space.point_index[space.points[0]] = 7
