@@ -64,11 +64,13 @@ from .topology import validate_topology
 ENV_FIELD = "SHEAFFORMS_FIELD"
 
 # Size limits on a document, which is untrusted input. They admit every
-# shipped document (at most 10 points, 243 opens, rank 4) and bound the work a
-# document can ask for: a new space's closure check is quadratic in its opens.
+# shipped document (at most 10 points, 243 opens, rank 4, 11 tasks) and bound
+# the work a document can ask for: a new space's closure check is quadratic in
+# its opens, and every task runs in turn.
 MAX_POINTS = 64
 MAX_OPENS = 1024
 MAX_RANK = 16
+MAX_TASKS = 64
 
 TASK_OPS = (
     "classify",
@@ -260,6 +262,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
     tasks = doc.get("tasks", [])
     if not isinstance(tasks, list):
         raise ParseError("scenario: tasks must be a list")
+    if len(tasks) > MAX_TASKS:
+        raise ParseError(f"scenario: at most {MAX_TASKS} tasks are allowed, got {len(tasks)}")
     for i, task in enumerate(tasks):
         op = _expect(task, "op", str, f"tasks[{i}]")
         if op not in TASK_OPS:
@@ -352,23 +356,25 @@ def _certify_radical(form, rad, inside):
 
 
 def _certify_orthogonal(form, perp, f, side):
-    """side "left": phi(s, t) = 0, i.e. F G P^T = 0; side "right":
-    phi(t, s) = 0, i.e. P G F^T = 0; plus the dimension formula."""
+    """Two verdicts: whether perp annihilates the carrier on the requested
+    side (side "left": phi(s, t) = 0, i.e. F G P^T = 0; side "right":
+    phi(t, s) = 0, i.e. P G F^T = 0), and whether the dimension formula
+    dim perp = rank - rank(F G) (or F G^T) holds, on every component."""
     field = form.module.field
     zero = field.zero
+    annihilates = dimension_formula = True
     for g, p_rows, f_rows in zip(form.gram, perp.bases, f.bases):
         if side == "left":
             prod = linalg.matmul(f_rows, linalg.matmul(g, linalg.transpose(p_rows)))
         else:
             prod = linalg.matmul(p_rows, linalg.matmul(g, linalg.transpose(f_rows)))
         if any(x != zero for row in prod for x in row):
-            return False
+            annihilates = False
         # dimension formula, from scratch
         pairing = linalg.matmul(f_rows, g if side == "left" else linalg.transpose(g))
-        expected = form.module.rank - linalg.rank(pairing, field)
-        if len(p_rows) != expected:
-            return False
-    return True
+        if len(p_rows) != form.module.rank - linalg.rank(pairing, field):
+            dimension_formula = False
+    return annihilates, dimension_formula
 
 
 # -- task execution ---------------------------------------------------------
@@ -424,10 +430,10 @@ def _run_task(scenario: Scenario, task: dict, default_seed) -> dict:
                 raise ParseError(f"orthogonal: bad side {side!r}")
             f = _task_submodule(task, module, op)
             perp = form.orthogonal(f, side=side)
-            cert_ok = _certify_orthogonal(form, perp, f, side)
+            annihilates, dimension_formula = _certify_orthogonal(form, perp, f, side)
             return done(
                 {"orthogonal": format_submodule(perp), "side": side},
-                {"annihilates_carrier": cert_ok, "dimension_formula": cert_ok},
+                {"annihilates_carrier": annihilates, "dimension_formula": dimension_formula},
             )
 
         if op == "project":

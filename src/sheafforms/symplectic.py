@@ -21,7 +21,8 @@ shrinks it without projecting and eliminating: with C the reduced echelon
 nullspace of the pairings of the pair with the rows of A, C A is the reduced
 echelon basis of the new ambient, since x A has the entry x_t at the pivot
 column of row t of A. The partner search takes its constrained rows the same
-way. With no matched pairs given, the first ambient is the identity.
+way. With no matched pairs given, the first ambient is the rows the
+completion starts from: the identity, or for a Witt extension the rows of g.
 
 The normal form is the matrix of a completion of the empty family; a
 hyperbolic envelope is the first k planes of the completion of a totally
@@ -29,8 +30,13 @@ isotropic basis r_1..r_k; a standard isometry and a Witt extension are
 `_carry`, M = P' P^{-1} between the completions of two partial families
 (empty ones, or a basis adapted to f = g perp rad f and its sigma-image), so
 M^T G' M = G needs no further check, and P^{-1} = A^T P^T G needs no
-elimination. The public entry points validate their forms
-(`validate_symplectic`) once; the private helpers do not validate again.
+elimination. A Witt extension works in the coordinates of f's held echelon
+basis B: rad f is R B, for R the nullspace of B G B^T, the matrix its
+hypothesis check compares; the pairs of g are one completion run inside the
+rows of B that complement rad f (`_complete`'s `start`); and sigma sends x B
+to x Im. So it decides rad f once and builds no auxiliary form. The public
+entry points validate their forms (`validate_symplectic`) once; the private
+helpers do not validate again.
 A form keeps what is decided about it: that it passed the validation (which
 ranks the Gram matrices the form holds), and the completion of the empty
 family, which `normal_form`, `standard_isometry` and
@@ -329,6 +335,19 @@ def _partner(field, grams, ambient, avoid, given, side, label):
     return tuple(picks)
 
 
+def _first_mismatch(field, mats, wants, order):
+    """The first position (p, q) of `order` at which some held matrix of
+    `mats` differs from its partner in `wants`, or None. The matrices are
+    compared whole and released only when some pair differs."""
+    if all(linalg.held_equal(m, w, field) for m, w in zip(mats, wants)):
+        return None
+    pairs = [(linalg.release(m, field), linalg.release(w, field)) for m, w in zip(mats, wants)]
+    for p, q in order:
+        if any(m[p][q] != w[p][q] for m, w in pairs):
+            return p, q
+    return None
+
+
 def _check_partial_relations(field, grams, rs, ss):
     """phi(r_i, r_j) = phi(s_i, s_j) = 0 and phi(r_i, s_j) = delta_ij for held
     sections (index -> one held row per component): one pairing matrix per
@@ -355,28 +374,23 @@ def _check_partial_relations(field, grams, rs, ss):
     for c, (_, cols) in enumerate(grams):
         rows = tuple(sec[c] for sec in sections)
         mats.append(_pairings(rows, rows, cols, field))
-    if all(linalg.held_equal(m, prescribed, field) for m in mats):
-        return
-    mats = [linalg.release(m, field) for m in mats]
     r_pos, s_pos = range(len(rs)), range(len(rs), len(labels))
-    for ps, qs in ((r_pos, r_pos), (s_pos, s_pos), (r_pos, s_pos)):
-        for p in ps:
-            for q in qs:
-                (a, i), (b, j) = labels[p], labels[q]
-                want_one = a != b and i == j
-                want = one if want_one else zero
-                if any(m[p][q] != want for m in mats):
-                    raise PartialRelationsViolated(
-                        f"phi({a}_{i}, {b}_{j}) != {int(want_one)}", pair=((a, i), (b, j))
-                    )
+    blocks = ((r_pos, r_pos), (s_pos, s_pos), (r_pos, s_pos))
+    order = [(p, q) for ps, qs in blocks for p in ps for q in qs]
+    broken = _first_mismatch(field, mats, [prescribed] * len(mats), order)
+    if broken is not None:
+        (a, i), (b, j) = labels[broken[0]], labels[broken[1]]
+        raise PartialRelationsViolated(
+            f"phi({a}_{i}, {b}_{j}) != {int(a != b and i == j)}", pair=((a, i), (b, j))
+        )
 
 
 def _congruent(form: BilinearForm, gram_cols, rows) -> bool:
     """P^T G P == A_2n on every component, with the held rows of P^T (the
-    interleaved basis r_1, s_1, r_2, ...) and the held columns of G per
-    component."""
+    interleaved basis r_1, s_1, r_2, ..., 2n rows per component) and the
+    held columns of G per component."""
     field = form.module.field
-    target = linalg.hold(standard_alternating(form.module.rank, field), field)
+    target = linalg.hold(standard_alternating(len(rows[0]) if rows else 0, field), field)
     return all(
         linalg.held_equal(_pairings(p, p, cols, field), target, field)
         for p, cols in zip(rows, gram_cols)
@@ -415,11 +429,18 @@ def _extend(form: BilinearForm, partial: PartialFamily):
     return _kept(form, "_completion", "completion", lambda: _complete(form, partial))
 
 
-def _complete(form: BilinearForm, partial: PartialFamily):
-    """The body of `_extend`."""
+def _complete(form: BilinearForm, partial: PartialFamily, start=None):
+    """The body of `_extend`, run inside `start`: per component, the held
+    rows of a non-degenerate subspace in reduced echelon form, by default
+    the identity (the whole module). It completes half as many pairs as
+    `start` has rows and checks the congruence against A_2n of that size."""
     module = form.module
     field = module.field
-    n = module.rank // 2
+    grams = form._held_grams()
+    if start is None:
+        start = [linalg.hold(linalg.identity(module.rank, field), field)] * len(grams)
+    dim = len(start[0]) if start else module.rank
+    n = dim // 2
     rs = partial.r_dict
     ss = partial.s_dict
 
@@ -438,7 +459,6 @@ def _complete(form: BilinearForm, partial: PartialFamily):
                 raise PartialRelationsViolated(
                     f"{label}_{i} vanishes on some component", index=i
                 )
-    grams = form._held_grams()
     # index -> one held row per component, for the given sections and then
     # for the found ones
     given = list(zip(*_held_vectors(form, [*rs.values(), *ss.values()])))
@@ -453,11 +473,8 @@ def _complete(form: BilinearForm, partial: PartialFamily):
     # the orthogonal complement of the pairs fixed so far, shrunk in place
     # as each pair is fixed. Every pair lies in the ambient it is removed
     # from, so the complement is taken inside the ambient.
-    ident = linalg.hold(linalg.identity(module.rank, field), field)
-    ambient = _shrink(
-        field, grams, [ident] * len(grams), [hr[i] for i in matched] + [hs[i] for i in matched]
-    )
-    expected = module.rank - 2 * len(matched)
+    ambient = _shrink(field, grams, start, [hr[i] for i in matched] + [hs[i] for i in matched])
+    expected = dim - 2 * len(matched)
     _check_ambient(ambient, expected)
 
     pending = list(singles)
@@ -613,8 +630,7 @@ def hyperbolic_envelope(form: BilinearForm, f: Submodule):
             f"submodule component dimensions differ: {f.dims}", dims=f.dims
         )
     field = form.module.field
-    for b, cols in zip(f.bases, _gram_columns(form)):
-        held = linalg.hold(b, field)
+    for held, cols in zip(f._held_bases(), _gram_columns(form)):
         if any(map(any, linalg.held_nonzero(_pairings(held, held, cols, field), field))):
             raise NotTotallyIsotropic("the form does not vanish on the submodule")
     basis = f.global_basis()
@@ -645,31 +661,6 @@ def certify_envelope(form: BilinearForm, f: Submodule, planes) -> bool:
     return True
 
 
-def _sigma_from_images(f: Submodule, module: FreeModule, held_images):
-    """A-linear map from sections of f to sections of `module` determined by
-    images of the canonical global basis, given per component as held rows:
-    express per component over the echelon basis, then recombine with one
-    product, the coefficients times the image rows. The echelon rows of f,
-    their columns and the columns of the image rows are held once per map."""
-    field = f.module.field
-    echelons = f._held_bases()
-    columns = [linalg.held_transpose(b, field) for b in echelons]
-    image_columns = [linalg.held_transpose(im, field) for im in held_images]
-
-    def apply(section: ModuleSection) -> ModuleSection:
-        space = f.module.space
-        refinement = space.component_refinement(section.open, space.x_ref)
-        out = []
-        for v, xc in zip(linalg.hold(section.vectors, field), refinement):
-            coeffs = linalg.held_coordinates(echelons[xc], columns[xc], v, field)
-            if coeffs is None:
-                raise AssertionError("sigma was applied to a section outside f")
-            out.append(linalg.held_product((coeffs,), image_columns[xc], field)[0])
-        return ModuleSection(module, section.open, linalg.release(tuple(out), field))
-
-    return apply
-
-
 def witt_extend(
     source: BilinearForm, target: BilinearForm, f: Submodule, sigma_images
 ) -> Isometry:
@@ -685,6 +676,13 @@ def witt_extend(
     one completed basis to the other, so the result is certified by the two
     congruences P^T G P = A_2n = P'^T G' P' and agrees with sigma on a basis
     of f by construction.
+
+    All of it is worked out in the coordinates of f's held echelon basis B,
+    per component. With M = B G B^T, the matrix the hypothesis check
+    compares, rad f is R B for R the reduced echelon nullspace of M (reduced
+    echelon itself, as in `_shrink`). The pairs of g are one completion run
+    inside the rows of B that complement rad f, and sigma sends a row x B of
+    f to x Im, for Im the held images.
     """
     _validate_pair(source, target)
     module = source.module
@@ -697,7 +695,6 @@ def witt_extend(
         raise FreenessViolated(
             f"submodule component dimensions differ: {f.dims}", dims=f.dims
         )
-    basis = f.global_basis()
 
     images = list(sigma_images)
     if len(images) != k:
@@ -710,26 +707,18 @@ def witt_extend(
             raise ModuleMismatch("an image belongs to a different module")
         if im.open != x:
             raise OpenMismatch("images must be global sections")
-    # the images, held once per component for the checks and for sigma
+    bases = f._held_bases()
     held_images = _held_vectors(target, images)
-    # per component, the k x k Gram matrices B G B^T and Im G' Im^T, held;
-    # when they differ, the first pair in row-major order is the witness
-    grams = [
-        (_pairings(b, b, cols, field), _pairings(im, im, cols_t, field))
-        for b, im, cols, cols_t in zip(
-            _held_vectors(source, basis), held_images,
-            _gram_columns(source), _gram_columns(target),
+    # per component, the k x k Gram matrices B G B^T and Im G' Im^T; when
+    # they differ, the first pair in row-major order is the witness
+    grams = [_pairings(b, b, cols, field) for b, cols in zip(bases, _gram_columns(source))]
+    wants = [_pairings(im, im, cols, field) for im, cols in zip(held_images, _gram_columns(target))]
+    broken = _first_mismatch(field, grams, wants, [(i, j) for i in range(k) for j in range(k)])
+    if broken is not None:
+        raise IsometryHypothesisViolated(
+            f"pairing of basis sections {broken[0]} and {broken[1]} is not preserved",
+            pair=broken,
         )
-    ]
-    if not all(linalg.held_equal(gb, gi, field) for gb, gi in grams):
-        grams = [(linalg.release(gb, field), linalg.release(gi, field)) for gb, gi in grams]
-        for i in range(k):
-            for j in range(k):
-                if any(gb[i][j] != gi[i][j] for gb, gi in grams):
-                    raise IsometryHypothesisViolated(
-                        f"pairing of basis sections {i} and {j} is not preserved",
-                        pair=(i, j),
-                    )
     for c, im in enumerate(held_images):
         if linalg.held_rank(im, field) != k:
             raise IsometryHypothesisViolated(
@@ -737,34 +726,37 @@ def witt_extend(
                 component=c,
             )
 
-    rad = source.radical(f)
-    l = rad.is_free()
-    if l is None:
-        raise FreenessViolated(
-            f"radical component dimensions differ: {rad.dims}", dims=rad.dims
-        )
-    sigma = _sigma_from_images(f, target.module, held_images)
+    columns = [linalg.held_transpose(b, field) for b in bases]
+    radical = [
+        linalg.held_product(linalg.held_nullspace(m, k, field), cols, field)
+        for m, cols in zip(grams, columns)
+    ]
+    dims = tuple(map(len, radical))
+    if len(set(dims)) != 1:
+        raise FreenessViolated(f"radical component dimensions differ: {dims}", dims=dims)
+    rad_rows = [linalg.release(r, field) for r in radical]
 
-    # f = g perp rad f with g a complement of the radical inside f; g is
-    # non-degenerate, so the restricted form B_g G B_g^T is symplectic, and a
-    # basis completed on it lifts through B_g to symplectic pairs of g
-    g_rows = [linalg.complement_rows(rb, fb, field) for rb, fb in zip(rad.bases, f.bases)]
-    rs, ss = {}, {}
-    if k > l:
-        restricted = []
-        for rows, cols in zip(g_rows, _gram_columns(source)):
-            held = linalg.hold(rows, field)
-            restricted.append(linalg.release(_pairings(held, held, cols, field), field))
-        g_form = BilinearForm(FreeModule(module.space, field, k - l), tuple(restricted))
-        g_basis = _extend(g_form, PartialFamily.of())[0]
-        for i, (r, s) in enumerate(zip(g_basis.r, g_basis.s), 1):
-            rs[i] = _glue(module, map(linalg.vec_mat, r.vectors, g_rows))
-            ss[i] = _glue(module, map(linalg.vec_mat, s.vectors, g_rows))
-    rs.update(enumerate(rad.global_basis(), len(rs) + 1))
-    partial = PartialFamily.of(rs, ss)
-    partial_t = PartialFamily.of(
-        {i: sigma(sec) for i, sec in rs.items()}, {i: sigma(sec) for i, sec in ss.items()}
-    )
+    # g is the span of the rows of B that complement_rows keeps over rad f:
+    # non-degenerate, and in reduced echelon form as a subset of B
+    start = []
+    for rad, rows, held in zip(rad_rows, f.bases, bases):
+        kept = linalg.complement_rows(rad, rows, field)
+        start.append(tuple(h for row, h in zip(rows, held) if row in kept))
+    g_basis, g_rows = _complete(source, PartialFamily.of(), start=start)
+    family_r = [*g_basis.r, *(_glue(module, v) for v in zip(*rad_rows))]
+
+    # sigma: the family's rows, r then s, per component as x B, go to x Im
+    mapped = []
+    for b, cols, im, r, p in zip(bases, columns, held_images, radical, g_rows):
+        coords = [linalg.held_coordinates(b, cols, v, field) for v in p[0::2] + r + p[1::2]]
+        if None in coords:
+            raise AssertionError("sigma was applied to a section outside f")
+        image_columns = linalg.held_transpose(im, field)
+        mapped.append(linalg.release(linalg.held_product(coords, image_columns, field), field))
+    family_t = [_glue(target.module, v) for v in zip(*mapped)]
+    count = len(family_r)
+    partial = PartialFamily.of(enumerate(family_r, 1), enumerate(g_basis.s, 1))
+    partial_t = PartialFamily.of(enumerate(family_t[:count], 1), enumerate(family_t[count:], 1))
     return _carry(source, target, partial, partial_t)
 
 

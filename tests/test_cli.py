@@ -144,6 +144,26 @@ class TestParsing:
             scenario_from_dict(doc)
         assert err.value.message == message
 
+    @pytest.mark.parametrize("count", [scenario.MAX_TASKS, scenario.MAX_TASKS + 1])
+    def test_task_list_limit(self, tmp_path, count):
+        doc = base_doc(tasks=[{"op": "classify"}] * count)
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(doc))
+        proc = run_cli("run", str(path))
+        if count <= scenario.MAX_TASKS:
+            assert len(scenario_from_dict(doc).tasks) == count
+            assert proc.returncode == 0, proc.stderr
+            assert len(json.loads(proc.stdout)["tasks"]) == count
+            return
+        message = f"scenario: at most {scenario.MAX_TASKS} tasks are allowed, got {count}"
+        with pytest.raises(ParseError) as err:
+            scenario_from_dict(doc)
+        assert err.value.message == message
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("ParseError:") and message in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
     @pytest.mark.parametrize("level,doc", [
         ("task", base_doc(tasks=[{"op": "orthogonal"}])),
         ("task", base_doc(tasks=[{"op": "witt", "target_gram": GRAM, "sigma": []}])),
@@ -395,6 +415,19 @@ class TestOrthogonalSides:
             "annihilates_carrier": True, "dimension_formula": True,
         }
         assert report["ok"]
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_zero_submodule_breaks_only_the_dimension_formula(self, monkeypatch, side):
+        # the zero submodule annihilates every carrier, but has dimension 0
+        # where the formula asks for rank - rank(F G) = 1
+        monkeypatch.setattr(
+            scenario.BilinearForm, "orthogonal", lambda form, f, side="left": span(form.module, [])
+        )
+        (task,) = run_scenario_dict(asymmetric_doc(side))["tasks"]
+        assert task["status"] == "certificate_failed"
+        assert task["certificate"] == {
+            "annihilates_carrier": True, "dimension_formula": False,
+        }
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_cli_exit_zero(self, tmp_path, side):

@@ -34,6 +34,7 @@ from sheafforms import (
     PrimeField,
     RankMismatch,
     RationalField,
+    Submodule,
     SymplecticBasis,
     certify_basis,
     certify_envelope,
@@ -59,6 +60,7 @@ from sheafforms.oracles import (
     random_symplectic_isometry,
     random_totally_isotropic,
     sierpinski_space,
+    three_point_space,
 )
 
 Q = RationalField()
@@ -570,6 +572,29 @@ class TestEnvelope:
         with pytest.raises(FreenessViolated):
             hyperbolic_envelope(form, uneven)
 
+    def test_a_second_envelope_converts_none_of_f_s_rows(self, sierpinski, monkeypatch):
+        # the isotropy check reads the echelon rows f keeps: once f holds
+        # them, an envelope converts no row before its completion
+        module = FreeModule(sierpinski, Q, 6)
+        form = random_alternating_form(Random(5), module)
+        f = random_totally_isotropic(Random(6), form, 2)
+        f = Submodule(module, f.bases)
+        real = symplectic._extend
+        marks = []
+
+        def marking(form, partial):
+            marks.append(linalg.kernel_stats()["rows_in"])
+            return real(form, partial)
+
+        monkeypatch.setattr(symplectic, "_extend", marking)
+        moved = []
+        for _ in range(2):
+            before = linalg.kernel_stats()["rows_in"]
+            hyperbolic_envelope(form, f)
+            moved.append(marks[-1] - before)
+        # the first call holds f's two rows, the second reads them
+        assert moved == [2, 0]
+
 
 def hyperbolic_mix_submodule(rng, form, iso_count, hyp_count):
     basis = gram_schmidt_extend(form, PartialFamily.of())
@@ -693,46 +718,49 @@ class TestWitt:
 
     def test_built_on_completions_alone(self, monkeypatch):
         # the two certified completions decide the result: witt_extend needs
-        # neither certify_witt nor Isometry.holds, and meets orthogonal only
-        # inside radical
+        # neither certify_witt nor Isometry.holds, and it works out rad f
+        # from the Gram matrix of f it compares, not through the orthogonal
+        # calculus, and builds no auxiliary form
         source, target, f, images = self.lagrangian_instance()
 
-        def refuse(*args):
+        def refuse(*args, **kwargs):
             raise AssertionError("witt_extend re-checked its result")
 
-        orthogonals = []
-        original = BilinearForm.orthogonal
+        seen = []
 
-        def counting(form, sub, side="left"):
-            orthogonals.append(side)
-            return original(form, sub, side)
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                seen.append(name)
+                return original(*args, **kwargs)
+            return wrapper
 
         monkeypatch.setattr(symplectic, "certify_witt", refuse)
         monkeypatch.setattr(symplectic.Isometry, "holds", refuse)
-        monkeypatch.setattr(BilinearForm, "orthogonal", counting)
+        for owner, name in [
+            (BilinearForm, "orthogonal"), (BilinearForm, "radical"),
+            (BilinearForm, "__post_init__"), (bilinear, "classify_orthosymmetry"),
+            (linalg, "vec_mat"),
+        ]:
+            monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
         iso = witt_extend(source, target, f, images)
         monkeypatch.undo()
-        assert len(orthogonals) == 1
+        assert seen == []
         assert symplectic.certify_witt(iso, f, images)
 
     def test_sigma_outside_f_raises_under_optimize_flag(self):
-        # a raise, not an assert: sigma refuses a section it cannot express
-        # over f under python -O too
+        # a raise, not an assert: sigma refuses a row it cannot express over
+        # f under python -O too
         script = (
-            "from fractions import Fraction\n"
-            "from sheafforms import (FreeModule, ModuleSection, RationalField, linalg, span,\n"
-            "    validate_topology)\n"
-            "from sheafforms.symplectic import _sigma_from_images\n"
+            "from sheafforms import (FreeModule, RationalField, linalg, span,\n"
+            "    standard_symplectic_form, validate_topology, witt_extend)\n"
             "space = validate_topology(('a',), [(), ('a',)])\n"
-            "module = FreeModule(space, RationalField(), 2)\n"
-            "sec = ModuleSection(module, space.x_ref, ((Fraction(1), Fraction(2)),))\n"
-            "f = span(module, [sec])\n"
-            "held = linalg.hold(tuple(b.vectors[0] for b in f.global_basis()), module.field)\n"
-            "sigma = _sigma_from_images(f, module, [held])\n"
-            "print(sigma(sec) == sec)\n"
-            "outside = ModuleSection(module, space.x_ref, ((Fraction(0), Fraction(1)),))\n"
+            "form = standard_symplectic_form(FreeModule(space, RationalField(), 2))\n"
+            "e = form.module.canonical_basis()\n"
+            "f = span(form.module, [e[0]])\n"
+            "print(witt_extend(form, form, f, [e[0]]).holds())\n"
+            "linalg.held_coordinates = lambda *args: None\n"
             "try:\n"
-            "    sigma(outside)\n"
+            "    witt_extend(form, form, f, [e[0]])\n"
             "except AssertionError as exc:\n"
             "    print(__debug__, exc)\n"
         )
@@ -752,8 +780,9 @@ class TestWitt:
         f = span(module, [e[0], e[1]])
         # swap breaks the pairing sign
         images = [e[1], e[0]]
-        with pytest.raises(IsometryHypothesisViolated):
+        with pytest.raises(IsometryHypothesisViolated) as err:
             witt_extend(form, form, f, images)
+        assert err.value.witness["pair"] == (0, 1)
 
     def test_sigma_must_be_injective(self, sierpinski):
         module = FreeModule(sierpinski, Q, 4)
@@ -788,6 +817,40 @@ class TestWitt:
         with pytest.raises(RankMismatch):
             witt_extend(a, b, f, [])
 
+    def test_radical_must_be_free(self, discrete_pair):
+        # f = span(e_1, e_2) is a hyperbolic plane under A_4 on `a` and its
+        # own radical where e_1 pairs with e_3 and e_2 with e_4 (on `b`)
+        module = FreeModule(discrete_pair, Q, 4)
+        crossed = [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]
+        form = BilinearForm(module, (standard_alternating(4, Q), frac(crossed)))
+        e = module.canonical_basis()
+        f = span(module, [e[0], e[1]])
+        with pytest.raises(FreenessViolated) as err:
+            witt_extend(form, form, f, f.global_basis())
+        assert err.value.message == "radical component dimensions differ: (0, 2)"
+        assert err.value.witness == {"dims": (0, 2)}
+
+    def test_rows_converted_by_one_extension(self):
+        # fresh forms and a fresh f on a rank-8 instance, f of rank 4 with
+        # one hyperbolic pair and a radical of rank 2. The rows converted:
+        # both Gram matrices (16), f's rows (4), the images (4), the
+        # complement scan of rad f in f (2 + 4), A_2 for the pair of g (2),
+        # and per completion in `_carry` its family (4), the relations the
+        # family must meet (4), the identity (8) and A_8 (8)
+        rng = Random(71)
+        module = FreeModule(three_point_space(), Q, 8)
+        source = random_alternating_form(rng, module)
+        target = random_alternating_form(rng, module)
+        f = hyperbolic_mix_submodule(rng, source, 2, 1)
+        carrier = random_symplectic_isometry(rng, source, target)
+        images = [carrier.apply(sec) for sec in f.global_basis()]
+        source, target = BilinearForm(module, source.gram), BilinearForm(module, target.gram)
+        f = Submodule(module, f.bases)
+        before = linalg.kernel_stats()["rows_in"]
+        iso = witt_extend(source, target, f, images)
+        assert linalg.kernel_stats()["rows_in"] - before == 80
+        assert symplectic.certify_witt(iso, f, images)
+
     def test_broken_pairing_witness(self, discrete_pair):
         # the image of e_2 picks up e_0 on the second component only, so
         # phi(e_1, e_2) changes there and (1, 2) is the first broken pair
@@ -802,6 +865,67 @@ class TestWitt:
         with pytest.raises(IsometryHypothesisViolated) as err:
             witt_extend(form, form, f, [e[0], e[1], broken])
         assert err.value.witness["pair"] == (1, 2)
+
+
+def ref_g_pairs(source, f):
+    """The symplectic pairs of g as witt_extend found them before it worked
+    in f's coordinates: rad f through the orthogonal calculus, the rows of
+    f that complement it, the completion of the empty family on an
+    auxiliary form with the restricted Gram matrices, lifted by vec_mat."""
+    module, field = source.module, source.module.field
+    rad = source.radical(f)
+    g_rows = [linalg.complement_rows(rb, fb, field) for rb, fb in zip(rad.bases, f.bases)]
+    if not g_rows[0]:
+        return []
+    restricted = tuple(
+        linalg.matmul(rows, linalg.matmul(g, linalg.transpose(rows)))
+        for rows, g in zip(g_rows, source.gram)
+    )
+    g_form = BilinearForm(FreeModule(module.space, field, len(g_rows[0])), restricted)
+    g_basis = symplectic._extend(g_form, PartialFamily.of())[0]
+
+    def lift(sec):
+        return symplectic._glue(module, map(linalg.vec_mat, sec.vectors, g_rows))
+
+    return [(lift(r), lift(s)) for r, s in zip(g_basis.r, g_basis.s)]
+
+
+class TestPairsOfG:
+    """The pairs of g come from one completion run inside g's rows of f's
+    echelon basis; they are the rows the auxiliary form gave, lifted."""
+
+    @pytest.mark.parametrize(
+        "field", [Q, PrimeField(7), PrimeField(101)], ids=["Q", "GF7", "GF101"]
+    )
+    @pytest.mark.parametrize(
+        "iso_count, hyp_count", [(2, 0), (0, 2), (1, 1), (2, 1)],
+        ids=["isotropic", "hyperbolic", "mixed", "mixed_wide"],
+    )
+    def test_match_the_auxiliary_form(self, field, iso_count, hyp_count, monkeypatch):
+        rng = Random(f"g-pairs:{field}:{iso_count}:{hyp_count}")
+        real = symplectic._complete
+        found = []
+
+        def recording(form, partial, start=None):
+            basis, rows = real(form, partial, start=start)
+            if start is not None:
+                found.append(list(zip(basis.r, basis.s)))
+            return basis, rows
+
+        monkeypatch.setattr(symplectic, "_complete", recording)
+        for space in (sierpinski_space(), discrete_pair_space()):
+            module = FreeModule(space, field, 8)
+            source = random_alternating_form(rng, module)
+            target = random_alternating_form(rng, module)
+            f = hyperbolic_mix_submodule(rng, source, iso_count, hyp_count)
+            carrier = random_symplectic_isometry(rng, source, target)
+            images = [carrier.apply(sec) for sec in f.global_basis()]
+            found.clear()
+            iso = witt_extend(source, target, f, images)
+            assert symplectic.certify_witt(iso, f, images)
+            expected = ref_g_pairs(source, f)
+            assert len(expected) == hyp_count
+            assert found == [expected]
 
 
 class TestValidateOnce:
