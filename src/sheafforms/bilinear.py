@@ -11,7 +11,12 @@ tolerance.
 Non-isotropy is decided without forming the radical. For the echelon basis
 B of a submodule f on one component, rad f = {x B : (B G B^T) x^T = 0}, so
 dim rad f = dim f - rank(B G B^T), and f is non-isotropic (E splits as
-f perp-oplus f-perp) exactly when B G B^T is invertible on every component.
+f perp-oplus f-perp) exactly when M = B G B^T is invertible on every
+component. One elimination of [M | B G] per component decides it and, when
+it holds, gives K = M^-1 B G, so the projection onto f is t -> (t K^T) B.
+A form keeps that factorization for the last submodule it was made for, and
+`project` and `orthogonal_split` share it; f meets f-perp in rad f, so the
+split needs no intersection.
 
 The calculus (`orthogonal`, `radical`, `project`, `orthogonal_split`) runs
 on held rows from start to end: a form keeps its Gram matrices and their
@@ -20,7 +25,7 @@ on first use; every output is released once. `classify_orthosymmetry` works
 on the form's field elements and keeps its result on the form, so each form
 is classified once. The symplectic layer keeps two more facts on a form: that
 it passed `validate_symplectic`, and the completion of the empty family.
-`form_memo_stats()` counts the hits and misses of all four.
+`form_memo_stats()` counts the hits and misses of all five.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ from .topology import OpenRef
 
 _COUNTS = {
     f"{what}_{use}": 0
-    for what in ("gram", "class", "symplectic", "completion")
+    for what in ("gram", "class", "symplectic", "completion", "projector")
     for use in ("hits", "misses")
 }
 
@@ -58,8 +63,10 @@ def form_memo_stats() -> dict:
     """Uses of what a `BilinearForm` keeps, since import, as hits (read from
     the form) and misses (computed on first use): `gram_*` for its held Gram
     matrices, `class_*` for its `classify_orthosymmetry` result,
-    `symplectic_*` for a passed `validate_symplectic` and `completion_*` for
-    the completion of the empty partial family."""
+    `symplectic_*` for a passed `validate_symplectic`, `completion_*` for
+    the completion of the empty partial family and `projector_*` for the
+    factorization `project` and `orthogonal_split` keep for the last
+    submodule (a hit on the same or an equal submodule)."""
     return dict(_COUNTS)
 
 
@@ -82,8 +89,9 @@ class BilinearForm:
     gram: tuple  # per X-component: rank x rank matrix (tuple of row tuples)
     # set on first use and not part of the value: per X-component the held
     # Gram matrix and its held columns, the orthosymmetry class, True once
-    # the form passed `validate_symplectic`, and the completion of the empty
-    # partial family (the basis and its held rows)
+    # the form passed `validate_symplectic`, the completion of the empty
+    # partial family (the basis and its held rows), and the last submodule
+    # projected onto with its factorization (`_projector`)
     _held: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
     _class: Optional["OrthoClass"] = field(
         default=None, init=False, compare=False, repr=False
@@ -92,6 +100,9 @@ class BilinearForm:
         default=None, init=False, compare=False, repr=False
     )
     _completion: Optional[tuple] = field(
+        default=None, init=False, compare=False, repr=False
+    )
+    _projection: Optional[tuple] = field(
         default=None, init=False, compare=False, repr=False
     )
 
@@ -175,19 +186,40 @@ class BilinearForm:
             )
 
     def _restricted_grams(self, f: Submodule):
-        """Per X-component (B G, B G B^T) held, for the echelon basis B of
-        f, and the radical dimensions dim f - rank(B G B^T)."""
+        """Per X-component, for the echelon basis B of f, M = B G B^T
+        factored against B G by one elimination of [M | B G]: K = M^-1 B G
+        held, or None where M is singular; and the radical dimensions
+        dim f - rank M."""
         if f.module != self.module:
             raise ModuleMismatch("submodule belongs to a different module")
         field = self.module.field
-        grams = []
+        factors = []
         dims = []
         for b, (_, cols) in zip(f._held_bases(), self._held_grams()):
             bg = linalg.held_product(b, cols, field)
-            m = linalg.held_product(bg, b, field)
-            grams.append((bg, m))
-            dims.append(len(b) - len(linalg.held_rref(m, field)[1]))
-        return grams, tuple(dims)
+            rank, k = linalg.held_left_divide(linalg.held_product(bg, b, field), bg, field)
+            factors.append(k)
+            dims.append(len(b) - rank)
+        return tuple(factors), tuple(dims)
+
+    def _projector(self, f: Submodule):
+        """The factorization `project` and `orthogonal_split` share, for f
+        non-isotropic: (the radical dimensions, all zero, and per
+        X-component K = M^-1 B G with B's held columns). The form keeps it
+        for the last f it was made for; an equal f is a hit. An isotropic f
+        raises `IsotropicSubmodule` and nothing is kept."""
+        kept = self._projection
+        if kept is not None and (kept[0] is f or kept[0] == f):
+            _COUNTS["projector_hits"] += 1
+            return kept[1]
+        _COUNTS["projector_misses"] += 1
+        factors, dims = self._restricted_grams(f)
+        _require_nonisotropic(dims)
+        field = self.module.field
+        columns = [linalg.held_transpose(b, field) for b in f._held_bases()]
+        value = (dims, tuple(zip(factors, columns)))
+        object.__setattr__(self, "_projection", (f, value))
+        return value
 
     def radical(self, f: Optional[Submodule] = None) -> Submodule:
         """rad f = f intersect f-perp (rad E = E-perp). Needs an
@@ -200,40 +232,41 @@ class BilinearForm:
     def project(self, f: Submodule, t: ModuleSection) -> ModuleSection:
         """Orthogonal projection of t onto f, for free non-isotropic f.
 
-        Componentwise: with B the echelon basis of f and G the Gram matrix,
-        solve (B G B^T) x = B G t^T and return x^T B. The system matrix is
+        Componentwise: with B the echelon basis of f, G the Gram matrix and
+        M = B G B^T, the projection is x B for x^T = M^-1 B G t^T. The form
+        keeps K = M^-1 B G for the last f (`_projector`), so a projection is
+        two held products per component, x = t K^T and then x B. M is
         invertible exactly because rad f = 0 on every component."""
         field = self.module.field
         r = _require_free(f)
         self._require_orthosymmetric("projection")
-        grams, rad_dims = self._restricted_grams(f)
-        _require_nonisotropic(rad_dims)
+        _, factors = self._projector(f)
         if t.module != self.module:
             raise ModuleMismatch("section belongs to a different module")
         if r == 0:
             return self.module.zero_section(t.open)
-        columns = [linalg.held_transpose(b, field) for b in f._held_bases()]
         out = []
         for tv, xc in zip(linalg.hold(t.vectors, field), self._xc_of(t.open)):
-            bg, m = grams[xc]
-            x = linalg.held_solve(m, linalg.held_product(bg, (tv,), field), field)
-            out.append(linalg.held_product((x,), columns[xc], field)[0])
+            k, columns = factors[xc]
+            x = linalg.held_product((tv,), k, field)
+            out.append(linalg.held_product(x, columns, field)[0])
         return ModuleSection(self.module, t.open, linalg.release(tuple(out), field))
 
     def orthogonal_split(self, f: Submodule) -> "OrthogonalSplit":
-        """E = f perp-oplus f-perp for free non-isotropic f, with the
-        dimension-count and zero-intersection certificate recomputed."""
+        """E = f perp-oplus f-perp for free non-isotropic f. Non-isotropy is
+        read off the factorization `project` keeps: f meets f-perp in rad f,
+        so the certificate's intersection dimensions are the radical
+        dimensions, and the dimension count is recomputed."""
         _require_free(f)
         self._require_orthosymmetric("orthogonal splitting")
+        rad_dims, _ = self._projector(f)
         perp = self.orthogonal(f, "left")
-        meet = intersect_submodules(f, perp)
-        _require_nonisotropic(meet.dims)
-        # meet = 0 forces dim f + dim f-perp = rank on every component
+        # rad f = 0 forces dim f + dim f-perp = rank on every component
         cert = SplitCertificate(
             dims_first=f.dims,
             dims_second=perp.dims,
             rank=self.module.rank,
-            intersection_dims=meet.dims,
+            intersection_dims=rad_dims,
         )
         return OrthogonalSplit(f, perp, cert)
 

@@ -31,23 +31,27 @@ at all the product is over Q.
 A caller that chains many steps holds its rows itself and works on them
 with `held_product` (the matrix of `dot(row, col)`, A B^T),
 `held_transpose`, `held_add`, `held_divide`, `held_rref`, `held_rank`,
-`held_nullspace`, `held_intersect`, `held_solve`, `held_coordinates`,
-`held_equal` and `held_nonzero`. `rref`, `rank`, `nullspace`, `solve`,
+`held_nullspace`, `held_intersect`, `held_left_divide`,
+`held_coordinates`, `held_equal` and `held_nonzero`; `held_ints` builds
+held rows straight from rows of plain ints. `rref`, `rank`, `nullspace`,
 `rowspace_intersect` and `reduce_against` share their bodies with
-`held_rref`, `held_rank`, `held_nullspace`, `held_solve`, `held_intersect`
-and `held_coordinates`. The format is
+`held_rref`, `held_rank`, `held_nullspace`, `held_intersect` and
+`held_coordinates`. The format is
 private to this module: other modules only pass held rows (and tuples of
 them) around, as the symplectic completion and the orthogonal calculus do,
 and keep them (`Submodule` its echelon rows, `BilinearForm` its Gram
-matrices).
+matrices and the factorization of the last projection).
 
-The intersection of two row spaces is one Zassenhaus elimination of the
-rows [A | A] and [B | 0]: the echelon rows whose pivot falls in the right
-half are (0, w), and the w are the reduced echelon basis of the
-intersection.
+Every routine that eliminates does so once. The nullspace is one
+elimination of the rows with their columns reversed, whose back
+substitutions are the canonical basis already (`_nullspace`). The
+intersection of two row spaces is one Zassenhaus elimination of the rows
+[A | A] and [B | 0]: the echelon rows whose pivot falls in the right half
+are (0, w), and the w are the reduced echelon basis of the intersection.
+M^-1 R is one elimination of [M | R] (`held_left_divide`).
 
-`kernel_stats()` counts the calls by field, the rows converted on entry
-and the entries built on exit.
+`kernel_stats()` counts the calls by field, the rows converted on entry,
+the entries built on exit and the eliminations run.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ from operator import attrgetter, mul
 
 from .fields import FpElement, PrimeField
 
-_COUNTS = {"gfp": 0, "rational": 0, "rows_in": 0, "entries_out": 0}
+_COUNTS = {"gfp": 0, "rational": 0, "rows_in": 0, "entries_out": 0, "eliminations": 0}
 _numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
 
 
@@ -66,9 +70,11 @@ def kernel_stats() -> dict:
     """Calls since import by field: `gfp` (ints mod p, over GF(p)) and
     `rational` (integer rows, over Q). A call counts where it dispatches;
     the eliminations it makes inside are part of it and are not counted
-    again. Beside the calls, `rows_in` counts the rows (and a product's
-    columns) converted on entry and `entries_out` the field elements built
-    on exit."""
+    again as calls. Beside the calls, `rows_in` counts the rows (and a
+    product's columns) converted on entry, `entries_out` the field elements
+    built on exit and `eliminations` the runs of the one elimination every
+    echelon form, rank, nullspace, solve, inverse, intersection and
+    complement goes through."""
     return dict(_COUNTS)
 
 
@@ -175,6 +181,7 @@ def _eliminate(work: list, p):
     `pow(a, -1, p)`; over Q the row update is `_update`, so rows stay
     primitive and each pivot row is its reduced echelon row times its
     pivot."""
+    _COUNTS["eliminations"] += 1
     if not work:
         return [], ()
     width = len(work[0])
@@ -250,16 +257,27 @@ def _rank(held, p) -> int:
 
 
 def _nullspace(held, width: int, p) -> tuple:
-    """The body of `held_nullspace`: for each non-pivot column j, e_j minus
-    the combination of pivot columns that column j is, in echelon form."""
-    ech, pivots = _eliminate(_primitive_rows(held, p), p)
+    """The body of `held_nullspace`, in one elimination: of the rows with
+    their columns reversed. In that reduced echelon form a row, read in the
+    original order, is zero right of its pivot. So for a free column j the
+    vector e_j minus the combination of pivot columns that column j is
+    leads at j and is zero at every other free column: taken for the free
+    columns from left to right, these vectors are already the canonical
+    reduced echelon basis. Each is held over its entry at j."""
+    for row, _ in held:
+        if len(row) != width:
+            raise ValueError(f"a row of length {len(row)} in a nullspace of width {width}")
+    ech, pivots = _eliminate([row[::-1] for row in _primitive_rows(held, p)], p)
     basis = []
-    for j in range(width):
+    for j in reversed(range(width)):  # reversed columns: the free ones from the left
         if j not in pivots:
             x, den = _back_substitute(ech, pivots, j, width, p)
             x[j] = -den  # the vector is den e_j - x
-            basis.append([-y % p for y in x] if p else _primitive([-y for y in x]))
-    return _pivoted(_eliminate(basis, p)[0], p)
+            if p:
+                basis.append(([-y % p for y in reversed(x)], 1))
+            else:
+                basis.append(_reduced([-y for y in reversed(x)], den))
+    return tuple(basis)
 
 
 def _product(rows, cols, p) -> tuple:
@@ -277,7 +295,7 @@ def _product(rows, cols, p) -> tuple:
 
 
 def _solve(aug, width: int, p):
-    """The body of `solve` and `held_solve`: one solution of the system whose
+    """The body of `solve`: one solution of the system whose
     held augmented rows are `aug` (the coefficients, then the right-hand side
     at column `width`), held, or None if it is inconsistent."""
     ech, pivots = _eliminate(_primitive_rows(aug, p), p)
@@ -498,6 +516,13 @@ def held_product(rows, cols, field) -> tuple:
     return _product(rows, cols, _word_modulus(field))
 
 
+def held_ints(rows, field) -> tuple:
+    """Rows of plain ints as held rows, built directly: no field element is
+    made and no row is converted on entry (`rows_in` does not move)."""
+    p = _word_modulus(field)
+    return tuple([([x % p for x in row] if p else list(row), 1) for row in rows])
+
+
 def held_transpose(held, field) -> tuple:
     """The columns of a held matrix as held rows: each entry is brought over
     the lcm of the row denominators."""
@@ -552,20 +577,28 @@ def held_intersect(a, b, width, field) -> tuple:
     return _intersect(a, b, width, _word_modulus(field))
 
 
-def held_solve(rows, rhs, field):
-    """`solve` on held rows: one solution x of rows x^T = rhs, for `rhs` a
-    held column (one held row of one entry per row, as `held_product` gives
-    it for one column), held, or None if the system is inconsistent."""
+def held_left_divide(m, rhs, field):
+    """For a square held matrix M and held rows R as many as its rows, one
+    elimination of [M | R]: (the rank of M, M^-1 R held if M is invertible,
+    else None). The rank is the number of pivots in M's columns; when it is
+    full the reduced echelon form is [I | M^-1 R]. Over Q each row of M and
+    its row of R are brought over the lcm of their denominators first."""
     p = _word_modulus(field)
-    width = len(rows[0][0]) if rows else 0
     if p:
-        aug = [(u + v, 1) for (u, _), (v, _) in zip(rows, rhs)]
+        aug = [(u + v, 1) for (u, _), (v, _) in zip(m, rhs)]
     else:
         aug = []
-        for (u, d), (v, e) in zip(rows, rhs):
+        for (u, d), (v, e) in zip(m, rhs):
             den = lcm(d, e)
             aug.append(([x * (den // d) for x in u] + [x * (den // e) for x in v], den))
-    return _solve(aug, width, p)
+    r = len(m)
+    ech, pivots = _eliminate(_primitive_rows(aug, p), p)
+    rank = sum(pc < r for pc in pivots)
+    if rank < r:
+        return rank, None
+    if p:
+        return rank, tuple([(row[r:], 1) for row in ech])
+    return rank, tuple([_reduced(row[r:], row[i]) for i, row in enumerate(ech)])
 
 
 def held_coordinates(echelon, columns, v, field):

@@ -236,15 +236,21 @@ def standard_alternating(rank: int, field):
     """Block-diagonal Gram matrix with blocks [[0,1],[-1,0]]."""
     if rank % 2 != 0:
         raise OddRank(f"rank {rank} is odd")
+    return tuple(tuple(map(field.from_int, row)) for row in _alternating_ints(rank))
+
+
+def _alternating_ints(rank: int) -> list:
+    """`standard_alternating` of even rank as rows of ints, as the
+    congruence check holds it (`linalg.held_ints`)."""
     rows = []
     for i in range(rank):
-        row = [field.zero] * rank
+        row = [0] * rank
         if i % 2 == 0:
-            row[i + 1] = field.one
+            row[i + 1] = 1
         else:
-            row[i - 1] = -field.one
-        rows.append(tuple(row))
-    return tuple(rows)
+            row[i - 1] = -1
+        rows.append(row)
+    return rows
 
 
 def standard_symplectic_form(module: FreeModule) -> BilinearForm:
@@ -390,7 +396,7 @@ def _congruent(form: BilinearForm, gram_cols, rows) -> bool:
     interleaved basis r_1, s_1, r_2, ..., 2n rows per component) and the
     held columns of G per component."""
     field = form.module.field
-    target = linalg.hold(standard_alternating(len(rows[0]) if rows else 0, field), field)
+    target = linalg.held_ints(_alternating_ints(len(rows[0]) if rows else 0), field)
     return all(
         linalg.held_equal(_pairings(p, p, cols, field), target, field)
         for p, cols in zip(rows, gram_cols)
@@ -438,7 +444,8 @@ def _complete(form: BilinearForm, partial: PartialFamily, start=None):
     field = module.field
     grams = form._held_grams()
     if start is None:
-        start = [linalg.hold(linalg.identity(module.rank, field), field)] * len(grams)
+        ident = [[int(i == j) for j in range(module.rank)] for i in range(module.rank)]
+        start = [linalg.held_ints(ident, field)] * len(grams)
     dim = len(start[0]) if start else module.rank
     n = dim // 2
     rs = partial.r_dict

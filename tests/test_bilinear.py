@@ -20,6 +20,7 @@ from sheafforms import (
     OpenMismatch,
     PrimeField,
     RationalField,
+    Submodule,
     classify_orthosymmetry,
     full_submodule,
     intersect_submodules,
@@ -503,3 +504,155 @@ class TestWhatAFormKeeps:
             "False the matrix is symmetric: no asymmetry pair exists\n"
             "False the matrix is alternating: no asymmetry pair exists\n"
         )
+
+
+def ref_project(form, f, t):
+    """The projection as `project` made it before it kept a factorization:
+    per component solve (B G B^T) x = B G t^T and return x B, on field
+    elements."""
+    field = form.module.field
+    space = form.module.space
+    out = []
+    for tv, xc in zip(t.vectors, space.component_refinement(t.open, space.x_ref)):
+        b = f.bases[xc]
+        if not b:
+            out.append(linalg.zero_vec(form.module.rank, field))
+            continue
+        bg = linalg.matmul(b, form.gram[xc])
+        x = linalg.solve(linalg.matmul(bg, linalg.transpose(b)), linalg.mat_vec(bg, tv), field)
+        out.append(linalg.vec_mat(x, b))
+    return ModuleSection(form.module, t.open, tuple(out))
+
+
+class TestKeptFactorization:
+    """`project` and `orthogonal_split` share one factorization of B G B^T
+    against B G per (form, submodule), kept on the form for the last
+    submodule."""
+
+    @staticmethod
+    def moved(before, after):
+        return tuple(after[f"projector_{k}"] - before[f"projector_{k}"] for k in ("hits", "misses"))
+
+    def test_hits_and_misses(self, discrete_pair):
+        rng = Random(83)
+        module = FreeModule(discrete_pair, PrimeField(10007), 5)
+        form = random_orthosymmetric_form(rng, module, symmetric_only=True)
+        f = random_nonisotropic_submodule(rng, form, 2)
+        g = random_nonisotropic_submodule(rng, form, 3)
+        t = random_global_section(rng, module)
+        steps = [
+            (lambda: form.orthogonal_split(f), (0, 1)),
+            (lambda: form.project(f, t), (1, 0)),
+            # a distinct but equal submodule is a hit
+            (lambda: form.project(Submodule(module, f.bases), t), (1, 0)),
+            (lambda: form.project(g, t), (0, 1)),
+            # only the last submodule is kept
+            (lambda: form.project(f, t), (0, 1)),
+            (lambda: form.orthogonal_split(f), (1, 0)),
+        ]
+        for call, expected in steps:
+            before = bilinear.form_memo_stats()
+            call()
+            assert self.moved(before, bilinear.form_memo_stats()) == expected
+        # another form keeps its own
+        other = BilinearForm(module, form.gram)
+        before = bilinear.form_memo_stats()
+        other.project(f, t)
+        assert self.moved(before, bilinear.form_memo_stats()) == (0, 1)
+
+    def test_an_isotropic_submodule_raises_alike_and_is_never_kept(self, discrete_pair):
+        # rad f = span(e1) on the first component only
+        form = form_on(discrete_pair, [[0, 1], [1, 0]], [[1, 0], [0, 1]])
+        module = form.module
+        e1, e2 = module.canonical_basis()
+        f = span(module, [e1])
+        g = span(module, [e1 + e2])
+        form.project(g, e1)
+        kept = form._projection
+        raised = []
+        for call in (lambda: form.project(f, e1), lambda: form.orthogonal_split(f),
+                     lambda: form.project(f, e2)):
+            before = bilinear.form_memo_stats()
+            with pytest.raises(IsotropicSubmodule) as err:
+                call()
+            assert self.moved(before, bilinear.form_memo_stats()) == (0, 1)
+            raised.append((err.value.code, str(err.value), err.value.witness))
+            assert form._projection is kept
+        assert raised == [("IsotropicSubmodule",
+                           "submodule has a non-trivial radical, dims (1, 0)",
+                           {"dims": (1, 0)})] * 3
+
+    @pytest.mark.parametrize("field", [Q, PrimeField(7), PrimeField(10007)],
+                             ids=["Q", "GF7", "GF10007"])
+    def test_projections_equal_the_solve_route(self, field):
+        rng = Random(f"project:{field.name}")
+        checked = 0
+        for i in range(24):
+            space = fixture_spaces()[i % 3]
+            rank = (1, 2, 3, 4, 5)[i % 5]
+            module = FreeModule(space, field, rank)
+            form = random_orthosymmetric_form(rng, module, symmetric_only=True)
+            f = random_nonisotropic_submodule(rng, form, rng.randrange(rank + 1))
+            if f is None:
+                continue
+            for _ in range(3):
+                t = random_global_section(rng, module)
+                for u in [t] + [t.restrict(v) for v in range(len(space.opens))][:3]:
+                    assert form.project(f, u) == ref_project(form, f, u)
+                    checked += 1
+        assert checked > 100
+
+    @pytest.mark.parametrize("field", [Q, F3, PrimeField(101)], ids=["Q", "GF3", "GF101"])
+    def test_split_intersection_dims_are_the_meet_dims(self, field):
+        rng = Random(f"split:{field.name}")
+        checked = 0
+        for i in range(30):
+            space = fixture_spaces()[i % 3]
+            rank = (1, 2, 3, 4, 5, 6)[i % 6]
+            module = FreeModule(space, field, rank)
+            form = random_orthosymmetric_form(rng, module, symmetric_only=True)
+            f = random_nonisotropic_submodule(rng, form, rng.randrange(rank + 1))
+            if f is None:
+                continue
+            split = form.orthogonal_split(f)
+            meet = intersect_submodules(f, form.orthogonal(f))
+            assert split.certificate.intersection_dims == meet.dims
+            assert split.certificate.ok
+            checked += 1
+        assert checked > 15
+
+
+class TestEliminationCounts:
+    """`kernel_stats()["eliminations"]` over the orthogonal calculus."""
+
+    @staticmethod
+    def eliminations(call):
+        before = linalg.kernel_stats()["eliminations"]
+        call()
+        return linalg.kernel_stats()["eliminations"] - before
+
+    def instance(self):
+        rng = Random(89)
+        space = fixture_spaces()[2]
+        module = FreeModule(space, PrimeField(10007), 6)
+        form = random_orthosymmetric_form(rng, module, symmetric_only=True)
+        f = random_nonisotropic_submodule(rng, form, 3)
+        ts = [random_global_section(rng, module) for _ in range(3)]
+        return form, f, ts, len(module.x_components())
+
+    def test_one_per_component_for_an_orthogonal(self):
+        form, f, _, ncomp = self.instance()
+        assert ncomp > 1
+        for side in ("left", "right"):
+            assert self.eliminations(lambda: form.orthogonal(f, side)) == ncomp
+
+    def test_a_split_and_three_projections_onto_one_submodule(self):
+        # the split factorizes once per component and takes f-perp by one
+        # nullspace per component; the projections after it eliminate nothing
+        form, f, ts, ncomp = self.instance()
+        classify_orthosymmetry(form)
+        assert self.eliminations(lambda: form.orthogonal_split(f)) == 2 * ncomp
+        assert self.eliminations(lambda: [form.project(f, t) for t in ts]) == 0
+        # on a fresh form three projections factorize once per component
+        fresh = BilinearForm(form.module, form.gram)
+        assert self.eliminations(lambda: [fresh.project(f, t) for t in ts]) == ncomp

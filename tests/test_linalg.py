@@ -528,11 +528,7 @@ def test_held_rows_match_the_routines_on_field_elements(order):
             linalg.held_divide(ha, linalg.hold(((x,),), field), field), field
         ) == tuple(linalg.scale(field.one / x, row) for row in a)
         rhs = tuple(field.random_scalar(rng) for _ in range(n))
-        held_x = linalg.held_solve(ha, linalg.hold(tuple((y,) for y in rhs), field), field)
-        expected = ref_solve(a, rhs, field)
-        assert (held_x is None) == (expected is None)
-        if held_x is not None:
-            assert linalg.release((held_x,), field) == (expected,)
+        assert same(linalg.solve(a, rhs, field), ref_solve(a, rhs, field))
         # coordinates of a row of b, mostly outside rowspace(a), and of a row inside
         ech_rows = linalg.release(ech, field)
         inside = (field.zero,) * m
@@ -646,12 +642,13 @@ def test_kernel_stats_count_the_path_each_call_took(sierpinski):
 def test_a_completion_converts_each_row_once(sierpinski):
     # exact counts, no clock: a rank-8 completion with r_1 and s_2 given
     # converts on entry the Gram matrix (8 rows), which the validation ranks
-    # and the completion pairs with, the two given sections (2), the 2 x 2
-    # matrix their relations prescribe (2), the identity the ambient
-    # complement starts from (8) and A_2n for the congruence (8); on exit it
-    # builds the entries of the six sections it found, 6 x 8, and nothing else.
-    # The form keeps its held Gram matrix and its validation, so a second
-    # completion on the same form converts the Gram matrix no more
+    # and the completion pairs with, the two given sections (2) and the 2 x 2
+    # matrix their relations prescribe (2); the identity the ambient
+    # complement starts from and A_2n for the congruence are held straight
+    # from ints and convert nothing. On exit it builds the entries of the six
+    # sections it found, 6 x 8, and nothing else. The form keeps its held
+    # Gram matrix and its validation, so a second completion on the same form
+    # converts the Gram matrix no more
     drawn = random_alternating_form(Random(8), FreeModule(sierpinski, Q, 8))
     partial = random_partial_family(Random(9), drawn, config=({1}, {2}))
     form = BilinearForm(drawn.module, drawn.gram)  # nothing held yet
@@ -660,7 +657,7 @@ def test_a_completion_converts_each_row_once(sierpinski):
         gram_schmidt_extend(form, partial)
         after = linalg.kernel_stats()
         moved = {key: after[key] - before[key] for key in ("rows_in", "entries_out")}
-        assert moved == {"rows_in": gram_rows + 2 + 2 + 8 + 8, "entries_out": 6 * 8}
+        assert moved == {"rows_in": gram_rows + 2 + 2, "entries_out": 6 * 8}
 
 
 def test_gfp_products_count_one_dot_per_entry(monkeypatch):
@@ -716,3 +713,80 @@ def test_inner_calls_on_ints_are_not_counted_again():
             call()
             after = linalg.kernel_stats()
             assert tuple(after[k] - before[k] for k in ("gfp", "rational")) == moved
+
+
+# -- the nullspace in one elimination ---------------------------------------------
+
+# (rows, width): empty, width 0, tall, square, wide, up to 24 x 48
+NULLSPACE_SHAPES = ((0, 0), (0, 6), (3, 0), (1, 1), (24, 6), (24, 24), (12, 30), (6, 48), (24, 48))
+# entries of several hundred bits over denominators of 128 bits each clear
+# to rows of thousands of bits, and the reference's Fractions take seconds
+# on a dense 12 x 30: over those entries the shapes stop at 24 x 6 and 6 x 16
+BIG_SHAPES = ((0, 0), (0, 6), (3, 0), (1, 1), (24, 6), (8, 8), (6, 16))
+
+
+@pytest.mark.parametrize("order", ("rationals", "rationals:big", 3, 10007, 2**31 - 1))
+def test_one_elimination_nullspace_matches_the_reference(order):
+    # every kind of matrix (dense, sparse, low rank, with zero rows, all
+    # zero, rank-deficient by a repeated row and a sum of two) in every
+    # shape: the canonical basis of the reference, which eliminates twice,
+    # from one elimination of the reversed columns
+    field = kernel_field(order)
+    rng = Random(f"nullspace:{order}")
+    kinds = RATIONAL_KINDS if field is Q or order == "rationals:big" else KINDS + ("all_zero",)
+    shapes = BIG_SHAPES if order == "rationals:big" else NULLSPACE_SHAPES
+    for kind in kinds:
+        for n, m in shapes:
+            rows = random_rows(rng, field, n, m, (kind,))
+            if n >= 3 and m and rng.random() < 0.5:
+                rows = rows[:-2] + (rows[0], linalg.add_vec(rows[1], rows[2]))
+            if m == 0:
+                rows = ((),) * n
+            expected = ref_nullspace(rows, m, field)
+            before = linalg.kernel_stats()["eliminations"]
+            assert same(linalg.nullspace(rows, m, field), expected)
+            assert linalg.kernel_stats()["eliminations"] - before == 1
+            held = linalg.held_nullspace(linalg.hold(rows, field), m, field)
+            assert same(linalg.release(held, field), expected)
+            # held rows are in lowest terms: the basis held is its release held
+            assert held == linalg.hold(expected, field)
+
+
+@pytest.mark.parametrize("field", [Q, F7], ids=["Q", "GF7"])
+def test_nullspace_rejects_a_row_of_another_width(field):
+    rows = ((field.one, 2, 3),)
+    for width in (2, 4):
+        with pytest.raises(ValueError, match=f"a row of length 3 in a nullspace of width {width}"):
+            linalg.nullspace(rows, width, field)
+        with pytest.raises(ValueError, match="a row of length 3"):
+            linalg.held_nullspace(linalg.hold(rows, field), width, field)
+    assert linalg.nullspace((), 2, field) == linalg.identity(2, field)
+
+
+@pytest.mark.parametrize("order", ("rationals", "rationals:big", 7, 10007))
+def test_left_divide_is_one_elimination_of_m_beside_r(order):
+    # (rank M, M^-1 R) against the reference inverse, on invertible and
+    # singular M, with R wide or narrow
+    field = kernel_field(order)
+    rng = Random(f"divide:{order}")
+    for _ in range(40):
+        r = rng.randrange(5)
+        m = random_rows(rng, field, r, r)
+        rhs = random_rows(rng, field, r, rng.randrange(1, 7))
+        before = linalg.kernel_stats()["eliminations"]
+        rank, k = linalg.held_left_divide(linalg.hold(m, field), linalg.hold(rhs, field), field)
+        assert linalg.kernel_stats()["eliminations"] - before == 1
+        inv = ref_inverse(m, field)
+        assert rank == len(ref_rref(m, field)[1])
+        assert (k is None) == (inv is None)
+        if k is not None:
+            assert same(linalg.release(k, field), in_field(ref_matmul(inv, rhs), field))
+
+
+@pytest.mark.parametrize("field", [Q, F7], ids=["Q", "GF7"])
+def test_held_ints_are_held_without_a_conversion(field):
+    rows = ((1, 0, -1), (0, -1, 2))
+    before = linalg.kernel_stats()["rows_in"]
+    held = linalg.held_ints(rows, field)
+    assert linalg.kernel_stats()["rows_in"] == before
+    assert held == linalg.hold(in_field(rows, field), field)
