@@ -118,8 +118,8 @@ class BilinearForm:
                 raise ModuleMismatch(f"Gram matrix is not {n} x {n}")
 
     def _held_grams(self) -> tuple:
-        """Per X-component, (G, the columns of G) held: t G^T is
-        held_product(t, G) and u G is held_product(u, columns)."""
+        """Per X-component, (G, the columns of G) held: u G is
+        held_combine(u, G) and t G^T is held_combine(t, columns)."""
         field = self.module.field
 
         def hold():
@@ -170,7 +170,7 @@ class BilinearForm:
         perps = []
         for b, (g, cols) in zip(f._held_bases(), self._held_grams()):
             # the rows of B G (left) or B G^T (right), each paired with t
-            m = linalg.held_product(b, cols if side == "left" else g, field)
+            m = linalg.held_combine(b, g if side == "left" else cols, field)
             perps.append(linalg.held_nullspace(m, n, field))
         return _from_held(self.module, perps)
 
@@ -195,8 +195,8 @@ class BilinearForm:
         field = self.module.field
         factors = []
         dims = []
-        for b, (_, cols) in zip(f._held_bases(), self._held_grams()):
-            bg = linalg.held_product(b, cols, field)
+        for b, (g, _) in zip(f._held_bases(), self._held_grams()):
+            bg = linalg.held_combine(b, g, field)
             rank, k = linalg.held_left_divide(linalg.held_product(bg, b, field), bg, field)
             factors.append(k)
             dims.append(len(b) - rank)
@@ -205,7 +205,7 @@ class BilinearForm:
     def _projector(self, f: Submodule):
         """The factorization `project` and `orthogonal_split` share, for f
         non-isotropic: (the radical dimensions, all zero, and per
-        X-component K = M^-1 B G with B's held columns). The form keeps it
+        X-component K = M^-1 B G with B's held rows). The form keeps it
         for the last f it was made for; an equal f is a hit. An isotropic f
         raises `IsotropicSubmodule` and nothing is kept."""
         kept = self._projection
@@ -215,9 +215,7 @@ class BilinearForm:
         _COUNTS["projector_misses"] += 1
         factors, dims = self._restricted_grams(f)
         _require_nonisotropic(dims)
-        field = self.module.field
-        columns = [linalg.held_transpose(b, field) for b in f._held_bases()]
-        value = (dims, tuple(zip(factors, columns)))
+        value = (dims, tuple(zip(factors, f._held_bases())))
         object.__setattr__(self, "_projection", (f, value))
         return value
 
@@ -247,9 +245,9 @@ class BilinearForm:
             return self.module.zero_section(t.open)
         out = []
         for tv, xc in zip(linalg.hold(t.vectors, field), self._xc_of(t.open)):
-            k, columns = factors[xc]
+            k, b = factors[xc]
             x = linalg.held_product((tv,), k, field)
-            out.append(linalg.held_product(x, columns, field)[0])
+            out.append(linalg.held_combine(x, b, field)[0])
         return ModuleSection(self.module, t.open, linalg.release(tuple(out), field))
 
     def orthogonal_split(self, f: Submodule) -> "OrthogonalSplit":

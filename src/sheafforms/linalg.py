@@ -10,15 +10,40 @@ There is one boundary: rows of field elements are converted once on entry
 one operation on held rows, and a release or a count. A held row is exact
 and in lowest terms, so equal held rows are equal tuples:
 
-- over GF(p), a `PrimeField`: (ints in [0, p), 1). Ints in the input are
-  lifted; an `FpElement` of another characteristic raises `ValueError
-  ("mixed characteristics ...")` and any other entry `TypeError`, as
-  `FpElement` arithmetic does. Row operations reduce mod p.
+- over GF(p), a `PrimeField`, a row of n entries with n >= `_PACKED_WIDTH`
+  is (x, n), the entries packed into one non-negative int x, entry j in
+  slot j (bits j w to (j + 1) w - 1). A slot is w = 64 bits, one word,
+  while 2 bits(p) + 16 <= 64, that is for p < 2^24, and two words up to
+  `MAX_PRIME`; either way it has 16 bits of headroom, room for 2^16
+  products of two entries on top of one entry. At rest every slot is
+  reduced into [0, p), so equal rows are equal ints. A narrower row is
+  (ints in [0, p), 1): its row operations cost less than packing it. The
+  width of a row alone decides its format, so the rows of one matrix share
+  it. Ints in the input are lifted; an `FpElement` of another
+  characteristic raises `ValueError("mixed characteristics ...")` and any
+  other entry `TypeError`, as `FpElement` arithmetic does.
 - over Q, a `RationalField`: (integer row, d), the row divided by d > 0,
   with no common factor of d and all the entries. An entry that is neither
   an int nor a `Fraction` raises `TypeError`. Elimination is fraction-free
   (Bareiss 1968; Geddes, Czapor and Labahn 1992) on rows divided by their
   content, and an echelon row leaves held over its pivot.
+
+Packed rows follow Dumas, Fousse and Salvy (2011) and the delayed reduction
+of Dumas, Giorgi and Pernet (2008). Slot values go into and out of the ints
+through `struct`, in one place (`_pack`, `_unpack`, `_pack_rows`,
+`_unpack_rows`). A row update is one multiply-add of big ints,
+x + (p - c) y, which keeps every slot non-negative and leaves the cleared
+slot a multiple of p. The packed elimination reads a slot mod p only at the
+pivot column, unpacks and scales only the pivot row, reduces every row after
+each `_HEADROOM` pivots (a row takes at most one update per pivot), so no
+input size overflows a slot, and leaves the rows unreduced for its caller to
+reduce what it keeps. A packed product (`held_combine` with B's rows
+packed) sums one multiply-add of B's packed rows per coefficient of A and
+reduces each output row once; `held_product` over GF(p) takes one sum of
+products per entry, or for more than one row and `_PACKED_WIDTH` columns or
+more packs the columns' transpose and sums its rows. Packed Zassenhaus rows
+[A | A], and the rows [M | R] when R's rows are packed, are built by
+shift-or; other rows side by side are eliminated as lists.
 
 Each routine reads its field at one dispatch point (`_word_modulus`).
 `matmul`, `mat_vec` and `vec_mat` take no field, so they read it off the
@@ -26,55 +51,80 @@ first entry, in the left factor and then the right, that is not a plain
 int: an `FpElement` of p means GF(p), any other entry means Q. So they
 return `FpElement`s or `Fraction`s whatever mix of ints came in. An empty
 factor holds no entry and the field is read off the other; with no entry
-at all the product is over Q.
+at all the product is over Q. Over Q a product takes one `dot` per entry;
+over GF(p) it calls no `dot`.
 
 A caller that chains many steps holds its rows itself and works on them
-with `held_product` (the matrix of `dot(row, col)`, A B^T),
-`held_transpose`, `held_add`, `held_divide`, `held_rref`, `held_rank`,
-`held_nullspace`, `held_intersect`, `held_left_divide`,
-`held_coordinates`, `held_equal` and `held_nonzero`; `held_ints` builds
-held rows straight from rows of plain ints. `rref`, `rank`, `nullspace`,
-`rowspace_intersect` and `reduce_against` share their bodies with
-`held_rref`, `held_rank`, `held_nullspace`, `held_intersect` and
-`held_coordinates`. The format is
+with `held_product` (the matrix of `dot(row, col)`, A C^T),
+`held_combine` (A B, B given by its rows), `held_transpose`, `held_add`,
+`held_divide`, `held_rref`, `held_rank`, `held_nullspace`,
+`held_intersect`, `held_left_divide`, `held_coordinates`, `held_equal` and
+`held_nonzero`; `held_ints` builds held rows straight from rows of plain
+ints. `rref`, `rank`, `nullspace`, `rowspace_intersect` and
+`reduce_against` share their bodies with `held_rref`, `held_rank`,
+`held_nullspace`, `held_intersect` and `held_coordinates`. The format is
 private to this module: other modules only pass held rows (and tuples of
 them) around, as the symplectic completion and the orthogonal calculus do,
 and keep them (`Submodule` its echelon rows, `BilinearForm` its Gram
 matrices and the factorization of the last projection).
 
 Every routine that eliminates does so once. The nullspace is one
-elimination of the rows with their columns reversed, whose back
+elimination that scans the columns right to left, whose back
 substitutions are the canonical basis already (`_nullspace`). The
 intersection of two row spaces is one Zassenhaus elimination of the rows
 [A | A] and [B | 0]: the echelon rows whose pivot falls in the right half
 are (0, w), and the w are the reduced echelon basis of the intersection.
 M^-1 R is one elimination of [M | R] (`held_left_divide`).
 
+Over GF(p) with p below `_TABLED`, `release` takes its field elements from
+a table of all p of them instead of making one per entry.
+
 `kernel_stats()` counts the calls by field, the rows converted on entry,
-the entries built on exit and the eliminations run.
+the entries built on exit, the eliminations run and the packed
+multiply-adds made.
 """
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
 from operator import attrgetter, mul
 
 from .fields import FpElement, PrimeField
 
-_COUNTS = {"gfp": 0, "rational": 0, "rows_in": 0, "entries_out": 0, "eliminations": 0}
+_COUNTS = {
+    "gfp": 0, "rational": 0, "rows_in": 0, "entries_out": 0, "eliminations": 0,
+    "multiply_adds": 0,
+}
 _numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
+# over GF(p), rows of at least this many entries are packed: the orthogonal
+# calculus at ranks 8 to 12 (`calculus_gf`) works above it, scenarios at
+# ranks 2 to 4 (`scenario_wide`) below it
+_PACKED_WIDTH = 8
+# below this order a slot is one 64-bit word: 2 bits(p) + 16 <= 64
+_ONE_WORD = 1 << 24
+# multiply-adds a slot has room for between reductions: its 16 spare bits
+_HEADROOM = 1 << 16
+# over GF(p) with p below this, `release` takes its field elements from a
+# table of all p of them, built on first use, instead of making one per
+# entry; a table holds at most 2^14 elements
+_TABLED = 1 << 14
+_TABLES = {}
 
 
 def kernel_stats() -> dict:
-    """Calls since import by field: `gfp` (ints mod p, over GF(p)) and
-    `rational` (integer rows, over Q). A call counts where it dispatches;
-    the eliminations it makes inside are part of it and are not counted
-    again as calls. Beside the calls, `rows_in` counts the rows (and a
-    product's columns) converted on entry, `entries_out` the field elements
-    built on exit and `eliminations` the runs of the one elimination every
-    echelon form, rank, nullspace, solve, inverse, intersection and
-    complement goes through."""
+    """Calls since import by field: `gfp` (over GF(p)) and `rational`
+    (integer rows, over Q). A call counts where it dispatches; the
+    eliminations it makes inside are part of it and are not counted again
+    as calls. Beside the calls, `rows_in` counts the rows (and a product's
+    columns) converted on entry, `entries_out` the field elements built on
+    exit, `eliminations` the runs of the one elimination every echelon form,
+    rank, nullspace, solve, inverse, intersection and complement goes
+    through, and `multiply_adds` the multiply-adds of packed rows over
+    GF(p): one per row update of a packed elimination and one per
+    coefficient of the left factor of a packed product."""
     return dict(_COUNTS)
 
 
@@ -89,6 +139,14 @@ def _word_modulus(field):
     return _counted(field.p if isinstance(field, PrimeField) else 0)
 
 
+def _table(p: int) -> list:
+    """The elements of GF(p), p below `_TABLED`, indexed by value."""
+    table = _TABLES.get(p)
+    if table is None:
+        table = _TABLES[p] = [FpElement(v, p) for v in range(p)]
+    return table
+
+
 def _lift(x, p: int) -> int:
     """One entry as an int in [0, p); a foreign entry raises as `FpElement`
     arithmetic does."""
@@ -99,6 +157,97 @@ def _lift(x, p: int) -> int:
     if isinstance(x, int):
         return x % p
     raise TypeError(f"unsupported entry for GF({p}): {type(x).__name__} {x!r}")
+
+
+# -- packed rows over GF(p) ------------------------------------------------------
+
+
+def _packs(width: int, p: int) -> bool:
+    """Whether rows of `width` entries are packed: over GF(p), from
+    `_PACKED_WIDTH` entries on."""
+    return bool(p) and width >= _PACKED_WIDTH
+
+
+def _slot(p: int) -> int:
+    """The bits of one slot of a packed row over GF(p)."""
+    return 64 if p < _ONE_WORD else 128
+
+
+class _Layouts(dict):
+    """k -> the `struct` layout of k little-endian 64-bit words."""
+
+    def __missing__(self, k: int) -> struct.Struct:
+        layout = self[k] = struct.Struct(f"<{k}Q")
+        return layout
+
+
+_WORDS = _Layouts()
+
+
+def _pack(values, p: int) -> int:
+    """Slot values below 2^64 as one packed row."""
+    if p >= _ONE_WORD:
+        values = [w for v in values for w in (v, 0)]
+    return int.from_bytes(_WORDS[len(values)].pack(*values), "little")
+
+
+def _unpack(x: int, n: int, p: int):
+    """The n slot values of one packed row, reduced or not."""
+    if p < _ONE_WORD:
+        return _WORDS[n].unpack(x.to_bytes(8 * n, "little"))
+    words = _WORDS[2 * n].unpack(x.to_bytes(16 * n, "little"))
+    return [lo | hi << 64 for lo, hi in zip(words[0::2], words[1::2])]
+
+
+def _pack_rows(rows, n: int, p: int) -> list:
+    """Rows of n slot values below 2^64 as packed rows."""
+    if p >= _ONE_WORD:
+        return [_pack(row, p) for row in rows]
+    pack = _WORDS[n].pack
+    return [int.from_bytes(pack(*row), "little") for row in rows]
+
+
+def _unpack_rows(xs, n: int, p: int) -> list:
+    """The slot values of the packed rows xs of n slots each, reduced or
+    not, one tuple per row."""
+    if p >= _ONE_WORD:
+        return [_unpack(x, n, p) for x in xs]
+    unpack, size = _WORDS[n].unpack, 8 * n
+    return [unpack(x.to_bytes(size, "little")) for x in xs]
+
+
+def _reduce_rows(xs, n: int, p: int) -> list:
+    """The packed rows xs of n slots each with every slot reduced mod p."""
+    return _pack_rows([[v % p for v in row] for row in _unpack_rows(xs, n, p)], n, p)
+
+
+def _value_rows(xs, n: int, p: int) -> list:
+    """The packed rows xs of n slots each as lists of reduced values."""
+    return [[v % p for v in row] for row in _unpack_rows(xs, n, p)]
+
+
+def _is_packed(held) -> bool:
+    """Whether the rows of a held matrix over GF(p) are packed."""
+    return bool(held) and type(held[0][0]) is int
+
+
+def _values(held, p: int) -> list:
+    """The rows of a held matrix over GF(p), reduced at rest, as sequences
+    of ints in [0, p)."""
+    if _is_packed(held):
+        return _unpack_rows([x for x, _ in held], held[0][1], p)
+    return [row for row, _ in held]
+
+
+def _held(rows, n: int, p: int) -> tuple:
+    """Rows of n ints in [0, p) as held rows over GF(p), packed if they are
+    wide enough."""
+    if _packs(n, p):
+        return tuple([(x, n) for x in _pack_rows(rows, n, p)])
+    return tuple([(row, 1) for row in rows])
+
+
+# -- integer rows over Q --------------------------------------------------------
 
 
 def _cleared(row):
@@ -116,40 +265,10 @@ def _cleared(row):
     return [n * (den // d) for n, d in zip(map(_numerator, row), dens)], den
 
 
-def _hold(rows, p) -> tuple:
-    """The body of `hold`: the one conversion on entry."""
-    if p:
-        held = []
-        for row in rows:
-            ints = [x.val for x in row if type(x) is FpElement and x.p == p]
-            if len(ints) != len(row):
-                ints = [_lift(x, p) for x in row]
-            held.append((ints, 1))
-    else:
-        held = list(map(_cleared, rows))
-    _COUNTS["rows_in"] += len(held)
-    return tuple(held)
-
-
-def _release(held, p) -> tuple:
-    """The body of `release`: the one conversion on exit, of any exact held
-    rows, in lowest terms or not."""
-    _COUNTS["entries_out"] += sum([len(row) for row, _ in held])
-    if p:
-        return tuple([tuple([FpElement(v, p) for v in row]) for row, _ in held])
-    return tuple([tuple([Fraction(v, d) for v in row]) for row, d in held])
-
-
 def _primitive(row: list) -> list:
     """An integer row divided by its content; a zero row stays as it is."""
     g = gcd(*row)
     return [x // g for x in row] if g > 1 else row
-
-
-def _primitive_rows(held, p) -> list:
-    """Held rows as `_eliminate` takes them: over Q divided by their
-    content, which drops the denominator an elimination has no use for."""
-    return [row if p else _primitive(row) for row, _ in held]
 
 
 def _reduced(row: list, den: int):
@@ -174,23 +293,84 @@ def _update(x, y, col: int, p):
     return _primitive([s * u - t * v for u, v in zip(x, y)])
 
 
-def _eliminate(work: list, p):
-    """Reduced echelon form of the rows `work`, as `_primitive_rows` gives
-    them (the list's rows are replaced, never changed in place): (pivot
-    rows, pivot columns). Over GF(p) the pivot row is scaled by
-    `pow(a, -1, p)`; over Q the row update is `_update`, so rows stay
+# -- the bodies -----------------------------------------------------------------
+
+
+def _lifted(rows, p: int) -> list:
+    """Rows of field elements over GF(p) as lists of ints in [0, p): the
+    conversion on entry."""
+    out = []
+    for row in rows:
+        ints = [x.val for x in row if type(x) is FpElement and x.p == p]
+        out.append(ints if len(ints) == len(row) else [_lift(x, p) for x in row])
+    _COUNTS["rows_in"] += len(out)
+    return out
+
+
+def _hold(rows, p) -> tuple:
+    """The body of `hold`: the one conversion on entry."""
+    if not p:
+        held = tuple(map(_cleared, rows))
+        _COUNTS["rows_in"] += len(held)
+        return held
+    ints = _lifted(rows, p)
+    n = len(ints[0]) if ints else 0
+    if _packs(n, p) and all(len(row) == n for row in ints):
+        return tuple([(x, n) for x in _pack_rows(ints, n, p)])
+    return tuple([
+        (_pack(row, p), len(row)) if len(row) >= _PACKED_WIDTH else (row, 1) for row in ints
+    ])
+
+
+def _release(held, p) -> tuple:
+    """The body of `release`: the one conversion on exit, of any exact held
+    rows, over Q in lowest terms or not. Over GF(p), with p below
+    `_TABLED`, the elements are taken from the table of GF(p)."""
+    if not p:
+        _COUNTS["entries_out"] += sum([len(row) for row, _ in held])
+        return tuple([tuple([Fraction(v, d) for v in row]) for row, d in held])
+    rows = _values(held, p)
+    _COUNTS["entries_out"] += sum(map(len, rows))
+    if p < _TABLED:
+        element = _table(p).__getitem__
+        return tuple([tuple(map(element, row)) for row in rows])
+    return tuple([tuple(map(FpElement, row, repeat(p))) for row in rows])
+
+
+def _work(held, p):
+    """Held rows as `_eliminate` takes them, with their common width: over
+    GF(p) the packed ints or the lists, over Q the integer rows divided by
+    their content, which drops the denominator an elimination has no use
+    for."""
+    if _is_packed(held):
+        if len({n for _, n in held}) > 1:
+            raise ValueError("rows of unequal length")
+        return [x for x, _ in held], held[0][1]
+    work = [row if p else _primitive(row) for row, _ in held]
+    return work, len(work[0]) if work else 0
+
+
+def _eliminate(work: list, cols: range, p):
+    """Reduced echelon form of the rows `work`, as `_work` gives them (the
+    list's rows are replaced, never changed in place), with all the columns
+    scanned in the order of `cols`, left to right or right to left: (pivot
+    rows, pivot columns in the order found). Over GF(p) the pivot row is
+    scaled by `pow(a, -1, p)`, and packed rows leave packed and unreduced
+    (`_eliminate_packed`). Over Q the row update is `_update`, so rows stay
     primitive and each pivot row is its reduced echelon row times its
     pivot."""
     _COUNTS["eliminations"] += 1
     if not work:
         return [], ()
+    if p and type(work[0]) is int:
+        return _eliminate_packed(work, cols, p)
     width = len(work[0])
     if any(len(row) != width for row in work):
         raise ValueError("rows of unequal length")
     n = len(work)
     pivots = []
     r = 0
-    for col in range(width):
+    for col in cols:
         for i in range(r, n):
             if work[i][col]:
                 break
@@ -221,11 +401,52 @@ def _eliminate(work: list, p):
     return work[:r], tuple(pivots)
 
 
-def _pivoted(ech, p) -> tuple:
-    """Echelon rows from `_eliminate` as held rows: over Q each row is held
-    over its pivot (signs turned to make it positive), so it stands for its
-    reduced echelon row."""
+def _eliminate_packed(work: list, cols: range, p: int):
+    """`_eliminate` on packed rows over GF(p): the pivot rows leave with
+    every slot congruent mod p to its reduced echelon entry, not reduced. A
+    row takes at most one multiply-add per pivot, so every row is reduced
+    after each `_HEADROOM` pivots."""
+    width = len(cols)
+    size = _slot(p)
+    mask = (1 << size) - 1
+    n = len(work)
+    made = 0
+    pivots = []
+    r = 0
+    for col in cols:
+        shift = size * col
+        for i in range(r, n):
+            a = (work[i] >> shift & mask) % p
+            if a:
+                break
+        else:
+            continue
+        row = work[i]
+        work[i] = work[r]
+        inverse = pow(a, -1, p)
+        row = work[r] = _pack([v * inverse % p for v in _unpack(row, width, p)], p)
+        for i, x in enumerate(work):
+            c = (x >> shift & mask) % p
+            if c and i != r:
+                work[i] = x + (p - c) * row
+                made += 1
+        pivots.append(col)
+        r += 1
+        if r == n:
+            break
+        if r % _HEADROOM == 0:
+            work = _reduce_rows(work, width, p)
+    _COUNTS["multiply_adds"] += made
+    return work[:r], tuple(pivots)
+
+
+def _pivoted(ech, width: int, p) -> tuple:
+    """Echelon rows of `width` from `_eliminate` as held rows: over GF(p)
+    packed rows reduced; over Q each row held over its pivot (signs turned
+    to make it positive), so it stands for its reduced echelon row."""
     if p:
+        if ech and type(ech[0]) is int:
+            return tuple([(x, width) for x in _reduce_rows(ech, width, p)])
         return tuple([(row, 1) for row in ech])
     out = []
     for row in ech:
@@ -234,16 +455,25 @@ def _pivoted(ech, p) -> tuple:
     return tuple(out)
 
 
+def _echelon_values(ech, width: int, p) -> list:
+    """Echelon rows from `_eliminate` over GF(p) as lists of reduced
+    values."""
+    if ech and type(ech[0]) is int:
+        return _value_rows(ech, width, p)
+    return ech
+
+
 def _rref(held, p):
     """The body of `held_rref`."""
-    ech, pivots = _eliminate(_primitive_rows(held, p), p)
-    return _pivoted(ech, p), pivots
+    work, width = _work(held, p)
+    ech, pivots = _eliminate(work, range(width), p)
+    return _pivoted(ech, width, p), pivots
 
 
 def _back_substitute(ech, pivots, j, width: int, p):
-    """The held row x of length `width` with x[pc] = ech[i][j] / ech[i][pc]
-    at each pivot column pc: over Q, over the lcm of the pivots it divides
-    by; over GF(p) pivots are 1."""
+    """The row x of length `width` with x[pc] = ech[i][j] / ech[i][pc] at
+    each pivot column pc, for echelon rows as lists: over Q, over the lcm of
+    the pivots it divides by; over GF(p) pivots are 1."""
     den = 1 if p else lcm(*[row[pc] for row, pc in zip(ech, pivots) if row[j]])
     x = [0] * width
     for row, pc in zip(ech, pivots):
@@ -253,40 +483,85 @@ def _back_substitute(ech, pivots, j, width: int, p):
 
 def _rank(held, p) -> int:
     """The body of `held_rank`."""
-    return len(_eliminate(_primitive_rows(held, p), p)[1])
+    work, width = _work(held, p)
+    return len(_eliminate(work, range(width), p)[1])
 
 
 def _nullspace(held, width: int, p) -> tuple:
-    """The body of `held_nullspace`, in one elimination: of the rows with
-    their columns reversed. In that reduced echelon form a row, read in the
-    original order, is zero right of its pivot. So for a free column j the
-    vector e_j minus the combination of pivot columns that column j is
-    leads at j and is zero at every other free column: taken for the free
-    columns from left to right, these vectors are already the canonical
-    reduced echelon basis. Each is held over its entry at j."""
-    for row, _ in held:
-        if len(row) != width:
-            raise ValueError(f"a row of length {len(row)} in a nullspace of width {width}")
-    ech, pivots = _eliminate([row[::-1] for row in _primitive_rows(held, p)], p)
+    """The body of `held_nullspace`, in one elimination that scans the
+    columns right to left. In that reduced echelon form a row is zero right
+    of its pivot. So for a free column j the vector e_j minus the
+    combination of pivot columns that column j is leads at j and is zero at
+    every other free column: taken for the free columns from left to right,
+    these vectors are already the canonical reduced echelon basis. Each is
+    held over its entry at j."""
+    for row, n in held:
+        length = n if type(row) is int else len(row)
+        if length != width:
+            raise ValueError(f"a row of length {length} in a nullspace of width {width}")
+    work, _ = _work(held, p)
+    ech, pivots = _eliminate(work, range(width - 1, -1, -1), p)
+    if p:
+        ech = _echelon_values(ech, width, p)
     basis = []
-    for j in reversed(range(width)):  # reversed columns: the free ones from the left
+    for j in range(width):
         if j not in pivots:
             x, den = _back_substitute(ech, pivots, j, width, p)
             x[j] = -den  # the vector is den e_j - x
-            if p:
-                basis.append(([-y % p for y in reversed(x)], 1))
-            else:
-                basis.append(_reduced([-y for y in reversed(x)], den))
-    return tuple(basis)
+            basis.append((x, den))
+    if p:
+        return _held([[-y % p for y in x] for x, _ in basis], width, p)
+    return tuple([_reduced([-y for y in x], den) for x, den in basis])
+
+
+def _sums(coeffs, packed: list, width: int, p: int) -> list:
+    """Per sequence of coefficients c_k (ints in [0, p)), the sum of c_k
+    times the reduced packed row y_k of `packed`, each of `width` slots, as
+    a reduced packed row: one multiply-add per term, and a reduction at the
+    end and, past `_HEADROOM` terms, after every `_HEADROOM` of them."""
+    k = len(packed)
+    _COUNTS["multiply_adds"] += len(coeffs) * k
+    if k <= _HEADROOM:
+        return _reduce_rows([sum(map(mul, u, packed)) for u in coeffs], width, p)
+    out = []
+    for u in coeffs:
+        acc = 0
+        for i in range(0, k, _HEADROOM):
+            terms = sum(map(mul, u[i:i + _HEADROOM], packed[i:i + _HEADROOM]))
+            acc = _reduce_rows([acc + terms], width, p)[0]
+        out.append(acc)
+    return out
+
+
+def _same_length(u, v) -> None:
+    """Raise as `dot` does when two factors' inner lengths differ."""
+    if len(u) != len(v):
+        raise ValueError(f"vectors of lengths {len(u)} and {len(v)}")
+
+
+def _dots(rows: list, cols: list, p: int) -> tuple:
+    """The held matrix over GF(p) of the dots of the sequences `rows` with
+    the sequences `cols` of ints in [0, p): `sum(map(mul, u, v)) % p` per
+    entry, or, for more than one row and `_PACKED_WIDTH` columns or more,
+    the sums of the rows' coefficients times the packed rows of the
+    columns' transpose (`_sums`), which cost a packing of that transpose."""
+    k = len(cols)
+    if rows and cols:
+        _same_length(rows[0], cols[0])
+    if len(rows) > 1 and _packs(k, p):
+        packed = _pack_rows(list(zip(*cols)), k, p)
+        return tuple([(x, k) for x in _sums(rows, packed, k, p)])
+    return _held([[sum(map(mul, u, v)) % p for v in cols] for u in rows], k, p)
 
 
 def _product(rows, cols, p) -> tuple:
-    """The body of `held_product`: one `dot` on ints per entry. Over Q
-    entry (i, j) is dot(a_i, b_j) / (d_i e_j), so row i is held over d_i
-    times the lcm of the e_j, each dot scaled by that lcm over e_j."""
-    right = [v for v, _ in cols]
+    """The body of `held_product`: over GF(p) `_dots` on the rows'
+    values; over Q one `dot` on ints per entry, entry (i, j) being
+    dot(a_i, b_j) / (d_i e_j), so row i is held over d_i times the lcm of
+    the e_j, each dot scaled by that lcm over e_j."""
     if p:
-        return tuple([([dot(u, v) % p for v in right], 1) for u, _ in rows])
+        return _dots(_values(rows, p), _values(cols, p), p)
+    right = [v for v, _ in cols]
     den = lcm(*[e for _, e in cols])
     scales = [den // e for _, e in cols]
     return tuple(
@@ -294,13 +569,47 @@ def _product(rows, cols, p) -> tuple:
     )
 
 
+def _combine(rows, right, p) -> tuple:
+    """The body of `held_combine`: the held rows of A B for the held rows of
+    A and of B. Over GF(p), with B's rows packed, row i is the sum of a_ik
+    times B's packed row k (`_sums`). Otherwise it is the dots of a_i with
+    B's columns, all over the lcm E of B's denominators, so that over Q row
+    i is held over d_i E."""
+    coeffs = _values(rows, p) if p else [u for u, _ in rows]
+    if coeffs and right:
+        _same_length(coeffs[0], right)
+    if p and _is_packed(right):
+        width = right[0][1]
+        packed = [y for y, _ in right]
+        return tuple([(x, width) for x in _sums(coeffs, packed, width, p)])
+    den = lcm(*[e for _, e in right])
+    columns = list(zip(*[v if e == den else [x * (den // e) for x in v] for v, e in right]))
+    if p:
+        return tuple([([sum(map(mul, u, v)) % p for v in columns], 1) for u in coeffs])
+    return tuple([_reduced([dot(u, v) for v in columns], d * den) for u, d in rows])
+
+
+def _transpose(held, p) -> tuple:
+    """The body of `held_transpose`: over Q each entry is brought over the
+    lcm of the row denominators."""
+    if p:
+        return _held([list(col) for col in zip(*_values(held, p))], len(held), p)
+    den = lcm(*[d for _, d in held])
+    scaled = [[x * (den // d) for x in row] for row, d in held]
+    return tuple(_reduced(list(col), den) for col in zip(*scaled))
+
+
 def _solve(aug, width: int, p):
     """The body of `solve`: one solution of the system whose
     held augmented rows are `aug` (the coefficients, then the right-hand side
     at column `width`), held, or None if it is inconsistent."""
-    ech, pivots = _eliminate(_primitive_rows(aug, p), p)
+    work, total = _work(aug, p)
+    ech, pivots = _eliminate(work, range(total), p)
     if pivots and pivots[-1] == width:
         return None  # a pivot in the rhs column: inconsistent
+    if p:
+        x, _ = _back_substitute(_echelon_values(ech, total, p), pivots, width, width, p)
+        return _held([x], width, p)[0]
     return _reduced(*_back_substitute(ech, pivots, width, width, p))
 
 
@@ -310,12 +619,22 @@ def _intersect(a, b, width: int, p) -> tuple:
     w = x for x in rowspace(a) and y in rowspace(b), so u = 0 exactly when
     w = -y lies in both; in reduced echelon form the rows with a pivot in the
     right half are (0, w), and their w are the reduced echelon basis of the
-    intersection."""
-    zero = [0] * width
-    work = [x + x for x in _primitive_rows(a, p)] + [y + zero for y in _primitive_rows(b, p)]
-    ech, pivots = _eliminate(work, p)
+    intersection. Packed rows are put side by side by shift-or."""
+    packed = p and (_is_packed(a) or _is_packed(b))
+    if packed:
+        if any(n != width for _, n in a + b):
+            raise ValueError("rows of unequal length")
+        shift = _slot(p) * width
+        work = [x | x << shift for x, _ in a] + [y for y, _ in b]
+    else:
+        zero = [0] * width
+        work = [x + x for x in _work(a, p)[0]] + [y + zero for y in _work(b, p)[0]]
+    ech, pivots = _eliminate(work, range(2 * width), p)
     first = next((i for i, pc in enumerate(pivots) if pc >= width), len(pivots))
-    return _pivoted([row[width:] for row in ech[first:]], p)
+    if packed:
+        meet = _reduce_rows([x >> shift for x in ech[first:]], width, p)
+        return tuple([(x, width) for x in meet])
+    return _pivoted([row[width:] for row in ech[first:]], width, p)
 
 
 def _coordinates(pivots, columns, target, p):
@@ -323,9 +642,15 @@ def _coordinates(pivots, columns, target, p):
     with pivot columns `pivots` and held columns `columns`: the row's entries
     at the pivot columns, held, if those times the echelon rows give the row
     back, else None (the row lies outside their span)."""
-    coeffs = _reduced([target[0][pc] for pc in pivots], target[1])
-    if not pivots:
-        return None if any(target[0]) else coeffs
+    if p:
+        (values,) = _values((target,), p)
+        coeffs = _held([[values[pc] for pc in pivots]], len(pivots), p)[0]
+        if not pivots:
+            return None if any(values) else coeffs
+    else:
+        coeffs = _reduced([target[0][pc] for pc in pivots], target[1])
+        if not pivots:
+            return None if any(target[0]) else coeffs
     return coeffs if _product((coeffs,), columns, p) == (target,) else None
 
 
@@ -354,6 +679,8 @@ def _dot_matrix(rows, cols) -> tuple:
     """The matrix of `dot(row, col)` over rows and columns of field
     elements, over the field its entries name."""
     p = _entry_modulus(rows, cols)
+    if p:
+        return _release(_dots(_lifted(rows, p), _lifted(cols, p), p), p)
     return _release(_product(_hold(rows, p), _hold(cols, p), p), p)
 
 
@@ -434,6 +761,8 @@ def inverse(m, field):
     ech, pivots = _rref(_hold([(*row, *e) for row, e in zip(m, identity(n, field))], p), p)
     if pivots != tuple(range(n)):
         return None
+    if p:
+        return _release(_held([row[n:] for row in _values(ech, p)], n, p), p)
     return _release(tuple((row[n:], d) for row, d in ech), p)
 
 
@@ -463,13 +792,17 @@ def complement_rows(sub_rows, big_rows, field):
     pass: each row is reduced against the echelon rows of sub_rows and the
     remainders of the rows kept so far, each of which is zero at the pivot
     columns of those before it, so the row raises the rank iff something is
-    left.
+    left. The rows are worked on as lists.
     """
     p = _word_modulus(field)
-    ech, pivots = _eliminate(_primitive_rows(_hold(sub_rows, p), p), p)
+    if p:
+        sub, big = _lifted(sub_rows, p), _lifted(big_rows, p)
+    else:
+        sub, big = (_work(_hold(rows, p), p)[0] for rows in (sub_rows, big_rows))
+    ech, pivots = _eliminate(sub, range(len(sub[0]) if sub else 0), p)
     basis = list(zip(ech, pivots))
     kept = []
-    for row, x in zip(big_rows, _primitive_rows(_hold(big_rows, p), p)):
+    for row, x in zip(big_rows, big):
         if basis and len(x) != len(basis[0][0]):
             raise ValueError("rows of unequal length")
         for y, col in basis:
@@ -496,7 +829,7 @@ def rowspace_intersect(a_rows, b_rows, width, field):
     return _release(_intersect(_hold(a_rows, p), _hold(b_rows, p), width, p), p)
 
 
-# -- held rows ------------------------------------------------------------------
+# -- the held-row interface -------------------------------------------------------
 
 
 def hold(rows, field) -> tuple:
@@ -512,29 +845,37 @@ def release(held, field) -> tuple:
 
 def held_product(rows, cols, field) -> tuple:
     """The held matrix of `dot(row, col)` over the held rows `rows` and
-    `cols` (A B^T)."""
+    `cols` (A C^T)."""
     return _product(rows, cols, _word_modulus(field))
+
+
+def held_combine(a, b, field) -> tuple:
+    """The held matrix A B from the held rows of A and of B: over GF(p),
+    with B's rows packed, one multiply-add of B's packed rows per
+    coefficient of A. An empty B gives rows of no entries."""
+    return _combine(a, b, _word_modulus(field))
 
 
 def held_ints(rows, field) -> tuple:
     """Rows of plain ints as held rows, built directly: no field element is
     made and no row is converted on entry (`rows_in` does not move)."""
     p = _word_modulus(field)
-    return tuple([([x % p for x in row] if p else list(row), 1) for row in rows])
+    if p:
+        return _held([[x % p for x in row] for row in rows], len(rows[0]) if rows else 0, p)
+    return tuple([(list(row), 1) for row in rows])
 
 
 def held_transpose(held, field) -> tuple:
-    """The columns of a held matrix as held rows: each entry is brought over
-    the lcm of the row denominators."""
-    _word_modulus(field)
-    den = lcm(*[d for _, d in held])
-    scaled = [[x * (den // d) for x in row] for row, d in held]
-    return tuple(_reduced(list(col), den) for col in zip(*scaled))
+    """The columns of a held matrix as held rows."""
+    return _transpose(held, _word_modulus(field))
 
 
 def held_add(a, b, field) -> tuple:
     """Row i of a plus row i of b, for held rows of equal length."""
     p = _word_modulus(field)
+    if p and _is_packed(a):
+        n = a[0][1]
+        return tuple([(x, n) for x in _reduce_rows([x + y for (x, _), (y, _) in zip(a, b)], n, p)])
     if p:
         return tuple(([(x + y) % p for x, y in zip(u, v)], 1) for (u, _), (v, _) in zip(a, b))
     out = []
@@ -550,6 +891,10 @@ def held_divide(held, by, field) -> tuple:
     `by`, which must not be zero."""
     p = _word_modulus(field)
     (((n,), d),) = by
+    if p and _is_packed(held):
+        c = pow(n, -1, p)
+        k = held[0][1]
+        return tuple([(x, k) for x in _reduce_rows([y * c for y, _ in held], k, p)])
     if p:
         c = pow(n, -1, p)
         return tuple(([x * c % p for x in row], 1) for row, _ in held)
@@ -581,23 +926,35 @@ def held_left_divide(m, rhs, field):
     """For a square held matrix M and held rows R as many as its rows, one
     elimination of [M | R]: (the rank of M, M^-1 R held if M is invertible,
     else None). The rank is the number of pivots in M's columns; when it is
-    full the reduced echelon form is [I | M^-1 R]. Over Q each row of M and
-    its row of R are brought over the lcm of their denominators first."""
+    full the reduced echelon form is [I | M^-1 R]. Over GF(p), when R's
+    rows are packed, the rows of M (packed first if they are lists) and R
+    are put side by side by shift-or; other rows side by side are lists.
+    Over Q each row of M and its row of R are brought over the lcm of their
+    denominators first."""
     p = _word_modulus(field)
-    if p:
-        aug = [(u + v, 1) for (u, _), (v, _) in zip(m, rhs)]
+    r = len(m)
+    packed = p and _is_packed(rhs)
+    if packed:
+        shift = _slot(p) * r
+        width = rhs[0][1]
+        left = [u for u, _ in m] if _is_packed(m) else _pack_rows(_values(m, p), r, p)
+        work = [u | v << shift for u, (v, _) in zip(left, rhs)]
+    elif p:
+        work = [[*u, *v] for u, v in zip(_values(m, p), _values(rhs, p))]
     else:
-        aug = []
+        work = []
         for (u, d), (v, e) in zip(m, rhs):
             den = lcm(d, e)
-            aug.append(([x * (den // d) for x in u] + [x * (den // e) for x in v], den))
-    r = len(m)
-    ech, pivots = _eliminate(_primitive_rows(aug, p), p)
+            work.append(_primitive([x * (den // d) for x in u] + [x * (den // e) for x in v]))
+    ech, pivots = _eliminate(work, range(r + width if packed else len(work[0]) if work else 0), p)
     rank = sum(pc < r for pc in pivots)
     if rank < r:
         return rank, None
+    if packed:
+        return rank, tuple([(x, width) for x in _reduce_rows([x >> shift for x in ech], width, p)])
     if p:
-        return rank, tuple([(row[r:], 1) for row in ech])
+        right = [row[r:] for row in ech]
+        return rank, _held(right, len(right[0]) if right else 0, p)
     return rank, tuple([_reduced(row[r:], row[i]) for i, row in enumerate(ech)])
 
 
@@ -605,8 +962,10 @@ def held_coordinates(echelon, columns, v, field):
     """`reduce_against` on held rows: the coordinates of the held row v over
     held reduced echelon rows `echelon`, whose held columns are `columns`,
     held, or None if v lies outside their span."""
-    pivots = [next(j for j, x in enumerate(row) if x) for row, _ in echelon]
-    return _coordinates(pivots, columns, v, _word_modulus(field))
+    p = _word_modulus(field)
+    rows = _values(echelon, p) if p else [row for row, _ in echelon]
+    pivots = [next(j for j, x in enumerate(row) if x) for row in rows]
+    return _coordinates(pivots, columns, v, p)
 
 
 def held_equal(a, b, field) -> bool:
@@ -618,5 +977,6 @@ def held_equal(a, b, field) -> bool:
 
 def held_nonzero(held, field) -> tuple:
     """Per held row, which of its entries are non-zero."""
-    _word_modulus(field)
-    return tuple(tuple(x != 0 for x in row) for row, _ in held)
+    p = _word_modulus(field)
+    rows = _values(held, p) if p else [row for row, _ in held]
+    return tuple(tuple(x != 0 for x in row) for row in rows)

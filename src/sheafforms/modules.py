@@ -16,8 +16,9 @@ not part of its value): set by `_from_held` when an operation already has
 them, or held on first use. `sum_submodules` (one `held_rref` of the stacked
 rows) and `intersect_submodules` (one Zassenhaus elimination,
 `held_intersect`) work on those held rows and release each output basis
-once. `submodule_memo_stats()` counts the uses: hits, and misses that held
-the rows.
+once, and `Submodule.contains` reads each vector's coordinates over them
+(`held_coordinates`). `submodule_memo_stats()` counts the uses: hits, and
+misses that held the rows.
 """
 
 from __future__ import annotations
@@ -215,14 +216,17 @@ class Submodule:
 
     def contains(self, section: ModuleSection) -> bool:
         """Membership of a section over any open, componentwise through the
-        refinement map."""
+        refinement map: the section's vectors are held once and each is
+        checked against the kept held rows of its X-component."""
         if section.module != self.module:
             raise ModuleMismatch("section belongs to a different module")
         space = self.module.space
         refinement = space.component_refinement(section.open, space.x_ref)
         field = self.module.field
-        for vec, xc in zip(section.vectors, refinement):
-            if linalg.reduce_against(self.bases[xc], vec, field) is None:
+        bases = self._held_bases()
+        for v, xc in zip(linalg.hold(section.vectors, field), refinement):
+            b = bases[xc]
+            if linalg.held_coordinates(b, linalg.held_transpose(b, field), v, field) is None:
                 return False
         return True
 

@@ -305,7 +305,7 @@ def _shrink(field, grams, ambient, sections):
     for c, (amb, (_, cols)) in enumerate(zip(ambient, grams)):
         avoid = tuple(sec[c] for sec in sections)
         coeffs = linalg.held_nullspace(_pairings(avoid, amb, cols, field), len(amb), field)
-        out.append(linalg.held_product(coeffs, linalg.held_transpose(amb, field), field))
+        out.append(linalg.held_combine(coeffs, amb, field))
     return out
 
 
@@ -323,16 +323,20 @@ def _partner(field, grams, ambient, avoid, given, side, label):
     when `side` is "r", an s_k when it is "s"): the least echelon basis row w
     of {w in ambient : phi(a, w) = 0 for a in avoid} whose pairing with
     `given` is non-zero, divided by that pairing, phi(r_k, w) or phi(w, s_k),
-    so that the pair pairs to 1; all held. Raises PartnerNotFound when some
-    component has no such row (which signals an inconsistent input family)."""
+    so that the pair pairs to 1; all held. One product per component pairs
+    `given` with every row. Raises PartnerNotFound when some component has
+    no such row (which signals an inconsistent input family)."""
     picks = []
     for c, (w_rows, (g, cols)) in enumerate(zip(_shrink(field, grams, ambient, avoid), grams)):
-        # phi(r_k, w) = (r_k G) . w and phi(w, s_k) = (s_k G^T) . w
-        v = linalg.held_product((given[c],), cols if side == "r" else g, field)
-        for w in w_rows:
-            pairing = linalg.held_product(v, (w,), field)
-            if linalg.held_nonzero(pairing, field)[0][0]:
-                picks.append(linalg.held_divide((w,), pairing, field)[0])
+        # phi(r_k, w) = (r_k G) . w and phi(w, s_k) = (s_k G^T) . w, one
+        # held row of one entry per w
+        v = linalg.held_combine((given[c],), g if side == "r" else cols, field)
+        pairings = linalg.held_product(w_rows, v, field)
+        for w, pairing, (nonzero,) in zip(
+            w_rows, pairings, linalg.held_nonzero(pairings, field)
+        ):
+            if nonzero:
+                picks.append(linalg.held_divide((w,), (pairing,), field)[0])
                 break
         else:
             raise PartnerNotFound(
@@ -607,9 +611,7 @@ def _carry(
         sg = linalg.held_product(p[1::2], g, field)
         rg = linalg.held_product(p[0::2], cols, field)
         inverse = tuple(row for pair in zip(sg, rg) for row in pair)
-        m = linalg.held_product(
-            linalg.held_transpose(p2, field), linalg.held_transpose(inverse, field), field
-        )
+        m = linalg.held_combine(linalg.held_transpose(p2, field), inverse, field)
         mats.append(linalg.release(m, field))
     return Isometry(source, target, tuple(mats))
 
@@ -733,10 +735,9 @@ def witt_extend(
                 component=c,
             )
 
-    columns = [linalg.held_transpose(b, field) for b in bases]
     radical = [
-        linalg.held_product(linalg.held_nullspace(m, k, field), cols, field)
-        for m, cols in zip(grams, columns)
+        linalg.held_combine(linalg.held_nullspace(m, k, field), b, field)
+        for m, b in zip(grams, bases)
     ]
     dims = tuple(map(len, radical))
     if len(set(dims)) != 1:
@@ -753,13 +754,13 @@ def witt_extend(
     family_r = [*g_basis.r, *(_glue(module, v) for v in zip(*rad_rows))]
 
     # sigma: the family's rows, r then s, per component as x B, go to x Im
+    columns = [linalg.held_transpose(b, field) for b in bases]
     mapped = []
     for b, cols, im, r, p in zip(bases, columns, held_images, radical, g_rows):
         coords = [linalg.held_coordinates(b, cols, v, field) for v in p[0::2] + r + p[1::2]]
         if None in coords:
             raise AssertionError("sigma was applied to a section outside f")
-        image_columns = linalg.held_transpose(im, field)
-        mapped.append(linalg.release(linalg.held_product(coords, image_columns, field), field))
+        mapped.append(linalg.release(linalg.held_combine(coords, im, field), field))
     family_t = [_glue(target.module, v) for v in zip(*mapped)]
     count = len(family_r)
     partial = PartialFamily.of(enumerate(family_r, 1), enumerate(g_basis.s, 1))

@@ -24,6 +24,7 @@ from sheafforms import (
     validate_topology,
 )
 from sheafforms import linalg
+from sheafforms.scenario import MAX_RANK
 from sheafforms.oracles import (
     random_alternating_form,
     random_free_submodule,
@@ -660,9 +661,12 @@ def test_a_completion_converts_each_row_once(sierpinski):
         assert moved == {"rows_in": gram_rows + 2 + 2, "entries_out": 6 * 8}
 
 
-def test_gfp_products_count_one_dot_per_entry(monkeypatch):
-    # the benchmark counts scalar multiplications at `linalg.dot`, so the
-    # int path must still take one `dot` of the full length per entry
+def test_products_count_dots_over_q_and_multiply_adds_over_gfp(monkeypatch):
+    # the benchmark counts scalar multiplications at `linalg.dot`: a product
+    # over Q still takes one `dot` of the full length per entry, while over
+    # GF(p) it calls no `dot`. With more than one row and 8 columns or more
+    # out it is packed: one multiply-add per coefficient of the left factor,
+    # which `kernel_stats()` counts; other products count none
     lengths = []
     real_dot = linalg.dot
 
@@ -671,12 +675,26 @@ def test_gfp_products_count_one_dot_per_entry(monkeypatch):
         return real_dot(u, v)
 
     monkeypatch.setattr(linalg, "dot", counted)
-    a = ((F7.one, 2 * F7.one, F7.zero), (3 * F7.one, F7.one, 5 * F7.one))
-    b = linalg.transpose(a)
-    assert same(linalg.matmul(a, b), ref_matmul(a, b))
-    assert same(linalg.mat_vec(a, a[0]), ref_mat_vec(a, a[0]))
-    assert same(linalg.vec_mat(a[1], b), ref_matmul((a[1],), b)[0])
-    assert lengths == [3] * (4 + 2 + 2)
+    wide = linalg._PACKED_WIDTH
+    for field, dots, adds in (
+        (Q, [3] * (2 * wide + wide + wide), 0), (F7, [], 2 * 3),
+    ):
+        one, zero = field.one, field.zero
+        a = ((one, 2 * one, zero), (3 * one, one, 5 * one))
+        b = tuple(tuple((i + j) % 5 * one for j in range(wide)) for i in range(3))
+        m = linalg.transpose(b)
+        lengths.clear()
+        before = linalg.kernel_stats()["multiply_adds"]
+        assert same(linalg.matmul(a, b), ref_matmul(a, b))
+        assert same(linalg.mat_vec(m, a[0]), ref_mat_vec(m, a[0]))
+        assert same(linalg.vec_mat(a[1], b), ref_matmul((a[1],), b)[0])
+        assert lengths == dots
+        assert linalg.kernel_stats()["multiply_adds"] - before == adds
+        # three columns out: over GF(p) neither a `dot` nor a multiply-add
+        lengths.clear()
+        assert same(linalg.matmul(a, linalg.transpose(a)), ref_matmul(a, linalg.transpose(a)))
+        assert lengths == ([3] * 4 if field is Q else [])
+        assert linalg.kernel_stats()["multiply_adds"] - before == adds
 
 
 def test_a_product_reads_its_field_off_its_first_entry_that_is_not_an_int():
@@ -790,3 +808,216 @@ def test_held_ints_are_held_without_a_conversion(field):
     held = linalg.held_ints(rows, field)
     assert linalg.kernel_stats()["rows_in"] == before
     assert held == linalg.hold(in_field(rows, field), field)
+
+
+# -- packed rows over GF(p) -------------------------------------------------------
+#
+# Over GF(p) a held row of 8 entries or more is packed: one int per row, of
+# 64-bit or 128-bit slots, updated by multiply-adds and reduced after a
+# number of them; a narrower row is a list. Each case below is checked
+# against the references above, which work on lists of field elements, on
+# both sides of that width.
+
+
+def _is_prime(n):
+    return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+# the widest one-word slots, and the widest two-word ones
+ONE_WORD_CEILING = next(q for q in range(2**24 - 1, 0, -1) if _is_prime(q))
+PACKED_PRIMES = (7, 10007, ONE_WORD_CEILING, 2**31 - 1)
+WIDE = linalg._PACKED_WIDTH
+
+
+def extreme_rows(rng, field, n, m):
+    """Random rows, some all p - 1, the entry whose products fill a slot
+    fastest."""
+    top = -field.one
+    return tuple(
+        (top,) * m if rng.random() < 0.3 else tuple(field.random_scalar(rng) for _ in range(m))
+        for _ in range(n)
+    )
+
+
+def released(held, field):
+    """The held rows released, after checking that they are held as rows of
+    their width are: a held row has one form, so equal rows are equal."""
+    rows = linalg.release(held, field)
+    assert held == linalg.hold(rows, field)
+    return rows
+
+
+def check_against_references(a, b, width, field):
+    """Every eliminating routine and both products on the rows a and b of
+    `width` entries, against the references."""
+    ha, hb = linalg.hold(a, field), linalg.hold(b, field)
+    ech, pivots = linalg.held_rref(ha, field)
+    assert same((released(ech, field), pivots), ref_rref(a, field))
+    assert same(released(linalg.held_nullspace(ha, width, field), field),
+                ref_nullspace(a, width, field))
+    meet = linalg.held_intersect(ha, hb, width, field)
+    assert same(released(meet, field), ref_intersect(a, b, width, field))
+    assert linalg.complement_rows(b, a + b, field) == ref_complement_rows(b, a + b, field)
+    bt = linalg.transpose(b)
+    for rows in (a, a[:1]):
+        held = linalg.hold(rows, field)
+        assert released(linalg.held_product(held, hb, field), field) == ref_matmul(rows, bt)
+        assert released(linalg.held_combine(held, linalg.hold(bt, field), field), field) == (
+            ref_matmul(rows, bt))
+        assert linalg.matmul(rows, bt) == ref_matmul(rows, bt)
+    assert released(linalg.held_transpose(ha, field), field) == linalg.transpose(a)
+    square = linalg.hold(ref_matmul(a, linalg.transpose(a)), field)
+    rank, k = linalg.held_left_divide(square, ha, field)
+    inv = ref_inverse(linalg.release(square, field), field)
+    assert rank == len(ref_rref(linalg.release(square, field), field)[1])
+    assert (k is None) == (inv is None)
+    if k is not None:
+        assert released(k, field) == in_field(ref_matmul(inv, a), field)
+
+
+def test_the_one_word_ceiling_and_two_word_slots():
+    assert _is_prime(ONE_WORD_CEILING) and ONE_WORD_CEILING.bit_length() == 24
+    # a slot holds one entry and 2^16 products of two entries
+    for p, bits in ((ONE_WORD_CEILING, 64), (2**24 + 43, 128), (2**31 - 1, 128)):
+        assert linalg._slot(p) == bits
+        assert (p - 1) + linalg._HEADROOM * (p - 1) ** 2 < 2**bits
+
+
+@pytest.mark.parametrize("order", PACKED_PRIMES)
+def test_packed_rows_match_the_references(order):
+    # below, at and above the packed width, tall and wide, with one row
+    field = PrimeField(order)
+    rng = Random(f"packed:{order}")
+    for n, m in ((1, WIDE), (3, WIDE - 1), (4, WIDE), (WIDE, WIDE), (9, 6), (5, 16), (12, 12)):
+        for _ in range(3):
+            check_against_references(
+                extreme_rows(rng, field, n, m), random_rows(rng, field, n, m), m, field)
+
+
+@pytest.mark.parametrize("order", (10007, ONE_WORD_CEILING, 2**31 - 1))
+def test_the_largest_zassenhaus_elimination_a_scenario_reaches(order):
+    # two submodules of rank MAX_RANK meet in one elimination of 2 MAX_RANK
+    # rows of 2 MAX_RANK columns
+    field = PrimeField(order)
+    rng = Random(f"zassenhaus:{order}")
+    n = MAX_RANK
+    for k in (n, n - 3):
+        # a and b share a k - 3 dimensional subspace
+        shared = random_rows(rng, field, k - 3, n, ("dense",))
+        a = shared + extreme_rows(rng, field, 3, n)
+        b = shared + random_rows(rng, field, 3, n, ("dense",))
+        before = linalg.kernel_stats()["eliminations"]
+        held = linalg.held_intersect(linalg.hold(a, field), linalg.hold(b, field), n, field)
+        assert linalg.kernel_stats()["eliminations"] - before == 1
+        assert same(linalg.release(held, field), ref_intersect(a, b, n, field))
+        assert len(held) >= k - 3
+
+
+@pytest.mark.parametrize("order", (ONE_WORD_CEILING, 2**31 - 1))
+def test_rows_are_reduced_when_their_updates_reach_the_headroom(order, monkeypatch):
+    # no input a test can run updates a row 2^16 times, so the headroom is
+    # cut to 3: a 40 x 80 elimination updates a row up to 39 times and a
+    # product sums up to 40 terms per row. Each must reduce a row before a
+    # slot passes one entry and 3 products of two, as every slot it unpacks
+    # shows, and must agree with the references all the same
+    field = PrimeField(order)
+    rng = Random(f"headroom:{order}")
+    headroom = 3
+    bound = (order - 1) + headroom * (order - 1) ** 2
+    seen = []
+
+    def spy(unpack, rows):
+        def spied(xs, n, p):
+            values = unpack(xs, n, p)
+            seen.extend(v for row in (values if rows else [values]) for v in row)
+            return values
+        return spied
+
+    monkeypatch.setattr(linalg, "_HEADROOM", headroom)
+    for name, rows in (("_unpack", False), ("_unpack_rows", True)):
+        monkeypatch.setattr(linalg, name, spy(getattr(linalg, name), rows))
+    a = extreme_rows(rng, field, 40, 80)
+    b = random_rows(rng, field, 40, 80, ("dense",))
+    before = linalg.kernel_stats()["multiply_adds"]
+    check_against_references(a, b, 80, field)
+    assert linalg.kernel_stats()["multiply_adds"] - before > 40 * headroom
+    assert order <= max(seen) <= bound
+
+
+@pytest.mark.parametrize("order", PACKED_PRIMES)
+def test_packing_round_trips_rows_of_no_entry_one_entry_and_zeros(order):
+    # slots in and out of ints: no rows, rows of no entries, of one entry
+    # and wide, holding 0 and p - 1; and wide rows that are zero
+    rng = Random(f"slots:{order}")
+    for k, n in ((0, 0), (0, WIDE), (3, 0), (3, 1), (2, 2), (4, WIDE), (1, 33)):
+        rows = [[rng.choice((0, order - 1, rng.randrange(order))) for _ in range(n)]
+                for _ in range(k)]
+        packed = linalg._pack_rows(rows, n, order)
+        assert len(packed) == k
+        assert linalg._value_rows(packed, n, order) == rows
+        assert linalg._reduce_rows(packed, n, order) == packed
+    field = PrimeField(order)
+    one, zero = field.one, field.zero
+    rows = ((zero,) * WIDE, (zero,) * 3 + (2 * one,) + (zero,) * (WIDE - 4), (zero,) * WIDE)
+    assert linalg.rank(rows, field) == 1
+    check_against_references(rows, rows[::-1], WIDE, field)
+
+
+@pytest.mark.parametrize("order", PACKED_PRIMES)
+def test_products_with_empty_factors(order):
+    # products with no rows, with rows of no entries and with no terms, on
+    # both sides of the packed width: the shapes of the reference
+    field = PrimeField(order)
+    a = random_rows(Random(order), field, 2, WIDE, ("dense",))
+    ha = linalg.hold(a, field)
+    no_entries = linalg.hold(((), ()), field)
+    no_terms = linalg.hold(((),) * WIDE, field)
+    for rows, right in ((ha, ()), ((), ha), (no_entries, ()), ((), ())):
+        assert linalg.held_product(rows, right, field) == linalg.hold(
+            ref_matmul(linalg.release(rows, field),
+                       linalg.transpose(linalg.release(right, field))), field)
+    # 2 x 0 times (WIDE x 0)^T, packed and with no term to sum: zeros
+    zeros = ((field.zero,) * WIDE,) * 2
+    assert linalg.held_product(no_entries, no_terms, field) == linalg.hold(zeros, field)
+    assert linalg.held_combine((), ha, field) == ()
+    assert linalg.held_combine(no_entries, (), field) == no_entries
+    assert linalg.matmul(a, ()) == ref_matmul(a, ()) == ((), ())
+    assert linalg.matmul((), a) == ()
+    assert linalg.vec_mat((), ()) == ()
+
+
+@pytest.mark.parametrize("order", (101, 2**31 - 1))
+def test_held_rows_keep_one_form_on_both_sides_of_the_packed_width(order):
+    # every held operation, on rows just narrower than the packed width, as
+    # wide and wider, gives the references' values in the one form a row of
+    # its width is held in
+    field = PrimeField(order)
+    rng = Random(f"forms:{order}")
+    for m in (WIDE - 1, WIDE, WIDE + 3):
+        for n in (1, 3, m + 2):
+            a, c = random_rows(rng, field, n, m), random_rows(rng, field, n, m)
+            ha, hc = linalg.hold(a, field), linalg.hold(c, field)
+            assert released(linalg.held_add(ha, hc, field), field) == tuple(
+                linalg.add_vec(u, v) for u, v in zip(a, c))
+            x = field.random_nonzero(rng)
+            assert released(linalg.held_divide(ha, linalg.hold(((x,),), field), field),
+                            field) == tuple(linalg.scale(field.one / x, row) for row in a)
+            ints = tuple(tuple(rng.randrange(-order, order) for _ in range(m)) for _ in range(n))
+            assert released(linalg.held_ints(ints, field), field) == in_field(ints, field)
+            assert linalg.held_nonzero(ha, field) == tuple(
+                tuple(v != field.zero for v in row) for row in a)
+            rhs = tuple(field.random_scalar(rng) for _ in range(n))
+            assert same(linalg.solve(a, rhs, field), ref_solve(a, rhs, field))
+            square = random_rows(rng, field, m, m)
+            assert same(linalg.inverse(square, field), ref_inverse(square, field))
+            ech, _ = linalg.held_rref(ha, field)
+            ech_rows = released(ech, field)
+            weights = tuple(field.random_scalar(rng) for _ in ech_rows)
+            inside = ref_matmul((weights,), ech_rows)[0] if ech_rows else (field.zero,) * m
+            for v in (c[0], inside):
+                coords = linalg.held_coordinates(
+                    ech, linalg.held_transpose(ech, field), linalg.hold((v,), field)[0], field)
+                expected = linalg.reduce_against(ech_rows, v, field)
+                assert (coords is None) == (expected is None)
+                if coords is not None:
+                    assert released((coords,), field) == in_field((expected,), field)
