@@ -90,8 +90,8 @@ class BilinearForm:
     # set on first use and not part of the value: per X-component the held
     # Gram matrix and its held columns, the orthosymmetry class, True once
     # the form passed `validate_symplectic`, the completion of the empty
-    # partial family (the basis and its held rows), and the last submodule
-    # projected onto with its factorization (`_projector`)
+    # partial family ([its held rows, its basis once glued]), and the last
+    # submodule projected onto with its factorization (`_projector`)
     _held: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
     _class: Optional["OrthoClass"] = field(
         default=None, init=False, compare=False, repr=False
@@ -99,7 +99,7 @@ class BilinearForm:
     _symplectic: Optional[bool] = field(
         default=None, init=False, compare=False, repr=False
     )
-    _completion: Optional[tuple] = field(
+    _completion: Optional[list] = field(
         default=None, init=False, compare=False, repr=False
     )
     _projection: Optional[tuple] = field(

@@ -56,13 +56,14 @@ over GF(p) it calls no `dot`.
 
 A caller that chains many steps holds its rows itself and works on them
 with `held_product` (the matrix of `dot(row, col)`, A C^T),
-`held_combine` (A B, B given by its rows), `held_transpose`, `held_add`,
+`held_combine` (A B, B given by its rows), `held_transpose`,
 `held_divide`, `held_rref`, `held_rank`, `held_nullspace`,
-`held_intersect`, `held_left_divide`, `held_coordinates`, `held_equal` and
-`held_nonzero`; `held_ints` builds held rows straight from rows of plain
-ints. `rref`, `rank`, `nullspace`, `rowspace_intersect` and
-`reduce_against` share their bodies with `held_rref`, `held_rank`,
-`held_nullspace`, `held_intersect` and `held_coordinates`. The format is
+`held_intersect`, `held_complement_rows`, `held_left_divide`,
+`held_coordinates`, `held_equal` and `held_nonzero`; `held_ints` builds
+held rows straight from rows of plain ints. `rref`, `rank`, `nullspace`,
+`complement_rows` and `reduce_against` share their bodies with
+`held_rref`, `held_rank`, `held_nullspace`, `held_complement_rows` and
+`held_coordinates`. The format is
 private to this module: other modules only pass held rows (and tuples of
 them) around, as the symplectic completion and the orthogonal calculus do,
 and keep them (`Submodule` its echelon rows, `BilinearForm` its Gram
@@ -74,7 +75,10 @@ substitutions are the canonical basis already (`_nullspace`). The
 intersection of two row spaces is one Zassenhaus elimination of the rows
 [A | A] and [B | 0]: the echelon rows whose pivot falls in the right half
 are (0, w), and the w are the reduced echelon basis of the intersection.
-M^-1 R is one elimination of [M | R] (`held_left_divide`).
+M^-1 R is one elimination of [M | R] (`held_left_divide`). The rows of a
+big space that complement a small one in a greedy scan are the pivot
+columns past the small rows of one elimination of the transposed stack
+[small; big] (`held_complement_rows`).
 
 Over GF(p) with p below `_TABLED`, `release` takes its field elements from
 a table of all p of them instead of making one per entry.
@@ -280,19 +284,6 @@ def _reduced(row: list, den: int):
     return ([x // g for x in row], den // g) if g > 1 else (row, den)
 
 
-def _update(x, y, col: int, p):
-    """Row x with its entry at `col` cleared by the pivot row y: over GF(p)
-    (where y[col] is 1) x - c*y mod p; over Q a*x - c*y, with a = y[col] and
-    c = x[col] first divided by their gcd, over the new row's content."""
-    c = x[col]
-    if p:
-        return [(u - c * v) % p for u, v in zip(x, y)]
-    a = y[col]
-    g = gcd(a, c)
-    s, t = a // g, c // g
-    return _primitive([s * u - t * v for u, v in zip(x, y)])
-
-
 # -- the bodies -----------------------------------------------------------------
 
 
@@ -356,9 +347,10 @@ def _eliminate(work: list, cols: range, p):
     scanned in the order of `cols`, left to right or right to left: (pivot
     rows, pivot columns in the order found). Over GF(p) the pivot row is
     scaled by `pow(a, -1, p)`, and packed rows leave packed and unreduced
-    (`_eliminate_packed`). Over Q the row update is `_update`, so rows stay
-    primitive and each pivot row is its reduced echelon row times its
-    pivot."""
+    (`_eliminate_packed`). Over Q a row x is cleared by the pivot row y as
+    s x - t y, for s = y[col] and t = x[col] divided by their gcd, over the
+    new row's content, so rows stay primitive and each pivot row is its
+    reduced echelon row times its pivot."""
     _COUNTS["eliminations"] += 1
     if not work:
         return [], ()
@@ -383,8 +375,8 @@ def _eliminate(work: list, cols: range, p):
             a = pow(a, -1, p)
             row = [x * a % p for x in row]
         work[r] = row
-        # the row update is `_update` written out: a call per updated row
-        # costs about 4 % of an elimination over GF(p)
+        # the row update is written out here: a call per updated row costs
+        # about 4 % of an elimination over GF(p)
         for i in range(n):
             c = work[i][col]
             if c and i != r:
@@ -487,6 +479,12 @@ def _rank(held, p) -> int:
     return len(_eliminate(work, range(width), p)[1])
 
 
+def _length(held_row) -> int:
+    """The number of entries of one held row, packed or not."""
+    row, n = held_row
+    return n if type(row) is int else len(row)
+
+
 def _nullspace(held, width: int, p) -> tuple:
     """The body of `held_nullspace`, in one elimination that scans the
     columns right to left. In that reduced echelon form a row is zero right
@@ -495,8 +493,7 @@ def _nullspace(held, width: int, p) -> tuple:
     every other free column: taken for the free columns from left to right,
     these vectors are already the canonical reduced echelon basis. Each is
     held over its entry at j."""
-    for row, n in held:
-        length = n if type(row) is int else len(row)
+    for length in map(_length, held):
         if length != width:
             raise ValueError(f"a row of length {length} in a nullspace of width {width}")
     work, _ = _work(held, p)
@@ -635,6 +632,19 @@ def _intersect(a, b, width: int, p) -> tuple:
         meet = _reduce_rows([x >> shift for x in ech[first:]], width, p)
         return tuple([(x, width) for x in meet])
     return _pivoted([row[width:] for row in ech[first:]], width, p)
+
+
+def _complement(held, k: int, p) -> tuple:
+    """The body of `held_complement_rows`: the indices i of the rows k + i
+    of `held` that raise the rank of the rows before them, the first k rows
+    being those of the small space. They are the pivot columns past k of one
+    elimination of the transpose, since a column is a pivot column exactly
+    when it is not a combination of the columns before it."""
+    if len(set(map(_length, held))) > 1:
+        raise ValueError("rows of unequal length")
+    work, _ = _work(_transpose(held, p), p)
+    _, pivots = _eliminate(work, range(len(held)), p)
+    return tuple(pc - k for pc in pivots if pc >= k)
 
 
 def _coordinates(pivots, columns, target, p):
@@ -784,49 +794,13 @@ def reduce_against(echelon, v, field):
 
 
 def complement_rows(sub_rows, big_rows, field):
-    """Rows of big_rows completing sub_rows to a basis of their joint span.
-
-    Greedy and deterministic: scan big_rows in order, keep a row iff it
-    raises the rank. With sub_rows inside the span of big_rows this returns
-    a basis of a complement of the small space inside the big one. One
-    pass: each row is reduced against the echelon rows of sub_rows and the
-    remainders of the rows kept so far, each of which is zero at the pivot
-    columns of those before it, so the row raises the rank iff something is
-    left. The rows are worked on as lists.
-    """
+    """Rows of big_rows completing sub_rows to a basis of their joint span:
+    scanning big_rows in order, those that raise the rank. With sub_rows
+    inside the span of big_rows they are a basis of a complement of the
+    small space in the big one (`held_complement_rows`)."""
     p = _word_modulus(field)
-    if p:
-        sub, big = _lifted(sub_rows, p), _lifted(big_rows, p)
-    else:
-        sub, big = (_work(_hold(rows, p), p)[0] for rows in (sub_rows, big_rows))
-    ech, pivots = _eliminate(sub, range(len(sub[0]) if sub else 0), p)
-    basis = list(zip(ech, pivots))
-    kept = []
-    for row, x in zip(big_rows, big):
-        if basis and len(x) != len(basis[0][0]):
-            raise ValueError("rows of unequal length")
-        for y, col in basis:
-            if x[col]:
-                x = _update(x, y, col, p)
-        col = next((j for j, v in enumerate(x) if v), None)
-        if col is not None:
-            if p and x[col] != 1:
-                a = pow(x[col], -1, p)
-                x = [v * a % p for v in x]
-            basis.append((x, col))
-            kept.append(tuple(row))
-    return tuple(kept)
-
-
-def rowspace_sum(a_rows, b_rows, field):
-    return rref(tuple(a_rows) + tuple(b_rows), field)[0]
-
-
-def rowspace_intersect(a_rows, b_rows, width, field):
-    """Canonical echelon basis of the intersection of two row spaces, by one
-    Zassenhaus elimination (`held_intersect`)."""
-    p = _word_modulus(field)
-    return _release(_intersect(_hold(a_rows, p), _hold(b_rows, p), width, p), p)
+    kept = _complement(_hold(sub_rows, p) + _hold(big_rows, p), len(sub_rows), p)
+    return tuple(tuple(big_rows[i]) for i in kept)
 
 
 # -- the held-row interface -------------------------------------------------------
@@ -870,22 +844,6 @@ def held_transpose(held, field) -> tuple:
     return _transpose(held, _word_modulus(field))
 
 
-def held_add(a, b, field) -> tuple:
-    """Row i of a plus row i of b, for held rows of equal length."""
-    p = _word_modulus(field)
-    if p and _is_packed(a):
-        n = a[0][1]
-        return tuple([(x, n) for x in _reduce_rows([x + y for (x, _), (y, _) in zip(a, b)], n, p)])
-    if p:
-        return tuple(([(x + y) % p for x, y in zip(u, v)], 1) for (u, _), (v, _) in zip(a, b))
-    out = []
-    for (u, d), (v, e) in zip(a, b):
-        den = lcm(d, e)
-        s, t = den // d, den // e
-        out.append(_reduced([x * s + y * t for x, y in zip(u, v)], den))
-    return tuple(out)
-
-
 def held_divide(held, by, field) -> tuple:
     """Every held row divided by the one entry of the 1 x 1 held matrix
     `by`, which must not be zero."""
@@ -917,9 +875,15 @@ def held_nullspace(held, width, field) -> tuple:
 
 
 def held_intersect(a, b, width, field) -> tuple:
-    """`rowspace_intersect` on held rows of length `width`: the canonical
-    echelon basis of the intersection of their row spaces, held."""
+    """The canonical echelon basis of the intersection of the row spaces of
+    the held rows a and b of length `width`, held."""
     return _intersect(a, b, width, _word_modulus(field))
+
+
+def held_complement_rows(sub, big, field) -> tuple:
+    """`complement_rows` on held rows: the held rows of `big` it keeps."""
+    kept = _complement(tuple(sub) + tuple(big), len(sub), _word_modulus(field))
+    return tuple(big[i] for i in kept)
 
 
 def held_left_divide(m, rhs, field):

@@ -7,13 +7,16 @@ glued along the component table. The algorithms are deterministic: ambient
 complements are canonical echelon subspaces, partners are chosen as the least
 echelon basis row with non-vanishing pairing on each component.
 
-Every construction is one certified Gram-Schmidt completion, `_extend`,
-which certifies the basis it builds by congruence, P^T G P == A_2n on every
-component (the check `certify_basis` makes, run on the rows the completion
-holds), and keeps the given partial family verbatim. The completion works
-on rows held as the `linalg` kernel holds them from start to end (integer
-rows over Q, ints mod p over GF(p)) and builds field elements only for the
-sections it found.
+Every construction is one certified Gram-Schmidt completion, `_complete`.
+It has one boundary, as `linalg` has: it takes the given family as held
+rows (index -> one held row per component) and returns the held rows P^T of
+the basis, which it certifies by congruence, P^T G P == A_2n on every
+component (the check `certify_basis` makes). Sections are checked, held and
+glued only at the entry points: `gram_schmidt_extend` (through `_extend`,
+the one entry that takes sections and checks their pairing relations)
+holds the given sections once and glues the basis around them verbatim,
+and `normal_form`, `hyperbolic_decomposition` and `hyperbolic_envelope`
+glue what they return. Field elements are built only for sections found.
 
 Each pair is found in the orthogonal complement of the pairs before it (the
 ambient), held per component as a reduced echelon basis A. Fixing a pair
@@ -25,22 +28,23 @@ way. With no matched pairs given, the first ambient is the rows the
 completion starts from: the identity, or for a Witt extension the rows of g.
 
 The normal form is the matrix of a completion of the empty family; a
-hyperbolic envelope is the first k planes of the completion of a totally
-isotropic basis r_1..r_k; a standard isometry and a Witt extension are
-`_carry`, M = P' P^{-1} between the completions of two partial families
-(empty ones, or a basis adapted to f = g perp rad f and its sigma-image), so
-M^T G' M = G needs no further check, and P^{-1} = A^T P^T G needs no
-elimination. A Witt extension works in the coordinates of f's held echelon
-basis B: rad f is R B, for R the nullspace of B G B^T, the matrix its
-hypothesis check compares; the pairs of g are one completion run inside the
-rows of B that complement rad f (`_complete`'s `start`); and sigma sends x B
-to x Im. So it decides rad f once and builds no auxiliary form. The public
-entry points validate their forms (`validate_symplectic`) once; the private
-helpers do not validate again.
+hyperbolic envelope is the first k planes of the completion of f's kept
+echelon rows r_1..r_k, whose relations its isotropy check decides; a
+standard isometry and a Witt extension are `_carry`, M = P' P^{-1} between
+the completions of two held families (empty ones, or a basis adapted to
+f = g perp rad f and its sigma-image), so M^T G' M = G needs no further
+check, and P^{-1} = A^T P^T G needs no elimination. A Witt extension works
+in the coordinates of f's held echelon basis B: rad f is R B, for R the
+nullspace of B G B^T, the matrix its hypothesis check compares; the pairs
+of g are one completion run inside the rows of B that complement rad f
+(`_complete`'s `start`); and sigma sends x B to x Im. Its two families stay
+held, and their relations hold by construction, so none is checked. The
+public entry points validate their forms (`validate_symplectic`) once; the
+private helpers do not validate again.
 A form keeps what is decided about it: that it passed the validation (which
 ranks the Gram matrices the form holds), and the completion of the empty
-family, which `normal_form`, `standard_isometry` and
-`hyperbolic_decomposition` share (`form_memo_stats()` counts both). A
+family, with its basis once glued, which `normal_form`, `standard_isometry`
+and `hyperbolic_decomposition` share (`form_memo_stats()` counts both). A
 failed validation is not kept. `certify_witt` and `certify_envelope` remain
 the certificates the report layer and the oracles call.
 """
@@ -64,7 +68,7 @@ from .errors import (
     PartnerNotFound,
     RankMismatch,
 )
-from .modules import FreeModule, ModuleSection, Submodule, span
+from .modules import FreeModule, ModuleSection, Submodule, _from_held
 
 
 # -- types --------------------------------------------------------------------
@@ -259,12 +263,6 @@ def standard_symplectic_form(module: FreeModule) -> BilinearForm:
 
 
 # -- the extension theorem ------------------------------------------------------
-#
-# The completion holds every row it works on as the kernel holds it
-# (`linalg.hold`), per component and for its whole run: the Gram matrix
-# (which the form keeps, `BilinearForm._held_grams`), the given and found
-# sections, the ambient complement and the pairings. Field elements are
-# built once, when the finished basis is glued.
 
 def _gram_columns(form: BilinearForm):
     """Per component, the columns of G held."""
@@ -407,13 +405,6 @@ def _congruent(form: BilinearForm, gram_cols, rows) -> bool:
     )
 
 
-def _contains(basis: SymplecticBasis, partial: PartialFamily) -> bool:
-    """The partial family sits verbatim at its indices of the basis."""
-    return all(basis.r[i - 1] == sec for i, sec in partial.r) and all(
-        basis.s[i - 1] == sec for i, sec in partial.s
-    )
-
-
 def gram_schmidt_extend(form: BilinearForm, partial: PartialFamily) -> SymplecticBasis:
     """Extend a partial family to a full symplectic basis r_1..r_n, s_1..s_n
     with phi(r_i, r_j) = phi(s_i, s_j) = 0 and phi(r_i, s_j) = delta_ij.
@@ -431,30 +422,20 @@ def gram_schmidt_extend(form: BilinearForm, partial: PartialFamily) -> Symplecti
 
 
 def _extend(form: BilinearForm, partial: PartialFamily):
-    """gram_schmidt_extend on a form already known to be symplectic: the
-    basis and, per component, its held rows r_1, s_1, r_2, ... (P^T). The
-    completion of the empty family is kept on the form."""
-    if partial.r or partial.s:
-        return _complete(form, partial)
-    return _kept(form, "_completion", "completion", lambda: _complete(form, partial))
-
-
-def _complete(form: BilinearForm, partial: PartialFamily, start=None):
-    """The body of `_extend`, run inside `start`: per component, the held
-    rows of a non-degenerate subspace in reduced echelon form, by default
-    the identity (the whole module). It completes half as many pairs as
-    `start` has rows and checks the congruence against A_2n of that size."""
+    """gram_schmidt_extend on a form already known to be symplectic, and the
+    one entry that takes sections: the basis and, per component, its held
+    rows r_1, s_1, r_2, ... (P^T). The given sections are checked, held
+    once and their relations checked, and the basis keeps them verbatim.
+    The completion of the empty family is kept on the form, its basis glued
+    on first use."""
     module = form.module
-    field = module.field
-    grams = form._held_grams()
-    if start is None:
-        ident = [[int(i == j) for j in range(module.rank)] for i in range(module.rank)]
-        start = [linalg.held_ints(ident, field)] * len(grams)
-    dim = len(start[0]) if start else module.rank
-    n = dim // 2
-    rs = partial.r_dict
-    ss = partial.s_dict
-
+    rs, ss = partial.r_dict, partial.s_dict
+    if not (rs or ss):
+        kept = _empty(form)
+        if kept[1] is None:
+            kept[1] = _basis(module, kept[0], rs, ss)
+        return kept[1], kept[0]
+    n = module.rank // 2
     x = module.space.x_ref
     for label, sections in (("r", rs), ("s", ss)):
         for i, sec in sections.items():
@@ -470,15 +451,58 @@ def _complete(form: BilinearForm, partial: PartialFamily, start=None):
                 raise PartialRelationsViolated(
                     f"{label}_{i} vanishes on some component", index=i
                 )
-    # index -> one held row per component, for the given sections and then
-    # for the found ones
     given = list(zip(*_held_vectors(form, [*rs.values(), *ss.values()])))
     hr = dict(zip(rs, given[: len(rs)]))
     hs = dict(zip(ss, given[len(rs):]))
-    _check_partial_relations(field, grams, hr, hs)
+    _check_partial_relations(module.field, form._held_grams(), hr, hs)
+    rows = _complete(form, hr, hs)
+    return _basis(module, rows, rs, ss), rows
 
-    matched = sorted(set(rs) & set(ss))
-    singles = sorted((set(rs) | set(ss)) - set(matched))
+
+def _basis(module: FreeModule, rows, rs, ss) -> SymplecticBasis:
+    """The basis whose held rows are `rows` (per component r_1, s_1, r_2,
+    ..., P^T), with the given sections of `rs` and `ss` verbatim at their
+    indices and the others released once."""
+    n, field = module.rank // 2, module.field
+    sections = [dict(rs), dict(ss)]
+    found = [(side, i) for i in range(1, n + 1) for side in (0, 1) if i not in sections[side]]
+    vectors = [linalg.release(tuple(p[2 * i - 2 + side] for side, i in found), field) for p in rows]
+    for idx, (side, i) in enumerate(found):
+        sections[side][i] = _glue(module, (v[idx] for v in vectors))
+    return SymplecticBasis(module, *(tuple(sec[i] for i in range(1, n + 1)) for sec in sections))
+
+
+def _empty(form: BilinearForm) -> list:
+    """The completion of the empty family, kept on the form as [its held
+    rows, its basis once glued]."""
+    return _kept(form, "_completion", "completion", lambda: [_complete(form, {}, {}), None])
+
+
+def _completed(form: BilinearForm, rs, ss):
+    """The held rows of the completion of the held family (rs, ss)."""
+    return _complete(form, rs, ss) if rs or ss else _empty(form)[0]
+
+
+def _complete(form: BilinearForm, rs, ss, start=None):
+    """The held rows r_1, s_1, r_2, ... (P^T) per component of the completion
+    of the held family (index -> one held row per component, on the r and
+    the s side), taken as valid, certified by the congruence. It runs inside
+    `start`, per component the held rows of a non-degenerate subspace in
+    reduced echelon form (by default the identity), and completes half as
+    many pairs as `start` has rows."""
+    module = form.module
+    field = module.field
+    grams = form._held_grams()
+    if start is None:
+        ident = [[int(i == j) for j in range(module.rank)] for i in range(module.rank)]
+        start = [linalg.held_ints(ident, field)] * len(grams)
+    dim = len(start[0]) if start else module.rank
+    n = dim // 2
+    # index -> one held row per component, the given sections and then the
+    # found ones
+    hr, hs = dict(rs), dict(ss)
+    matched = sorted(set(hr) & set(hs))
+    singles = sorted((set(hr) | set(hs)) - set(matched))
 
     # the ambient complement: per component the reduced echelon basis of
     # the orthogonal complement of the pairs fixed so far, shrunk in place
@@ -516,20 +540,9 @@ def _complete(form: BilinearForm, partial: PartialFamily, start=None):
         tuple(h[c] for i in range(1, n + 1) for h in (hr[i], hs[i]))
         for c in range(len(grams))
     )
-    # glue: the given sections verbatim, the found ones from their held rows
-    found = [(rs, i, hr[i]) for i in range(1, n + 1) if i not in rs]
-    found += [(ss, i, hs[i]) for i in range(1, n + 1) if i not in ss]
-    vectors = [
-        linalg.release(tuple(h[c] for _, _, h in found), field) for c in range(len(grams))
-    ]
-    for idx, (sections, i, _) in enumerate(found):
-        sections[i] = _glue(module, (v[idx] for v in vectors))
-    basis = SymplecticBasis(
-        module, tuple(rs[i] for i in range(1, n + 1)), tuple(ss[i] for i in range(1, n + 1))
-    )
-    if not (_congruent(form, [cols for _, cols in grams], rows) and _contains(basis, partial)):
+    if not _congruent(form, [cols for _, cols in grams], rows):
         raise AssertionError("the completed basis fails P^T G P == A_2n")
-    return basis, rows
+    return rows
 
 
 def certify_basis(form: BilinearForm, basis: SymplecticBasis, partial=None) -> bool:
@@ -547,20 +560,29 @@ def certify_basis(form: BilinearForm, basis: SymplecticBasis, partial=None) -> b
         return False
     if not _congruent(form, _gram_columns(form), _held_vectors(form, sections)):
         return False
-    return partial is None or _contains(basis, partial)
+    return partial is None or all(
+        side[i - 1] == sec for side, given in ((basis.r, partial.r), (basis.s, partial.s))
+        for i, sec in given
+    )
 
 
-def _planes(form: BilinearForm, basis: SymplecticBasis, count=None):
-    """The hyperbolic planes span(r_i, s_i) of the first `count` pairs."""
-    return [
-        HyperbolicPlane(r, s, span(form.module, [r, s]))
-        for r, s in zip(basis.r[:count], basis.s[:count])
-    ]
+def _planes(module: FreeModule, rows, pairs):
+    """The hyperbolic planes span(r_i, s_i) of the first pairs (r_i, s_i) of
+    a completion whose held rows are `rows`, each span echelonized from the
+    pair's held rows."""
+    field = module.field
+    planes = []
+    for i, (r, s) in enumerate(pairs):
+        held = [linalg.held_rref(p[2 * i : 2 * i + 2], field)[0] for p in rows]
+        planes.append(HyperbolicPlane(r, s, _from_held(module, held)))
+    return planes
 
 
 def hyperbolic_decomposition(form: BilinearForm):
     """E as a perpendicular sum of hyperbolic planes span(r_i, s_i)."""
-    return _planes(form, gram_schmidt_extend(form, PartialFamily.of()))
+    validate_symplectic(form)
+    basis, rows = _extend(form, PartialFamily.of())
+    return _planes(form.module, rows, zip(basis.r, basis.s))
 
 
 def _columns(form: BilinearForm, basis: SymplecticBasis):
@@ -591,12 +613,11 @@ def _validate_pair(source: BilinearForm, target: BilinearForm) -> None:
     validate_symplectic(target)
 
 
-def _carry(
-    source: BilinearForm, target: BilinearForm, partial: PartialFamily, partial_t: PartialFamily
-) -> Isometry:
+def _carry(source: BilinearForm, target: BilinearForm, family, family_t) -> Isometry:
     """M = P' P^{-1} per component, with P and P' the completions of the two
-    partial families on the source and the target form."""
-    # _extend certified P^T G P = A = P'^T G' P', so M = P' P^{-1} has
+    held families (r, s), each index -> one held row per component, on the
+    source and the target form."""
+    # _complete certified P^T G P = A = P'^T G' P', so M = P' P^{-1} has
     # M^T G' M = P^{-T} A P^{-1} = G: M is an isometry without a further
     # check. Both families sit verbatim at the same columns of P and P', so
     # M sends each partial section to its partner. The same congruence gives
@@ -606,7 +627,7 @@ def _carry(
     field = source.module.field
     mats = []
     for (g, cols), p, p2 in zip(
-        source._held_grams(), _extend(source, partial)[1], _extend(target, partial_t)[1]
+        source._held_grams(), _completed(source, *family), _completed(target, *family_t)
     ):
         sg = linalg.held_product(p[1::2], g, field)
         rg = linalg.held_product(p[0::2], cols, field)
@@ -620,7 +641,7 @@ def standard_isometry(source: BilinearForm, target: BilinearForm) -> Isometry:
     """An exact isometry between two symplectic forms of the same rank over
     the same space: M = P' P^{-1} built from the two normal forms."""
     _validate_pair(source, target)
-    return _carry(source, target, PartialFamily.of(), PartialFamily.of())
+    return _carry(source, target, ({}, {}), ({}, {}))
 
 
 # -- hyperbolic envelopes and isometry extension ------------------------------
@@ -630,7 +651,9 @@ def hyperbolic_envelope(form: BilinearForm, f: Submodule):
     r_1..r_k is the canonical global basis of the totally isotropic free f.
 
     The planes are the first k pairs of the completion of the partial family
-    r_1..r_k (nothing given on the s side), so they are certified with it."""
+    r_1..r_k (nothing given on the s side), so they are certified with it.
+    The family is f's kept echelon rows, whose relations the isotropy check
+    decides, and only the partners s_1..s_k are released."""
     validate_symplectic(form)
     if f.module != form.module:
         raise ModuleMismatch("submodule belongs to a different module")
@@ -638,13 +661,16 @@ def hyperbolic_envelope(form: BilinearForm, f: Submodule):
         raise FreenessViolated(
             f"submodule component dimensions differ: {f.dims}", dims=f.dims
         )
-    field = form.module.field
-    for held, cols in zip(f._held_bases(), _gram_columns(form)):
+    module = form.module
+    field = module.field
+    bases = f._held_bases()
+    for held, cols in zip(bases, _gram_columns(form)):
         if any(map(any, linalg.held_nonzero(_pairings(held, held, cols, field), field))):
             raise NotTotallyIsotropic("the form does not vanish on the submodule")
     basis = f.global_basis()
-    partial = PartialFamily.of(r=enumerate(basis, 1))
-    return _planes(form, _extend(form, partial)[0], len(basis))
+    rows = _completed(form, dict(enumerate(zip(*bases), 1)), {})
+    partners = [linalg.release(p[1 : 2 * len(basis) : 2], field) for p in rows]
+    return _planes(module, rows, zip(basis, (_glue(module, v) for v in zip(*partners))))
 
 
 def certify_envelope(form: BilinearForm, f: Submodule, planes) -> bool:
@@ -691,7 +717,10 @@ def witt_extend(
     compares, rad f is R B for R the reduced echelon nullspace of M (reduced
     echelon itself, as in `_shrink`). The pairs of g are one completion run
     inside the rows of B that complement rad f, and sigma sends a row x B of
-    f to x Im, for Im the held images.
+    f to x Im, for Im the held images. Both families reach `_carry` as held
+    rows, with no section built and no relations check: the relations hold
+    by construction, the source's from the completion of g and the choice
+    of R, the target's because sigma preserves every pairing on f.
     """
     _validate_pair(source, target)
     module = source.module
@@ -735,37 +764,38 @@ def witt_extend(
                 component=c,
             )
 
-    radical = [
-        linalg.held_combine(linalg.held_nullspace(m, k, field), b, field)
-        for m, b in zip(grams, bases)
-    ]
+    # rad f = R B, with R the reduced echelon nullspace of B G B^T
+    coords = [linalg.held_nullspace(m, k, field) for m in grams]
+    radical = [linalg.held_combine(r, b, field) for r, b in zip(coords, bases)]
     dims = tuple(map(len, radical))
     if len(set(dims)) != 1:
         raise FreenessViolated(f"radical component dimensions differ: {dims}", dims=dims)
-    rad_rows = [linalg.release(r, field) for r in radical]
 
-    # g is the span of the rows of B that complement_rows keeps over rad f:
-    # non-degenerate, and in reduced echelon form as a subset of B
-    start = []
-    for rad, rows, held in zip(rad_rows, f.bases, bases):
-        kept = linalg.complement_rows(rad, rows, field)
-        start.append(tuple(h for row, h in zip(rows, held) if row in kept))
-    g_basis, g_rows = _complete(source, PartialFamily.of(), start=start)
-    family_r = [*g_basis.r, *(_glue(module, v) for v in zip(*rad_rows))]
+    # g is the span of the rows of B that complement rad f: non-degenerate,
+    # and in reduced echelon form as a subset of B
+    start = [linalg.held_complement_rows(r, b, field) for r, b in zip(radical, bases)]
+    g_rows = _complete(source, {}, {}, start=start)
 
-    # sigma: the family's rows, r then s, per component as x B, go to x Im
-    columns = [linalg.held_transpose(b, field) for b in bases]
-    mapped = []
-    for b, cols, im, r, p in zip(bases, columns, held_images, radical, g_rows):
-        coords = [linalg.held_coordinates(b, cols, v, field) for v in p[0::2] + r + p[1::2]]
-        if None in coords:
+    # the family per component, r then s: the r of g's pairs and rad f, then
+    # the s of g's pairs. sigma sends x B to x Im; the coordinates x of rad f
+    # are R, those of g's pairs are read off B
+    family, mapped = [], []
+    for b, im, r, rad, p in zip(bases, held_images, coords, radical, g_rows):
+        columns = linalg.held_transpose(b, field)
+        xs = [linalg.held_coordinates(b, columns, v, field) for v in p]
+        if None in xs:
             raise AssertionError("sigma was applied to a section outside f")
-        mapped.append(linalg.release(linalg.held_combine(coords, im, field), field))
-    family_t = [_glue(target.module, v) for v in zip(*mapped)]
-    count = len(family_r)
-    partial = PartialFamily.of(enumerate(family_r, 1), enumerate(g_basis.s, 1))
-    partial_t = PartialFamily.of(enumerate(family_t[:count], 1), enumerate(family_t[count:], 1))
-    return _carry(source, target, partial, partial_t)
+        family.append(p[0::2] + rad + p[1::2])
+        mapped.append(linalg.held_combine(xs[0::2] + list(r) + xs[1::2], im, field))
+    count = k - len(g_rows[0]) // 2
+    return _carry(source, target, _family(family, count), _family(mapped, count))
+
+
+def _family(rows, count: int):
+    """The held family (r, s) whose held rows are `rows`, per component
+    r_1..r_count and then s_1, s_2, ..."""
+    sections = list(zip(*rows))
+    return dict(enumerate(sections[:count], 1)), dict(enumerate(sections[count:], 1))
 
 
 def certify_witt(iso: Isometry, f: Submodule, images) -> bool:

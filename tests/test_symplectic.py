@@ -572,26 +572,18 @@ class TestEnvelope:
         with pytest.raises(FreenessViolated):
             hyperbolic_envelope(form, uneven)
 
-    def test_a_second_envelope_converts_none_of_f_s_rows(self, sierpinski, monkeypatch):
-        # the isotropy check reads the echelon rows f keeps: once f holds
-        # them, an envelope converts no row before its completion
+    def test_a_second_envelope_converts_none_of_f_s_rows(self, sierpinski):
+        # the isotropy check and the completion read the echelon rows f
+        # keeps: once f holds them, an envelope converts no row at all
         module = FreeModule(sierpinski, Q, 6)
         form = random_alternating_form(Random(5), module)
         f = random_totally_isotropic(Random(6), form, 2)
         f = Submodule(module, f.bases)
-        real = symplectic._extend
-        marks = []
-
-        def marking(form, partial):
-            marks.append(linalg.kernel_stats()["rows_in"])
-            return real(form, partial)
-
-        monkeypatch.setattr(symplectic, "_extend", marking)
         moved = []
         for _ in range(2):
             before = linalg.kernel_stats()["rows_in"]
             hyperbolic_envelope(form, f)
-            moved.append(marks[-1] - before)
+            moved.append(linalg.kernel_stats()["rows_in"] - before)
         # the first call holds f's two rows, the second reads them
         assert moved == [2, 0]
 
@@ -749,18 +741,19 @@ class TestWitt:
 
     def test_sigma_outside_f_raises_under_optimize_flag(self):
         # a raise, not an assert: sigma refuses a row it cannot express over
-        # f under python -O too
+        # f under python -O too. f is a hyperbolic plane, so its pairs of g
+        # are read off f's basis (the radical's coordinates are known)
         script = (
             "from sheafforms import (FreeModule, RationalField, linalg, span,\n"
             "    standard_symplectic_form, validate_topology, witt_extend)\n"
             "space = validate_topology(('a',), [(), ('a',)])\n"
             "form = standard_symplectic_form(FreeModule(space, RationalField(), 2))\n"
             "e = form.module.canonical_basis()\n"
-            "f = span(form.module, [e[0]])\n"
-            "print(witt_extend(form, form, f, [e[0]]).holds())\n"
+            "f = span(form.module, [e[0], e[1]])\n"
+            "print(witt_extend(form, form, f, [e[0], e[1]]).holds())\n"
             "linalg.held_coordinates = lambda *args: None\n"
             "try:\n"
-            "    witt_extend(form, form, f, [e[0]])\n"
+            "    witt_extend(form, form, f, [e[0], e[1]])\n"
             "except AssertionError as exc:\n"
             "    print(__debug__, exc)\n"
         )
@@ -830,14 +823,19 @@ class TestWitt:
         assert err.value.message == "radical component dimensions differ: (0, 2)"
         assert err.value.witness == {"dims": (0, 2)}
 
-    def test_rows_converted_by_one_extension(self):
+    def test_rows_converted_by_one_extension(self, monkeypatch):
         # fresh forms and a fresh f on a rank-8 instance, f of rank 4 with
         # one hyperbolic pair and a radical of rank 2. The rows converted:
-        # both Gram matrices (16), f's rows (4), the images (4), the
-        # complement scan of rad f in f (2 + 4), and per completion in
-        # `_carry` its family (4) and the relations the family must meet (4);
-        # A_2 for the pair of g, and per completion the identity and A_8, are
-        # held straight from ints and convert nothing
+        # both Gram matrices (16), f's rows (4) and the images (4). The
+        # complement of rad f in f, the pair of g, the radical and the
+        # images of the family stay held, and their relations hold by
+        # construction, so none is checked; A_2 for the pair of g, and per
+        # completion the identity and A_8, are held straight from ints. The
+        # entries built are those of the result, 8 x 8
+        def refuse(*args):
+            raise AssertionError("the relations of the family were checked")
+
+        monkeypatch.setattr(symplectic, "_check_partial_relations", refuse)
         rng = Random(71)
         module = FreeModule(three_point_space(), Q, 8)
         source = random_alternating_form(rng, module)
@@ -847,9 +845,13 @@ class TestWitt:
         images = [carrier.apply(sec) for sec in f.global_basis()]
         source, target = BilinearForm(module, source.gram), BilinearForm(module, target.gram)
         f = Submodule(module, f.bases)
-        before = linalg.kernel_stats()["rows_in"]
+        before = linalg.kernel_stats()
         iso = witt_extend(source, target, f, images)
-        assert linalg.kernel_stats()["rows_in"] - before == 46
+        after = linalg.kernel_stats()
+        moved = {key: after[key] - before[key] for key in ("rows_in", "entries_out")}
+        assert moved == {"rows_in": 24, "entries_out": 64}
+        assert after["eliminations"] - before["eliminations"] == 16
+        monkeypatch.undo()
         assert symplectic.certify_witt(iso, f, images)
 
     def test_broken_pairing_witness(self, discrete_pair):
@@ -907,11 +909,13 @@ class TestPairsOfG:
         real = symplectic._complete
         found = []
 
-        def recording(form, partial, start=None):
-            basis, rows = real(form, partial, start=start)
+        def recording(form, rs, ss, start=None):
+            rows = real(form, rs, ss, start=start)
             if start is not None:
-                found.append(list(zip(basis.r, basis.s)))
-            return basis, rows
+                vectors = [linalg.release(p, field) for p in rows]
+                sections = [symplectic._glue(form.module, v) for v in zip(*vectors)]
+                found.append(list(zip(sections[0::2], sections[1::2])))
+            return rows
 
         monkeypatch.setattr(symplectic, "_complete", recording)
         for space in (sierpinski_space(), discrete_pair_space()):
@@ -1005,7 +1009,8 @@ def ref_project_rows_away(field, grams, rows_per_comp, pairs):
         tg = linalg.held_product(rs, g, field) + linalg.held_product(ss, cols, field)
         coeffs = linalg.held_product(rows, tg, field)
         shift = linalg.held_product(coeffs, linalg.held_transpose(ss + rs, field), field)
-        out.append(linalg.held_rref(linalg.held_add(rows, shift, field), field)[0])
+        moved = map(linalg.add_vec, linalg.release(rows, field), linalg.release(shift, field))
+        out.append(linalg.held_rref(linalg.hold(tuple(moved), field), field)[0])
     return out
 
 
