@@ -23,9 +23,10 @@ on held rows from start to end: a form keeps its Gram matrices and their
 columns as `linalg` holds them, and a submodule its echelon rows, each held
 on first use; every output is released once. `classify_orthosymmetry` works
 on the form's field elements and keeps its result on the form, so each form
-is classified once. The symplectic layer keeps two more facts on a form: that
-it passed `validate_symplectic`, and the completion of the empty family.
-`form_memo_stats()` counts the hits and misses of all five.
+is classified once. A form keeps each fact in its memo through
+`modules._kept`, as a submodule does, and the symplectic layer keeps its own
+facts there too; `form_memo_stats()` counts the hits and misses of every
+fact a form keeps.
 """
 
 from __future__ import annotations
@@ -46,17 +47,14 @@ from .modules import (
     FreeModule,
     ModuleSection,
     Submodule,
+    _COUNTS,
     _from_held,
+    _kept,
+    _keeps,
     full_submodule,
     intersect_submodules,
 )
 from .topology import OpenRef
-
-_COUNTS = {
-    f"{what}_{use}": 0
-    for what in ("gram", "class", "symplectic", "completion", "projector")
-    for use in ("hits", "misses")
-}
 
 
 def form_memo_stats() -> dict:
@@ -67,44 +65,19 @@ def form_memo_stats() -> dict:
     the completion of the empty partial family and `projector_*` for the
     factorization `project` and `orthogonal_split` keep for the last
     submodule (a hit on the same or an equal submodule)."""
-    return dict(_COUNTS)
-
-
-def _kept(form, name: str, counter: str, make):
-    """The value `form` keeps in its field `name`, made by `make()` on first
-    use and counted under `counter`. When `make` raises, nothing is kept."""
-    value = getattr(form, name)
-    if value is None:
-        _COUNTS[f"{counter}_misses"] += 1
-        value = make()
-        object.__setattr__(form, name, value)
-    else:
-        _COUNTS[f"{counter}_hits"] += 1
-    return value
+    return {
+        f"{fact}_{use}": n
+        for (owner, fact), counts in _COUNTS.items() if owner is BilinearForm
+        for use, n in counts.items()
+    }
 
 
 @dataclass(frozen=True)
 class BilinearForm:
     module: FreeModule
     gram: tuple  # per X-component: rank x rank matrix (tuple of row tuples)
-    # set on first use and not part of the value: per X-component the held
-    # Gram matrix and its held columns, the orthosymmetry class, True once
-    # the form passed `validate_symplectic`, the completion of the empty
-    # partial family ([its held rows, its basis once glued]), and the last
-    # submodule projected onto with its factorization (`_projector`)
-    _held: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
-    _class: Optional["OrthoClass"] = field(
-        default=None, init=False, compare=False, repr=False
-    )
-    _symplectic: Optional[bool] = field(
-        default=None, init=False, compare=False, repr=False
-    )
-    _completion: Optional[list] = field(
-        default=None, init=False, compare=False, repr=False
-    )
-    _projection: Optional[tuple] = field(
-        default=None, init=False, compare=False, repr=False
-    )
+    # what the form keeps (`_kept`), not part of its value
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = self.module.rank
@@ -126,7 +99,7 @@ class BilinearForm:
             grams = [linalg.hold(g, field) for g in self.gram]
             return tuple((g, linalg.held_transpose(g, field)) for g in grams)
 
-        return _kept(self, "_held", "gram", hold)
+        return _kept(self, "gram", hold)
 
     def _xc_of(self, open: OpenRef):
         space = self.module.space
@@ -138,6 +111,8 @@ class BilinearForm:
             raise ModuleMismatch("sections belong to a different module")
         if r.open != s.open:
             raise OpenMismatch(f"sections over different opens: {r.open} vs {s.open}")
+        if not self.module.rank:  # a rank-0 module pairs to the field's zero
+            return AlgebraSection.zero(self.module.space, self.module.field, r.open)
         values = tuple(
             linalg.dot(rv, linalg.mat_vec(self.gram[xc], sv))
             for rv, sv, xc in zip(r.vectors, s.vectors, self._xc_of(r.open))
@@ -175,8 +150,9 @@ class BilinearForm:
         return _from_held(self.module, perps)
 
     def is_nondegenerate(self) -> bool:
+        """Full rank on every component, ranked on the held Gram matrices."""
         field = self.module.field
-        return all(linalg.inverse(g, field) is not None for g in self.gram)
+        return all(linalg.held_rank(g, field) == len(g) for g, _ in self._held_grams())
 
     def _require_orthosymmetric(self, what: str) -> None:
         cls = classify_orthosymmetry(self)
@@ -208,16 +184,13 @@ class BilinearForm:
         X-component K = M^-1 B G with B's held rows). The form keeps it
         for the last f it was made for; an equal f is a hit. An isotropic f
         raises `IsotropicSubmodule` and nothing is kept."""
-        kept = self._projection
-        if kept is not None and (kept[0] is f or kept[0] == f):
-            _COUNTS["projector_hits"] += 1
-            return kept[1]
-        _COUNTS["projector_misses"] += 1
-        factors, dims = self._restricted_grams(f)
-        _require_nonisotropic(dims)
-        value = (dims, tuple(zip(factors, f._held_bases())))
-        object.__setattr__(self, "_projection", (f, value))
-        return value
+
+        def make():
+            factors, dims = self._restricted_grams(f)
+            _require_nonisotropic(dims)
+            return dims, tuple(zip(factors, f._held_bases()))
+
+        return _kept(self, "projector", make, of=f)
 
     def radical(self, f: Optional[Submodule] = None) -> Submodule:
         """rad f = f intersect f-perp (rad E = E-perp). Needs an
@@ -272,6 +245,9 @@ class BilinearForm:
         return f"BilinearForm(rank={self.module.rank}, components={len(self.gram)})"
 
 
+_keeps(BilinearForm, "gram", "class", "projector")
+
+
 @dataclass(frozen=True)
 class CovectorSection:
     """A functional per component, the value of an adjoint at a section."""
@@ -285,6 +261,8 @@ class CovectorSection:
             raise ModuleMismatch("section belongs to a different module")
         if s.open != self.open:
             raise OpenMismatch(f"covector over {self.open}, section over {s.open}")
+        if not self.module.rank:
+            return AlgebraSection.zero(self.module.space, self.module.field, self.open)
         values = tuple(
             linalg.dot(w, v) for w, v in zip(self.covectors, s.vectors)
         )
@@ -377,7 +355,7 @@ def classify_orthosymmetry(form: BilinearForm) -> OrthoClass:
     nowhere-zero; `certify_witness` re-checks it before it is returned. The
     class is computed once per form and kept on it.
     """
-    return _kept(form, "_class", "class", lambda: _classify(form))
+    return _kept(form, "class", lambda: _classify(form))
 
 
 def _classify(form: BilinearForm) -> OrthoClass:

@@ -59,8 +59,8 @@ with `held_product` (the matrix of `dot(row, col)`, A C^T),
 `held_combine` (A B, B given by its rows), `held_transpose`,
 `held_divide`, `held_rref`, `held_rank`, `held_nullspace`,
 `held_intersect`, `held_complement_rows`, `held_left_divide`,
-`held_coordinates`, `held_equal` and `held_nonzero`; `held_ints` builds
-held rows straight from rows of plain ints. `rref`, `rank`, `nullspace`,
+`held_coordinates` and `held_nonzero`; `held_ints` builds held rows
+straight from rows of plain ints. `rref`, `rank`, `nullspace`,
 `complement_rows` and `reduce_against` share their bodies with
 `held_rref`, `held_rank`, `held_nullspace`, `held_complement_rows` and
 `held_coordinates`. The format is
@@ -699,10 +699,11 @@ def matmul(a, b):
 
 
 def dot(u, v):
+    """The sum of the entries' products, the int 0 for empty vectors."""
     if len(u) != len(v):
         raise ValueError(f"vectors of lengths {len(u)} and {len(v)}")
     terms = map(mul, u, v)
-    return sum(terms, next(terms))
+    return sum(terms, next(terms, 0))
 
 
 def mat_vec(m, v):
@@ -930,13 +931,6 @@ def held_coordinates(echelon, columns, v, field):
     rows = _values(echelon, p) if p else [row for row, _ in echelon]
     pivots = [next(j for j, x in enumerate(row) if x) for row in rows]
     return _coordinates(pivots, columns, v, p)
-
-
-def held_equal(a, b, field) -> bool:
-    """Whether two held matrices are equal, entry for entry: held rows are
-    in lowest terms, so they are equal as tuples."""
-    _word_modulus(field)
-    return a == b
 
 
 def held_nonzero(held, field) -> tuple:

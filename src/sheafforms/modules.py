@@ -11,20 +11,21 @@ syntactic equality, and the sections of the submodule over any open U are
 read off through the refinement map (on each U-component, membership in the
 subspace attached to the containing X-component).
 
-A submodule also keeps its echelon rows as `linalg` holds them (`_held`,
-not part of its value): set by `_from_held` when an operation already has
-them, or held on first use. `sum_submodules` (one `held_rref` of the stacked
-rows) and `intersect_submodules` (one Zassenhaus elimination,
-`held_intersect`) work on those held rows and release each output basis
-once, and `Submodule.contains` reads each vector's coordinates over them
+A submodule also keeps its echelon rows as `linalg` holds them: seeded by
+`_from_held` when an operation already has them, or held on first use.
+`sum_submodules` (one `held_rref` of the stacked rows) and
+`intersect_submodules` (one Zassenhaus elimination, `held_intersect`) work
+on those held rows and release each output basis once, and
+`Submodule.contains` reads each vector's coordinates over them
 (`held_coordinates`). `submodule_memo_stats()` counts the uses: hits, and
-misses that held the rows.
+misses that held the rows. Every fact a `Submodule` or a `BilinearForm`
+keeps goes through `_kept` into the object's `_memo`, which is not part of
+its value, and is counted in one table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from . import linalg
 from .algebra import AlgebraSection
@@ -157,33 +158,50 @@ class ModuleSection:
         return f"ModuleSection(open={self.open}, {comps})"
 
 
-_COUNTS = {"hits": 0, "misses": 0}
+# (class, fact) -> the hits and misses of what `_kept` keeps, since import
+_COUNTS = {}
+
+
+def _keeps(owner: type, *facts: str) -> None:
+    """Declare facts `_kept` keeps on instances of `owner`, counted from 0."""
+    for fact in facts:
+        _COUNTS[owner, fact] = {"hits": 0, "misses": 0}
+
+
+def _kept(obj, fact: str, make, of=None):
+    """The value of `fact` that `obj` keeps in its `_memo`, made by `make()`
+    on a miss. A value is kept for `of`, and a later use is a hit when it
+    asks for the same object or an equal value; a miss replaces it. When
+    `make` raises, nothing is kept and the previous value stays."""
+    counts = _COUNTS[type(obj), fact]
+    kept = obj._memo.get(fact)
+    if kept is not None and (kept[0] is of or kept[0] == of):
+        counts["hits"] += 1
+        return kept[1]
+    counts["misses"] += 1
+    value = make()
+    obj._memo[fact] = (of, value)
+    return value
 
 
 def submodule_memo_stats() -> dict:
     """Uses of the held echelon rows a `Submodule` keeps, since import:
     `hits` (read from the submodule) and `misses` (held on first use). A
     submodule built from held rows starts with them and counts neither."""
-    return dict(_COUNTS)
+    return dict(_COUNTS[Submodule, "bases"])
 
 
 @dataclass(frozen=True)
 class Submodule:
     module: FreeModule
     bases: tuple  # per X-component: tuple of reduced echelon rows
-    # per X-component: `bases` as `linalg` holds them, set on first use or by
-    # `_from_held`; not part of the value
-    _held: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
+    # what the submodule keeps (`_kept`), not part of its value
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def _held_bases(self) -> tuple:
         """Per X-component, the echelon rows held (`linalg.hold`)."""
-        if self._held is None:
-            _COUNTS["misses"] += 1
-            field = self.module.field
-            object.__setattr__(self, "_held", tuple(linalg.hold(b, field) for b in self.bases))
-        else:
-            _COUNTS["hits"] += 1
-        return self._held
+        field = self.module.field
+        return _kept(self, "bases", lambda: tuple(linalg.hold(b, field) for b in self.bases))
 
     @property
     def dims(self):
@@ -234,6 +252,9 @@ class Submodule:
         return f"Submodule(dims={self.dims})"
 
 
+_keeps(Submodule, "bases")
+
+
 def span(module: FreeModule, sections) -> Submodule:
     """Submodule generated by global sections."""
     x = module.space.x_ref
@@ -261,10 +282,10 @@ def from_rows(module: FreeModule, per_component_rows) -> Submodule:
 def _from_held(module: FreeModule, held_bases) -> Submodule:
     """The submodule whose per-component reduced echelon rows are given held,
     as `held_rref`, `held_nullspace` and `held_intersect` return them: each
-    basis is released once, and the held rows are kept."""
+    basis is released once, and the held rows seed its memo uncounted."""
     field = module.field
     sub = Submodule(module, tuple(linalg.release(h, field) for h in held_bases))
-    object.__setattr__(sub, "_held", tuple(held_bases))
+    sub._memo["bases"] = (None, tuple(held_bases))
     return sub
 
 

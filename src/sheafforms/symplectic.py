@@ -41,10 +41,11 @@ of g are one completion run inside the rows of B that complement rad f
 held, and their relations hold by construction, so none is checked. The
 public entry points validate their forms (`validate_symplectic`) once; the
 private helpers do not validate again.
-A form keeps what is decided about it: that it passed the validation (which
-ranks the Gram matrices the form holds), and the completion of the empty
-family, with its basis once glued, which `normal_form`, `standard_isometry`
-and `hyperbolic_decomposition` share (`form_memo_stats()` counts both). A
+A form keeps what is decided about it in its memo (`modules._kept`), where
+this module declares two facts: that it passed the validation (which ranks
+the Gram matrices the form holds), and the completion of the empty family,
+with its basis once glued, which `normal_form`, `standard_isometry` and
+`hyperbolic_decomposition` share (`form_memo_stats()` counts both). A
 failed validation is not kept. `certify_witt` and `certify_envelope` remain
 the certificates the report layer and the oracles call.
 """
@@ -54,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .bilinear import BilinearForm, _kept
+from .bilinear import BilinearForm
 from .errors import (
     Degenerate,
     FreenessViolated,
@@ -68,7 +69,9 @@ from .errors import (
     PartnerNotFound,
     RankMismatch,
 )
-from .modules import FreeModule, ModuleSection, Submodule, _from_held
+from .modules import FreeModule, ModuleSection, Submodule, _from_held, _kept, _keeps
+
+_keeps(BilinearForm, "symplectic", "completion")
 
 
 # -- types --------------------------------------------------------------------
@@ -210,7 +213,7 @@ def validate_symplectic(form: BilinearForm) -> None:
     is taken on the Gram matrices the form holds. A pass is kept on the form,
     so each form is validated once; a failure is not kept, and raises the
     same error on every call."""
-    _kept(form, "_symplectic", "symplectic", lambda: _check_symplectic(form))
+    _kept(form, "symplectic", lambda: _check_symplectic(form))
 
 
 def _check_symplectic(form: BilinearForm) -> bool:
@@ -347,7 +350,7 @@ def _first_mismatch(field, mats, wants, order):
     """The first position (p, q) of `order` at which some held matrix of
     `mats` differs from its partner in `wants`, or None. The matrices are
     compared whole and released only when some pair differs."""
-    if all(linalg.held_equal(m, w, field) for m, w in zip(mats, wants)):
+    if mats == wants:
         return None
     pairs = [(linalg.release(m, field), linalg.release(w, field)) for m, w in zip(mats, wants)]
     for p, q in order:
@@ -359,22 +362,16 @@ def _first_mismatch(field, mats, wants, order):
 def _check_partial_relations(field, grams, rs, ss):
     """phi(r_i, r_j) = phi(s_i, s_j) = 0 and phi(r_i, s_j) = delta_ij for held
     sections (index -> one held row per component): one pairing matrix per
-    component against the matrix the relations prescribe, whose s-r block
-    follows from the r-s block since the form is alternating. When one
-    differs, the first broken pair in the scan order r-r, s-s, r-s is the
-    witness."""
+    component against the matrix the relations prescribe, held straight
+    from its ints 0 and +-1, whose s-r block follows from the r-s block
+    since the form is alternating. When one differs, the first broken pair
+    in the scan order r-r, s-s, r-s is the witness."""
     labels = [("r", i) for i in rs] + [("s", j) for j in ss]
     if not labels:
         return
-    one, zero = field.one, field.zero
-    prescribed = linalg.hold(
-        tuple(
-            tuple(
-                (one if a == "r" else -one) if a != b and i == j else zero
-                for b, j in labels
-            )
-            for a, i in labels
-        ),
+    prescribed = linalg.held_ints(
+        [[(1 if a == "r" else -1) if a != b and i == j else 0 for b, j in labels]
+         for a, i in labels],
         field,
     )
     sections = [*rs.values(), *ss.values()]
@@ -399,10 +396,7 @@ def _congruent(form: BilinearForm, gram_cols, rows) -> bool:
     held columns of G per component."""
     field = form.module.field
     target = linalg.held_ints(_alternating_ints(len(rows[0]) if rows else 0), field)
-    return all(
-        linalg.held_equal(_pairings(p, p, cols, field), target, field)
-        for p, cols in zip(rows, gram_cols)
-    )
+    return all(_pairings(p, p, cols, field) == target for p, cols in zip(rows, gram_cols))
 
 
 def gram_schmidt_extend(form: BilinearForm, partial: PartialFamily) -> SymplecticBasis:
@@ -475,7 +469,7 @@ def _basis(module: FreeModule, rows, rs, ss) -> SymplecticBasis:
 def _empty(form: BilinearForm) -> list:
     """The completion of the empty family, kept on the form as [its held
     rows, its basis once glued]."""
-    return _kept(form, "_completion", "completion", lambda: [_complete(form, {}, {}), None])
+    return _kept(form, "completion", lambda: [_complete(form, {}, {}), None])
 
 
 def _completed(form: BilinearForm, rs, ss):

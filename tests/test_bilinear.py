@@ -94,6 +94,24 @@ def test_evaluate_commutes_with_restriction(discrete_pair):
     assert form.evaluate(r, s).restrict(v) == form.evaluate(r.restrict(v), s.restrict(v))
 
 
+@pytest.mark.parametrize("field", [Q, PrimeField(7)], ids=lambda f: f.name)
+def test_a_rank_0_module_pairs_to_the_field_s_zero(discrete_pair, field):
+    # sections of no entries pair to the field's own zero on every
+    # component, which the field formats; a held product of rows of no
+    # entries is a held zero matrix, over Q as over GF(p)
+    module = FreeModule(discrete_pair, field, 0)
+    form = BilinearForm(module, ((), ()))
+    zero = module.zero_section(discrete_pair.x_ref)
+    for value in (form.evaluate(zero, zero), form.adjoint(zero, "left").apply(zero)):
+        assert value.values == (field.zero, field.zero)
+        assert all(type(x) is type(field.zero) for x in value.values)
+        assert [field.format(x) for x in value.values] == [field.format(field.zero)] * 2
+    assert form.is_nondegenerate()
+    empty = linalg.hold(((), ()), field)
+    product = linalg.held_product(empty, linalg.hold(((),) * 3, field), field)
+    assert linalg.release(product, field) == ((field.zero,) * 3,) * 2
+
+
 def test_adjoint_frozen_values(symplectic2):
     module = symplectic2.module
     e1, _ = module.canonical_basis()
@@ -451,8 +469,8 @@ class TestWhatAFormKeeps:
         rng = Random(f"held:{field.name}")
 
         def held_as_fresh(sub):
-            assert sub._held is not None
-            assert sub._held == tuple(linalg.hold(b, field) for b in sub.bases)
+            assert "bases" in sub._memo
+            assert sub._memo["bases"] == (None, tuple(linalg.hold(b, field) for b in sub.bases))
 
         for i in range(12):
             space = fixture_spaces()[i % 3]
@@ -474,10 +492,10 @@ class TestWhatAFormKeeps:
             for sub in subs + [f, g]:
                 held_as_fresh(sub)
             for b in (form, sym):
-                assert b._held == tuple(
+                assert b._memo["gram"] == (None, tuple(
                     (linalg.hold(m, field), linalg.held_transpose(linalg.hold(m, field), field))
                     for m in b.gram
-                )
+                ))
 
     def test_asymmetry_pair_refuses_under_optimize_flag(self):
         # the two invariants of `_asymmetry_pair` are raises, not asserts, so
@@ -568,7 +586,7 @@ class TestKeptFactorization:
         f = span(module, [e1])
         g = span(module, [e1 + e2])
         form.project(g, e1)
-        kept = form._projection
+        kept = form._memo["projector"]
         raised = []
         for call in (lambda: form.project(f, e1), lambda: form.orthogonal_split(f),
                      lambda: form.project(f, e2)):
@@ -577,7 +595,7 @@ class TestKeptFactorization:
                 call()
             assert self.moved(before, bilinear.form_memo_stats()) == (0, 1)
             raised.append((err.value.code, str(err.value), err.value.witness))
-            assert form._projection is kept
+            assert form._memo["projector"] is kept
         assert raised == [("IsotropicSubmodule",
                            "submodule has a non-trivial radical, dims (1, 0)",
                            {"dims": (1, 0)})] * 3

@@ -1,6 +1,9 @@
-"""The library states its invariants as explicit raises: `python -O` strips
-`assert` statements, so a certificate or an invariant that rests on one is
-not checked at all under it."""
+"""Scans of the library's source. It states its invariants as explicit
+raises: `python -O` strips `assert` statements, so a certificate or an
+invariant that rests on one is not checked at all under it. And it sets no
+field of a frozen object behind its back: what a form or a submodule keeps
+lives in its memo (`modules._kept`), never in a field set through
+`object.__setattr__`."""
 
 import ast
 from pathlib import Path
@@ -8,13 +11,30 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sheafforms"
 
 
-def test_no_module_of_the_library_uses_assert():
+def found(match):
+    """`path:line` of every node of the library's modules that `match`
+    accepts."""
     modules = sorted(PACKAGE.rglob("*.py"))
     assert modules
-    found = [
+    return [
         f"{path.relative_to(PACKAGE)}:{node.lineno}"
         for path in modules
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Assert)
+        if match(node)
     ]
-    assert found == []
+
+
+def test_no_module_of_the_library_uses_assert():
+    assert found(lambda node: isinstance(node, ast.Assert)) == []
+
+
+def test_no_module_of_the_library_calls_object_setattr():
+    def setattr_of_object(node):
+        return (
+            isinstance(node, ast.Attribute)
+            and node.attr == "__setattr__"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "object"
+        )
+
+    assert found(setattr_of_object) == []

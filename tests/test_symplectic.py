@@ -38,24 +38,31 @@ from sheafforms import (
     SymplecticBasis,
     certify_basis,
     certify_envelope,
+    classify_orthosymmetry,
     compose_isometries,
     from_rows,
+    full_submodule,
     gram_schmidt_extend,
     hyperbolic_decomposition,
     hyperbolic_envelope,
+    intersect_submodules,
     invert_isometry,
     normal_form,
     span,
     standard_alternating,
     standard_isometry,
     standard_symplectic_form,
+    sum_submodules,
     validate_symplectic,
     witt_extend,
+    zero_submodule,
 )
 from sheafforms import bilinear, linalg, symplectic
+from sheafforms.modules import submodule_memo_stats
 from sheafforms.oracles import (
     discrete_pair_space,
     random_alternating_form,
+    random_global_section,
     random_partial_family,
     random_symplectic_isometry,
     random_totally_isotropic,
@@ -1153,5 +1160,54 @@ class TestWhatAFormKeeps:
                 normal_form(form)
             assert self.moved(before, bilinear.form_memo_stats(), "symplectic") == (0, 1)
             raised.append((err.value.code, err.value.message, err.value.witness))
-            assert form._symplectic is None and form._completion is None
+            assert "symplectic" not in form._memo and "completion" not in form._memo
         assert raised == [raised[0]] * 3
+
+    def test_every_kept_fact_is_counted(self, discrete_pair):
+        # every public operation on one symplectic form, which is
+        # orthosymmetric too, and on its submodules; afterwards each fact a
+        # form keeps has its `{fact}_hits` and `{fact}_misses` in
+        # `form_memo_stats()`, and a submodule keeps one fact, its held
+        # rows, whose `hits` and `misses` are `submodule_memo_stats()`
+        rng = Random(37)
+        module = FreeModule(discrete_pair, Q, 4)
+        form, other = random_alternating_form(rng, module), random_alternating_form(rng, module)
+        t = random_global_section(rng, module)
+        validate_symplectic(form)
+        basis = gram_schmidt_extend(form, PartialFamily.of())
+        assert certify_basis(form, basis)
+        r, s = basis.r[0], basis.s[0]
+        line, plane = span(module, [r]), span(module, [r, s])
+        assert classify_orthosymmetry(form).orthosymmetric and form.is_nondegenerate()
+        assert form.evaluate(r, s).is_nowhere_zero()
+        assert form.adjoint(r, "right").apply(s) == form.evaluate(r, s)
+        split = form.orthogonal_split(plane)
+        assert plane.contains(form.project(plane, t))
+        subs = [
+            line, plane, full_submodule(module), zero_submodule(module),
+            form.orthogonal(line), form.orthogonal(line, "right"), form.radical(),
+            form.radical(plane), sum_submodules(line, plane), intersect_submodules(line, plane),
+            split.submodule, split.complement,
+        ]
+        normal_form(form)
+        iso = standard_isometry(form, other)
+        assert iso.holds() and invert_isometry(iso).holds()
+        assert compose_isometries(iso, invert_isometry(iso)).holds()
+        planes = hyperbolic_decomposition(form)
+        envelope = hyperbolic_envelope(form, line)
+        assert certify_envelope(form, line, envelope)
+        images = [iso.apply(sec) for sec in line.global_basis()]
+        assert symplectic.certify_witt(witt_extend(form, other, line, images), line, images)
+        subs += [p.span for p in planes + envelope]
+
+        stats = bilinear.form_memo_stats()
+        kept = set()
+        for b in (form, other):
+            for fact in b._memo:
+                assert {f"{fact}_hits", f"{fact}_misses"} <= set(stats)
+                kept.add(fact)
+        assert kept == {"gram", "class", "symplectic", "completion", "projector"}
+        assert set(submodule_memo_stats()) == {"hits", "misses"}
+        for sub in subs:
+            sub.contains(t)
+            assert set(sub._memo) == {"bases"}
