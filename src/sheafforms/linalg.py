@@ -41,9 +41,9 @@ reduce what it keeps. A packed product (`held_combine` with B's rows
 packed) sums one multiply-add of B's packed rows per coefficient of A and
 reduces each output row once; `held_product` over GF(p) takes one sum of
 products per entry, or for more than one row and `_PACKED_WIDTH` columns or
-more packs the columns' transpose and sums its rows. Packed Zassenhaus rows
-[A | A], and the rows [M | R] when R's rows are packed, are built by
-shift-or; other rows side by side are eliminated as lists.
+more packs the columns' transpose and sums its rows. Two held matrices
+go side by side for an elimination in one way (`_joined`), and echelon
+rows come back as held rows in one way (`_split`).
 
 Each routine reads its field at one dispatch point (`_word_modulus`).
 `matmul`, `mat_vec` and `vec_mat` take no field, so they read it off the
@@ -58,16 +58,17 @@ A caller that chains many steps holds its rows itself and works on them
 with `held_product` (the matrix of `dot(row, col)`, A C^T),
 `held_combine` (A B, B given by its rows), `held_transpose`,
 `held_divide`, `held_rref`, `held_rank`, `held_nullspace`,
-`held_intersect`, `held_complement_rows`, `held_left_divide`,
-`held_coordinates` and `held_nonzero`; `held_ints` builds held rows
-straight from rows of plain ints. `rref`, `rank`, `nullspace`,
-`complement_rows` and `reduce_against` share their bodies with
-`held_rref`, `held_rank`, `held_nullspace`, `held_complement_rows` and
-`held_coordinates`. The format is
-private to this module: other modules only pass held rows (and tuples of
-them) around, as the symplectic completion and the orthogonal calculus do,
-and keep them (`Submodule` its echelon rows, `BilinearForm` its Gram
-matrices and the factorization of the last projection).
+`held_intersect`, `held_complement_rows`, `held_left_divide` and
+`held_coordinates`; `held_ints` builds held rows straight from rows of
+plain ints. `rref`, `rank`, `nullspace`, `complement_rows`,
+`reduce_against` and `inverse` share their bodies with `held_rref`,
+`held_rank`, `held_nullspace`, `held_complement_rows`, `held_coordinates`
+and `held_left_divide`. Held rows are canonical, so a caller compares them,
+zeros included, with `==`. The format is private to this module: other
+modules only pass held rows (and tuples of them) around, as the symplectic
+completion and the orthogonal calculus do, and keep them (`Submodule` its
+echelon rows, `BilinearForm` its Gram matrices and the factorization of
+the last projection).
 
 Every routine that eliminates does so once. The nullspace is one
 elimination that scans the columns right to left, whose back
@@ -75,10 +76,10 @@ substitutions are the canonical basis already (`_nullspace`). The
 intersection of two row spaces is one Zassenhaus elimination of the rows
 [A | A] and [B | 0]: the echelon rows whose pivot falls in the right half
 are (0, w), and the w are the reduced echelon basis of the intersection.
-M^-1 R is one elimination of [M | R] (`held_left_divide`). The rows of a
-big space that complement a small one in a greedy scan are the pivot
-columns past the small rows of one elimination of the transposed stack
-[small; big] (`held_complement_rows`).
+M^-1 R is one elimination of [M | R] (`held_left_divide`), and the inverse
+of a square M is M^-1 I. The rows of a big space that complement a small
+one in a greedy scan are the pivot columns past the small rows of one
+elimination of the transposed stack [small; big] (`held_complement_rows`).
 
 Over GF(p) with p below `_TABLED`, `release` takes its field elements from
 a table of all p of them instead of making one per entry.
@@ -243,9 +244,12 @@ def _values(held, p: int) -> list:
     return [row for row, _ in held]
 
 
-def _held(rows, n: int, p: int) -> tuple:
-    """Rows of n ints in [0, p) as held rows over GF(p), packed if they are
-    wide enough."""
+def _held(rows: list, p: int) -> tuple:
+    """Rows of ints in [0, p) as held rows over GF(p), each packed if it is
+    wide enough (`_packs`); rows of one width are packed all at once."""
+    if len(set(map(len, rows))) > 1:
+        return tuple([held for row in rows for held in _held([row], p)])
+    n = len(rows[0]) if rows else 0
     if _packs(n, p):
         return tuple([(x, n) for x in _pack_rows(rows, n, p)])
     return tuple([(row, 1) for row in rows])
@@ -304,13 +308,14 @@ def _hold(rows, p) -> tuple:
         held = tuple(map(_cleared, rows))
         _COUNTS["rows_in"] += len(held)
         return held
-    ints = _lifted(rows, p)
-    n = len(ints[0]) if ints else 0
-    if _packs(n, p) and all(len(row) == n for row in ints):
-        return tuple([(x, n) for x in _pack_rows(ints, n, p)])
-    return tuple([
-        (_pack(row, p), len(row)) if len(row) >= _PACKED_WIDTH else (row, 1) for row in ints
-    ])
+    return _held(_lifted(rows, p), p)
+
+
+def _from_ints(rows, p) -> tuple:
+    """The body of `held_ints`."""
+    if p:
+        return _held([[x % p for x in row] for row in rows], p)
+    return tuple([(list(row), 1) for row in rows])
 
 
 def _release(held, p) -> tuple:
@@ -432,19 +437,44 @@ def _eliminate_packed(work: list, cols: range, p: int):
     return work[:r], tuple(pivots)
 
 
-def _pivoted(ech, width: int, p) -> tuple:
-    """Echelon rows of `width` from `_eliminate` as held rows: over GF(p)
-    packed rows reduced; over Q each row held over its pivot (signs turned
-    to make it positive), so it stands for its reduced echelon row."""
+def _joined(left, right, p) -> list:
+    """The work rows [L | R] for `_eliminate` of the held rows L and R side
+    by side. Over GF(p), when R's rows are packed, L's rows (packed first if
+    they are lists) and R's are joined by shift-or; otherwise the rows are
+    lists. Over Q each row pair is brought over the lcm of its denominators
+    and divided by its content."""
+    if p and _is_packed(right):
+        xs, at = _work(left, p)
+        if not _is_packed(left):
+            xs = _pack_rows(xs, at, p)
+        shift = _slot(p) * at
+        return [x | y << shift for x, (y, _) in zip(xs, right)]
     if p:
-        if ech and type(ech[0]) is int:
-            return tuple([(x, width) for x in _reduce_rows(ech, width, p)])
-        return tuple([(row, 1) for row in ech])
-    out = []
-    for row in ech:
-        a = next(filter(None, row))
-        out.append((row, a) if a > 0 else ([-x for x in row], -a))
-    return tuple(out)
+        return [[*u, *v] for u, v in zip(_values(left, p), _values(right, p))]
+    work = []
+    for (u, d), (v, e) in zip(left, right):
+        den = lcm(d, e)
+        work.append(_primitive([x * (den // d) for x in u] + [x * (den // e) for x in v]))
+    return work
+
+
+def _split(ech, pivots, at: int, width: int, p) -> tuple:
+    """The entries from column `at` on, the last `width`, of the echelon
+    rows `ech` from `_eliminate` as held rows, each divided by its pivot (at
+    its column in `pivots`). Over GF(p) pivots are 1, and list rows stay
+    lists, as the last `width` entries were on entry. Over Q a row has
+    content 1 and left of `at` only zeros and its pivot, so it is in lowest
+    terms over the pivot, its sign turned to make that positive."""
+    if not p:
+        out = []
+        for row, pc in zip(ech, pivots):
+            a = row[pc]
+            out.append((row[at:], a) if a > 0 else ([-x for x in row[at:]], -a))
+        return tuple(out)
+    if ech and type(ech[0]) is int:
+        shift = _slot(p) * at
+        return tuple([(x, width) for x in _reduce_rows([x >> shift for x in ech], width, p)])
+    return tuple([(row[at:], 1) for row in ech])
 
 
 def _echelon_values(ech, width: int, p) -> list:
@@ -459,7 +489,7 @@ def _rref(held, p):
     """The body of `held_rref`."""
     work, width = _work(held, p)
     ech, pivots = _eliminate(work, range(width), p)
-    return _pivoted(ech, width, p), pivots
+    return _split(ech, pivots, 0, width, p), pivots
 
 
 def _back_substitute(ech, pivots, j, width: int, p):
@@ -507,7 +537,7 @@ def _nullspace(held, width: int, p) -> tuple:
             x[j] = -den  # the vector is den e_j - x
             basis.append((x, den))
     if p:
-        return _held([[-y % p for y in x] for x, _ in basis], width, p)
+        return _held([[-y % p for y in x] for x, _ in basis], p)
     return tuple([_reduced([-y for y in x], den) for x, den in basis])
 
 
@@ -548,7 +578,7 @@ def _dots(rows: list, cols: list, p: int) -> tuple:
     if len(rows) > 1 and _packs(k, p):
         packed = _pack_rows(list(zip(*cols)), k, p)
         return tuple([(x, k) for x in _sums(rows, packed, k, p)])
-    return _held([[sum(map(mul, u, v)) % p for v in cols] for u in rows], k, p)
+    return _held([[sum(map(mul, u, v)) % p for v in cols] for u in rows], p)
 
 
 def _product(rows, cols, p) -> tuple:
@@ -590,7 +620,7 @@ def _transpose(held, p) -> tuple:
     """The body of `held_transpose`: over Q each entry is brought over the
     lcm of the row denominators."""
     if p:
-        return _held([list(col) for col in zip(*_values(held, p))], len(held), p)
+        return _held([list(col) for col in zip(*_values(held, p))], p)
     den = lcm(*[d for _, d in held])
     scaled = [[x * (den // d) for x in row] for row, d in held]
     return tuple(_reduced(list(col), den) for col in zip(*scaled))
@@ -606,7 +636,7 @@ def _solve(aug, width: int, p):
         return None  # a pivot in the rhs column: inconsistent
     if p:
         x, _ = _back_substitute(_echelon_values(ech, total, p), pivots, width, width, p)
-        return _held([x], width, p)[0]
+        return _held([x], p)[0]
     return _reduced(*_back_substitute(ech, pivots, width, width, p))
 
 
@@ -616,22 +646,20 @@ def _intersect(a, b, width: int, p) -> tuple:
     w = x for x in rowspace(a) and y in rowspace(b), so u = 0 exactly when
     w = -y lies in both; in reduced echelon form the rows with a pivot in the
     right half are (0, w), and their w are the reduced echelon basis of the
-    intersection. Packed rows are put side by side by shift-or."""
-    packed = p and (_is_packed(a) or _is_packed(b))
-    if packed:
-        if any(n != width for _, n in a + b):
-            raise ValueError("rows of unequal length")
-        shift = _slot(p) * width
-        work = [x | x << shift for x, _ in a] + [y for y, _ in b]
-    else:
-        zero = [0] * width
-        work = [x + x for x in _work(a, p)[0]] + [y + zero for y in _work(b, p)[0]]
-    ech, pivots = _eliminate(work, range(2 * width), p)
+    intersection."""
+    zeros = _from_ints([[0] * width], p) * len(b)
+    ech, pivots = _eliminate(_joined((*a, *b), (*a, *zeros), p), range(2 * width), p)
     first = next((i for i, pc in enumerate(pivots) if pc >= width), len(pivots))
-    if packed:
-        meet = _reduce_rows([x >> shift for x in ech[first:]], width, p)
-        return tuple([(x, width) for x in meet])
-    return _pivoted([row[width:] for row in ech[first:]], width, p)
+    return _split(ech[first:], pivots[first:], width, width, p)
+
+
+def _left_divide(m, rhs, p):
+    """The body of `held_left_divide`."""
+    r = len(m)
+    width = _length(rhs[0]) if rhs else 0
+    ech, pivots = _eliminate(_joined(m, rhs, p), range(r + width), p)
+    rank = sum(pc < r for pc in pivots)
+    return rank, _split(ech, pivots, r, width, p) if rank == r else None
 
 
 def _complement(held, k: int, p) -> tuple:
@@ -647,21 +675,24 @@ def _complement(held, k: int, p) -> tuple:
     return tuple(pc - k for pc in pivots if pc >= k)
 
 
-def _coordinates(pivots, columns, target, p):
-    """The coordinates of the held row `target` over reduced echelon rows
-    with pivot columns `pivots` and held columns `columns`: the row's entries
-    at the pivot columns, held, if those times the echelon rows give the row
-    back, else None (the row lies outside their span)."""
+def _coordinates(echelon, target, p):
+    """The body of `held_coordinates`: the coordinates of the held row
+    `target` over the held reduced echelon rows `echelon`. They are the
+    row's entries at the pivot columns, held, if those times the echelon
+    rows give the row back (`_combine`), else None (the row lies outside
+    their span)."""
+    rows = _values(echelon, p) if p else [row for row, _ in echelon]
+    pivots = [next(j for j, x in enumerate(row) if x) for row in rows]
     if p:
         (values,) = _values((target,), p)
-        coeffs = _held([[values[pc] for pc in pivots]], len(pivots), p)[0]
+        coeffs = _held([[values[pc] for pc in pivots]], p)[0]
         if not pivots:
             return None if any(values) else coeffs
     else:
         coeffs = _reduced([target[0][pc] for pc in pivots], target[1])
         if not pivots:
             return None if any(target[0]) else coeffs
-    return coeffs if _product((coeffs,), columns, p) == (target,) else None
+    return coeffs if _combine((coeffs,), echelon, p) == (target,) else None
 
 
 def identity(n, field):
@@ -765,16 +796,17 @@ def solve(rows, rhs, field):
 
 
 def inverse(m, field):
-    """Matrix inverse, or None if singular."""
-    p = _word_modulus(field)
+    """Matrix inverse, or None if singular: M^-1 I, one elimination of
+    [M | I] (`held_left_divide`). A matrix that is not square raises
+    `ValueError`."""
     n = len(m)
-    # the identity block follows each row, square or not
-    ech, pivots = _rref(_hold([(*row, *e) for row, e in zip(m, identity(n, field))], p), p)
-    if pivots != tuple(range(n)):
-        return None
-    if p:
-        return _release(_held([row[n:] for row in _values(ech, p)], n, p), p)
-    return _release(tuple((row[n:], d) for row, d in ech), p)
+    for row in m:
+        if len(row) != n:
+            raise ValueError(f"no inverse of a matrix of {n} rows with a row of length {len(row)}")
+    p = _word_modulus(field)
+    ident = _from_ints([[int(i == j) for j in range(n)] for i in range(n)], p)
+    _, inv = _left_divide(_hold(m, p), ident, p)
+    return None if inv is None else _release(inv, p)
 
 
 def reduce_against(echelon, v, field):
@@ -782,16 +814,14 @@ def reduce_against(echelon, v, field):
 
     Requires echelon to be the output of rref. The coefficient of row i is
     just v at row i's pivot column, since pivot columns are elsewhere zero,
-    so v lies in the span iff those coefficients times the rows give v: one
-    held product, compared with v held. The coefficients are v's own
-    entries.
+    so v lies in the span iff those coefficients times the held rows give v
+    held (`held_coordinates`). The coefficients are v's own entries.
     """
     p = _word_modulus(field)
     (target,) = _hold((v,), p)
-    pivots = [next(j for j, x in enumerate(row) if x) for row in echelon]
-    if _coordinates(pivots, _hold(transpose(echelon), p), target, p) is None:
+    if _coordinates(_hold(echelon, p), target, p) is None:
         return None
-    return tuple(v[pc] for pc in pivots)
+    return tuple(v[next(j for j, x in enumerate(row) if x)] for row in echelon)
 
 
 def complement_rows(sub_rows, big_rows, field):
@@ -834,10 +864,7 @@ def held_combine(a, b, field) -> tuple:
 def held_ints(rows, field) -> tuple:
     """Rows of plain ints as held rows, built directly: no field element is
     made and no row is converted on entry (`rows_in` does not move)."""
-    p = _word_modulus(field)
-    if p:
-        return _held([[x % p for x in row] for row in rows], len(rows[0]) if rows else 0, p)
-    return tuple([(list(row), 1) for row in rows])
+    return _from_ints(rows, _word_modulus(field))
 
 
 def held_transpose(held, field) -> tuple:
@@ -889,52 +916,14 @@ def held_complement_rows(sub, big, field) -> tuple:
 
 def held_left_divide(m, rhs, field):
     """For a square held matrix M and held rows R as many as its rows, one
-    elimination of [M | R]: (the rank of M, M^-1 R held if M is invertible,
-    else None). The rank is the number of pivots in M's columns; when it is
-    full the reduced echelon form is [I | M^-1 R]. Over GF(p), when R's
-    rows are packed, the rows of M (packed first if they are lists) and R
-    are put side by side by shift-or; other rows side by side are lists.
-    Over Q each row of M and its row of R are brought over the lcm of their
-    denominators first."""
-    p = _word_modulus(field)
-    r = len(m)
-    packed = p and _is_packed(rhs)
-    if packed:
-        shift = _slot(p) * r
-        width = rhs[0][1]
-        left = [u for u, _ in m] if _is_packed(m) else _pack_rows(_values(m, p), r, p)
-        work = [u | v << shift for u, (v, _) in zip(left, rhs)]
-    elif p:
-        work = [[*u, *v] for u, v in zip(_values(m, p), _values(rhs, p))]
-    else:
-        work = []
-        for (u, d), (v, e) in zip(m, rhs):
-            den = lcm(d, e)
-            work.append(_primitive([x * (den // d) for x in u] + [x * (den // e) for x in v]))
-    ech, pivots = _eliminate(work, range(r + width if packed else len(work[0]) if work else 0), p)
-    rank = sum(pc < r for pc in pivots)
-    if rank < r:
-        return rank, None
-    if packed:
-        return rank, tuple([(x, width) for x in _reduce_rows([x >> shift for x in ech], width, p)])
-    if p:
-        right = [row[r:] for row in ech]
-        return rank, _held(right, len(right[0]) if right else 0, p)
-    return rank, tuple([_reduced(row[r:], row[i]) for i, row in enumerate(ech)])
+    elimination of [M | R] (`_joined`): (the rank of M, M^-1 R held if M is
+    invertible, else None). The rank is the number of pivots in M's
+    columns; when it is full the reduced echelon form is [I | M^-1 R]."""
+    return _left_divide(m, rhs, _word_modulus(field))
 
 
-def held_coordinates(echelon, columns, v, field):
+def held_coordinates(echelon, v, field):
     """`reduce_against` on held rows: the coordinates of the held row v over
-    held reduced echelon rows `echelon`, whose held columns are `columns`,
-    held, or None if v lies outside their span."""
-    p = _word_modulus(field)
-    rows = _values(echelon, p) if p else [row for row, _ in echelon]
-    pivots = [next(j for j, x in enumerate(row) if x) for row in rows]
-    return _coordinates(pivots, columns, v, p)
-
-
-def held_nonzero(held, field) -> tuple:
-    """Per held row, which of its entries are non-zero."""
-    p = _word_modulus(field)
-    rows = _values(held, p) if p else [row for row, _ in held]
-    return tuple(tuple(x != 0 for x in row) for row in rows)
+    the held reduced echelon rows `echelon`, held, or None if v lies outside
+    their span."""
+    return _coordinates(echelon, v, _word_modulus(field))

@@ -243,8 +243,7 @@ class Submodule:
         field = self.module.field
         bases = self._held_bases()
         for v, xc in zip(linalg.hold(section.vectors, field), refinement):
-            b = bases[xc]
-            if linalg.held_coordinates(b, linalg.held_transpose(b, field), v, field) is None:
+            if linalg.held_coordinates(bases[xc], v, field) is None:
                 return False
         return True
 

@@ -43,8 +43,8 @@ public entry points validate their forms (`validate_symplectic`) once; the
 private helpers do not validate again.
 A form keeps what is decided about it in its memo (`modules._kept`), where
 this module declares two facts: that it passed the validation (which ranks
-the Gram matrices the form holds), and the completion of the empty family,
-with its basis once glued, which `normal_form`, `standard_isometry` and
+the Gram matrices the form holds), and the held rows of the completion of
+the empty family, which `normal_form`, `standard_isometry` and
 `hyperbolic_decomposition` share (`form_memo_stats()` counts both). A
 failed validation is not kept. `certify_witt` and `certify_envelope` remain
 the certificates the report layer and the oracles call.
@@ -328,15 +328,14 @@ def _partner(field, grams, ambient, avoid, given, side, label):
     `given` with every row. Raises PartnerNotFound when some component has
     no such row (which signals an inconsistent input family)."""
     picks = []
+    (zero,) = linalg.held_ints([[0]], field)
     for c, (w_rows, (g, cols)) in enumerate(zip(_shrink(field, grams, ambient, avoid), grams)):
         # phi(r_k, w) = (r_k G) . w and phi(w, s_k) = (s_k G^T) . w, one
         # held row of one entry per w
         v = linalg.held_combine((given[c],), g if side == "r" else cols, field)
-        pairings = linalg.held_product(w_rows, v, field)
-        for w, pairing, (nonzero,) in zip(
-            w_rows, pairings, linalg.held_nonzero(pairings, field)
-        ):
-            if nonzero:
+        # held rows are canonical, so a non-zero pairing differs from zero
+        for w, pairing in zip(w_rows, linalg.held_product(w_rows, v, field)):
+            if pairing != zero:
                 picks.append(linalg.held_divide((w,), (pairing,), field)[0])
                 break
         else:
@@ -420,15 +419,13 @@ def _extend(form: BilinearForm, partial: PartialFamily):
     one entry that takes sections: the basis and, per component, its held
     rows r_1, s_1, r_2, ... (P^T). The given sections are checked, held
     once and their relations checked, and the basis keeps them verbatim.
-    The completion of the empty family is kept on the form, its basis glued
-    on first use."""
+    The held rows of the completion of the empty family are kept on the
+    form, and its basis is glued from them."""
     module = form.module
     rs, ss = partial.r_dict, partial.s_dict
     if not (rs or ss):
-        kept = _empty(form)
-        if kept[1] is None:
-            kept[1] = _basis(module, kept[0], rs, ss)
-        return kept[1], kept[0]
+        rows = _empty(form)
+        return _basis(module, rows, rs, ss), rows
     n = module.rank // 2
     x = module.space.x_ref
     for label, sections in (("r", rs), ("s", ss)):
@@ -466,15 +463,15 @@ def _basis(module: FreeModule, rows, rs, ss) -> SymplecticBasis:
     return SymplecticBasis(module, *(tuple(sec[i] for i in range(1, n + 1)) for sec in sections))
 
 
-def _empty(form: BilinearForm) -> list:
-    """The completion of the empty family, kept on the form as [its held
-    rows, its basis once glued]."""
-    return _kept(form, "completion", lambda: [_complete(form, {}, {}), None])
+def _empty(form: BilinearForm):
+    """The held rows of the completion of the empty family, kept on the
+    form."""
+    return _kept(form, "completion", lambda: _complete(form, {}, {}))
 
 
 def _completed(form: BilinearForm, rs, ss):
     """The held rows of the completion of the held family (rs, ss)."""
-    return _complete(form, rs, ss) if rs or ss else _empty(form)[0]
+    return _complete(form, rs, ss) if rs or ss else _empty(form)
 
 
 def _complete(form: BilinearForm, rs, ss, start=None):
@@ -506,25 +503,19 @@ def _complete(form: BilinearForm, rs, ss, start=None):
     expected = dim - 2 * len(matched)
     _check_ambient(ambient, expected)
 
-    pending = list(singles)
-    for k in list(singles):
-        pending.remove(k)
-        others = [hr[i] if i in hr else hs[i] for i in pending]
+    # the partners of the given singles, each orthogonal to the singles
+    # after it, then the fresh pairs, whose r is the ambient's first row
+    fresh = [k for k in range(1, n + 1) if k not in hr and k not in hs]
+    for t, k in enumerate(singles + fresh):
+        if k in fresh:
+            if expected <= 0:
+                raise AssertionError(f"no ambient complement is left for r_{k}")
+            hr[k] = tuple(b[0] for b in ambient)
+        others = [hr[i] if i in hr else hs[i] for i in singles[t + 1:]]
         if k in hr:
             hs[k] = _partner(field, grams, ambient, others, hr[k], "r", f"s_{k}")
         else:
             hr[k] = _partner(field, grams, ambient, others, hs[k], "s", f"r_{k}")
-        ambient = _shrink(field, grams, ambient, [hr[k], hs[k]])
-        expected -= 2
-        _check_ambient(ambient, expected)
-
-    for k in range(1, n + 1):
-        if k in hr:
-            continue
-        if expected <= 0:
-            raise AssertionError(f"no ambient complement is left for r_{k}")
-        hr[k] = tuple(b[0] for b in ambient)
-        hs[k] = _partner(field, grams, ambient, [], hr[k], "r", f"s_{k}")
         ambient = _shrink(field, grams, ambient, [hr[k], hs[k]])
         expected -= 2
         _check_ambient(ambient, expected)
@@ -579,20 +570,14 @@ def hyperbolic_decomposition(form: BilinearForm):
     return _planes(form.module, rows, zip(basis.r, basis.s))
 
 
-def _columns(form: BilinearForm, basis: SymplecticBasis):
-    """Per component, the matrix P whose columns are r_1, s_1, r_2, s_2, ..."""
-    sections = basis.interleaved()
-    return tuple(
-        linalg.transpose(tuple(sec.vectors[c] for sec in sections))
-        for c in range(len(form.gram))
-    )
-
-
 def normal_form(form: BilinearForm):
     """Per-component change of basis P with P^T G P the standard alternating
-    matrix. Columns of P are the symplectic basis interleaved r_1, s_1, ..."""
+    matrix. Columns of P are the symplectic basis interleaved r_1, s_1, ...:
+    the transpose of the kept held rows P^T of the empty family's
+    completion."""
     validate_symplectic(form)
-    return _columns(form, _extend(form, PartialFamily.of())[0])
+    field = form.module.field
+    return tuple(linalg.transpose(linalg.release(p, field)) for p in _empty(form))
 
 
 def _validate_pair(source: BilinearForm, target: BilinearForm) -> None:
@@ -659,7 +644,8 @@ def hyperbolic_envelope(form: BilinearForm, f: Submodule):
     field = module.field
     bases = f._held_bases()
     for held, cols in zip(bases, _gram_columns(form)):
-        if any(map(any, linalg.held_nonzero(_pairings(held, held, cols, field), field))):
+        zeros = linalg.held_ints([[0] * len(held)] * len(held), field)
+        if _pairings(held, held, cols, field) != zeros:
             raise NotTotallyIsotropic("the form does not vanish on the submodule")
     basis = f.global_basis()
     rows = _completed(form, dict(enumerate(zip(*bases), 1)), {})
@@ -775,8 +761,7 @@ def witt_extend(
     # are R, those of g's pairs are read off B
     family, mapped = [], []
     for b, im, r, rad, p in zip(bases, held_images, coords, radical, g_rows):
-        columns = linalg.held_transpose(b, field)
-        xs = [linalg.held_coordinates(b, columns, v, field) for v in p]
+        xs = [linalg.held_coordinates(b, v, field) for v in p]
         if None in xs:
             raise AssertionError("sigma was applied to a section outside f")
         family.append(p[0::2] + rad + p[1::2])

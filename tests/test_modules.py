@@ -11,6 +11,7 @@ from sheafforms import (
     ModuleSection,
     NotFree,
     OpenMismatch,
+    PrimeField,
     RationalField,
     from_rows,
     full_submodule,
@@ -19,6 +20,7 @@ from sheafforms import (
     sum_submodules,
     zero_submodule,
 )
+from sheafforms import linalg
 
 Q = RationalField()
 
@@ -161,3 +163,23 @@ class TestSubmoduleLattice:
         for ref in range(len(space.opens)):
             if space.opens[ref]:
                 assert f.contains(member.restrict(ref))
+
+    @pytest.mark.parametrize("field", [Q, PrimeField(7)], ids=["Q", "GF7"])
+    def test_membership_transposes_no_basis(self, sierpinski, field, monkeypatch):
+        # a vector's coordinates are checked against the kept held rows
+        # themselves, so no call, first or later, transposes them
+        calls = []
+        held_transpose = linalg.held_transpose
+
+        def counted(*args):
+            calls.append(args)
+            return held_transpose(*args)
+
+        monkeypatch.setattr(linalg, "held_transpose", counted)
+        module = FreeModule(sierpinski, field, 3)
+        e1, e2, e3 = module.canonical_basis()
+        f = span(module, [e1 + e2, e3])
+        for _ in range(2):
+            assert f.contains(e1 + e2 + e3)
+            assert not f.contains(e1)
+        assert calls == []
