@@ -12,16 +12,16 @@ and in lowest terms, so equal held rows are equal tuples:
 
 - over GF(p), a `PrimeField`, a row of n entries with n >= `_PACKED_WIDTH`
   is (x, n), the entries packed into one non-negative int x, entry j in
-  slot j (bits j w to (j + 1) w - 1). A slot is w = 64 bits, one word,
-  while 2 bits(p) + 16 <= 64, that is for p < 2^24, and two words up to
-  `MAX_PRIME`; either way it has 16 bits of headroom, room for 2^16
-  products of two entries on top of one entry. At rest every slot is
-  reduced into [0, p), so equal rows are equal ints. A narrower row is
-  (ints in [0, p), 1): its row operations cost less than packing it. The
-  width of a row alone decides its format, so the rows of one matrix share
-  it. Ints in the input are lifted; an `FpElement` of another
-  characteristic raises `ValueError("mixed characteristics ...")` and any
-  other entry `TypeError`, as `FpElement` arithmetic does.
+  the 64-bit slot j (bits 64 j to 64 j + 63). A slot has room for one entry
+  and `_headroom(p)` = (2^64 - p) // (p - 1)^2 products of two entries on
+  top of it: 2^16 near 2^24, and 4 at 2^31 - 1, the largest prime up to
+  `MAX_PRIME`. At rest every slot is reduced into [0, p), so equal rows are
+  equal ints. A narrower row is (ints in [0, p), 1): its row operations
+  cost less than packing it. The width of a row alone decides its format,
+  so the rows of one matrix share it. Ints in the input are lifted; an
+  `FpElement` of another characteristic raises `ValueError("mixed
+  characteristics ...")` and any other entry `TypeError`, as `FpElement`
+  arithmetic does.
 - over Q, a `RationalField`: (integer row, d), the row divided by d > 0,
   with no common factor of d and all the entries. An entry that is neither
   an int nor a `Fraction` raises `TypeError`. Elimination is fraction-free
@@ -35,15 +35,16 @@ through `struct`, in one place (`_pack`, `_unpack`, `_pack_rows`,
 x + (p - c) y, which keeps every slot non-negative and leaves the cleared
 slot a multiple of p. The packed elimination reads a slot mod p only at the
 pivot column, unpacks and scales only the pivot row, reduces every row after
-each `_HEADROOM` pivots (a row takes at most one update per pivot), so no
+each `_headroom(p)` pivots (a row takes at most one update per pivot), so no
 input size overflows a slot, and leaves the rows unreduced for its caller to
 reduce what it keeps. A packed product (`held_combine` with B's rows
 packed) sums one multiply-add of B's packed rows per coefficient of A and
-reduces each output row once; `held_product` over GF(p) takes one sum of
-products per entry, or for more than one row and `_PACKED_WIDTH` columns or
-more packs the columns' transpose and sums its rows. Two held matrices
-go side by side for an elimination in one way (`_joined`), and echelon
-rows come back as held rows in one way (`_split`).
+reduces each output row once, and after every `_headroom(p)` terms if it
+sums more; `held_product` over GF(p) takes one sum of products per entry,
+or for more than one row and `_PACKED_WIDTH` columns or more packs the
+columns' transpose and sums its rows. Two held matrices go side by side
+for an elimination in one way (`_joined`), and echelon rows come back as
+held rows in one way (`_split`).
 
 Each routine reads its field at one dispatch point (`_word_modulus`).
 `matmul`, `mat_vec` and `vec_mat` take no field, so they read it off the
@@ -108,10 +109,6 @@ _numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
 # calculus at ranks 8 to 12 (`calculus_gf`) works above it, scenarios at
 # ranks 2 to 4 (`scenario_wide`) below it
 _PACKED_WIDTH = 8
-# below this order a slot is one 64-bit word: 2 bits(p) + 16 <= 64
-_ONE_WORD = 1 << 24
-# multiply-adds a slot has room for between reductions: its 16 spare bits
-_HEADROOM = 1 << 16
 # over GF(p) with p below this, `release` takes its field elements from a
 # table of all p of them, built on first use, instead of making one per
 # entry; a table holds at most 2^14 elements
@@ -173,9 +170,11 @@ def _packs(width: int, p: int) -> bool:
     return bool(p) and width >= _PACKED_WIDTH
 
 
-def _slot(p: int) -> int:
-    """The bits of one slot of a packed row over GF(p)."""
-    return 64 if p < _ONE_WORD else 128
+def _headroom(p: int) -> int:
+    """The products of two entries of GF(p) that a 64-bit slot has room for
+    on top of one entry, h with (p - 1) + h (p - 1)^2 < 2^64: the
+    multiply-adds a packed row takes between reductions."""
+    return ((1 << 64) - p) // (p - 1) ** 2
 
 
 class _Layouts(dict):
@@ -189,46 +188,40 @@ class _Layouts(dict):
 _WORDS = _Layouts()
 
 
-def _pack(values, p: int) -> int:
+def _pack(values) -> int:
     """Slot values below 2^64 as one packed row."""
-    if p >= _ONE_WORD:
-        values = [w for v in values for w in (v, 0)]
     return int.from_bytes(_WORDS[len(values)].pack(*values), "little")
 
 
-def _unpack(x: int, n: int, p: int):
+def _unpack(x: int, n: int):
     """The n slot values of one packed row, reduced or not."""
-    if p < _ONE_WORD:
-        return _WORDS[n].unpack(x.to_bytes(8 * n, "little"))
-    words = _WORDS[2 * n].unpack(x.to_bytes(16 * n, "little"))
-    return [lo | hi << 64 for lo, hi in zip(words[0::2], words[1::2])]
+    return _WORDS[n].unpack(x.to_bytes(8 * n, "little"))
 
 
-def _pack_rows(rows, n: int, p: int) -> list:
+def _pack_rows(rows, n: int) -> list:
     """Rows of n slot values below 2^64 as packed rows."""
-    if p >= _ONE_WORD:
-        return [_pack(row, p) for row in rows]
     pack = _WORDS[n].pack
     return [int.from_bytes(pack(*row), "little") for row in rows]
 
 
-def _unpack_rows(xs, n: int, p: int) -> list:
+def _unpack_rows(xs, n: int) -> list:
     """The slot values of the packed rows xs of n slots each, reduced or
     not, one tuple per row."""
-    if p >= _ONE_WORD:
-        return [_unpack(x, n, p) for x in xs]
     unpack, size = _WORDS[n].unpack, 8 * n
     return [unpack(x.to_bytes(size, "little")) for x in xs]
 
 
 def _reduce_rows(xs, n: int, p: int) -> list:
     """The packed rows xs of n slots each with every slot reduced mod p."""
-    return _pack_rows([[v % p for v in row] for row in _unpack_rows(xs, n, p)], n, p)
+    return _pack_rows([[v % p for v in row] for row in _unpack_rows(xs, n)], n)
 
 
-def _value_rows(xs, n: int, p: int) -> list:
-    """The packed rows xs of n slots each as lists of reduced values."""
-    return [[v % p for v in row] for row in _unpack_rows(xs, n, p)]
+def _value_rows(rows, n: int, p: int) -> list:
+    """Rows over GF(p) as lists of reduced values: packed rows of n slots
+    each unpacked and reduced, list rows (reduced already) as they are."""
+    if rows and type(rows[0]) is int:
+        return [[v % p for v in row] for row in _unpack_rows(rows, n)]
+    return rows
 
 
 def _is_packed(held) -> bool:
@@ -240,7 +233,7 @@ def _values(held, p: int) -> list:
     """The rows of a held matrix over GF(p), reduced at rest, as sequences
     of ints in [0, p)."""
     if _is_packed(held):
-        return _unpack_rows([x for x, _ in held], held[0][1], p)
+        return _unpack_rows([x for x, _ in held], held[0][1])
     return [row for row, _ in held]
 
 
@@ -251,7 +244,7 @@ def _held(rows: list, p: int) -> tuple:
         return tuple([held for row in rows for held in _held([row], p)])
     n = len(rows[0]) if rows else 0
     if _packs(n, p):
-        return tuple([(x, n) for x in _pack_rows(rows, n, p)])
+        return tuple([(x, n) for x in _pack_rows(rows, n)])
     return tuple([(row, 1) for row in rows])
 
 
@@ -402,16 +395,16 @@ def _eliminate_packed(work: list, cols: range, p: int):
     """`_eliminate` on packed rows over GF(p): the pivot rows leave with
     every slot congruent mod p to its reduced echelon entry, not reduced. A
     row takes at most one multiply-add per pivot, so every row is reduced
-    after each `_HEADROOM` pivots."""
+    after each `_headroom(p)` pivots."""
     width = len(cols)
-    size = _slot(p)
-    mask = (1 << size) - 1
+    mask = (1 << 64) - 1
+    headroom = _headroom(p)
     n = len(work)
     made = 0
     pivots = []
     r = 0
     for col in cols:
-        shift = size * col
+        shift = 64 * col
         for i in range(r, n):
             a = (work[i] >> shift & mask) % p
             if a:
@@ -421,7 +414,7 @@ def _eliminate_packed(work: list, cols: range, p: int):
         row = work[i]
         work[i] = work[r]
         inverse = pow(a, -1, p)
-        row = work[r] = _pack([v * inverse % p for v in _unpack(row, width, p)], p)
+        row = work[r] = _pack([v * inverse % p for v in _unpack(row, width)])
         for i, x in enumerate(work):
             c = (x >> shift & mask) % p
             if c and i != r:
@@ -431,7 +424,7 @@ def _eliminate_packed(work: list, cols: range, p: int):
         r += 1
         if r == n:
             break
-        if r % _HEADROOM == 0:
+        if r % headroom == 0:
             work = _reduce_rows(work, width, p)
     _COUNTS["multiply_adds"] += made
     return work[:r], tuple(pivots)
@@ -446,8 +439,8 @@ def _joined(left, right, p) -> list:
     if p and _is_packed(right):
         xs, at = _work(left, p)
         if not _is_packed(left):
-            xs = _pack_rows(xs, at, p)
-        shift = _slot(p) * at
+            xs = _pack_rows(xs, at)
+        shift = 64 * at
         return [x | y << shift for x, (y, _) in zip(xs, right)]
     if p:
         return [[*u, *v] for u, v in zip(_values(left, p), _values(right, p))]
@@ -472,17 +465,9 @@ def _split(ech, pivots, at: int, width: int, p) -> tuple:
             out.append((row[at:], a) if a > 0 else ([-x for x in row[at:]], -a))
         return tuple(out)
     if ech and type(ech[0]) is int:
-        shift = _slot(p) * at
+        shift = 64 * at
         return tuple([(x, width) for x in _reduce_rows([x >> shift for x in ech], width, p)])
     return tuple([(row[at:], 1) for row in ech])
-
-
-def _echelon_values(ech, width: int, p) -> list:
-    """Echelon rows from `_eliminate` over GF(p) as lists of reduced
-    values."""
-    if ech and type(ech[0]) is int:
-        return _value_rows(ech, width, p)
-    return ech
 
 
 def _rref(held, p):
@@ -529,7 +514,7 @@ def _nullspace(held, width: int, p) -> tuple:
     work, _ = _work(held, p)
     ech, pivots = _eliminate(work, range(width - 1, -1, -1), p)
     if p:
-        ech = _echelon_values(ech, width, p)
+        ech = _value_rows(ech, width, p)
     basis = []
     for j in range(width):
         if j not in pivots:
@@ -545,16 +530,17 @@ def _sums(coeffs, packed: list, width: int, p: int) -> list:
     """Per sequence of coefficients c_k (ints in [0, p)), the sum of c_k
     times the reduced packed row y_k of `packed`, each of `width` slots, as
     a reduced packed row: one multiply-add per term, and a reduction at the
-    end and, past `_HEADROOM` terms, after every `_HEADROOM` of them."""
+    end and, past `_headroom(p)` terms, after every `_headroom(p)` of them."""
     k = len(packed)
+    h = _headroom(p)
     _COUNTS["multiply_adds"] += len(coeffs) * k
-    if k <= _HEADROOM:
+    if k <= h:
         return _reduce_rows([sum(map(mul, u, packed)) for u in coeffs], width, p)
     out = []
     for u in coeffs:
         acc = 0
-        for i in range(0, k, _HEADROOM):
-            terms = sum(map(mul, u[i:i + _HEADROOM], packed[i:i + _HEADROOM]))
+        for i in range(0, k, h):
+            terms = sum(map(mul, u[i:i + h], packed[i:i + h]))
             acc = _reduce_rows([acc + terms], width, p)[0]
         out.append(acc)
     return out
@@ -576,7 +562,7 @@ def _dots(rows: list, cols: list, p: int) -> tuple:
     if rows and cols:
         _same_length(rows[0], cols[0])
     if len(rows) > 1 and _packs(k, p):
-        packed = _pack_rows(list(zip(*cols)), k, p)
+        packed = _pack_rows(list(zip(*cols)), k)
         return tuple([(x, k) for x in _sums(rows, packed, k, p)])
     return _held([[sum(map(mul, u, v)) % p for v in cols] for u in rows], p)
 
@@ -635,7 +621,7 @@ def _solve(aug, width: int, p):
     if pivots and pivots[-1] == width:
         return None  # a pivot in the rhs column: inconsistent
     if p:
-        x, _ = _back_substitute(_echelon_values(ech, total, p), pivots, width, width, p)
+        x, _ = _back_substitute(_value_rows(ech, total, p), pivots, width, width, p)
         return _held([x], p)[0]
     return _reduced(*_back_substitute(ech, pivots, width, width, p))
 
@@ -680,7 +666,11 @@ def _coordinates(echelon, target, p):
     `target` over the held reduced echelon rows `echelon`. They are the
     row's entries at the pivot columns, held, if those times the echelon
     rows give the row back (`_combine`), else None (the row lies outside
-    their span)."""
+    their span). A row of another length than theirs raises `ValueError`."""
+    if echelon and _length(target) != _length(echelon[0]):
+        raise ValueError(
+            f"a vector of length {_length(target)} over rows of length {_length(echelon[0])}"
+        )
     rows = _values(echelon, p) if p else [row for row, _ in echelon]
     pivots = [next(j for j, x in enumerate(row) if x) for row in rows]
     if p:
@@ -815,7 +805,8 @@ def reduce_against(echelon, v, field):
     Requires echelon to be the output of rref. The coefficient of row i is
     just v at row i's pivot column, since pivot columns are elsewhere zero,
     so v lies in the span iff those coefficients times the held rows give v
-    held (`held_coordinates`). The coefficients are v's own entries.
+    held (`held_coordinates`). The coefficients are v's own entries. A v of
+    another length than the rows raises `ValueError`.
     """
     p = _word_modulus(field)
     (target,) = _hold((v,), p)

@@ -418,12 +418,26 @@ def _scholium_outcome(sec: AlgebraSection):
     return {"open": sec.open, "values": [sec.field.format(v) for v in sec.values]}
 
 
+# the most fiber vectors the dichotomy suite counts pairs of (it tabulates
+# (p^rank)^2 of them) and the most sections per fixture open the scholium
+# suite enumerates; above it both suites only sample
+_COUNTING_LIMIT = 125
+
+
 def _scholium_exhaustive(field):
-    if hasattr(field, "p"):
-        for space in fixture_spaces():
-            for u_ref in range(len(space.opens)):
-                for sec in enumerate_algebra_sections(space, field, u_ref):
-                    yield _scholium_outcome(sec)
+    """Every section over every open of every fixture space, over GF(p) with
+    p^ncomp <= `_COUNTING_LIMIT` on every open (p <= 11); decided before the
+    field's elements are listed."""
+    if not hasattr(field, "p"):
+        return
+    spaces = fixture_spaces()
+    widest = max(len(s.components_of(u)) for s in spaces for u in range(len(s.opens)))
+    if field.p**widest > _COUNTING_LIMIT:
+        return
+    for space in spaces:
+        for u_ref in range(len(space.opens)):
+            for sec in enumerate_algebra_sections(space, field, u_ref):
+                yield _scholium_outcome(sec)
 
 
 def _scholium_case(rng: Random, field, max_rank):
@@ -457,11 +471,6 @@ def _dichotomy_exhaustive(field):
                     yield None
                 else:
                     yield {"gram": [[field.format(x) for x in row] for row in g]}
-
-
-# `orthosymmetric_by_counting` tabulates (p^rank)^2 fiber pairs; above this
-# many fiber vectors the dichotomy suite samples instead
-_COUNTING_LIMIT = 125
 
 
 def _dichotomy_case(rng: Random, field, max_rank):

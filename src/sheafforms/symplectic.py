@@ -654,6 +654,11 @@ def hyperbolic_envelope(form: BilinearForm, f: Submodule):
 
 
 def certify_envelope(form: BilinearForm, f: Submodule, planes) -> bool:
+    """Each plane H_i holds r_i of f's canonical global basis and its
+    partner s_i, and the planes are non-degenerate of rank 2 and pairwise
+    orthogonal; False for an f that is not free, which has no such basis."""
+    if f.is_free() is None:
+        return False
     basis = f.global_basis()
     if len(planes) != len(basis):
         return False
@@ -779,7 +784,10 @@ def _family(rows, count: int):
 
 def certify_witt(iso: Isometry, f: Submodule, images) -> bool:
     """M^T G' M = G on every component (`Isometry.holds`), and M carries the
-    canonical global basis of f to sigma's images, in order."""
+    canonical global basis of f to sigma's images, in order. A submodule
+    that is not free has no such basis: False."""
+    if f.is_free() is None:
+        return False
     basis = f.global_basis()
     return len(basis) == len(images) and iso.holds() and all(
         iso.apply(sec) == im for sec, im in zip(basis, images)

@@ -831,6 +831,22 @@ def test_nullspace_rejects_a_row_of_another_width(field):
     assert linalg.nullspace((), 2, field) == linalg.identity(2, field)
 
 
+@pytest.mark.parametrize("field", [Q, F7], ids=["Q", "GF7"])
+def test_coordinates_refuse_a_vector_of_another_length(field):
+    # over echelon rows of width 3 a shorter vector raised IndexError and a
+    # longer one read as outside the span
+    echelon, _ = linalg.rref(in_field([[1, 0, 1], [0, 1, 2]], field), field)
+    held = linalg.hold(echelon, field)
+    for v in (in_field([[1]], field)[0], in_field([[1, 1, 3, 0]], field)[0]):
+        with pytest.raises(ValueError, match=f"a vector of length {len(v)} over rows of length 3"):
+            linalg.reduce_against(echelon, v, field)
+        with pytest.raises(ValueError, match=f"a vector of length {len(v)}"):
+            linalg.held_coordinates(held, linalg.hold((v,), field)[0], field)
+    (v,) = in_field([[1, 1, 3]], field)
+    assert linalg.reduce_against(echelon, v, field) == v[:2]
+    assert linalg.reduce_against((), (field.zero,), field) == ()
+
+
 @pytest.mark.parametrize("order", ("rationals", "rationals:big", 7, 10007))
 def test_left_divide_is_one_elimination_of_m_beside_r(order):
     # (rank M, M^-1 R) against the reference inverse, on invertible and
@@ -890,8 +906,8 @@ def test_held_ints_are_held_without_a_conversion(field):
 # -- packed rows over GF(p) -------------------------------------------------------
 #
 # Over GF(p) a held row of 8 entries or more is packed: one int per row, of
-# 64-bit or 128-bit slots, updated by multiply-adds and reduced after a
-# number of them; a narrower row is a list. Each case below is checked
+# 64-bit slots, updated by multiply-adds and reduced after as many of them as
+# a slot has room for over p; a narrower row is a list. Each case below is checked
 # against the references above, which work on lists of field elements, on
 # both sides of that width.
 
@@ -900,9 +916,10 @@ def _is_prime(n):
     return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
 
 
-# the widest one-word slots, and the widest two-word ones
-ONE_WORD_CEILING = next(q for q in range(2**24 - 1, 0, -1) if _is_prime(q))
-PACKED_PRIMES = (7, 10007, ONE_WORD_CEILING, 2**31 - 1)
+# the largest prime below 2^24, whose slots have room for 2^16 products, and
+# the largest accepted order, whose slots have room for 4
+PRIME_BELOW_2_24 = next(q for q in range(2**24 - 1, 0, -1) if _is_prime(q))
+PACKED_PRIMES = (7, 10007, PRIME_BELOW_2_24, 2**31 - 1)
 WIDE = linalg._PACKED_WIDTH
 
 
@@ -955,12 +972,16 @@ def check_against_references(a, b, width, field):
         assert released(k, field) == in_field(ref_matmul(inv, a), field)
 
 
-def test_the_one_word_ceiling_and_two_word_slots():
-    assert _is_prime(ONE_WORD_CEILING) and ONE_WORD_CEILING.bit_length() == 24
-    # a slot holds one entry and 2^16 products of two entries
-    for p, bits in ((ONE_WORD_CEILING, 64), (2**24 + 43, 128), (2**31 - 1, 128)):
-        assert linalg._slot(p) == bits
-        assert (p - 1) + linalg._HEADROOM * (p - 1) ** 2 < 2**bits
+def test_every_slot_is_one_word_with_headroom_from_p():
+    assert _is_prime(PRIME_BELOW_2_24) and PRIME_BELOW_2_24.bit_length() == 24
+    # a 64-bit slot holds one entry and the headroom's products of two
+    # entries, and not one product more; at least 4 for every accepted order
+    for p in (PRIME_BELOW_2_24, 2**24 + 43, 2**31 - 1):
+        h = linalg._headroom(p)
+        assert h >= 4
+        assert (p - 1) + h * (p - 1) ** 2 < 2**64 <= (p - 1) + (h + 1) * (p - 1) ** 2
+    assert linalg._headroom(PRIME_BELOW_2_24) == 2**16
+    assert linalg._headroom(2**31 - 1) == 4
 
 
 @pytest.mark.parametrize("order", PACKED_PRIMES)
@@ -974,7 +995,7 @@ def test_packed_rows_match_the_references(order):
                 extreme_rows(rng, field, n, m), random_rows(rng, field, n, m), m, field)
 
 
-@pytest.mark.parametrize("order", (10007, ONE_WORD_CEILING, 2**31 - 1))
+@pytest.mark.parametrize("order", (10007, PRIME_BELOW_2_24, 2**31 - 1))
 def test_the_largest_zassenhaus_elimination_a_scenario_reaches(order):
     # two submodules of rank MAX_RANK meet in one elimination of 2 MAX_RANK
     # rows of 2 MAX_RANK columns
@@ -993,7 +1014,24 @@ def test_the_largest_zassenhaus_elimination_a_scenario_reaches(order):
         assert len(held) >= k - 3
 
 
-@pytest.mark.parametrize("order", (ONE_WORD_CEILING, 2**31 - 1))
+def _spy_on_slots(monkeypatch):
+    """Every slot value `_unpack` and `_unpack_rows` read from here on, in
+    the list returned."""
+    seen = []
+
+    def spy(unpack, rows):
+        def spied(xs, n):
+            values = unpack(xs, n)
+            seen.extend(v for row in (values if rows else [values]) for v in row)
+            return values
+        return spied
+
+    for name, rows in (("_unpack", False), ("_unpack_rows", True)):
+        monkeypatch.setattr(linalg, name, spy(getattr(linalg, name), rows))
+    return seen
+
+
+@pytest.mark.parametrize("order", (PRIME_BELOW_2_24, 2**31 - 1))
 def test_rows_are_reduced_when_their_updates_reach_the_headroom(order, monkeypatch):
     # no input a test can run updates a row 2^16 times, so the headroom is
     # cut to 3: a 40 x 80 elimination updates a row up to 39 times and a
@@ -1004,24 +1042,29 @@ def test_rows_are_reduced_when_their_updates_reach_the_headroom(order, monkeypat
     rng = Random(f"headroom:{order}")
     headroom = 3
     bound = (order - 1) + headroom * (order - 1) ** 2
-    seen = []
-
-    def spy(unpack, rows):
-        def spied(xs, n, p):
-            values = unpack(xs, n, p)
-            seen.extend(v for row in (values if rows else [values]) for v in row)
-            return values
-        return spied
-
-    monkeypatch.setattr(linalg, "_HEADROOM", headroom)
-    for name, rows in (("_unpack", False), ("_unpack_rows", True)):
-        monkeypatch.setattr(linalg, name, spy(getattr(linalg, name), rows))
+    monkeypatch.setattr(linalg, "_headroom", lambda p: headroom)
+    seen = _spy_on_slots(monkeypatch)
     a = extreme_rows(rng, field, 40, 80)
     b = random_rows(rng, field, 40, 80, ("dense",))
     before = linalg.kernel_stats()["multiply_adds"]
     check_against_references(a, b, 80, field)
     assert linalg.kernel_stats()["multiply_adds"] - before > 40 * headroom
     assert order <= max(seen) <= bound
+
+
+def test_slots_at_the_largest_order_stay_in_one_word(monkeypatch):
+    # at 2^31 - 1 a slot has room for 4 products of two entries, so a 40 x 80
+    # elimination and products of 40 terms reach that headroom by
+    # themselves: every slot read stays below 2^64 and within one entry and
+    # 4 products, and the results agree with the references
+    order = 2**31 - 1
+    field = PrimeField(order)
+    rng = Random(f"one word:{order}")
+    seen = _spy_on_slots(monkeypatch)
+    a = extreme_rows(rng, field, 40, 80)
+    b = random_rows(rng, field, 40, 80, ("dense",))
+    check_against_references(a, b, 80, field)
+    assert order <= max(seen) <= (order - 1) + 4 * (order - 1) ** 2 < 2**64
 
 
 @pytest.mark.parametrize("order", PACKED_PRIMES)
@@ -1032,7 +1075,7 @@ def test_packing_round_trips_rows_of_no_entry_one_entry_and_zeros(order):
     for k, n in ((0, 0), (0, WIDE), (3, 0), (3, 1), (2, 2), (4, WIDE), (1, 33)):
         rows = [[rng.choice((0, order - 1, rng.randrange(order))) for _ in range(n)]
                 for _ in range(k)]
-        packed = linalg._pack_rows(rows, n, order)
+        packed = linalg._pack_rows(rows, n)
         assert len(packed) == k
         assert linalg._value_rows(packed, n, order) == rows
         assert linalg._reduce_rows(packed, n, order) == packed

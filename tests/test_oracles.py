@@ -70,6 +70,28 @@ def test_zero_cases_allowed_and_negative_refused(suite):
     assert ("freeness_gated" in payload) == (suite == "witt")
 
 
+def test_scholium_sweeps_only_fields_of_few_sections(monkeypatch):
+    # the exhaustive sweep lists every section of every fixture open, p^2 of
+    # them on the discrete pair's whole space: only while that is at most
+    # 125 (p <= 11), decided before the field's elements are listed
+    original = PrimeField.elements
+
+    def elements(field):
+        if field.p > 11:
+            raise AssertionError(f"listed GF({field.p})")
+        return original(field)
+
+    monkeypatch.setattr(PrimeField, "elements", elements)
+    for p in (13, 101, 2**31 - 1):
+        payload = run_suite("scholium_invertibility", 0, PrimeField(p), {"cases": 0})
+        assert payload["cases"] == 0 and payload["status"] == "ok"
+    # 1 + 3 + 1 + 3 + 3 + 1 + 3 + 3 + 9 sections over GF(3), as before
+    assert run_suite("scholium_invertibility", 0, PrimeField(3), {"cases": 0})["cases"] == 27
+    # 11^2 = 121 sections on the widest open: still swept
+    assert run_suite("scholium_invertibility", 0, PrimeField(11), {"cases": 0})["cases"] == (
+        3 + 5 * 11 + 11**2)
+
+
 class TestDichotomyRoute:
     """The dichotomy suite counts zero pairs only on fibers of at most 125
     vectors and samples above them, so a large prime field runs in bounded

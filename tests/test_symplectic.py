@@ -877,6 +877,18 @@ class TestWitt:
         assert err.value.witness["pair"] == (1, 2)
 
 
+@pytest.mark.parametrize("field", [Q, PrimeField(7)], ids=["Q", "GF7"])
+def test_certificates_answer_false_on_a_submodule_that_is_not_free(field, discrete_pair):
+    # dims (1, 0) give no global basis: the certificates said NotFree
+    module = FreeModule(discrete_pair, field, 2)
+    form = standard_symplectic_form(module)
+    uneven = from_rows(module, (((field.one, field.zero),), ()))
+    assert uneven.dims == (1, 0)
+    ident = linalg.identity(2, field)
+    assert certify_envelope(form, uneven, []) is False
+    assert symplectic.certify_witt(Isometry(form, form, (ident, ident)), uneven, []) is False
+
+
 def ref_g_pairs(source, f):
     """The symplectic pairs of g as witt_extend found them before it worked
     in f's coordinates: rad f through the orthogonal calculus, the rows of
