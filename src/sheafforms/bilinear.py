@@ -27,6 +27,12 @@ is classified once. A form keeps each fact in its memo through
 `modules._kept`, as a submodule does, and the symplectic layer keeps its own
 facts there too; `form_memo_stats()` counts the hits and misses of every
 fact a form keeps.
+
+The certificates of the calculus live here too, for the report layer and
+the oracles: `certify_projection` on sections, and `certify_radical` and
+`certify_orthogonal` on held rows, with the form's field. A self-check that
+fails inside a construction (`classify_orthosymmetry`'s witness) raises
+`SelfCheckFailed`.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from .errors import (
     NotFree,
     NotOrthosymmetric,
     OpenMismatch,
+    SelfCheckFailed,
 )
 from .modules import (
     FreeModule,
@@ -346,14 +353,56 @@ def certify_projection(form: BilinearForm, f: Submodule, t, p) -> dict:
     }
 
 
+def _zeros(rows: int, cols: int, field) -> tuple:
+    """The held zero matrix of that shape, which a held product equals
+    exactly when it vanishes."""
+    return linalg.held_ints([[0] * cols] * rows, field)
+
+
+def certify_radical(form: BilinearForm, rad: Submodule, carrier: Submodule) -> bool:
+    """The defining properties of rad = radical(carrier), recomputed from
+    rad per X-component on held rows: with R the echelon rows of rad and C
+    those of the carrier, R G C^T = 0 and R G^T C^T = 0 (every row of rad
+    pairs to zero with the carrier, both ways), and every row of R lies in
+    the span of C."""
+    field = form.module.field
+    for (g, cols), r, c in zip(form._held_grams(), rad._held_bases(), carrier._held_bases()):
+        zeros = _zeros(len(r), len(c), field)
+        for pairing in (g, cols):
+            if linalg.held_product(linalg.held_combine(r, pairing, field), c, field) != zeros:
+                return False
+        if any(linalg.held_coordinates(c, v, field) is None for v in r):
+            return False
+    return True
+
+
+def certify_orthogonal(form: BilinearForm, perp: Submodule, f: Submodule, side: str):
+    """Two verdicts on perp = orthogonal(f, side), per X-component on held
+    rows, with F the echelon rows of f and P those of perp: whether perp
+    annihilates f on the requested side (side "left": phi(s, t) = 0, F G P^T
+    = 0; side "right": phi(t, s) = 0, F G^T P^T = 0, the transpose of
+    P G F^T), and whether the dimension formula dim perp = rank - rank(F G)
+    (or F G^T) holds."""
+    field = form.module.field
+    annihilates = dimension_formula = True
+    for (g, cols), p, rows in zip(form._held_grams(), perp._held_bases(), f._held_bases()):
+        pairing = linalg.held_combine(rows, g if side == "left" else cols, field)
+        if linalg.held_product(pairing, p, field) != _zeros(len(rows), len(p), field):
+            annihilates = False
+        if len(p) != form.module.rank - linalg.held_rank(pairing, field):
+            dimension_formula = False
+    return annihilates, dimension_formula
+
+
 def classify_orthosymmetry(form: BilinearForm) -> OrthoClass:
     """Componentwise symmetry flags, plus an explicit counterexample pair
     whenever some component is neither symmetric nor alternating.
 
     The witness is a pair of sections r, s over the offending component
     (components of opens are opens) with phi(r, s) = 0 while phi(s, r) is
-    nowhere-zero; `certify_witness` re-checks it before it is returned. The
-    class is computed once per form and kept on it.
+    nowhere-zero; `certify_witness` re-checks it before it is returned, and a
+    pair that fails raises `SelfCheckFailed`. The class is computed once per
+    form and kept on it.
     """
     return _kept(form, "class", lambda: _classify(form))
 
@@ -383,7 +432,7 @@ def _classify(form: BilinearForm) -> OrthoClass:
     s = ModuleSection(form.module, comp_ref, (v_vec,))
     witness = OrthoWitness(comp_ref, r, s)
     if not certify_witness(form, witness):
-        raise AssertionError("the asymmetry pair fails phi(r, s) = 0 != phi(s, r)")
+        raise SelfCheckFailed("the asymmetry pair fails phi(r, s) = 0 != phi(s, r)")
     return OrthoClass(tuple(flags), False, witness)
 
 
@@ -420,7 +469,7 @@ def _asymmetry_pair(g, field):
         if a is not None:
             break
     if a is None:
-        raise AssertionError("the matrix is symmetric: no asymmetry pair exists")
+        raise SelfCheckFailed("the matrix is symmetric: no asymmetry pair exists")
 
     def orthogonalize(x, y):
         # phi(x, x) != 0: subtract the projection so phi(x, s) = 0
@@ -448,7 +497,7 @@ def _asymmetry_pair(g, field):
             if u is not None:
                 break
     if u is None or phi(u, u) == field.zero:
-        raise AssertionError("the matrix is alternating: no asymmetry pair exists")
+        raise SelfCheckFailed("the matrix is alternating: no asymmetry pair exists")
 
     if phi(a, u) != phi(u, a):
         return orthogonalize(u, a)
@@ -459,4 +508,4 @@ def _asymmetry_pair(g, field):
     for shifted in (linalg.add_vec(a, u), linalg.sub_vec(a, u)):
         if phi(shifted, shifted) != field.zero:
             return orthogonalize(shifted, b)
-    raise AssertionError("unreachable in characteristic != 2")
+    raise SelfCheckFailed("unreachable in characteristic != 2")

@@ -110,6 +110,20 @@ class RankMismatch(SheafFormsError):
     pass
 
 
+# -- scalars ----------------------------------------------------------------
+
+class EntryTooLong(SheafFormsError):
+    """A rational entry of a result has more decimal digits than the
+    interpreter converts to a string."""
+
+
+# -- self-checks ------------------------------------------------------------
+
+class SelfCheckFailed(SheafFormsError):
+    """A construction failed the check it makes on its own result: a defect
+    of the library, not of its input."""
+
+
 # -- cli --------------------------------------------------------------------
 
 class ParseError(SheafFormsError):

@@ -4,13 +4,18 @@ Scalars are plain values (fractions.Fraction, or FpElement for prime fields)
 supporting +, -, *, / exactly, so the linear algebra kernel is field-generic.
 A field object supplies constants, parsing, and the canonical string forms
 used by scenario files and reports: "p/q" for rationals, "k mod p" for GF(p).
+A rational whose numerator or denominator has more decimal digits than the
+interpreter converts (`sys.get_int_max_str_digits()`) is refused by its bit
+length, before any conversion, with `EntryTooLong`.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import EntryTooLong, ParseError
 
 # Largest accepted order of GF(p): it keeps trial division in `_is_prime`
 # below 50,000 steps and field elements within a machine word.
@@ -138,7 +143,17 @@ class RationalField:
             raise ParseError(f"not a rational scalar: {text!r}") from exc
 
     def format(self, x: Fraction) -> str:
-        # always "p/q", lowest terms, q > 0 (Fraction normalizes both)
+        # always "p/q", lowest terms, q > 0 (Fraction normalizes both). An
+        # int of b bits has at most floor(b log10 2) + 1 digits, so it
+        # converts under a limit of L digits whenever b log10 2 < L (0, and
+        # an interpreter before 3.10.7, have no limit)
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        bits = max(x.numerator.bit_length(), x.denominator.bit_length())
+        if limit and bits * math.log10(2) >= limit:
+            raise EntryTooLong(
+                f"a rational entry of {bits} bits has more than the {limit} digits"
+                " the interpreter converts", bits=bits
+            )
         return f"{x.numerator}/{x.denominator}"
 
     def elements(self):

@@ -7,7 +7,9 @@ defining equations re-verified on the output by the library's own
 certificate functions. A suite states only how it draws and checks one case;
 `run_suite` is the one loop: it checks the bounds, runs the enumerated cases
 and then `cases` random ones from `Random(seed)`, counts them, keeps the
-first counterexample and, for `witt`, the freeness-gated count. Every suite
+first counterexample and, for `witt`, the freeness-gated count. A case in
+which the library fails one of its own self-checks (`SelfCheckFailed`), in
+drawing its input or in a construction, is a counterexample too. Every suite
 is thus a pure function of (seed, field, bounds), which is what makes oracle
 reports reproducible. Bounds are integers: 0 <= `cases` <= `MAX_CASES`, and
 `max_rank` at most `MAX_RANK` and at least 1, or 2 for `gram_schmidt` and
@@ -17,6 +19,7 @@ is a `ParseError`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from random import Random
@@ -31,7 +34,13 @@ from .bilinear import (
     certify_witness,
     classify_orthosymmetry,
 )
-from .errors import FreenessViolated, NotNowhereZero, ParseError, UnknownSuite
+from .errors import (
+    FreenessViolated,
+    NotNowhereZero,
+    ParseError,
+    SelfCheckFailed,
+    UnknownSuite,
+)
 from .modules import (
     FreeModule,
     ModuleSection,
@@ -138,7 +147,7 @@ def random_free_submodule(rng: Random, module: FreeModule, r: int):
     """Span of r random global sections, resampled until the span has
     dimension r on every component."""
     if not 0 <= r <= module.rank:
-        raise AssertionError(f"rank {r} outside 0..{module.rank}")
+        raise ValueError(f"rank {r} outside 0..{module.rank}")
     while True:
         f = span(module, [random_global_section(rng, module) for _ in range(r)])
         if f.is_free() == r:
@@ -231,7 +240,7 @@ def random_symplectic_isometry(
         )
     iso = Isometry(source, target, tuple(mats))
     if not iso.holds():
-        raise AssertionError("the random symplectic isometry fails M^T G' M == G")
+        raise SelfCheckFailed("the random symplectic isometry fails M^T G' M == G")
     return iso
 
 
@@ -261,7 +270,7 @@ def random_totally_isotropic(rng: Random, form: BilinearForm, k: int):
     r-sections of a random symplectic basis, lightly recombined."""
     n = form.module.rank // 2
     if not 0 <= k <= n:
-        raise AssertionError(f"rank {k} outside 0..{n}")
+        raise ValueError(f"rank {k} outside 0..{n}")
     basis = gram_schmidt_extend(form, PartialFamily.of())
     picks = [basis.r[i] for i in sorted(rng.sample(range(n), k))]
     if k > 1:
@@ -328,7 +337,7 @@ def orthosymmetric_by_counting(form: BilinearForm):
                 r = ModuleSection(module, comp_ref, (u_vec,))
                 s = ModuleSection(module, comp_ref, (v_vec,))
                 if not certify_witness(form, OrthoWitness(comp_ref, r, s)):
-                    raise AssertionError("the counted pair fails phi(r, s) = 0 != phi(s, r)")
+                    raise SelfCheckFailed("the counted pair fails phi(r, s) = 0 != phi(s, r)")
                 return False, (comp_ref, r, s)
     return True, None
 
@@ -437,7 +446,7 @@ def _scholium_exhaustive(field):
     for space in spaces:
         for u_ref in range(len(space.opens)):
             for sec in enumerate_algebra_sections(space, field, u_ref):
-                yield _scholium_outcome(sec)
+                yield functools.partial(_scholium_outcome, sec)
 
 
 def _scholium_case(rng: Random, field, max_rank):
@@ -464,13 +473,15 @@ def _dichotomy_exhaustive(field):
                 g = tuple(
                     tuple(flat[i * rank + j] for j in range(rank)) for i in range(rank)
                 )
-                form = BilinearForm(module, (g,) * ncomp)
-                verdict = classify_orthosymmetry(form).orthosymmetric
-                brute, _ = orthosymmetric_by_counting(form)
-                if verdict == brute:
-                    yield None
-                else:
-                    yield {"gram": [[field.format(x) for x in row] for row in g]}
+                yield functools.partial(_dichotomy_outcome, BilinearForm(module, (g,) * ncomp))
+
+
+def _dichotomy_outcome(form: BilinearForm):
+    """The classification of a form with one Gram matrix on every component
+    against the count of its pairs."""
+    if classify_orthosymmetry(form).orthosymmetric == orthosymmetric_by_counting(form)[0]:
+        return None
+    return {"gram": [[form.module.field.format(x) for x in row] for row in form.gram[0]]}
 
 
 def _dichotomy_case(rng: Random, field, max_rank):
@@ -600,7 +611,8 @@ class _Suite:
 
     `case(rng, field, max_rank)` returns None when the case checks out, a
     counterexample dictionary, or `_GATED`. `exhaustive(field)` yields the
-    same outcomes for the enumerated cases run before the random ones."""
+    enumerated cases, run before the random ones, each a call of no
+    arguments with the same outcomes."""
 
     case: Callable
     cases: int  # default number of random cases
@@ -621,6 +633,16 @@ SUITES = {
     "gram_schmidt": _Suite(_gram_schmidt_case, 60, 6, 2),
     "witt": _Suite(_witt_case, 40, 6, 2, gates=True),
 }
+
+
+def _outcome(case):
+    """The outcome of one case. A self-check the library fails inside it, in
+    a generator as in a construction, makes the case a counterexample that
+    carries the failure's code and message."""
+    try:
+        return case()
+    except SelfCheckFailed as exc:
+        return {"code": exc.code, "message": exc.message}
 
 
 def run_suite(suite: str, seed: int, field, bounds=None):
@@ -644,11 +666,11 @@ def run_suite(suite: str, seed: int, field, bounds=None):
     if spec.max_rank is not None and max_rank > MAX_RANK:
         raise ParseError(f"oracle bound 'max_rank' must be at most {MAX_RANK}, got {max_rank}")
     rng = Random(seed)
+    draws = (functools.partial(spec.case, rng, field, max_rank) for _ in range(n_random))
     cases = gated = 0
     fail = None
-    for outcome in itertools.chain(
-        spec.exhaustive(field), (spec.case(rng, field, max_rank) for _ in range(n_random))
-    ):
+    for case in itertools.chain(spec.exhaustive(field), draws):
+        outcome = _outcome(case)
         cases += 1
         if outcome is _GATED:
             gated += 1

@@ -2,20 +2,24 @@
 
 A scenario is a JSON document fixing one space, one field, one free module
 with a bilinear form, and an ordered list of tasks. Reports mirror the task
-list; every payload carries a certificate recomputed here, at the report
-layer, from the payload alone (never trusted from the solver). A task's
-status is "ok" only when every certificate value is true; otherwise it is
+list. Each op has one handler (`_HANDLERS`, whose keys are `TASK_OPS`),
+which returns the task's payload and its certificate. A task's status is
+"ok" only when every certificate value is true; otherwise it is
 "certificate_failed", with payload and certificate kept to show which check
 failed, and the report is not ok (exit code 1 from `sheafforms run`).
 
-Each certificate is one library function, shared with the oracle suites
-and with the constructions that check themselves: `classify` calls
-`certify_witness` and `project` `certify_projection` (bilinear);
-`symplectic_basis`, `normal_form` (via `SymplecticBasis.from_columns`) and
-`decomposition` (on the planes' r and s) call `certify_basis`, `envelope`
-`certify_envelope` and `witt` `certify_witt` (symplectic). `radical` and
-`orthogonal` are certified here, by `_certify_radical` and
-`_certify_orthogonal`.
+Each certificate value is decided once, by the library:
+- where a construction certifies its own result, the value is that
+  verdict: `classify` (`classify_orthosymmetry` re-checks its witness with
+  `certify_witness`), and `symplectic_basis`, `normal_form` and
+  `decomposition` (the completion checks P^T G P = A_2n);
+- the others are recomputed from the result by one certificate function:
+  `radical` (`certify_radical`), `orthogonal` (`certify_orthogonal`) and
+  `project` (`certify_projection`) in `bilinear`, `envelope`
+  (`certify_envelope`) and `witt` (`certify_witt`) in `symplectic`.
+A construction that fails its own check raises `SelfCheckFailed`, which,
+like every `SheafFormsError` of a task, becomes an error entry with its
+code.
 
 Scalar encoding is the field's own string format, so parsing a serialized
 payload yields equal values.
@@ -29,11 +33,11 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
 from .bilinear import (
     BilinearForm,
+    certify_orthogonal,
     certify_projection,
-    certify_witness,
+    certify_radical,
     classify_orthosymmetry,
 )
 from .errors import EmptyOpen, ParseError, SheafFormsError
@@ -49,8 +53,6 @@ from .modules import (
 from .oracles import SUITES, run_suite
 from .symplectic import (
     PartialFamily,
-    SymplecticBasis,
-    certify_basis,
     certify_envelope,
     certify_witt,
     gram_schmidt_extend,
@@ -66,24 +68,18 @@ ENV_FIELD = "SHEAFFORMS_FIELD"
 # Size limits on a document, which is untrusted input. They admit every
 # shipped document (at most 10 points, 243 opens, rank 4, 11 tasks) and bound
 # the work a document can ask for: a new space's closure check is quadratic in
-# its opens, and every task runs in turn.
+# its opens, and every task runs in turn. A scalar has at most
+# MAX_SCALAR_DIGITS digits in all (numerator and denominator, or value and
+# modulus: "k mod p" has at most 20 for p <= fields.MAX_PRIME), counted before
+# it is converted, so no conversion of a document meets the interpreter's digit
+# limit. At MAX_RANK, integer Gram entries of that many digits give isometries
+# of about 3,500 digits, under the interpreter's default limit of 4,300; a
+# longer result entry is an `EntryTooLong` error entry (see `fields`).
 MAX_POINTS = 64
 MAX_OPENS = 1024
 MAX_RANK = 16
 MAX_TASKS = 64
-
-TASK_OPS = (
-    "classify",
-    "radical",
-    "orthogonal",
-    "project",
-    "symplectic_basis",
-    "normal_form",
-    "decomposition",
-    "envelope",
-    "witt",
-    "oracle",
-)
+MAX_SCALAR_DIGITS = 20
 
 
 @dataclass(frozen=True)
@@ -115,6 +111,15 @@ def _points(value, where: str) -> tuple:
     return tuple(value)
 
 
+def _scalar(field, text, where: str):
+    """One scalar of the document, refused before the field converts it when
+    it has more than `MAX_SCALAR_DIGITS` digits."""
+    if isinstance(text, str) and len(text) > MAX_SCALAR_DIGITS:
+        if sum(map(str.isdigit, text)) > MAX_SCALAR_DIGITS:
+            raise ParseError(f"{where}: a scalar has more than {MAX_SCALAR_DIGITS} digits")
+    return field.parse(text)
+
+
 def parse_matrix(doc, field, n: int, where: str):
     if not isinstance(doc, list) or len(doc) != n:
         raise ParseError(f"{where}: expected {n} rows")
@@ -122,7 +127,7 @@ def parse_matrix(doc, field, n: int, where: str):
     for row in doc:
         if not isinstance(row, list) or len(row) != n:
             raise ParseError(f"{where}: expected rows of length {n}")
-        rows.append(tuple(field.parse(x) for x in row))
+        rows.append(tuple(_scalar(field, x, where) for x in row))
     return tuple(rows)
 
 
@@ -142,7 +147,7 @@ def parse_section(doc, module: FreeModule, where: str) -> ModuleSection:
     for vec in vecs:
         if not isinstance(vec, list) or len(vec) != module.rank:
             raise ParseError(f"{where}: expected vectors of length {module.rank}")
-        vectors.append(tuple(module.field.parse(x) for x in vec))
+        vectors.append(tuple(_scalar(module.field, x, where) for x in vec))
     return ModuleSection(module, u_ref, tuple(vectors))
 
 
@@ -178,7 +183,7 @@ def parse_submodule(doc, module: FreeModule, where: str) -> Submodule:
                     raise ParseError(
                         f"{where}: expected rows of length {module.rank}"
                     )
-                parsed.append(tuple(module.field.parse(x) for x in row))
+                parsed.append(tuple(_scalar(module.field, x, where) for x in row))
             per_comp.append(tuple(parsed))
         return from_rows(module, tuple(per_comp))
     if isinstance(doc, dict) and "generators" in doc:
@@ -307,20 +312,6 @@ def _jsonable(value):
     return str(value)
 
 
-def _error_entry(op: str, exc: SheafFormsError, elapsed_ms: float) -> dict:
-    entry = {
-        "op": op,
-        "status": "error",
-        "error": {
-            "code": exc.code,
-            "message": exc.message,
-            "witness": _jsonable(exc.witness),
-        },
-        "time_ms": elapsed_ms,
-    }
-    return entry
-
-
 def _require_nonempty(sec: ModuleSection, what: str) -> ModuleSection:
     if not sec.module.space.opens[sec.open]:
         raise EmptyOpen(f"{what} is a section over the empty open")
@@ -335,195 +326,179 @@ def _plane_payload(plane) -> dict:
     }
 
 
-# -- certificates (recomputed from payloads) ---------------------------------
+# -- task handlers -------------------------------------------------------------
+#
+# One per op: handler(scenario, task, default_seed) -> (payload, certificate).
+# A certificate value written True is the verdict of a check the library has
+# made on its own result: the result it returned passed it, and a failure
+# would have raised `SelfCheckFailed` instead.
 
-def _certify_radical(form, rad, inside):
-    """Every radical basis row pairs to zero with the carrier, both ways,
-    and lies inside the carrier."""
-    field = form.module.field
-    zero = field.zero
-    for g, rad_rows, carrier_rows in zip(form.gram, rad.bases, inside.bases):
-        left = linalg.matmul(rad_rows, linalg.matmul(g, linalg.transpose(carrier_rows)))
-        right = linalg.matmul(carrier_rows, linalg.matmul(g, linalg.transpose(rad_rows)))
-        if any(x != zero for row in left for x in row):
-            return False
-        if any(x != zero for row in right for x in row):
-            return False
-        for row in rad_rows:
-            if linalg.reduce_against(carrier_rows, row, field) is None:
-                return False
-    return True
-
-
-def _certify_orthogonal(form, perp, f, side):
-    """Two verdicts: whether perp annihilates the carrier on the requested
-    side (side "left": phi(s, t) = 0, i.e. F G P^T = 0; side "right":
-    phi(t, s) = 0, i.e. P G F^T = 0), and whether the dimension formula
-    dim perp = rank - rank(F G) (or F G^T) holds, on every component."""
-    field = form.module.field
-    zero = field.zero
-    annihilates = dimension_formula = True
-    for g, p_rows, f_rows in zip(form.gram, perp.bases, f.bases):
-        if side == "left":
-            prod = linalg.matmul(f_rows, linalg.matmul(g, linalg.transpose(p_rows)))
-        else:
-            prod = linalg.matmul(p_rows, linalg.matmul(g, linalg.transpose(f_rows)))
-        if any(x != zero for row in prod for x in row):
-            annihilates = False
-        # dimension formula, from scratch
-        pairing = linalg.matmul(f_rows, g if side == "left" else linalg.transpose(g))
-        if len(p_rows) != form.module.rank - linalg.rank(pairing, field):
-            dimension_formula = False
-    return annihilates, dimension_formula
+def _classify_task(scenario, task, default_seed):
+    cls = classify_orthosymmetry(scenario.form)
+    witness = cls.witness
+    payload = {
+        "orthosymmetric": cls.orthosymmetric,
+        "per_component": [
+            {"symmetric": c.symmetric, "alternating": c.alternating}
+            for c in cls.per_component
+        ],
+        "witness": None
+        if witness is None
+        else {
+            "open": open_points(scenario.space, witness.open),
+            "r": format_section(witness.r),
+            "s": format_section(witness.s),
+        },
+    }
+    # classify_orthosymmetry re-checks its witness with certify_witness
+    return payload, {"witness_rechecked": True}
 
 
-# -- task execution ---------------------------------------------------------
+def _radical_task(scenario, task, default_seed):
+    form, module = scenario.form, scenario.module
+    inside = _task_submodule(task, module, "radical") if "submodule" in task else None
+    rad = form.radical(inside)
+    carrier = inside if inside is not None else full_submodule(module)
+    return (
+        {"radical": format_submodule(rad)},
+        {"pairs_to_zero_inside_carrier": certify_radical(form, rad, carrier)},
+    )
+
+
+def _orthogonal_task(scenario, task, default_seed):
+    side = task.get("side", "left")
+    if side not in ("left", "right"):
+        raise ParseError(f"orthogonal: bad side {side!r}")
+    f = _task_submodule(task, scenario.module, "orthogonal")
+    perp = scenario.form.orthogonal(f, side=side)
+    annihilates, dimension_formula = certify_orthogonal(scenario.form, perp, f, side)
+    return (
+        {"orthogonal": format_submodule(perp), "side": side},
+        {"annihilates_carrier": annihilates, "dimension_formula": dimension_formula},
+    )
+
+
+def _project_task(scenario, task, default_seed):
+    module = scenario.module
+    f = _task_submodule(task, module, "project")
+    t = _require_nonempty(
+        parse_section(_expect(task, "section", None, "project"), module, "project.section"),
+        "project target",
+    )
+    p = scenario.form.project(f, t)
+    return {"projection": format_section(p)}, certify_projection(scenario.form, f, t, p)
+
+
+def _symplectic_basis_task(scenario, task, default_seed):
+    partial = parse_partial(task.get("partial"), scenario.module, "symplectic_basis.partial")
+    for _, sec in partial.r + partial.s:
+        _require_nonempty(sec, "partial family section")
+    basis = gram_schmidt_extend(scenario.form, partial)
+    # the completion checks its congruence and keeps the given sections
+    # verbatim at their indices
+    return (
+        {
+            "r": [format_section(sec) for sec in basis.r],
+            "s": [format_section(sec) for sec in basis.s],
+        },
+        {"relations_and_partial": True},
+    )
+
+
+def _normal_form_task(scenario, task, default_seed):
+    mats = normal_form(scenario.form)
+    # the matrices are the completion that checked its congruence
+    return (
+        {"matrices": [format_matrix(p, scenario.field) for p in mats]},
+        {"congruent_to_standard": True},
+    )
+
+
+def _decomposition_task(scenario, task, default_seed):
+    planes = hyperbolic_decomposition(scenario.form)
+    # the planes are the pairs of the completion that checked its congruence
+    return (
+        {"planes": [_plane_payload(pl) for pl in planes]},
+        {"pairwise_orthogonal_nondegenerate": True},
+    )
+
+
+def _envelope_task(scenario, task, default_seed):
+    f = _task_submodule(task, scenario.module, "envelope")
+    planes = hyperbolic_envelope(scenario.form, f)
+    return (
+        {"planes": [_plane_payload(pl) for pl in planes]},
+        {"envelope_equations": certify_envelope(scenario.form, f, planes)},
+    )
+
+
+def _witt_task(scenario, task, default_seed):
+    module = scenario.module
+    target_gram = tuple(
+        parse_matrix(g, module.field, module.rank, f"witt.target_gram[{i}]")
+        for i, g in enumerate(_expect(task, "target_gram", list, "witt"))
+    )
+    if len(target_gram) != len(module.x_components()):
+        raise ParseError("witt: wrong number of target component matrices")
+    target = BilinearForm(module, target_gram)
+    f = _task_submodule(task, module, "witt")
+    images = [
+        _require_nonempty(parse_section(sec, module, f"witt.sigma[{i}]"), "sigma image")
+        for i, sec in enumerate(_expect(task, "sigma", list, "witt"))
+    ]
+    iso = witt_extend(scenario.form, target, f, images)
+    return (
+        {"matrices": [format_matrix(m, module.field) for m in iso.matrices]},
+        {"isometry_and_agreement": certify_witt(iso, f, images)},
+    )
+
+
+def _oracle_task(scenario, task, default_seed):
+    if "seed" in task:
+        seed = _expect(task, "seed", int, "oracle")
+    else:
+        seed = default_seed if default_seed is not None else 0
+    bounds = dict(_expect(task, "bounds", dict, "oracle")) if "bounds" in task else {}
+    if "max_rank" in task:
+        bounds["max_rank"] = task["max_rank"]
+    field = field_from_name(task["field"]) if "field" in task else scenario.field
+    payload = run_suite(task["suite"], seed, field, bounds)
+    return payload, {"deterministic_given_seed": True}
+
+
+_HANDLERS = {
+    "classify": _classify_task,
+    "radical": _radical_task,
+    "orthogonal": _orthogonal_task,
+    "project": _project_task,
+    "symplectic_basis": _symplectic_basis_task,
+    "normal_form": _normal_form_task,
+    "decomposition": _decomposition_task,
+    "envelope": _envelope_task,
+    "witt": _witt_task,
+    "oracle": _oracle_task,
+}
+TASK_OPS = tuple(_HANDLERS)
+
 
 def _run_task(scenario: Scenario, task: dict, default_seed) -> dict:
+    """The report entry of one task: its payload and certificate, or the
+    code, message and witness of the `SheafFormsError` it raised."""
     op = task["op"]
-    form = scenario.form
-    module = scenario.module
     started = time.perf_counter()
-
-    def done(payload, certificate):
-        return {
-            "op": op,
+    try:
+        payload, certificate = _HANDLERS[op](scenario, task, default_seed)
+        entry = {
             "status": "ok" if all(certificate.values()) else "certificate_failed",
             "payload": payload,
             "certificate": certificate,
-            "time_ms": round((time.perf_counter() - started) * 1000.0, 3),
         }
-
-    try:
-        if op == "classify":
-            cls = classify_orthosymmetry(form)
-            payload = {
-                "orthosymmetric": cls.orthosymmetric,
-                "per_component": [
-                    {"symmetric": c.symmetric, "alternating": c.alternating}
-                    for c in cls.per_component
-                ],
-                "witness": None
-                if cls.witness is None
-                else {
-                    "open": open_points(module.space, cls.witness.open),
-                    "r": format_section(cls.witness.r),
-                    "s": format_section(cls.witness.s),
-                },
-            }
-            rechecked = cls.witness is None or certify_witness(form, cls.witness)
-            return done(payload, {"witness_rechecked": rechecked})
-
-        if op == "radical":
-            inside = _task_submodule(task, module, op) if "submodule" in task else None
-            rad = form.radical(inside)
-            carrier = inside if inside is not None else full_submodule(module)
-            cert_ok = _certify_radical(form, rad, carrier)
-            return done(
-                {"radical": format_submodule(rad)},
-                {"pairs_to_zero_inside_carrier": cert_ok},
-            )
-
-        if op == "orthogonal":
-            side = task.get("side", "left")
-            if side not in ("left", "right"):
-                raise ParseError(f"orthogonal: bad side {side!r}")
-            f = _task_submodule(task, module, op)
-            perp = form.orthogonal(f, side=side)
-            annihilates, dimension_formula = _certify_orthogonal(form, perp, f, side)
-            return done(
-                {"orthogonal": format_submodule(perp), "side": side},
-                {"annihilates_carrier": annihilates, "dimension_formula": dimension_formula},
-            )
-
-        if op == "project":
-            f = _task_submodule(task, module, op)
-            t = _require_nonempty(
-                parse_section(_expect(task, "section", None, op), module, "project.section"),
-                "project target",
-            )
-            p = form.project(f, t)
-            return done({"projection": format_section(p)}, certify_projection(form, f, t, p))
-
-        if op == "symplectic_basis":
-            partial = parse_partial(task.get("partial"), module, "symplectic_basis.partial")
-            for _, sec in partial.r + partial.s:
-                _require_nonempty(sec, "partial family section")
-            basis = gram_schmidt_extend(form, partial)
-            cert_ok = certify_basis(form, basis, partial)
-            return done(
-                {
-                    "r": [format_section(sec) for sec in basis.r],
-                    "s": [format_section(sec) for sec in basis.s],
-                },
-                {"relations_and_partial": cert_ok},
-            )
-
-        if op == "normal_form":
-            mats = normal_form(form)
-            cert_ok = certify_basis(form, SymplecticBasis.from_columns(module, mats))
-            return done(
-                {"matrices": [format_matrix(p, module.field) for p in mats]},
-                {"congruent_to_standard": cert_ok},
-            )
-
-        if op == "decomposition":
-            planes = hyperbolic_decomposition(form)
-            basis = SymplecticBasis(
-                module, tuple(pl.r for pl in planes), tuple(pl.s for pl in planes)
-            )
-            return done(
-                {"planes": [_plane_payload(pl) for pl in planes]},
-                {"pairwise_orthogonal_nondegenerate": certify_basis(form, basis)},
-            )
-
-        if op == "envelope":
-            f = _task_submodule(task, module, op)
-            planes = hyperbolic_envelope(form, f)
-            return done(
-                {"planes": [_plane_payload(pl) for pl in planes]},
-                {"envelope_equations": certify_envelope(form, f, planes)},
-            )
-
-        if op == "witt":
-            target_gram = tuple(
-                parse_matrix(g, module.field, module.rank, f"witt.target_gram[{i}]")
-                for i, g in enumerate(_expect(task, "target_gram", list, "witt"))
-            )
-            if len(target_gram) != len(module.x_components()):
-                raise ParseError("witt: wrong number of target component matrices")
-            target = BilinearForm(module, target_gram)
-            f = _task_submodule(task, module, op)
-            images = [
-                _require_nonempty(
-                    parse_section(sec, module, f"witt.sigma[{i}]"), "sigma image"
-                )
-                for i, sec in enumerate(_expect(task, "sigma", list, "witt"))
-            ]
-            iso = witt_extend(form, target, f, images)
-            return done(
-                {"matrices": [format_matrix(m, module.field) for m in iso.matrices]},
-                {"isometry_and_agreement": certify_witt(iso, f, images)},
-            )
-
-        if op == "oracle":
-            if "seed" in task:
-                seed = _expect(task, "seed", int, op)
-            else:
-                seed = default_seed if default_seed is not None else 0
-            bounds = dict(_expect(task, "bounds", dict, op)) if "bounds" in task else {}
-            if "max_rank" in task:
-                bounds["max_rank"] = task["max_rank"]
-            field = scenario.field
-            if "field" in task:
-                field = field_from_name(task["field"])
-            payload = run_suite(task["suite"], seed, field, bounds)
-            return done(payload, {"deterministic_given_seed": True})
-
-        raise ParseError(f"unknown op {op!r}")
     except SheafFormsError as exc:
-        return _error_entry(op, exc, round((time.perf_counter() - started) * 1000.0, 3))
-
+        entry = {
+            "status": "error",
+            "error": {"code": exc.code, "message": exc.message, "witness": _jsonable(exc.witness)},
+        }
+    return {"op": op, **entry, "time_ms": round((time.perf_counter() - started) * 1000.0, 3)}
 
 def _task_submodule(task: dict, module: FreeModule, op: str) -> Submodule:
     return parse_submodule(_expect(task, "submodule", None, op), module, f"{op}.submodule")

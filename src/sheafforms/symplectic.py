@@ -11,7 +11,9 @@ Every construction is one certified Gram-Schmidt completion, `_complete`.
 It has one boundary, as `linalg` has: it takes the given family as held
 rows (index -> one held row per component) and returns the held rows P^T of
 the basis, which it certifies by congruence, P^T G P == A_2n on every
-component (the check `certify_basis` makes). Sections are checked, held and
+component (the check `certify_basis` makes); a completion that fails it, or
+whose ambient complement loses a row, raises `SelfCheckFailed`, so every
+basis it returns is certified. Sections are checked, held and
 glued only at the entry points: `gram_schmidt_extend` (through `_extend`,
 the one entry that takes sections and checks their pairing relations)
 holds the given sections once and glues the basis around them verbatim,
@@ -55,7 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .bilinear import BilinearForm
+from .bilinear import BilinearForm, _zeros
 from .errors import (
     Degenerate,
     FreenessViolated,
@@ -68,6 +70,7 @@ from .errors import (
     PartialRelationsViolated,
     PartnerNotFound,
     RankMismatch,
+    SelfCheckFailed,
 )
 from .modules import FreeModule, ModuleSection, Submodule, _from_held, _kept, _keeps
 
@@ -314,7 +317,7 @@ def _check_ambient(ambient, expected: int) -> None:
     """The ambient complement has `expected` rows on every component."""
     for c, amb in enumerate(ambient):
         if len(amb) != expected:
-            raise AssertionError(
+            raise SelfCheckFailed(
                 f"component {c}: the ambient complement has {len(amb)} rows, not {expected}"
             )
 
@@ -509,7 +512,7 @@ def _complete(form: BilinearForm, rs, ss, start=None):
     for t, k in enumerate(singles + fresh):
         if k in fresh:
             if expected <= 0:
-                raise AssertionError(f"no ambient complement is left for r_{k}")
+                raise SelfCheckFailed(f"no ambient complement is left for r_{k}")
             hr[k] = tuple(b[0] for b in ambient)
         others = [hr[i] if i in hr else hs[i] for i in singles[t + 1:]]
         if k in hr:
@@ -526,7 +529,7 @@ def _complete(form: BilinearForm, rs, ss, start=None):
         for c in range(len(grams))
     )
     if not _congruent(form, [cols for _, cols in grams], rows):
-        raise AssertionError("the completed basis fails P^T G P == A_2n")
+        raise SelfCheckFailed("the completed basis fails P^T G P == A_2n")
     return rows
 
 
@@ -644,8 +647,7 @@ def hyperbolic_envelope(form: BilinearForm, f: Submodule):
     field = module.field
     bases = f._held_bases()
     for held, cols in zip(bases, _gram_columns(form)):
-        zeros = linalg.held_ints([[0] * len(held)] * len(held), field)
-        if _pairings(held, held, cols, field) != zeros:
+        if _pairings(held, held, cols, field) != _zeros(len(held), len(held), field):
             raise NotTotallyIsotropic("the form does not vanish on the submodule")
     basis = f.global_basis()
     rows = _completed(form, dict(enumerate(zip(*bases), 1)), {})
@@ -768,7 +770,7 @@ def witt_extend(
     for b, im, r, rad, p in zip(bases, held_images, coords, radical, g_rows):
         xs = [linalg.held_coordinates(b, v, field) for v in p]
         if None in xs:
-            raise AssertionError("sigma was applied to a section outside f")
+            raise SelfCheckFailed("sigma was applied to a section outside f")
         family.append(p[0::2] + rad + p[1::2])
         mapped.append(linalg.held_combine(xs[0::2] + list(r) + xs[1::2], im, field))
     count = k - len(g_rows[0]) // 2

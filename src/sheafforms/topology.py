@@ -49,6 +49,7 @@ from .errors import (
     NotASubset,
     NotClosedUnderIntersection,
     NotClosedUnderUnion,
+    SelfCheckFailed,
 )
 
 OpenRef = int
@@ -107,7 +108,7 @@ class FiniteSpace:
             hits = [i for i, uc in enumerate(ucomps) if rep in uc]
             # a connected piece lies in exactly one component
             if len(hits) != 1 or not comp <= ucomps[hits[0]]:
-                raise AssertionError(
+                raise SelfCheckFailed(
                     f"component {set(comp)!r} of open {v} lies in no single component of open {u}"
                 )
             out.append(hits[0])
@@ -190,7 +191,7 @@ def _build(points: tuple, candidates: list) -> FiniteSpace:
             if m >> i & 1:
                 nbhd &= m
         if nbhd not in seen:  # closure under intersection makes U_x open
-            raise AssertionError(f"the minimal neighborhood of {points[i]!r} is not open")
+            raise SelfCheckFailed(f"the minimal neighborhood of {points[i]!r} is not open")
         min_nbhd.append(nbhd)
     link = [
         u | sum(1 << j for j, v in enumerate(min_nbhd) if v >> i & 1)

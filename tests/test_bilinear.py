@@ -20,6 +20,7 @@ from sheafforms import (
     OpenMismatch,
     PrimeField,
     RationalField,
+    SelfCheckFailed,
     Submodule,
     classify_orthosymmetry,
     full_submodule,
@@ -302,7 +303,7 @@ class TestOrthosymmetry:
     def test_false_witness_certificate_raises(self, sierpinski, monkeypatch):
         # a raise, not an assert: the self-check holds under python -O
         monkeypatch.setattr(bilinear, "certify_witness", lambda form, witness: False)
-        with pytest.raises(AssertionError):
+        with pytest.raises(SelfCheckFailed):
             classify_orthosymmetry(form_on(sierpinski, [[1, 1], [0, 1]]))
 
     def test_radical_requires_orthosymmetry(self, sierpinski):
@@ -502,13 +503,13 @@ class TestWhatAFormKeeps:
         # they hold under python -O too
         script = (
             "from fractions import Fraction\n"
-            "from sheafforms import RationalField\n"
+            "from sheafforms import RationalField, SelfCheckFailed\n"
             "from sheafforms.bilinear import _asymmetry_pair\n"
             "one, zero = Fraction(1), Fraction(0)\n"
             "for g in (((one, zero), (zero, one)), ((zero, one), (-one, zero))):\n"
             "    try:\n"
             "        _asymmetry_pair(g, RationalField())\n"
-            "    except AssertionError as exc:\n"
+            "    except SelfCheckFailed as exc:\n"
             "        print(__debug__, exc)\n"
         )
         src = Path(__file__).resolve().parent.parent / "src"

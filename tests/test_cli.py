@@ -10,7 +10,16 @@ from random import Random
 
 import pytest
 
-from sheafforms import FreeModule, ParseError, RationalField, UnknownSuite, cli, scenario, span
+from sheafforms import (
+    FreeModule,
+    ParseError,
+    RationalField,
+    UnknownSuite,
+    cli,
+    scenario,
+    span,
+    symplectic,
+)
 from sheafforms.oracles import (
     discrete_pair_space,
     random_alternating_form,
@@ -371,13 +380,16 @@ class TestScenarioExecution:
 
 class TestCertificateStatus:
     def test_false_certificate_fails_the_task(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setattr(scenario, "certify_basis", lambda form, basis, partial=None: False)
+        # the library decides the congruence once, in the completion; a
+        # completion that fails it is a coded error entry, not a traceback
+        monkeypatch.setattr(symplectic, "_congruent", lambda form, gram_cols, rows: False)
         doc = base_doc(tasks=[{"op": "normal_form"}, {"op": "classify"}])
         report = run_scenario_dict(doc)
         failed, fine = report["tasks"]
-        assert failed["status"] == "certificate_failed"
-        assert failed["certificate"] == {"congruent_to_standard": False}
-        assert failed["payload"]["matrices"] == [[["1/1", "0/1"], ["0/1", "1/1"]]]
+        assert failed["status"] == "error"
+        assert failed["error"]["code"] == "SelfCheckFailed"
+        assert failed["error"]["message"] == "the completed basis fails P^T G P == A_2n"
+        assert "payload" not in failed and "certificate" not in failed
         assert fine["status"] == "ok"
         assert report["ok"] is False
         path = tmp_path / "scn.json"
@@ -601,3 +613,134 @@ class TestProcessLevel:
         report = json.loads(proc.stdout)
         assert report["header"]["field"] == "gf:3"
         assert report["header"]["env_field"] == "gf:3"
+
+
+def alternating_doc(rank, scalar, tasks, seed=0):
+    """A one-point space over the rationals whose one Gram matrix is
+    alternating, with the entries above the diagonal drawn by `scalar`."""
+    rng = Random(seed)
+    gram = [["0/1"] * rank for _ in range(rank)]
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            num, den = scalar(rng)
+            gram[i][j], gram[j][i] = f"{num}/{den}", f"{-num}/{den}"
+    return base_doc(space={"points": ["a"], "opens": [[], ["a"]]}, rank=rank,
+                    gram=[gram], tasks=tasks)
+
+
+def digits(rng, n):
+    return rng.randrange(10 ** (n - 1), 10**n)
+
+
+class TestScalarSize:
+    """Scalars and results have a size limit of the library's own: a scalar
+    of more than `MAX_SCALAR_DIGITS` digits is a parse error, and a result
+    entry with more digits than the interpreter converts is a coded error
+    entry. Neither ends in a traceback, whatever the interpreter's digit
+    limit."""
+
+    @pytest.mark.parametrize("limit", [None, "640"])
+    def test_long_gram_entries_are_a_parse_error(self, tmp_path, limit):
+        # rank 8 with entries of 1,000 digits: before the limit, the normal
+        # form's entries passed the interpreter's digit limit when formatted
+        doc = alternating_doc(8, lambda rng: (digits(rng, 1000), 1), [{"op": "normal_form"}])
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(doc))
+        proc = run_cli("run", str(path), env=limit and {"PYTHONINTMAXSTRDIGITS": limit})
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            f"ParseError: gram[0]: a scalar has more than {scenario.MAX_SCALAR_DIGITS}"
+            " digits\n"
+        )
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("where", ["gram", "section", "bases", "target_gram"])
+    def test_every_scalar_of_a_document_is_counted(self, where):
+        long = "1" * (scenario.MAX_SCALAR_DIGITS + 1) + "/1"
+        doc = base_doc()
+        if where == "gram":
+            doc["gram"][0][0][1] = long
+        elif where == "section":
+            doc["tasks"] = [{"op": "project", "submodule": [], "section": {
+                "open": ["a", "b"], "vectors": [[long, "0/1"]]}}]
+        elif where == "bases":
+            doc["tasks"] = [{"op": "radical", "submodule": {"bases": [[[long, "0/1"]]]}}]
+        else:
+            doc["tasks"] = [{"op": "witt", "target_gram": [[["0/1", long], ["0/1", "0/1"]]],
+                             "submodule": [], "sigma": []}]
+        if where == "gram":
+            with pytest.raises(ParseError, match=f"more than {scenario.MAX_SCALAR_DIGITS} digits"):
+                run_scenario_dict(doc)
+            return
+        (task,) = run_scenario_dict(doc)["tasks"]
+        assert task["error"]["code"] == "ParseError"
+        assert f"more than {scenario.MAX_SCALAR_DIGITS} digits" in task["error"]["message"]
+
+    def test_scalar_at_the_limit_is_admitted(self):
+        num = "9" * (scenario.MAX_SCALAR_DIGITS // 2)
+        den = "7" * (scenario.MAX_SCALAR_DIGITS - len(num))
+        # padding and the sign are not digits, so they do not count
+        doc = base_doc(gram=[[["0/1", f"  {num}/{den}  "], [f"-{num}/{den}", "0/1"]]])
+        assert scenario_from_dict(doc).form.gram[0][0][1] == Fraction(int(num), int(den))
+        doc["gram"][0][0][1] = f"{num}/{den}7"
+        with pytest.raises(ParseError):
+            scenario_from_dict(doc)
+
+    @pytest.mark.parametrize("limit,code", [(None, 0), ("640", 1)])
+    def test_entry_too_long_to_format_is_an_error_entry(self, tmp_path, limit, code):
+        # an isometry between two rank-8 forms with entries of 10/10 digits
+        # has entries of about 1,700 digits: formatted under the default
+        # limit of 4,300 digits, refused by their bit length under 640
+        doc = alternating_doc(8, lambda rng: (digits(rng, 10), digits(rng, 10)), [])
+        target = alternating_doc(8, lambda rng: (digits(rng, 10), digits(rng, 10)), [], seed=1)
+        doc["tasks"] = [
+            {"op": "witt", "target_gram": target["gram"], "submodule": [], "sigma": []},
+            {"op": "classify"},
+        ]
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(doc))
+        proc = run_cli("run", str(path), env=limit and {"PYTHONINTMAXSTRDIGITS": limit})
+        assert proc.returncode == code, proc.stderr
+        assert proc.stderr == ""
+        witt, classify = json.loads(proc.stdout)["tasks"]
+        assert classify["status"] == "ok"
+        if limit is None:
+            assert witt["status"] == "ok"
+            assert max(len(x) for m in witt["payload"]["matrices"] for row in m for x in row) > 1280
+        else:
+            assert witt["status"] == "error"
+            assert witt["error"]["code"] == "EntryTooLong"
+            assert "more than the 640 digits" in witt["error"]["message"]
+
+
+class TestSelfCheckFailures:
+    """A construction that fails the check it makes on its own result raises
+    `SelfCheckFailed`, which the report shows as a coded error entry."""
+
+    SYMPLECTIC = {"normal_form", "symplectic_basis", "decomposition", "envelope", "witt"}
+
+    def test_failed_congruence_is_a_coded_entry_without_traceback(self):
+        script = (
+            "import sys\n"
+            "from sheafforms import cli, symplectic\n"
+            "symplectic._congruent = lambda form, gram_cols, rows: False\n"
+            "sys.exit(cli.main(['run', sys.argv[1]]))\n"
+        )
+        env = dict(os.environ)
+        env.pop("SHEAFFORMS_FIELD", None)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(DEMOS / "symplectic_tour.json")],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["ok"] is False
+        ops = {task["op"] for task in report["tasks"]}
+        assert self.SYMPLECTIC <= ops
+        for task in report["tasks"]:
+            if task["op"] in self.SYMPLECTIC:
+                assert task["status"] == "error", task
+                assert task["error"]["code"] == "SelfCheckFailed"
+            else:
+                assert task["status"] == "ok", task

@@ -40,6 +40,9 @@ SCALARS = st.one_of(
     st.text(max_size=8),
     st.sampled_from(["rationals", "gf:3", "gf:4", "gf:1000000000000000003", "1/2", "0/1",
                      "2 mod 3", "a", "b", "p", "left", "right", *TASK_OPS]),
+    # scalars of 5,000 digits, above the interpreter's default digit limit
+    st.sampled_from(["7" * 5000, "-" + "3" * 5000 + "/7", "1/" + "9" * 5000,
+                     "4" * 5000 + " mod 3"]),
 )
 JSON = st.recursive(
     SCALARS,

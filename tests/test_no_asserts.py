@@ -1,6 +1,8 @@
 """Scans of the library's source. It states its invariants as explicit
 raises: `python -O` strips `assert` statements, so a certificate or an
-invariant that rests on one is not checked at all under it. And it sets no
+invariant that rests on one is not checked at all under it. A failed
+self-check raises `SelfCheckFailed`, a coded error that a report shows,
+never `AssertionError`, which no caller catches. And it sets no
 field of a frozen object behind its back: what a form or a submodule keeps
 lives in its memo (`modules._kept`), never in a field set through
 `object.__setattr__`."""
@@ -26,6 +28,10 @@ def found(match):
 
 def test_no_module_of_the_library_uses_assert():
     assert found(lambda node: isinstance(node, ast.Assert)) == []
+
+
+def test_no_module_of_the_library_names_assertion_error():
+    assert found(lambda node: isinstance(node, ast.Name) and node.id == "AssertionError") == []
 
 
 def test_no_module_of_the_library_calls_object_setattr():

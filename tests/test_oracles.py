@@ -2,7 +2,7 @@
 
 import pytest
 
-from sheafforms import ParseError, PrimeField, RationalField, oracles
+from sheafforms import ParseError, PrimeField, RationalField, SelfCheckFailed, oracles, symplectic
 from sheafforms.oracles import MAX_CASES, MAX_RANK, SUITES, fixture_spaces, run_suite
 
 Q = RationalField()
@@ -124,3 +124,35 @@ class TestDichotomyRoute:
         payload = run_suite("orthosymmetry_dichotomy", 0, PrimeField(5), {"cases": 20})
         assert payload["status"] == "ok"
         assert len(counted) == 20 and 3 in counted
+
+
+@pytest.mark.parametrize("suite", ["gram_schmidt", "witt"])
+def test_failed_self_check_in_a_generator_is_a_counterexample(monkeypatch, suite):
+    # `random_symplectic_isometry` checks the isometry it draws; a library
+    # that fails that check gives a counterexample, not an exception
+    monkeypatch.setattr(symplectic.Isometry, "holds", lambda iso: False)
+    payload = run_suite(suite, 0, PrimeField(101), {"cases": 2, "max_rank": 4})
+    assert payload["status"] == "counterexample"
+    assert payload["cases"] == 2
+    assert payload["counterexample"] == {
+        "code": "SelfCheckFailed",
+        "message": "the random symplectic isometry fails M^T G' M == G",
+    }
+
+
+def test_failed_self_check_in_an_enumerated_case_is_a_counterexample(monkeypatch):
+    # the enumerated cases run one at a time too, so one that fails a
+    # self-check does not end the sweep
+    real = oracles.orthosymmetric_by_counting
+    calls = []
+
+    def failing_once(form):
+        calls.append(form)
+        if len(calls) == 1:
+            raise SelfCheckFailed("planted")
+        return real(form)
+
+    monkeypatch.setattr(oracles, "orthosymmetric_by_counting", failing_once)
+    payload = run_suite("orthosymmetry_dichotomy", 0, PrimeField(3), {"cases": 0})
+    assert payload["counterexample"] == {"code": "SelfCheckFailed", "message": "planted"}
+    assert payload["cases"] == len(calls) > 1

@@ -34,6 +34,7 @@ from sheafforms import (
     PrimeField,
     RankMismatch,
     RationalField,
+    SelfCheckFailed,
     Submodule,
     SymplecticBasis,
     certify_basis,
@@ -712,7 +713,7 @@ class TestWitt:
         # completion checks its congruence on the rows it holds
         source, target, f, images = self.lagrangian_instance()
         monkeypatch.setattr(symplectic, "_congruent", lambda form, gram_cols, rows: False)
-        with pytest.raises(AssertionError):
+        with pytest.raises(SelfCheckFailed):
             witt_extend(source, target, f, images)
 
     def test_built_on_completions_alone(self, monkeypatch):
@@ -751,8 +752,8 @@ class TestWitt:
         # f under python -O too. f is a hyperbolic plane, so its pairs of g
         # are read off f's basis (the radical's coordinates are known)
         script = (
-            "from sheafforms import (FreeModule, RationalField, linalg, span,\n"
-            "    standard_symplectic_form, validate_topology, witt_extend)\n"
+            "from sheafforms import (FreeModule, RationalField, SelfCheckFailed, linalg,\n"
+            "    span, standard_symplectic_form, validate_topology, witt_extend)\n"
             "space = validate_topology(('a',), [(), ('a',)])\n"
             "form = standard_symplectic_form(FreeModule(space, RationalField(), 2))\n"
             "e = form.module.canonical_basis()\n"
@@ -761,7 +762,7 @@ class TestWitt:
             "linalg.held_coordinates = lambda *args: None\n"
             "try:\n"
             "    witt_extend(form, form, f, [e[0], e[1]])\n"
-            "except AssertionError as exc:\n"
+            "except SelfCheckFailed as exc:\n"
             "    print(__debug__, exc)\n"
         )
         src = Path(__file__).resolve().parent.parent / "src"
@@ -1103,7 +1104,8 @@ class TestAmbientStep:
         # has lost a row must still refuse to go on
         script = (
             "from sheafforms import (FreeModule, PartialFamily, RationalField,\n"
-            "    gram_schmidt_extend, standard_symplectic_form, validate_topology)\n"
+            "    SelfCheckFailed, gram_schmidt_extend, standard_symplectic_form,\n"
+            "    validate_topology)\n"
             "from sheafforms import symplectic\n"
             "real = symplectic._shrink\n"
             "symplectic._shrink = lambda *args: [amb[:-1] for amb in real(*args)]\n"
@@ -1111,7 +1113,7 @@ class TestAmbientStep:
             "form = standard_symplectic_form(FreeModule(space, RationalField(), 4))\n"
             "try:\n"
             "    gram_schmidt_extend(form, PartialFamily.of())\n"
-            "except AssertionError as exc:\n"
+            "except SelfCheckFailed as exc:\n"
             "    print(__debug__, exc)\n"
         )
         src = Path(__file__).resolve().parent.parent / "src"
