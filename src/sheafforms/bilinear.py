@@ -20,13 +20,13 @@ split needs no intersection.
 
 The calculus (`orthogonal`, `radical`, `project`, `orthogonal_split`) runs
 on held rows from start to end: a form keeps its Gram matrices and their
-columns as `linalg` holds them, and a submodule its echelon rows, each held
-on first use; every output is released once. `classify_orthosymmetry` works
+columns as `linalg` holds them, held on first use, and a submodule is its
+held echelon rows; an output submodule is built from held rows and makes
+no field element until its `bases` is read. `classify_orthosymmetry` works
 on the form's field elements and keeps its result on the form, so each form
-is classified once. A form keeps each fact in its memo through
-`modules._kept`, as a submodule does, and the symplectic layer keeps its own
-facts there too; `form_memo_stats()` counts the hits and misses of every
-fact a form keeps.
+is classified once. A form keeps each fact in its memo through `_kept`,
+and the symplectic layer keeps its own facts there too;
+`form_memo_stats()` counts the hits and misses of every fact a form keeps.
 
 The certificates of the calculus live here too, for the report layer and
 the oracles: `certify_projection` on sections, and `certify_radical` and
@@ -50,18 +50,33 @@ from .errors import (
     OpenMismatch,
     SelfCheckFailed,
 )
-from .modules import (
-    FreeModule,
-    ModuleSection,
-    Submodule,
-    _COUNTS,
-    _from_held,
-    _kept,
-    _keeps,
-    full_submodule,
-    intersect_submodules,
-)
+from .modules import FreeModule, ModuleSection, Submodule, full_submodule, intersect_submodules
 from .topology import OpenRef
+
+# fact -> the hits and misses of what `_kept` keeps on a form, since import
+_COUNTS = {}
+
+
+def _keeps(*facts: str) -> None:
+    """Declare facts `_kept` keeps on a form, counted from 0."""
+    for fact in facts:
+        _COUNTS[fact] = {"hits": 0, "misses": 0}
+
+
+def _kept(form, fact: str, make, of=None):
+    """The value of `fact` that `form` keeps in its `_memo`, made by
+    `make()` on a miss. A value is kept for `of`, and a later use is a hit
+    when it asks for the same object or an equal value; a miss replaces it.
+    When `make` raises, nothing is kept and the previous value stays."""
+    counts = _COUNTS[fact]
+    kept = form._memo.get(fact)
+    if kept is not None and (kept[0] is of or kept[0] == of):
+        counts["hits"] += 1
+        return kept[1]
+    counts["misses"] += 1
+    value = make()
+    form._memo[fact] = (of, value)
+    return value
 
 
 def form_memo_stats() -> dict:
@@ -72,11 +87,7 @@ def form_memo_stats() -> dict:
     the completion of the empty partial family and `projector_*` for the
     factorization `project` and `orthogonal_split` keep for the last
     submodule (a hit on the same or an equal submodule)."""
-    return {
-        f"{fact}_{use}": n
-        for (owner, fact), counts in _COUNTS.items() if owner is BilinearForm
-        for use, n in counts.items()
-    }
+    return {f"{fact}_{use}": n for fact, counts in _COUNTS.items() for use, n in counts.items()}
 
 
 @dataclass(frozen=True)
@@ -150,16 +161,24 @@ class BilinearForm:
         n = self.module.rank
         field = self.module.field
         perps = []
-        for b, (g, cols) in zip(f._held_bases(), self._held_grams()):
+        for b, (g, cols) in zip(f._rows, self._held_grams()):
             # the rows of B G (left) or B G^T (right), each paired with t
             m = linalg.held_combine(b, g if side == "left" else cols, field)
             perps.append(linalg.held_nullspace(m, n, field))
-        return _from_held(self.module, perps)
+        return Submodule(self.module, tuple(perps))
 
     def is_nondegenerate(self) -> bool:
-        """Full rank on every component, ranked on the held Gram matrices."""
+        """Full rank on every component."""
+        return self._singular_component() is None
+
+    def _singular_component(self) -> Optional[int]:
+        """The first X-component whose Gram matrix is singular, or None,
+        ranked on the held Gram matrices."""
         field = self.module.field
-        return all(linalg.held_rank(g, field) == len(g) for g, _ in self._held_grams())
+        for c, (g, _) in enumerate(self._held_grams()):
+            if linalg.held_rank(g, field) != len(g):
+                return c
+        return None
 
     def _require_orthosymmetric(self, what: str) -> None:
         cls = classify_orthosymmetry(self)
@@ -178,7 +197,7 @@ class BilinearForm:
         field = self.module.field
         factors = []
         dims = []
-        for b, (g, _) in zip(f._held_bases(), self._held_grams()):
+        for b, (g, _) in zip(f._rows, self._held_grams()):
             bg = linalg.held_combine(b, g, field)
             rank, k = linalg.held_left_divide(linalg.held_product(bg, b, field), bg, field)
             factors.append(k)
@@ -195,7 +214,7 @@ class BilinearForm:
         def make():
             factors, dims = self._restricted_grams(f)
             _require_nonisotropic(dims)
-            return dims, tuple(zip(factors, f._held_bases()))
+            return dims, tuple(zip(factors, f._rows))
 
         return _kept(self, "projector", make, of=f)
 
@@ -252,7 +271,7 @@ class BilinearForm:
         return f"BilinearForm(rank={self.module.rank}, components={len(self.gram)})"
 
 
-_keeps(BilinearForm, "gram", "class", "projector")
+_keeps("gram", "class", "projector")
 
 
 @dataclass(frozen=True)
@@ -366,7 +385,7 @@ def certify_radical(form: BilinearForm, rad: Submodule, carrier: Submodule) -> b
     pairs to zero with the carrier, both ways), and every row of R lies in
     the span of C."""
     field = form.module.field
-    for (g, cols), r, c in zip(form._held_grams(), rad._held_bases(), carrier._held_bases()):
+    for (g, cols), r, c in zip(form._held_grams(), rad._rows, carrier._rows):
         zeros = _zeros(len(r), len(c), field)
         for pairing in (g, cols):
             if linalg.held_product(linalg.held_combine(r, pairing, field), c, field) != zeros:
@@ -385,7 +404,7 @@ def certify_orthogonal(form: BilinearForm, perp: Submodule, f: Submodule, side: 
     (or F G^T) holds."""
     field = form.module.field
     annihilates = dimension_formula = True
-    for (g, cols), p, rows in zip(form._held_grams(), perp._held_bases(), f._held_bases()):
+    for (g, cols), p, rows in zip(form._held_grams(), perp._rows, f._rows):
         pairing = linalg.held_combine(rows, g if side == "left" else cols, field)
         if linalg.held_product(pairing, p, field) != _zeros(len(rows), len(p), field):
             annihilates = False

@@ -7,8 +7,10 @@ Two subcommands:
                             [--field rationals|gf:p] [--out PATH]
 
 Exit codes: 0 when every task (or the whole suite) checks out, 1 when any
-task reports a violation or a counterexample is found, 2 on malformed input
-or when the report cannot be written to --out.
+task reports a violation or a counterexample is found, or when a self-check
+of the library fails outside a task (`SelfCheckFailed`, printed with its
+message), 2 on malformed input or when the report cannot be written to
+--out.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import argparse
 import os
 import sys
 
-from .errors import ParseError, SheafFormsError, UnknownSuite
+from .errors import ParseError, SelfCheckFailed, SheafFormsError, UnknownSuite
 from .fields import field_from_name
 from .scenario import (
     ENV_FIELD,
@@ -96,6 +98,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except SelfCheckFailed as exc:
+        # a defect of the library, not of the input
+        print(f"{exc.code}: {exc.message}", file=sys.stderr)
+        return 1
     except SheafFormsError as exc:
         # anything not already mapped is a malformed-input failure
         print(f"{exc.code}: {exc.message}", file=sys.stderr)

@@ -67,9 +67,10 @@ plain ints. `rref`, `rank`, `nullspace`, `complement_rows`,
 and `held_left_divide`. Held rows are canonical, so a caller compares them,
 zeros included, with `==`. The format is private to this module: other
 modules only pass held rows (and tuples of them) around, as the symplectic
-completion and the orthogonal calculus do, and keep them (`Submodule` its
-echelon rows, `BilinearForm` its Gram matrices and the factorization of
-the last projection).
+completion and the orthogonal calculus do, and keep them (a `Submodule`
+is its echelon rows, and a `BilinearForm` keeps its Gram matrices and the
+factorization of the last projection). `release` makes one field element
+per entry.
 
 Every routine that eliminates does so once. The nullspace is one
 elimination that scans the columns right to left, whose back
@@ -81,9 +82,6 @@ M^-1 R is one elimination of [M | R] (`held_left_divide`), and the inverse
 of a square M is M^-1 I. The rows of a big space that complement a small
 one in a greedy scan are the pivot columns past the small rows of one
 elimination of the transposed stack [small; big] (`held_complement_rows`).
-
-Over GF(p) with p below `_TABLED`, `release` takes its field elements from
-a table of all p of them instead of making one per entry.
 
 `kernel_stats()` counts the calls by field, the rows converted on entry,
 the entries built on exit, the eliminations run and the packed
@@ -109,11 +107,6 @@ _numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
 # calculus at ranks 8 to 12 (`calculus_gf`) works above it, scenarios at
 # ranks 2 to 4 (`scenario_wide`) below it
 _PACKED_WIDTH = 8
-# over GF(p) with p below this, `release` takes its field elements from a
-# table of all p of them, built on first use, instead of making one per
-# entry; a table holds at most 2^14 elements
-_TABLED = 1 << 14
-_TABLES = {}
 
 
 def kernel_stats() -> dict:
@@ -139,14 +132,6 @@ def _word_modulus(field):
     """The dispatch point: p when entries of `field` = GF(p) are held as
     ints mod p, or 0 when entries of Q are held as integer rows."""
     return _counted(field.p if isinstance(field, PrimeField) else 0)
-
-
-def _table(p: int) -> list:
-    """The elements of GF(p), p below `_TABLED`, indexed by value."""
-    table = _TABLES.get(p)
-    if table is None:
-        table = _TABLES[p] = [FpElement(v, p) for v in range(p)]
-    return table
 
 
 def _lift(x, p: int) -> int:
@@ -313,16 +298,12 @@ def _from_ints(rows, p) -> tuple:
 
 def _release(held, p) -> tuple:
     """The body of `release`: the one conversion on exit, of any exact held
-    rows, over Q in lowest terms or not. Over GF(p), with p below
-    `_TABLED`, the elements are taken from the table of GF(p)."""
+    rows, over Q in lowest terms or not."""
     if not p:
         _COUNTS["entries_out"] += sum([len(row) for row, _ in held])
         return tuple([tuple([Fraction(v, d) for v in row]) for row, d in held])
     rows = _values(held, p)
     _COUNTS["entries_out"] += sum(map(len, rows))
-    if p < _TABLED:
-        element = _table(p).__getitem__
-        return tuple([tuple(map(element, row)) for row in rows])
     return tuple([tuple(map(FpElement, row, repeat(p))) for row in rows])
 
 

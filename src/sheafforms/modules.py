@@ -5,27 +5,23 @@ A rank-n free module assigns to each open U one copy of k^n per connected
 component of U; sections are tuples of row vectors, one per component, and
 restriction reindexes them along the component refinement map.
 
-A submodule is stored as one reduced echelon row basis per component of the
-total space. That representation is canonical, so submodule equality is
-syntactic equality, and the sections of the submodule over any open U are
-read off through the refinement map (on each U-component, membership in the
-subspace attached to the containing X-component).
-
-A submodule also keeps its echelon rows as `linalg` holds them: seeded by
-`_from_held` when an operation already has them, or held on first use.
-`sum_submodules` (one `held_rref` of the stacked rows) and
-`intersect_submodules` (one Zassenhaus elimination, `held_intersect`) work
-on those held rows and release each output basis once, and
-`Submodule.contains` reads each vector's coordinates over them
-(`held_coordinates`). `submodule_memo_stats()` counts the uses: hits, and
-misses that held the rows. Every fact a `Submodule` or a `BilinearForm`
-keeps goes through `_kept` into the object's `_memo`, which is not part of
-its value, and is counted in one table.
+A submodule is its module and one reduced echelon row basis per component
+of the total space, held as `linalg` holds rows. Held rows are canonical,
+so submodule equality is equality of the held rows, and the sections of the
+submodule over any open U are read off through the refinement map (on each
+U-component, membership in the subspace attached to the containing
+X-component). `span`, `from_rows`, `full_submodule`, `zero_submodule` and
+the calculus build the held rows directly: `sum_submodules` is one
+`held_rref` of the stacked rows, `intersect_submodules` one Zassenhaus
+elimination (`held_intersect`), and `Submodule.contains` reads each
+vector's coordinates over the rows (`held_coordinates`). Field elements are
+made only when `bases` is read, once per submodule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from . import linalg
 from .algebra import AlgebraSection
@@ -158,54 +154,29 @@ class ModuleSection:
         return f"ModuleSection(open={self.open}, {comps})"
 
 
-# (class, fact) -> the hits and misses of what `_kept` keeps, since import
-_COUNTS = {}
-
-
-def _keeps(owner: type, *facts: str) -> None:
-    """Declare facts `_kept` keeps on instances of `owner`, counted from 0."""
-    for fact in facts:
-        _COUNTS[owner, fact] = {"hits": 0, "misses": 0}
-
-
-def _kept(obj, fact: str, make, of=None):
-    """The value of `fact` that `obj` keeps in its `_memo`, made by `make()`
-    on a miss. A value is kept for `of`, and a later use is a hit when it
-    asks for the same object or an equal value; a miss replaces it. When
-    `make` raises, nothing is kept and the previous value stays."""
-    counts = _COUNTS[type(obj), fact]
-    kept = obj._memo.get(fact)
-    if kept is not None and (kept[0] is of or kept[0] == of):
-        counts["hits"] += 1
-        return kept[1]
-    counts["misses"] += 1
-    value = make()
-    obj._memo[fact] = (of, value)
-    return value
-
-
-def submodule_memo_stats() -> dict:
-    """Uses of the held echelon rows a `Submodule` keeps, since import:
-    `hits` (read from the submodule) and `misses` (held on first use). A
-    submodule built from held rows starts with them and counts neither."""
-    return dict(_COUNTS[Submodule, "bases"])
-
-
 @dataclass(frozen=True)
 class Submodule:
-    module: FreeModule
-    bases: tuple  # per X-component: tuple of reduced echelon rows
-    # what the submodule keeps (`_kept`), not part of its value
-    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    """A submodule is its module and, per X-component, its reduced echelon
+    rows as `linalg` holds them. Held rows are canonical, so two submodules
+    are equal exactly when their rows are equal; `bases`, the rows as field
+    elements, is released from them on first read."""
 
-    def _held_bases(self) -> tuple:
-        """Per X-component, the echelon rows held (`linalg.hold`)."""
+    module: FreeModule
+    _rows: tuple  # per X-component: reduced echelon rows, held
+
+    def __hash__(self):
+        # held rows may be lists; equal submodules share module and dims
+        return hash((self.module, self.dims))
+
+    @cached_property
+    def bases(self) -> tuple:
+        """Per X-component, the reduced echelon rows as field elements."""
         field = self.module.field
-        return _kept(self, "bases", lambda: tuple(linalg.hold(b, field) for b in self.bases))
+        return tuple(linalg.release(rows, field) for rows in self._rows)
 
     @property
     def dims(self):
-        return tuple(len(b) for b in self.bases)
+        return tuple(map(len, self._rows))
 
     def is_free(self):
         """Common component dimension if there is one, else None."""
@@ -235,23 +206,19 @@ class Submodule:
     def contains(self, section: ModuleSection) -> bool:
         """Membership of a section over any open, componentwise through the
         refinement map: the section's vectors are held once and each is
-        checked against the kept held rows of its X-component."""
+        checked against the echelon rows of its X-component."""
         if section.module != self.module:
             raise ModuleMismatch("section belongs to a different module")
         space = self.module.space
         refinement = space.component_refinement(section.open, space.x_ref)
         field = self.module.field
-        bases = self._held_bases()
         for v, xc in zip(linalg.hold(section.vectors, field), refinement):
-            if linalg.held_coordinates(bases[xc], v, field) is None:
+            if linalg.held_coordinates(self._rows[xc], v, field) is None:
                 return False
         return True
 
     def __repr__(self):
         return f"Submodule(dims={self.dims})"
-
-
-_keeps(Submodule, "bases")
 
 
 def span(module: FreeModule, sections) -> Submodule:
@@ -272,24 +239,14 @@ def span(module: FreeModule, sections) -> Submodule:
 def from_rows(module: FreeModule, per_component_rows) -> Submodule:
     """Internal constructor: echelonize raw per-component row lists."""
     field = module.field
-    return _from_held(
-        module,
-        [linalg.held_rref(linalg.hold(rows, field), field)[0] for rows in per_component_rows],
-    )
-
-
-def _from_held(module: FreeModule, held_bases) -> Submodule:
-    """The submodule whose per-component reduced echelon rows are given held,
-    as `held_rref`, `held_nullspace` and `held_intersect` return them: each
-    basis is released once, and the held rows seed its memo uncounted."""
-    field = module.field
-    sub = Submodule(module, tuple(linalg.release(h, field) for h in held_bases))
-    sub._memo["bases"] = (None, tuple(held_bases))
-    return sub
+    return Submodule(module, tuple(
+        linalg.held_rref(linalg.hold(rows, field), field)[0] for rows in per_component_rows
+    ))
 
 
 def full_submodule(module: FreeModule) -> Submodule:
-    ident = linalg.identity(module.rank, module.field)
+    n = module.rank
+    ident = linalg.held_ints([[int(i == j) for j in range(n)] for i in range(n)], module.field)
     return Submodule(module, (ident,) * len(module.x_components()))
 
 
@@ -301,17 +258,15 @@ def sum_submodules(f: Submodule, g: Submodule) -> Submodule:
     if f.module != g.module:
         raise ModuleMismatch("submodules of different modules")
     field = f.module.field
-    return _from_held(
-        f.module,
-        [linalg.held_rref(a + b, field)[0] for a, b in zip(f._held_bases(), g._held_bases())],
-    )
+    return Submodule(f.module, tuple(
+        linalg.held_rref(a + b, field)[0] for a, b in zip(f._rows, g._rows)
+    ))
 
 
 def intersect_submodules(f: Submodule, g: Submodule) -> Submodule:
     if f.module != g.module:
         raise ModuleMismatch("submodules of different modules")
     field, n = f.module.field, f.module.rank
-    return _from_held(
-        f.module,
-        [linalg.held_intersect(a, b, n, field) for a, b in zip(f._held_bases(), g._held_bases())],
-    )
+    return Submodule(f.module, tuple(
+        linalg.held_intersect(a, b, n, field) for a, b in zip(f._rows, g._rows)
+    ))

@@ -19,7 +19,8 @@ Each certificate value is decided once, by the library:
   (`certify_envelope`) and `witt` (`certify_witt`) in `symplectic`.
 A construction that fails its own check raises `SelfCheckFailed`, which,
 like every `SheafFormsError` of a task, becomes an error entry with its
-code.
+code. One that fails while the document's space is validated is raised as
+it is, not as a `ParseError`: the document is not at fault.
 
 Scalar encoding is the field's own string format, so parsing a serialized
 payload yields equal values.
@@ -40,7 +41,7 @@ from .bilinear import (
     certify_radical,
     classify_orthosymmetry,
 )
-from .errors import EmptyOpen, ParseError, SheafFormsError
+from .errors import EmptyOpen, ParseError, SelfCheckFailed, SheafFormsError
 from .fields import FpElement, field_from_name
 from .modules import (
     FreeModule,
@@ -237,6 +238,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
     opens = [_points(u, "space.opens") for u in opens]
     try:
         space = validate_topology(points, opens)
+    except SelfCheckFailed:
+        raise  # a defect of the library, not of the document
     except SheafFormsError as exc:
         raise ParseError(f"space: {exc.code}: {exc.message}") from exc
 

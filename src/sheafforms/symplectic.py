@@ -43,7 +43,7 @@ of g are one completion run inside the rows of B that complement rad f
 held, and their relations hold by construction, so none is checked. The
 public entry points validate their forms (`validate_symplectic`) once; the
 private helpers do not validate again.
-A form keeps what is decided about it in its memo (`modules._kept`), where
+A form keeps what is decided about it in its memo (`bilinear._kept`), where
 this module declares two facts: that it passed the validation (which ranks
 the Gram matrices the form holds), and the held rows of the completion of
 the empty family, which `normal_form`, `standard_isometry` and
@@ -57,7 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .bilinear import BilinearForm, _zeros
+from .bilinear import BilinearForm, _kept, _keeps, _zeros
 from .errors import (
     Degenerate,
     FreenessViolated,
@@ -72,9 +72,9 @@ from .errors import (
     RankMismatch,
     SelfCheckFailed,
 )
-from .modules import FreeModule, ModuleSection, Submodule, _from_held, _kept, _keeps
+from .modules import FreeModule, ModuleSection, Submodule, full_submodule
 
-_keeps(BilinearForm, "symplectic", "completion")
+_keeps("symplectic", "completion")
 
 
 # -- types --------------------------------------------------------------------
@@ -236,9 +236,9 @@ def _check_symplectic(form: BilinearForm) -> bool:
                     )
     if form.module.rank % 2 != 0:
         raise OddRank(f"rank {form.module.rank} is odd")
-    for c, (g, _) in enumerate(form._held_grams()):
-        if linalg.held_rank(g, field) != len(g):
-            raise Degenerate(f"component {c}: Gram matrix is singular", component=c)
+    c = form._singular_component()
+    if c is not None:
+        raise Degenerate(f"component {c}: Gram matrix is singular", component=c)
     return True
 
 
@@ -488,8 +488,7 @@ def _complete(form: BilinearForm, rs, ss, start=None):
     field = module.field
     grams = form._held_grams()
     if start is None:
-        ident = [[int(i == j) for j in range(module.rank)] for i in range(module.rank)]
-        start = [linalg.held_ints(ident, field)] * len(grams)
+        start = full_submodule(module)._rows
     dim = len(start[0]) if start else module.rank
     n = dim // 2
     # index -> one held row per component, the given sections and then the
@@ -562,7 +561,7 @@ def _planes(module: FreeModule, rows, pairs):
     planes = []
     for i, (r, s) in enumerate(pairs):
         held = [linalg.held_rref(p[2 * i : 2 * i + 2], field)[0] for p in rows]
-        planes.append(HyperbolicPlane(r, s, _from_held(module, held)))
+        planes.append(HyperbolicPlane(r, s, Submodule(module, tuple(held))))
     return planes
 
 
@@ -645,7 +644,7 @@ def hyperbolic_envelope(form: BilinearForm, f: Submodule):
         )
     module = form.module
     field = module.field
-    bases = f._held_bases()
+    bases = f._rows
     for held, cols in zip(bases, _gram_columns(form)):
         if _pairings(held, held, cols, field) != _zeros(len(held), len(held), field):
             raise NotTotallyIsotropic("the form does not vanish on the submodule")
@@ -732,7 +731,7 @@ def witt_extend(
             raise ModuleMismatch("an image belongs to a different module")
         if im.open != x:
             raise OpenMismatch("images must be global sections")
-    bases = f._held_bases()
+    bases = f._rows
     held_images = _held_vectors(target, images)
     # per component, the k x k Gram matrices B G B^T and Im G' Im^T; when
     # they differ, the first pair in row-major order is the witness

@@ -21,8 +21,8 @@ from sheafforms import (
     PrimeField,
     RationalField,
     SelfCheckFailed,
-    Submodule,
     classify_orthosymmetry,
+    from_rows,
     full_submodule,
     intersect_submodules,
     span,
@@ -42,7 +42,6 @@ from sheafforms.oracles import (
     random_orthosymmetric_form,
     sierpinski_space,
 )
-from sheafforms.modules import submodule_memo_stats
 
 Q = RationalField()
 F3 = PrimeField(3)
@@ -447,31 +446,30 @@ class TestWhatAFormKeeps:
         assert bilinear.form_memo_stats()["class_misses"] == before["class_misses"] + 1
 
     def test_held_rows_are_held_once(self, diag2):
+        # the form holds its Gram matrix (2 rows) on first use; a submodule
+        # is its held rows, so no row of one is ever converted
         full = full_submodule(diag2.module)
         moves = []
         for _ in range(2):
-            forms, subs = bilinear.form_memo_stats(), submodule_memo_stats()
+            forms, rows = bilinear.form_memo_stats(), linalg.kernel_stats()["rows_in"]
             perp = diag2.orthogonal(full)
-            forms_after, subs_after = bilinear.form_memo_stats(), submodule_memo_stats()
+            forms_after = bilinear.form_memo_stats()
             moves.append((
                 forms_after["gram_hits"] - forms["gram_hits"],
                 forms_after["gram_misses"] - forms["gram_misses"],
-                subs_after["hits"] - subs["hits"],
-                subs_after["misses"] - subs["misses"],
+                linalg.kernel_stats()["rows_in"] - rows,
             ))
-        assert moves == [(0, 1, 0, 1), (1, 0, 1, 0)]
-        # a submodule the calculus builds starts with its held rows
-        before = submodule_memo_stats()
+        assert moves == [(0, 1, 2), (1, 0, 0)]
+        before = linalg.kernel_stats()["rows_in"]
         diag2.orthogonal(perp)
-        assert submodule_memo_stats()["misses"] == before["misses"]
+        assert linalg.kernel_stats()["rows_in"] == before
 
     @pytest.mark.parametrize("field", [Q, PrimeField(10007)], ids=lambda f: f.name)
     def test_the_calculus_keeps_held_rows_equal_to_its_public_rows(self, field):
         rng = Random(f"held:{field.name}")
 
         def held_as_fresh(sub):
-            assert "bases" in sub._memo
-            assert sub._memo["bases"] == (None, tuple(linalg.hold(b, field) for b in sub.bases))
+            assert sub._rows == tuple(linalg.hold(b, field) for b in sub.bases)
 
         for i in range(12):
             space = fixture_spaces()[i % 3]
@@ -525,6 +523,59 @@ class TestWhatAFormKeeps:
         )
 
 
+class TestASubmoduleIsItsHeldRows:
+    """A submodule's value is its module and its held echelon rows: the
+    calculus makes no field element, `bases` releases the rows once, and
+    equality and hashing agree whatever route built the submodule."""
+
+    @pytest.mark.parametrize("field", [Q, PrimeField(10007)], ids=lambda f: f.name)
+    def test_the_calculus_releases_nothing_until_bases_is_read(self, field):
+        rng = Random(f"release:{field.name}")
+        module = FreeModule(discrete_pair_space(), field, 9)
+        form = random_orthosymmetric_form(rng, module, symmetric_only=True)
+        f = random_free_submodule(rng, module, 4)
+        g = random_free_submodule(rng, module, 3)
+        h = random_nonisotropic_submodule(rng, form, 3)
+        assert h is not None
+        before = linalg.kernel_stats()["entries_out"]
+        perp = form.orthogonal(f)
+        split = form.orthogonal_split(h)
+        chain = [
+            perp, form.orthogonal(perp), sum_submodules(perp, g),
+            intersect_submodules(f, form.orthogonal(g, "right")), split.complement,
+        ]
+        assert linalg.kernel_stats()["entries_out"] == before
+        for sub in chain:
+            start = linalg.kernel_stats()["entries_out"]
+            bases = sub.bases
+            released = linalg.kernel_stats()["entries_out"]
+            assert released - start == sum(sub.dims) * module.rank
+            assert sub.bases is bases
+            assert linalg.kernel_stats()["entries_out"] == released
+
+    @pytest.mark.parametrize("rank", [0, 3, 9])
+    @pytest.mark.parametrize("field", [Q, PrimeField(10007)], ids=lambda f: f.name)
+    def test_equal_and_hashed_by_value_across_routes(self, field, rank):
+        # ranks below and above the width from which GF(p) rows are packed
+        rng = Random(f"routes:{field.name}:{rank}")
+        module = FreeModule(fixture_spaces()[rank % 3], field, rank)
+        form = random_orthosymmetric_form(rng, module)
+        f = random_free_submodule(rng, module, rank // 2)
+        g = random_free_submodule(rng, module, (rank + 1) // 2)
+        subs = [
+            form.orthogonal(f), form.orthogonal(g, "right"), sum_submodules(f, g),
+            intersect_submodules(f, g), form.radical(f), form.radical(),
+            full_submodule(module), zero_submodule(module),
+        ]
+        for sub in subs:
+            again = from_rows(module, sub.bases)
+            assert again._rows == sub._rows
+            assert again == sub and hash(again) == hash(sub)
+        assert full_submodule(module) == span(module, module.canonical_basis())
+        assert zero_submodule(module) == span(module, [])
+        assert len(set(subs) | {from_rows(module, sub.bases) for sub in subs}) == len(set(subs))
+
+
 def ref_project(form, f, t):
     """The projection as `project` made it before it kept a factorization:
     per component solve (B G B^T) x = B G t^T and return x B, on field
@@ -563,7 +614,7 @@ class TestKeptFactorization:
             (lambda: form.orthogonal_split(f), (0, 1)),
             (lambda: form.project(f, t), (1, 0)),
             # a distinct but equal submodule is a hit
-            (lambda: form.project(Submodule(module, f.bases), t), (1, 0)),
+            (lambda: form.project(span(module, f.global_basis()), t), (1, 0)),
             (lambda: form.project(g, t), (0, 1)),
             # only the last submodule is kept
             (lambda: form.project(f, t), (0, 1)),

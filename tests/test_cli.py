@@ -14,11 +14,13 @@ from sheafforms import (
     FreeModule,
     ParseError,
     RationalField,
+    SelfCheckFailed,
     UnknownSuite,
     cli,
     scenario,
     span,
     symplectic,
+    topology,
 )
 from sheafforms.oracles import (
     discrete_pair_space,
@@ -718,6 +720,29 @@ class TestSelfCheckFailures:
     `SelfCheckFailed`, which the report shows as a coded error entry."""
 
     SYMPLECTIC = {"normal_form", "symplectic_basis", "decomposition", "envelope", "witt"}
+
+    def test_a_failed_topology_check_is_not_malformed_input(self, monkeypatch, tmp_path, capsys):
+        # a space of more than 3 points fails its minimal-neighbourhood
+        # check; its points are named so that no live space holds its
+        # content, or the memo of validated spaces would skip `_build`
+        build = topology._build
+
+        def broken(points, candidates):
+            if len(points) > 3:
+                raise SelfCheckFailed(f"the minimal neighborhood of {points[0]!r} is not open")
+            return build(points, candidates)
+
+        monkeypatch.setattr(topology, "_build", broken)
+        points = ["broken0", "broken1", "broken2", "broken3"]
+        doc = base_doc(space={"points": points, "opens": [[], points]})
+        with pytest.raises(SelfCheckFailed):
+            scenario_from_dict(doc)
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "SelfCheckFailed: the minimal neighborhood of 'broken0' is not open\n"
 
     def test_failed_congruence_is_a_coded_entry_without_traceback(self):
         script = (

@@ -3,8 +3,8 @@ raises: `python -O` strips `assert` statements, so a certificate or an
 invariant that rests on one is not checked at all under it. A failed
 self-check raises `SelfCheckFailed`, a coded error that a report shows,
 never `AssertionError`, which no caller catches. And it sets no
-field of a frozen object behind its back: what a form or a submodule keeps
-lives in its memo (`modules._kept`), never in a field set through
+field of a frozen object behind its back: what a form keeps lives in its
+memo (`bilinear._kept`), never in a field set through
 `object.__setattr__`."""
 
 import ast

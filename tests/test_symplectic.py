@@ -35,7 +35,6 @@ from sheafforms import (
     RankMismatch,
     RationalField,
     SelfCheckFailed,
-    Submodule,
     SymplecticBasis,
     certify_basis,
     certify_envelope,
@@ -59,7 +58,6 @@ from sheafforms import (
     zero_submodule,
 )
 from sheafforms import bilinear, linalg, symplectic
-from sheafforms.modules import submodule_memo_stats
 from sheafforms.oracles import (
     discrete_pair_space,
     random_alternating_form,
@@ -109,9 +107,12 @@ class TestValidate:
         module = FreeModule(discrete_pair, Q, 2)
         good = frac([[0, 1], [-1, 0]])
         bad = frac([[0, 0], [0, 0]])
+        form = BilinearForm(module, (good, bad))
         with pytest.raises(Degenerate) as err:
-            validate_symplectic(BilinearForm(module, (good, bad)))
+            validate_symplectic(form)
+        assert err.value.message == "component 1: Gram matrix is singular"
         assert err.value.witness["component"] == 1
+        assert not form.is_nondegenerate()
 
     def test_standard_alternating_refuses_odd_rank(self):
         # a raise, not an assert, so python -O does not turn it into IndexError
@@ -581,19 +582,18 @@ class TestEnvelope:
             hyperbolic_envelope(form, uneven)
 
     def test_a_second_envelope_converts_none_of_f_s_rows(self, sierpinski):
-        # the isotropy check and the completion read the echelon rows f
-        # keeps: once f holds them, an envelope converts no row at all
+        # the isotropy check and the completion read the echelon rows f is,
+        # so no envelope converts a row of f, the first one included
         module = FreeModule(sierpinski, Q, 6)
         form = random_alternating_form(Random(5), module)
         f = random_totally_isotropic(Random(6), form, 2)
-        f = Submodule(module, f.bases)
+        f = from_rows(module, f.bases)
         moved = []
         for _ in range(2):
             before = linalg.kernel_stats()["rows_in"]
             hyperbolic_envelope(form, f)
             moved.append(linalg.kernel_stats()["rows_in"] - before)
-        # the first call holds f's two rows, the second reads them
-        assert moved == [2, 0]
+        assert moved == [0, 0]
 
 
 def hyperbolic_mix_submodule(rng, form, iso_count, hyp_count):
@@ -834,7 +834,7 @@ class TestWitt:
     def test_rows_converted_by_one_extension(self, monkeypatch):
         # fresh forms and a fresh f on a rank-8 instance, f of rank 4 with
         # one hyperbolic pair and a radical of rank 2. The rows converted:
-        # both Gram matrices (16), f's rows (4) and the images (4). The
+        # both Gram matrices (16) and the images (4); f is its held rows. The
         # complement of rad f in f, the pair of g, the radical and the
         # images of the family stay held, and their relations hold by
         # construction, so none is checked; A_2 for the pair of g, and per
@@ -852,12 +852,12 @@ class TestWitt:
         carrier = random_symplectic_isometry(rng, source, target)
         images = [carrier.apply(sec) for sec in f.global_basis()]
         source, target = BilinearForm(module, source.gram), BilinearForm(module, target.gram)
-        f = Submodule(module, f.bases)
+        f = from_rows(module, f.bases)
         before = linalg.kernel_stats()
         iso = witt_extend(source, target, f, images)
         after = linalg.kernel_stats()
         moved = {key: after[key] - before[key] for key in ("rows_in", "entries_out")}
-        assert moved == {"rows_in": 24, "entries_out": 64}
+        assert moved == {"rows_in": 20, "entries_out": 64}
         assert after["eliminations"] - before["eliminations"] == 16
         monkeypatch.undo()
         assert symplectic.certify_witt(iso, f, images)
@@ -1181,8 +1181,8 @@ class TestWhatAFormKeeps:
         # every public operation on one symplectic form, which is
         # orthosymmetric too, and on its submodules; afterwards each fact a
         # form keeps has its `{fact}_hits` and `{fact}_misses` in
-        # `form_memo_stats()`, and a submodule keeps one fact, its held
-        # rows, whose `hits` and `misses` are `submodule_memo_stats()`
+        # `form_memo_stats()`, and a submodule keeps nothing beside its
+        # value, its module and held rows, and the `bases` released from them
         rng = Random(37)
         module = FreeModule(discrete_pair, Q, 4)
         form, other = random_alternating_form(rng, module), random_alternating_form(rng, module)
@@ -1221,7 +1221,6 @@ class TestWhatAFormKeeps:
                 assert {f"{fact}_hits", f"{fact}_misses"} <= set(stats)
                 kept.add(fact)
         assert kept == {"gram", "class", "symplectic", "completion", "projector"}
-        assert set(submodule_memo_stats()) == {"hits", "misses"}
         for sub in subs:
             sub.contains(t)
-            assert set(sub._memo) == {"bases"}
+            assert set(vars(sub)) <= {"module", "_rows", "bases"}
