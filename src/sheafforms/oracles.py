@@ -11,10 +11,10 @@ first counterexample and, for `witt`, the freeness-gated count. A case in
 which the library fails one of its own self-checks (`SelfCheckFailed`), in
 drawing its input or in a construction, is a counterexample too. Every suite
 is thus a pure function of (seed, field, bounds), which is what makes oracle
-reports reproducible. Bounds are integers: 0 <= `cases` <= `MAX_CASES`, and
-`max_rank` at most `MAX_RANK` and at least 1, or 2 for `gram_schmidt` and
-`witt` (`scholium_invertibility` draws no rank and ignores it); anything else
-is a `ParseError`.
+reports reproducible. The bounds are `cases` and `max_rank`, both integers:
+0 <= `cases` <= `MAX_CASES`, and `max_rank` at most `MAX_RANK` and at least
+1, or 2 for `gram_schmidt` and `witt` (`scholium_invertibility` draws no
+rank and ignores it); any other key or value is a `ParseError`.
 """
 
 from __future__ import annotations
@@ -52,6 +52,8 @@ from .symplectic import (
     Isometry,
     PartialFamily,
     SymplecticBasis,
+    _carry,
+    _validate_pair,
     certify_basis,
     certify_witt,
     gram_schmidt_extend,
@@ -169,76 +171,51 @@ def random_nonisotropic_submodule(
 
 
 def _random_block_symplectic(rng: Random, n: int, field):
-    """Random symplectic matrix for the block form [[0,I],[-I,0]]: a short
-    product of shear and GL-conjugation generators."""
+    """A random held W with W^T A W = A for A the standard alternating
+    matrix of rank n: a short product of shear and GL-conjugation
+    generators, each the block matrix [[a, b], [c, d]] over the r and the s
+    coordinates held in A's interleaved order r_1, s_1, r_2, s_2, ..."""
     half = n // 2
+    ident = linalg.identity(half, field)
+    zero = ((field.zero,) * half,) * half
 
-    def sym(rnd):
+    def sym():
         m = [[field.zero] * half for _ in range(half)]
         for i in range(half):
             for j in range(i, half):
-                v = field.random_scalar(rnd)
-                m[i][j] = v
-                m[j][i] = v
+                m[i][j] = m[j][i] = field.random_scalar(rng)
         return m
 
-    def embed(tl, tr, bl, br):
-        rows = []
-        for i in range(half):
-            rows.append(tuple(tl[i]) + tuple(tr[i]))
-        for i in range(half):
-            rows.append(tuple(bl[i]) + tuple(br[i]))
-        return tuple(rows)
+    def interleaved(*blocks):
+        # entry (2i + a, 2j + b) is entry (i, j) of the block 2a + b
+        return linalg.hold([[blocks[2 * a + b][i][j] for j in range(half) for b in (0, 1)]
+                            for i in range(half) for a in (0, 1)], field)
 
-    ident = [
-        [field.one if i == j else field.zero for j in range(half)]
-        for i in range(half)
-    ]
-    zero = [[field.zero] * half for _ in range(half)]
-    out = linalg.identity(n, field)
+    gens = []
     for _ in range(3):
         kind = rng.randrange(3)
         if kind == 0:
-            gen = embed(ident, sym(rng), zero, ident)
+            gens.append(interleaved(ident, sym(), zero, ident))
         elif kind == 1:
-            gen = embed(ident, zero, sym(rng), ident)
+            gens.append(interleaved(ident, zero, sym(), ident))
         else:
             q = random_invertible(rng, half, field)
-            qinv_t = linalg.transpose(linalg.inverse(q, field))
-            gen = embed(q, zero, zero, qinv_t)
-        out = linalg.matmul(out, gen)
-    return out
-
-
-def _interleave_permutation(n: int, field):
-    """Permutation matrix carrying block coordinates (r..., s...) to the
-    interleaved order (r_1, s_1, r_2, s_2, ...)."""
-    half = n // 2
-    rows = [[field.zero] * n for _ in range(n)]
-    for i in range(half):
-        rows[2 * i][i] = field.one
-        rows[2 * i + 1][half + i] = field.one
-    return tuple(tuple(r) for r in rows)
+            gens.append(interleaved(q, zero, zero, linalg.transpose(linalg.inverse(q, field))))
+    return functools.reduce(functools.partial(linalg.held_combine, field=field), gens)
 
 
 def random_symplectic_isometry(
     rng: Random, source: BilinearForm, target: BilinearForm
 ) -> Isometry:
-    """A random exact isometry source -> target: normal forms on both sides
-    with a random standard symplectic matrix in between."""
-    n = source.module.rank
-    field = source.module.field
-    p = normal_form(source)
-    p2 = normal_form(target)
-    pi = _interleave_permutation(n, field)
-    mats = []
-    for a, b in zip(p, p2):
-        w = _random_block_symplectic(rng, n, field)
-        w_interleaved = linalg.matmul(pi, linalg.matmul(w, linalg.transpose(pi)))
-        mats.append(
-            linalg.matmul(b, linalg.matmul(w_interleaved, linalg.inverse(a, field)))
-        )
-    iso = Isometry(source, target, tuple(mats))
+    """A random exact isometry source -> target: M = P' W P^-1 between the
+    completions of the two forms' empty families (`symplectic._carry`), the
+    completions `normal_form` reads, with a random W, W^T A W = A, drawn on
+    each component. Both forms are validated as a pair, and M is checked by
+    `Isometry.holds`."""
+    _validate_pair(source, target)
+    n, field = source.module.rank, source.module.field
+    ws = [_random_block_symplectic(rng, n, field) for _ in source.gram]
+    iso = _carry(source, target, ({}, {}), ({}, {}), between=ws)
     if not iso.holds():
         raise SelfCheckFailed("the random symplectic isometry fails M^T G' M == G")
     return iso
@@ -548,7 +525,16 @@ def _splitting_case(rng: Random, field, max_rank):
     while f is None:
         r -= 1
         f = random_nonisotropic_submodule(rng, form, r)
-    ok = form.orthogonal_split(f).certificate.ok
+    split = form.orthogonal_split(f)
+    perp = split.complement
+    # the complement meets f in zero and pairs to zero with it, by routes of
+    # the oracle's own: an intersection and `evaluate` on the global bases
+    ok = (
+        split.certificate.ok
+        and not any(intersect_submodules(f, perp).dims)
+        and all(form.evaluate(s, t).is_zero()
+                for s in f.global_basis() for t in perp.global_basis())
+    )
     for _ in range(5):
         t = random_global_section(rng, module)
         p = form.project(f, t)
@@ -652,6 +638,8 @@ def run_suite(suite: str, seed: int, field, bounds=None):
     spec = SUITES[suite]
     bounds = dict(bounds or {})
     for key, value in bounds.items():
+        if key not in ("cases", "max_rank"):
+            raise ParseError(f"unknown oracle bound {key!r} (choices: cases, max_rank)")
         # bool is a subclass of int, yet true is not a bound
         if not isinstance(value, int) or isinstance(value, bool):
             raise ParseError(f"oracle bound {key!r} must be an integer")

@@ -11,7 +11,8 @@ Every construction is one certified Gram-Schmidt completion, `_complete`.
 It has one boundary, as `linalg` has: it takes the given family as held
 rows (index -> one held row per component) and returns the held rows P^T of
 the basis, which it certifies by congruence, P^T G P == A_2n on every
-component (the check `certify_basis` makes); a completion that fails it, or
+component (the check `certify_basis` makes), and beside them the rows of
+P^T G the congruence computes from P; a completion that fails it, or
 whose ambient complement loses a row, raises `SelfCheckFailed`, so every
 basis it returns is certified. Sections are checked, held and
 glued only at the entry points: `gram_schmidt_extend` (through `_extend`,
@@ -31,23 +32,25 @@ completion starts from: the identity, or for a Witt extension the rows of g.
 
 The normal form is the matrix of a completion of the empty family; a
 hyperbolic envelope is the first k planes of the completion of f's kept
-echelon rows r_1..r_k, whose relations its isotropy check decides; a
-standard isometry and a Witt extension are `_carry`, M = P' P^{-1} between
-the completions of two held families (empty ones, or a basis adapted to
-f = g perp rad f and its sigma-image), so M^T G' M = G needs no further
-check, and P^{-1} = A^T P^T G needs no elimination. A Witt extension works
-in the coordinates of f's held echelon basis B: rad f is R B, for R the
+echelon rows r_1..r_k, whose relations its isotropy check decides. Every
+isometry is `_carry`, M = P' W P^{-1} between the completions of two held
+families, so M^T G' M = G needs no further check: W is the identity for a
+standard isometry and a Witt extension, and a random W with W^T A_2n W =
+A_2n (`between`) for `oracles.random_symplectic_isometry`. P^{-1} = A^T P^T
+G is read off the rows of P^T G the congruence computes, as -s_1 G, r_1 G,
+-s_2 G, ..., with no elimination and no product. A Witt extension works in
+the coordinates of f's held echelon basis B: rad f is R B, for R the
 nullspace of B G B^T, the matrix its hypothesis check compares; the pairs
-of g are one completion run inside the rows of B that complement rad f
-(`_complete`'s `start`); and sigma sends x B to x Im. Its two families stay
-held, and their relations hold by construction, so none is checked. The
-public entry points validate their forms (`validate_symplectic`) once; the
-private helpers do not validate again.
+of g (f = g perp rad f) are one completion run inside the rows of B that
+complement rad f (`_complete`'s `start`); and sigma sends x B to x Im. Its
+two families stay held, and their relations hold by construction, so none
+is checked. The public entry points validate their forms
+(`validate_symplectic`) once; the private helpers do not validate again.
 A form keeps what is decided about it in its memo (`bilinear._kept`), where
 this module declares two facts: that it passed the validation (which ranks
-the Gram matrices the form holds), and the held rows of the completion of
-the empty family, which `normal_form`, `standard_isometry` and
-`hyperbolic_decomposition` share (`form_memo_stats()` counts both). A
+the Gram matrices the form holds), and the completion of the empty
+family (its held rows P^T and P^T G), which every construction on the
+empty family shares (`form_memo_stats()` counts both). A
 failed validation is not kept. `certify_witt` and `certify_envelope` remain
 the certificates the report layer and the oracles call.
 """
@@ -392,13 +395,16 @@ def _check_partial_relations(field, grams, rs, ss):
         )
 
 
-def _congruent(form: BilinearForm, gram_cols, rows) -> bool:
+def _congruent(form: BilinearForm, gram_cols, rows):
     """P^T G P == A_2n on every component, with the held rows of P^T (the
     interleaved basis r_1, s_1, r_2, ..., 2n rows per component) and the
-    held columns of G per component."""
+    held columns of G per component: when it holds, the held rows r_1 G,
+    s_1 G, ... of P^T G it computes from P per component, else None."""
     field = form.module.field
     target = linalg.held_ints(_alternating_ints(len(rows[0]) if rows else 0), field)
-    return all(_pairings(p, p, cols, field) == target for p, cols in zip(rows, gram_cols))
+    pgs = tuple(linalg.held_product(p, cols, field) for p, cols in zip(rows, gram_cols))
+    holds = all(linalg.held_product(pg, p, field) == target for pg, p in zip(pgs, rows))
+    return pgs if holds else None
 
 
 def gram_schmidt_extend(form: BilinearForm, partial: PartialFamily) -> SymplecticBasis:
@@ -427,7 +433,7 @@ def _extend(form: BilinearForm, partial: PartialFamily):
     module = form.module
     rs, ss = partial.r_dict, partial.s_dict
     if not (rs or ss):
-        rows = _empty(form)
+        rows, _ = _empty(form)
         return _basis(module, rows, rs, ss), rows
     n = module.rank // 2
     x = module.space.x_ref
@@ -449,7 +455,7 @@ def _extend(form: BilinearForm, partial: PartialFamily):
     hr = dict(zip(rs, given[: len(rs)]))
     hs = dict(zip(ss, given[len(rs):]))
     _check_partial_relations(module.field, form._held_grams(), hr, hs)
-    rows = _complete(form, hr, hs)
+    rows, _ = _complete(form, hr, hs)
     return _basis(module, rows, rs, ss), rows
 
 
@@ -467,20 +473,21 @@ def _basis(module: FreeModule, rows, rs, ss) -> SymplecticBasis:
 
 
 def _empty(form: BilinearForm):
-    """The held rows of the completion of the empty family, kept on the
-    form."""
+    """The completion of the empty family, its held rows P^T and P^T G,
+    kept on the form."""
     return _kept(form, "completion", lambda: _complete(form, {}, {}))
 
 
 def _completed(form: BilinearForm, rs, ss):
-    """The held rows of the completion of the held family (rs, ss)."""
+    """The held rows P^T and P^T G of the completion of (rs, ss)."""
     return _complete(form, rs, ss) if rs or ss else _empty(form)
 
 
 def _complete(form: BilinearForm, rs, ss, start=None):
     """The held rows r_1, s_1, r_2, ... (P^T) per component of the completion
     of the held family (index -> one held row per component, on the r and
-    the s side), taken as valid, certified by the congruence. It runs inside
+    the s side), taken as valid, certified by the congruence, and beside
+    them the held rows of P^T G that the congruence computes. It runs inside
     `start`, per component the held rows of a non-degenerate subspace in
     reduced echelon form (by default the identity), and completes half as
     many pairs as `start` has rows."""
@@ -527,9 +534,10 @@ def _complete(form: BilinearForm, rs, ss, start=None):
         tuple(h[c] for i in range(1, n + 1) for h in (hr[i], hs[i]))
         for c in range(len(grams))
     )
-    if not _congruent(form, [cols for _, cols in grams], rows):
+    pg = _congruent(form, [cols for _, cols in grams], rows)
+    if pg is None:
         raise SelfCheckFailed("the completed basis fails P^T G P == A_2n")
-    return rows
+    return rows, pg
 
 
 def certify_basis(form: BilinearForm, basis: SymplecticBasis, partial=None) -> bool:
@@ -545,7 +553,7 @@ def certify_basis(form: BilinearForm, basis: SymplecticBasis, partial=None) -> b
         sec.module != module or sec.open != x for sec in sections
     ):
         return False
-    if not _congruent(form, _gram_columns(form), _held_vectors(form, sections)):
+    if _congruent(form, _gram_columns(form), _held_vectors(form, sections)) is None:
         return False
     return partial is None or all(
         side[i - 1] == sec for side, given in ((basis.r, partial.r), (basis.s, partial.s))
@@ -579,7 +587,7 @@ def normal_form(form: BilinearForm):
     completion."""
     validate_symplectic(form)
     field = form.module.field
-    return tuple(linalg.transpose(linalg.release(p, field)) for p in _empty(form))
+    return tuple(linalg.transpose(linalg.release(p, field)) for p in _empty(form)[0])
 
 
 def _validate_pair(source: BilinearForm, target: BilinearForm) -> None:
@@ -594,27 +602,29 @@ def _validate_pair(source: BilinearForm, target: BilinearForm) -> None:
     validate_symplectic(target)
 
 
-def _carry(source: BilinearForm, target: BilinearForm, family, family_t) -> Isometry:
-    """M = P' P^{-1} per component, with P and P' the completions of the two
-    held families (r, s), each index -> one held row per component, on the
-    source and the target form."""
-    # _complete certified P^T G P = A = P'^T G' P', so M = P' P^{-1} has
-    # M^T G' M = P^{-T} A P^{-1} = G: M is an isometry without a further
-    # check. Both families sit verbatim at the same columns of P and P', so
-    # M sends each partial section to its partner. The same congruence gives
-    # P^{-1} = A^T P^T G (A^T A = 1), so no elimination runs on P; the
-    # inverse is unique, so M is the same matrix entry for entry. G being
-    # alternating, the rows of A^T P^T G are s_1 G^T, r_1 G, s_2 G^T, ...
+def _carry(source: BilinearForm, target: BilinearForm, family, family_t, between=None) -> Isometry:
+    """M = P' W P^{-1} per component, with P and P' the completions of the
+    two held families (r, s), each index -> one held row per component, on
+    the source and the target form, and W the identity, or per component
+    the held rows of `between`, each a W with W^T A_2n W = A_2n."""
+    # _complete certified P^T G P = A = P'^T G' P', so M^T G' M = P^{-T}
+    # W^T A W P^{-1} = G needs no further check; with W = 1 both families
+    # sit at the same columns of P and P', so M sends each given section to
+    # its partner. P^{-1} = A^T P^T G (A^T A = 1) has the rows -s_1 G, r_1 G,
+    # -s_2 G, ... of the P^T G the congruence computed, so no elimination
+    # and no product runs on P. The inverse is unique: M is the same matrix.
     field = source.module.field
+    minus = linalg.held_ints([[-1]], field)
+    _, pgs = _completed(source, *family)
+    rows_t, _ = _completed(target, *family_t)
     mats = []
-    for (g, cols), p, p2 in zip(
-        source._held_grams(), _completed(source, *family), _completed(target, *family_t)
-    ):
-        sg = linalg.held_product(p[1::2], g, field)
-        rg = linalg.held_product(p[0::2], cols, field)
-        inverse = tuple(row for pair in zip(sg, rg) for row in pair)
-        m = linalg.held_combine(linalg.held_transpose(p2, field), inverse, field)
-        mats.append(linalg.release(m, field))
+    for c, (pg, p2) in enumerate(zip(pgs, rows_t)):
+        minus_sg = linalg.held_divide(pg[1::2], minus, field)
+        inverse = tuple(row for pair in zip(minus_sg, pg[0::2]) for row in pair)
+        m = linalg.held_transpose(p2, field)
+        if between is not None:
+            m = linalg.held_combine(m, between[c], field)
+        mats.append(linalg.release(linalg.held_combine(m, inverse, field), field))
     return Isometry(source, target, tuple(mats))
 
 
@@ -649,7 +659,7 @@ def hyperbolic_envelope(form: BilinearForm, f: Submodule):
         if _pairings(held, held, cols, field) != _zeros(len(held), len(held), field):
             raise NotTotallyIsotropic("the form does not vanish on the submodule")
     basis = f.global_basis()
-    rows = _completed(form, dict(enumerate(zip(*bases), 1)), {})
+    rows, _ = _completed(form, dict(enumerate(zip(*bases), 1)), {})
     partners = [linalg.release(p[1 : 2 * len(basis) : 2], field) for p in rows]
     return _planes(module, rows, zip(basis, (_glue(module, v) for v in zip(*partners))))
 
@@ -760,7 +770,7 @@ def witt_extend(
     # g is the span of the rows of B that complement rad f: non-degenerate,
     # and in reduced echelon form as a subset of B
     start = [linalg.held_complement_rows(r, b, field) for r, b in zip(radical, bases)]
-    g_rows = _complete(source, {}, {}, start=start)
+    g_rows, _ = _complete(source, {}, {}, start=start)
 
     # the family per component, r then s: the r of g's pairs and rad f, then
     # the s of g's pairs. sigma sends x B to x Im; the coordinates x of rad f

@@ -186,13 +186,15 @@ class TestParsing:
         ("task", base_doc(tasks=[
             {"op": "oracle", "suite": "reflexivity", "bounds": {"cases": "x"}}])),
         ("task", base_doc(tasks=[{"op": "oracle", "suite": "reflexivity", "bounds": [1]}])),
+        ("task", base_doc(tasks=[
+            {"op": "oracle", "suite": "reflexivity", "bounds": {"case": 1}}])),
         ("task", base_doc(tasks=[{"op": "oracle", "suite": "reflexivity", "max_rank": "2"}])),
         ("task", base_doc(tasks=[{"op": "oracle", "suite": "reflexivity", "seed": "x"}])),
         ("task", base_doc(tasks=[{"op": "oracle", "suite": "reflexivity", "seed": True}])),
     ], ids=[
         "orthogonal_no_submodule", "witt_no_submodule", "project_no_section",
         "envelope_no_submodule", "generators_not_a_list", "partial_not_an_object",
-        "open_not_a_list", "bounds_cases_string", "bounds_not_an_object",
+        "open_not_a_list", "bounds_cases_string", "bounds_not_an_object", "bounds_unknown_key",
         "max_rank_string", "seed_string", "seed_bool",
     ])
     def test_malformed_field_is_parse_error(self, level, doc):
@@ -384,7 +386,7 @@ class TestCertificateStatus:
     def test_false_certificate_fails_the_task(self, monkeypatch, tmp_path, capsys):
         # the library decides the congruence once, in the completion; a
         # completion that fails it is a coded error entry, not a traceback
-        monkeypatch.setattr(symplectic, "_congruent", lambda form, gram_cols, rows: False)
+        monkeypatch.setattr(symplectic, "_congruent", lambda form, gram_cols, rows: None)
         doc = base_doc(tasks=[{"op": "normal_form"}, {"op": "classify"}])
         report = run_scenario_dict(doc)
         failed, fine = report["tasks"]
@@ -748,7 +750,7 @@ class TestSelfCheckFailures:
         script = (
             "import sys\n"
             "from sheafforms import cli, symplectic\n"
-            "symplectic._congruent = lambda form, gram_cols, rows: False\n"
+            "symplectic._congruent = lambda form, gram_cols, rows: None\n"
             "sys.exit(cli.main(['run', sys.argv[1]]))\n"
         )
         env = dict(os.environ)

@@ -5,7 +5,7 @@ self-check raises `SelfCheckFailed`, a coded error that a report shows,
 never `AssertionError`, which no caller catches. And it sets no
 field of a frozen object behind its back: what a form keeps lives in its
 memo (`bilinear._kept`), never in a field set through
-`object.__setattr__`."""
+`object.__setattr__`. And every private helper it defines has a caller."""
 
 import ast
 from pathlib import Path
@@ -44,3 +44,32 @@ def test_no_module_of_the_library_calls_object_setattr():
         )
 
     assert found(setattr_of_object) == []
+
+
+def _named(node) -> set:
+    """The identifiers `node` names: variables, attributes and imports."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.update(filter(None, (sub.name, sub.asname)))
+    return out
+
+
+def test_every_private_helper_has_a_caller():
+    # a module-level `_private` function or class that nothing in the
+    # library names outside its own definition is a leftover of a refactor
+    defined, named = {}, set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            names = _named(stmt)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                if stmt.name.startswith("_") and not stmt.name.endswith("__"):
+                    defined[stmt.name] = f"{path.relative_to(PACKAGE)}:{stmt.lineno}"
+                names.discard(stmt.name)
+            named |= names
+    assert defined
+    assert sorted(where for name, where in defined.items() if name not in named) == []

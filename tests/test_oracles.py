@@ -2,7 +2,17 @@
 
 import pytest
 
-from sheafforms import ParseError, PrimeField, RationalField, SelfCheckFailed, oracles, symplectic
+from sheafforms import (
+    ParseError,
+    PrimeField,
+    RationalField,
+    SelfCheckFailed,
+    linalg,
+    oracles,
+    symplectic,
+)
+from sheafforms.bilinear import BilinearForm, OrthogonalSplit
+from sheafforms.modules import Submodule
 from sheafforms.oracles import MAX_CASES, MAX_RANK, SUITES, fixture_spaces, run_suite
 
 Q = RationalField()
@@ -19,6 +29,14 @@ def test_fixture_spaces_are_built_once():
 def test_bounds_must_be_integers(bounds):
     with pytest.raises(ParseError):
         run_suite("reflexivity", 0, Q, bounds)
+
+
+@pytest.mark.parametrize("suite", ["gram_schmidt", "scholium_invertibility"])
+def test_unknown_bound_key_refused(suite):
+    # a misspelt bound would otherwise run the suite's default cases
+    with pytest.raises(ParseError) as err:
+        run_suite(suite, 0, PrimeField(101), {"case": 1})
+    assert err.value.message == "unknown oracle bound 'case' (choices: cases, max_rank)"
 
 
 @pytest.mark.parametrize("suite,least", [
@@ -156,3 +174,27 @@ def test_failed_self_check_in_an_enumerated_case_is_a_counterexample(monkeypatch
     payload = run_suite("orthosymmetry_dichotomy", 0, PrimeField(3), {"cases": 0})
     assert payload["counterexample"] == {"code": "SelfCheckFailed", "message": "planted"}
     assert payload["cases"] == len(calls) > 1
+
+
+@pytest.mark.parametrize("field", [PrimeField(101), Q, PrimeField(3)], ids=["GF101", "Q", "GF3"])
+def test_splitting_checks_the_complement_by_its_own_routes(monkeypatch, field):
+    # a complement of the right dimensions but the wrong space: per
+    # component the nullspace of f's echelon rows, the complement for the
+    # identity Gram matrix. Its certificate and every projection still pass,
+    # so only the intersection with f and the pairings of the two global
+    # bases can see it
+    real = BilinearForm.orthogonal_split
+
+    def planted(form, f):
+        split = real(form, f)
+        n = f.module.rank
+        wrong = tuple(linalg.held_nullspace(b, n, f.module.field) for b in f._rows)
+        return OrthogonalSplit(f, Submodule(f.module, wrong), split.certificate)
+
+    bounds = {"cases": 20, "max_rank": 4}
+    passing = run_suite("splitting", 0, field, bounds)
+    assert passing["status"] == "ok"
+    monkeypatch.setattr(BilinearForm, "orthogonal_split", planted)
+    payload = run_suite("splitting", 0, field, bounds)
+    assert payload["status"] == "counterexample"
+    assert payload["cases"] == passing["cases"] == 20

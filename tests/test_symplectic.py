@@ -491,6 +491,61 @@ class TestStandardIsometry:
             compose_isometries(ab, ca)
 
 
+def spy(monkeypatch, name):
+    """The argument tuples of every call of `linalg.<name>` from now on."""
+    real = getattr(linalg, name)
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(linalg, name, recorded)
+    return calls
+
+
+class TestOneComposition:
+    """Every isometry is composed once, in `_carry`, which reads P^-1 off the
+    rows of P^T G that the congruence computed: it makes no product on a
+    kept completion, and the random isometry multiplies no field elements
+    and inverts no matrix of the module's rank."""
+
+    @pytest.mark.parametrize("field", [Q, PrimeField(101)], ids=["Q", "GF101"])
+    def test_standard_isometry_after_the_normal_forms_makes_no_product(
+        self, field, discrete_pair, monkeypatch
+    ):
+        rng = Random(f"one-composition:{field}")
+        module = FreeModule(discrete_pair, field, 6)
+        source, target = random_alternating_form(rng, module), random_alternating_form(rng, module)
+        normal_form(source)
+        normal_form(target)
+        products = spy(monkeypatch, "held_product")
+        iso = standard_isometry(source, target)
+        assert products == []
+        assert iso.holds()
+
+    @pytest.mark.parametrize("field", [Q, PrimeField(101)], ids=["Q", "GF101"])
+    def test_random_isometry_multiplies_only_in_its_self_check(
+        self, field, discrete_pair, monkeypatch
+    ):
+        rng = Random(f"one-composition:{field}")
+        matmuls = spy(monkeypatch, "matmul")
+        inverses = spy(monkeypatch, "inverse")
+        for rank in (2, 4, 6):
+            module = FreeModule(discrete_pair, field, rank)
+            source, target = random_alternating_form(rng, module), random_alternating_form(rng, module)
+            matmuls.clear()
+            inverses.clear()
+            iso = random_symplectic_isometry(rng, source, target)
+            drawn = len(matmuls)
+            matmuls.clear()
+            assert iso.holds()
+            # its own `Isometry.holds()` makes every field-element product
+            assert drawn == len(matmuls) == 2 * len(source.gram)
+            # only the half-rank matrix of a GL generator is inverted
+            assert all(len(m) == rank // 2 for m, _ in inverses)
+
+
 class TestDecomposition:
     def test_frozen_rank4_planes(self, sierpinski):
         form = form_on(sierpinski, G4)
@@ -712,7 +767,7 @@ class TestWitt:
         # a raise, not an assert: the self-check holds under python -O; the
         # completion checks its congruence on the rows it holds
         source, target, f, images = self.lagrangian_instance()
-        monkeypatch.setattr(symplectic, "_congruent", lambda form, gram_cols, rows: False)
+        monkeypatch.setattr(symplectic, "_congruent", lambda form, gram_cols, rows: None)
         with pytest.raises(SelfCheckFailed):
             witt_extend(source, target, f, images)
 
@@ -930,12 +985,12 @@ class TestPairsOfG:
         found = []
 
         def recording(form, rs, ss, start=None):
-            rows = real(form, rs, ss, start=start)
+            rows, pg = real(form, rs, ss, start=start)
             if start is not None:
                 vectors = [linalg.release(p, field) for p in rows]
                 sections = [symplectic._glue(form.module, v) for v in zip(*vectors)]
                 found.append(list(zip(sections[0::2], sections[1::2])))
-            return rows
+            return rows, pg
 
         monkeypatch.setattr(symplectic, "_complete", recording)
         for space in (sierpinski_space(), discrete_pair_space()):
