@@ -2,16 +2,18 @@
 of the total space.
 
 Sections are rows, so the pairing on a component with Gram matrix G is
-phi(r, s) = r G s^T, and evaluation over any open U produces an algebra
-section through the component refinement map. Orthogonals, radicals,
-projections and splittings are all computed per component with exact
-echelon/nullspace kernels, so every identity below is tested with zero
-tolerance.
+phi(r, s) = r G s^T. A form keeps its Gram matrices and their columns as
+`linalg` holds them, held on first use, and every pairing is U G V^T on
+them (`_pairings`): `evaluate` holds the sections' vectors once and
+releases one value per component of their open, and `adjoint` releases
+G t^T or t G. Orthogonals, radicals, projections and splittings are
+computed per component with exact echelon/nullspace kernels.
 
-Non-isotropy is decided without forming the radical. For the echelon basis
-B of a submodule f on one component, rad f = {x B : (B G B^T) x^T = 0}, so
-dim rad f = dim f - rank(B G B^T), and f is non-isotropic (E splits as
-f perp-oplus f-perp) exactly when M = B G B^T is invertible on every
+The radical is read off one matrix. For the echelon basis B of a submodule
+f on one component, rad f = {x B : (B G B^T) x^T = 0}: `radical` is R B, R
+the reduced echelon nullspace of M = B G B^T (B = I for rad E), in one
+elimination, and R B is reduced echelon already. So f is non-isotropic (E
+splits as f perp-oplus f-perp) exactly when M is invertible on every
 component. One elimination of [M | B G] per component decides it and, when
 it holds, gives K = M^-1 B G, so the projection onto f is t -> (t K^T) B.
 A form keeps that factorization for the last submodule it was made for, and
@@ -19,14 +21,13 @@ A form keeps that factorization for the last submodule it was made for, and
 split needs no intersection.
 
 The calculus (`orthogonal`, `radical`, `project`, `orthogonal_split`) runs
-on held rows from start to end: a form keeps its Gram matrices and their
-columns as `linalg` holds them, held on first use, and a submodule is its
-held echelon rows; an output submodule is built from held rows and makes
-no field element until its `bases` is read. `classify_orthosymmetry` works
-on the form's field elements and keeps its result on the form, so each form
-is classified once. A form keeps each fact in its memo through `_kept`,
-and the symplectic layer keeps its own facts there too;
-`form_memo_stats()` counts the hits and misses of every fact a form keeps.
+on held rows from start to end: a submodule is its held echelon rows; an
+output submodule is built from held rows and makes no field element until
+its `bases` is read. `classify_orthosymmetry` works on the form's field
+elements and keeps its result on the form, so each form is classified
+once. A form keeps each fact in its memo through `_kept`, and the
+symplectic layer keeps its own facts there too; `form_memo_stats()` counts
+the hits and misses of every fact a form keeps.
 
 The certificates of the calculus live here too, for the report layer and
 the oracles: `certify_projection` on sections, and `certify_radical` and
@@ -50,7 +51,7 @@ from .errors import (
     OpenMismatch,
     SelfCheckFailed,
 )
-from .modules import FreeModule, ModuleSection, Submodule, full_submodule, intersect_submodules
+from .modules import FreeModule, ModuleSection, Submodule, full_submodule
 from .topology import OpenRef
 
 # fact -> the hits and misses of what `_kept` keeps on a form, since import
@@ -124,32 +125,29 @@ class BilinearForm:
         return space.component_refinement(open, space.x_ref)
 
     def evaluate(self, r: ModuleSection, s: ModuleSection) -> AlgebraSection:
-        """phi_U(r, s) as an algebra section over the sections' common open."""
+        """phi_U(r, s) as an algebra section over the sections' common open,
+        r G s^T per component: one held 1 x 1 pairing each, then released."""
         if r.module != self.module or s.module != self.module:
             raise ModuleMismatch("sections belong to a different module")
         if r.open != s.open:
             raise OpenMismatch(f"sections over different opens: {r.open} vs {s.open}")
-        if not self.module.rank:  # a rank-0 module pairs to the field's zero
-            return AlgebraSection.zero(self.module.space, self.module.field, r.open)
-        values = tuple(
-            linalg.dot(rv, linalg.mat_vec(self.gram[xc], sv))
-            for rv, sv, xc in zip(r.vectors, s.vectors, self._xc_of(r.open))
-        )
-        return AlgebraSection(self.module.space, self.module.field, r.open, values)
+        field, grams = self.module.field, self._held_grams()
+        cols = [grams[xc][1] for xc in self._xc_of(r.open)]
+        held = zip(linalg.hold(r.vectors, field), linalg.hold(s.vectors, field), cols)
+        values = linalg.release([_pairings((u,), (v,), c, field)[0] for u, v, c in held], field)
+        return AlgebraSection(self.module.space, field, r.open, tuple(x for (x,) in values))
 
     def adjoint(self, t: ModuleSection, side: str) -> "CovectorSection":
         """The covector pairing against t: side "left" is s -> phi(s, t),
-        side "right" is s -> phi(t, s)."""
+        the covector G t^T, side "right" is s -> phi(t, s), the covector t G."""
         if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        covectors = []
-        for tv, xc in zip(t.vectors, self._xc_of(t.open)):
-            g = self.gram[xc]
-            if side == "left":
-                covectors.append(linalg.mat_vec(g, tv))  # s . (G t^T)
-            else:
-                covectors.append(linalg.vec_mat(tv, g))  # (t G) . s^T
-        return CovectorSection(self.module, t.open, tuple(covectors))
+        field, grams = self.module.field, self._held_grams()
+        covectors = tuple(
+            linalg.held_product((tv,), grams[xc][0 if side == "left" else 1], field)[0]
+            for tv, xc in zip(linalg.hold(t.vectors, field), self._xc_of(t.open))
+        )
+        return CovectorSection(self.module, t.open, linalg.release(covectors, field))
 
     def orthogonal(self, f: Submodule, side: str = "left") -> Submodule:
         """side "left": all t with phi(s, t) = 0 for s in f (written f-perp);
@@ -222,9 +220,15 @@ class BilinearForm:
         """rad f = f intersect f-perp (rad E = E-perp). Needs an
         orthosymmetric form, otherwise left and right orthogonals differ."""
         self._require_orthosymmetric("radical")
-        if f is None:
-            return self.orthogonal(full_submodule(self.module), "left")
-        return intersect_submodules(f, self.orthogonal(f, "left"))
+        f = full_submodule(self.module) if f is None else f
+        if f.module != self.module:
+            raise ModuleMismatch("submodule belongs to a different module")
+        field = self.module.field
+        rads = []
+        for b, (_, cols) in zip(f._rows, self._held_grams()):
+            r = linalg.held_nullspace(_pairings(b, b, cols, field), len(b), field)
+            rads.append(linalg.held_combine(r, b, field))  # reduced echelon already
+        return Submodule(self.module, tuple(rads))
 
     def project(self, f: Submodule, t: ModuleSection) -> ModuleSection:
         """Orthogonal projection of t onto f, for free non-isotropic f.
@@ -370,6 +374,12 @@ def certify_projection(form: BilinearForm, f: Submodule, t, p) -> dict:
             for b in f.global_basis()
         ),
     }
+
+
+def _pairings(rows, cols, gram_cols, field):
+    """The held matrix of phi(u, v) = u G v^T over the held rows u of `rows`
+    and v of `cols`, with `gram_cols` the held columns of G."""
+    return linalg.held_product(linalg.held_product(rows, gram_cols, field), cols, field)
 
 
 def _zeros(rows: int, cols: int, field) -> tuple:

@@ -53,7 +53,9 @@ int: an `FpElement` of p means GF(p), any other entry means Q. So they
 return `FpElement`s or `Fraction`s whatever mix of ints came in. An empty
 factor holds no entry and the field is read off the other; with no entry
 at all the product is over Q. Over Q a product takes one `dot` per entry;
-over GF(p) it calls no `dot`.
+over GF(p) it calls no `dot`. They serve code that works on field elements
+by design: `Isometry.apply`, `compose_isometries`, the asymmetry pair and
+the oracles' generators. A form pairs on the Gram matrices it keeps held.
 
 A caller that chains many steps holds its rows itself and works on them
 with `held_product` (the matrix of `dot(row, col)`, A C^T),

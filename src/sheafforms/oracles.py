@@ -51,7 +51,6 @@ from .modules import (
 from .symplectic import (
     Isometry,
     PartialFamily,
-    SymplecticBasis,
     _carry,
     _validate_pair,
     certify_basis,
@@ -556,7 +555,7 @@ def _gram_schmidt_case(rng: Random, field, max_rank):
     iso = standard_isometry(form, random_alternating_form(rng, module))
     ok = (
         certify_basis(form, basis, partial)
-        and certify_basis(form, SymplecticBasis.from_columns(module, mats))
+        and Isometry(standard_symplectic_form(module), form, mats).holds()
         and iso.holds()
     )
     return None if ok else {"rank": module.rank}

@@ -121,15 +121,21 @@ def _scalar(field, text, where: str):
     return field.parse(text)
 
 
-def parse_matrix(doc, field, n: int, where: str):
-    if not isinstance(doc, list) or len(doc) != n:
-        raise ParseError(f"{where}: expected {n} rows")
-    rows = []
+def _rows(doc, field, n: int, where: str) -> tuple:
+    """A JSON list of rows of n scalars each, as tuples of field elements:
+    the matrices, section vectors and submodule bases of a document."""
+    if not isinstance(doc, list):
+        raise ParseError(f"{where}: expected a list of rows")
     for row in doc:
         if not isinstance(row, list) or len(row) != n:
             raise ParseError(f"{where}: expected rows of length {n}")
-        rows.append(tuple(_scalar(field, x, where) for x in row))
-    return tuple(rows)
+    return tuple(tuple(_scalar(field, x, where) for x in row) for row in doc)
+
+
+def parse_matrix(doc, field, n: int, where: str):
+    if not isinstance(doc, list) or len(doc) != n:
+        raise ParseError(f"{where}: expected {n} rows")
+    return _rows(doc, field, n, where)
 
 
 def format_matrix(m, field):
@@ -144,12 +150,7 @@ def parse_section(doc, module: FreeModule, where: str) -> ModuleSection:
         raise ParseError(
             f"{where}: open has {len(comps)} components, got {len(vecs)} vectors"
         )
-    vectors = []
-    for vec in vecs:
-        if not isinstance(vec, list) or len(vec) != module.rank:
-            raise ParseError(f"{where}: expected vectors of length {module.rank}")
-        vectors.append(tuple(_scalar(module.field, x, where) for x in vec))
-    return ModuleSection(module, u_ref, tuple(vectors))
+    return ModuleSection(module, u_ref, _rows(vecs, module.field, module.rank, where))
 
 
 def open_points(space, ref) -> list:
@@ -174,19 +175,9 @@ def parse_submodule(doc, module: FreeModule, where: str) -> Submodule:
         bases = _expect(doc, "bases", list, where)
         if len(bases) != ncomp:
             raise ParseError(f"{where}: expected {ncomp} component bases")
-        per_comp = []
-        for rows in bases:
-            if not isinstance(rows, list):
-                raise ParseError(f"{where}: component basis is not a list")
-            parsed = []
-            for row in rows:
-                if not isinstance(row, list) or len(row) != module.rank:
-                    raise ParseError(
-                        f"{where}: expected rows of length {module.rank}"
-                    )
-                parsed.append(tuple(_scalar(module.field, x, where) for x in row))
-            per_comp.append(tuple(parsed))
-        return from_rows(module, tuple(per_comp))
+        return from_rows(
+            module, tuple(_rows(rows, module.field, module.rank, where) for rows in bases)
+        )
     if isinstance(doc, dict) and "generators" in doc:
         gens = _expect(doc, "generators", list, where)
     elif isinstance(doc, list):
@@ -209,12 +200,18 @@ def format_submodule(sub: Submodule) -> dict:
 
 
 def parse_partial(doc, module: FreeModule, where: str) -> PartialFamily:
-    doc = doc or {}
+    """Null, absent or {"r": {index: section}, "s": {...}}, each index the
+    ASCII decimal of its int, so that no two keys name one index."""
+    doc = {} if doc is None else doc
     if not isinstance(doc, dict):
         raise ParseError(f"{where}: expected an object")
+    for key in doc:
+        if key not in ("r", "s"):
+            raise ParseError(f"{where}: unknown side {key!r}, expected 'r' or 's'")
     out = {"r": {}, "s": {}}
-    for key in ("r", "s"):
-        entries = doc.get(key) or {}
+    for key, entries in doc.items():
+        if entries is None:
+            continue
         if not isinstance(entries, dict):
             raise ParseError(f"{where}.{key}: expected an object")
         for idx_str, sec_doc in entries.items():
@@ -222,8 +219,21 @@ def parse_partial(doc, module: FreeModule, where: str) -> PartialFamily:
                 idx = int(idx_str)
             except (TypeError, ValueError):
                 raise ParseError(f"{where}.{key}: bad index {idx_str!r}")
+            if str(idx) != idx_str:
+                raise ParseError(f"{where}.{key}: index {idx_str!r} is not written {str(idx)!r}")
             out[key][idx] = parse_section(sec_doc, module, f"{where}.{key}[{idx_str}]")
     return PartialFamily.of(out["r"], out["s"])
+
+
+def _parse_grams(doc, module: FreeModule, where: str) -> tuple:
+    """One Gram matrix per X-component of the module; the count is checked
+    before any matrix is parsed."""
+    ncomp = len(module.x_components())
+    if len(doc) != ncomp:
+        raise ParseError(f"{where}: expected {ncomp} component matrices, got {len(doc)}")
+    return tuple(
+        parse_matrix(g, module.field, module.rank, f"{where}[{i}]") for i, g in enumerate(doc)
+    )
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
@@ -255,13 +265,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         raise ParseError(f"scenario: rank must be at most {MAX_RANK}, got {rank}")
     module = FreeModule(space, field, rank)
 
-    gram_doc = _expect(doc, "gram", list, where)
-    ncomp = len(module.x_components())
-    if len(gram_doc) != ncomp:
-        raise ParseError(f"gram: expected {ncomp} component matrices, got {len(gram_doc)}")
-    gram = tuple(
-        parse_matrix(g, field, rank, f"gram[{i}]") for i, g in enumerate(gram_doc)
-    )
+    gram = _parse_grams(_expect(doc, "gram", list, where), module, "gram")
     try:
         form = BilinearForm(module, gram)
     except SheafFormsError as exc:
@@ -437,13 +441,8 @@ def _envelope_task(scenario, task, default_seed):
 
 def _witt_task(scenario, task, default_seed):
     module = scenario.module
-    target_gram = tuple(
-        parse_matrix(g, module.field, module.rank, f"witt.target_gram[{i}]")
-        for i, g in enumerate(_expect(task, "target_gram", list, "witt"))
-    )
-    if len(target_gram) != len(module.x_components()):
-        raise ParseError("witt: wrong number of target component matrices")
-    target = BilinearForm(module, target_gram)
+    grams = _parse_grams(_expect(task, "target_gram", list, "witt"), module, "witt.target_gram")
+    target = BilinearForm(module, grams)
     f = _task_submodule(task, module, "witt")
     images = [
         _require_nonempty(parse_section(sec, module, f"witt.sigma[{i}]"), "sigma image")

@@ -45,14 +45,16 @@ of g (f = g perp rad f) are one completion run inside the rows of B that
 complement rad f (`_complete`'s `start`); and sigma sends x B to x Im. Its
 two families stay held, and their relations hold by construction, so none
 is checked. The public entry points validate their forms
-(`validate_symplectic`) once; the private helpers do not validate again.
-A form keeps what is decided about it in its memo (`bilinear._kept`), where
+(`validate_symplectic`) once; the private helpers do not validate again. A
+form keeps what is decided about it in its memo (`bilinear._kept`), where
 this module declares two facts: that it passed the validation (which ranks
-the Gram matrices the form holds), and the completion of the empty
-family (its held rows P^T and P^T G), which every construction on the
-empty family shares (`form_memo_stats()` counts both). A
-failed validation is not kept. `certify_witt` and `certify_envelope` remain
-the certificates the report layer and the oracles call.
+the Gram matrices the form holds), and the completion of the empty family
+(its held rows P^T and P^T G), which every construction on the empty family
+shares (`form_memo_stats()` counts both). A failed validation is not kept.
+The report layer and the oracles call `certify_witt` and `certify_envelope`;
+`Isometry.holds`, the check of `certify_witt`, decides M^T G' M = G on held
+rows: the pairings of the rows of M^T under G' (`bilinear._pairings`)
+against G.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .bilinear import BilinearForm, _kept, _keeps, _zeros
+from .bilinear import BilinearForm, _kept, _keeps, _pairings, _zeros
 from .errors import (
     Degenerate,
     FreenessViolated,
@@ -118,13 +120,6 @@ class SymplecticBasis:
     def n(self) -> int:
         return len(self.r)
 
-    @staticmethod
-    def from_columns(module: FreeModule, mats) -> "SymplecticBasis":
-        """The basis whose interleaved sections r_1, s_1, r_2, ... are the
-        columns of P on each component, the layout `normal_form` returns."""
-        cols = [_glue(module, col) for col in zip(*map(linalg.transpose, mats))]
-        return SymplecticBasis(module, tuple(cols[0::2]), tuple(cols[1::2]))
-
     def interleaved(self):
         out = []
         for a, b in zip(self.r, self.s):
@@ -175,15 +170,16 @@ class Isometry:
 
     def holds(self) -> bool:
         """The defining equation M^T G' M = G on every component, with one
-        square matrix of the module's rank per component."""
+        square matrix of the module's rank per component: the pairings of
+        the rows of M^T, held once, under G' against G, both held."""
         try:
             self._check_shape()
         except (ModuleMismatch, RankMismatch):
             return False
-        return all(
-            linalg.matmul(linalg.transpose(m), linalg.matmul(g2, m)) == g
-            for m, g, g2 in zip(self.matrices, self.source.gram, self.target.gram)
-        )
+        field = self.source.module.field
+        mts = (linalg.hold(linalg.transpose(m), field) for m in self.matrices)
+        grams = zip(mts, _gram_columns(self.target), self.source._held_grams())
+        return all(_pairings(mt, mt, cols, field) == g for mt, cols, (g, _) in grams)
 
 
 def compose_isometries(first: Isometry, second: Isometry) -> Isometry:
@@ -285,12 +281,6 @@ def _held_vectors(form: BilinearForm, sections):
         linalg.hold(tuple(sec.vectors[c] for sec in sections), field)
         for c in range(len(form.gram))
     ]
-
-
-def _pairings(rows, cols, gram_cols, field):
-    """The held matrix of phi(u, v) = u G v^T over the held rows u of `rows`
-    and v of `cols`, with `gram_cols` the held columns of G."""
-    return linalg.held_product(linalg.held_product(rows, gram_cols, field), cols, field)
 
 
 def _glue(module: FreeModule, per_component_vectors) -> ModuleSection:

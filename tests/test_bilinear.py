@@ -14,6 +14,7 @@ import pytest
 from sheafforms import (
     BilinearForm,
     FreeModule,
+    Isometry,
     IsotropicSubmodule,
     ModuleSection,
     NotOrthosymmetric,
@@ -26,6 +27,7 @@ from sheafforms import (
     full_submodule,
     intersect_submodules,
     span,
+    standard_isometry,
     sum_submodules,
     zero_submodule,
 )
@@ -40,6 +42,7 @@ from sheafforms.oracles import (
     random_global_section,
     random_nonisotropic_submodule,
     random_orthosymmetric_form,
+    random_section_over,
     sierpinski_space,
 )
 
@@ -726,3 +729,127 @@ class TestEliminationCounts:
         # on a fresh form three projections factorize once per component
         fresh = BilinearForm(form.module, form.gram)
         assert self.eliminations(lambda: [fresh.project(f, t) for t in ts]) == ncomp
+
+
+class TestOnePairingRoute:
+    """`evaluate`, `adjoint`, `radical` and `Isometry.holds` pair on the held
+    Gram matrix the form keeps: each against the field-element route it
+    replaced, at ranks 0 to 12 (packed rows over GF(p) from rank 8), on
+    forms with rad E != 0 among them."""
+
+    FIELDS = [Q, F3, PrimeField(101), PrimeField(10007)]
+
+    @staticmethod
+    def forms(rng, module):
+        forms = [random_orthosymmetric_form(rng, module)]
+        if module.rank:
+            forms.append(degenerate_symmetric_form(rng, module))
+        return forms
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+    def test_radical_is_the_intersection_with_the_left_orthogonal(self, field):
+        rng = Random(f"one-route:radical:{field.name}")
+        degenerate = 0
+        for rank in range(13):
+            module = FreeModule(discrete_pair_space(), field, rank)
+            for form in self.forms(rng, module):
+                subs = [None, zero_submodule(module)] + [
+                    random_free_submodule(rng, module, rng.randrange(rank + 1)) for _ in range(2)
+                ]
+                for f in subs:
+                    carrier = full_submodule(module) if f is None else f
+                    old = intersect_submodules(carrier, form.orthogonal(carrier, "left"))
+                    assert form.radical(f)._rows == old._rows
+                degenerate += any(form.radical().dims)
+        assert degenerate > 0
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+    def test_evaluate_and_adjoint_are_the_field_element_products(self, field):
+        rng = Random(f"one-route:pairing:{field.name}")
+        space = discrete_pair_space()
+        for rank in range(13):
+            module = FreeModule(space, field, rank)
+            for form in self.forms(rng, module):
+                for u in range(len(space.opens)):
+                    r, s = (random_section_over(rng, module, u) for _ in range(2))
+                    grams = [form.gram[xc] for xc in form._xc_of(u)]
+                    want = tuple(
+                        linalg.dot(rv, linalg.mat_vec(g, sv))
+                        for rv, sv, g in zip(r.vectors, s.vectors, grams)
+                    ) if rank else (field.zero,) * len(grams)
+                    assert form.evaluate(r, s).values == want
+                    assert form.adjoint(s, "left").covectors == tuple(
+                        linalg.mat_vec(g, sv) for g, sv in zip(grams, s.vectors)
+                    )
+                    assert form.adjoint(s, "right").covectors == tuple(
+                        linalg.vec_mat(sv, g) for g, sv in zip(grams, s.vectors)
+                    )
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+    def test_holds_fails_with_one_column_doubled(self, field):
+        rng = Random(f"one-route:holds:{field.name}")
+        for rank in range(0, 13, 2):
+            module = FreeModule(discrete_pair_space(), field, rank)
+            source, target = (random_alternating_form(rng, module) for _ in range(2))
+            iso = standard_isometry(source, target)
+            assert iso.holds()
+            two = field.from_int(2)
+            for j in range(rank):
+                doubled = tuple(
+                    tuple(tuple(two * x if i == j else x for i, x in enumerate(row)) for row in m)
+                    for m in iso.matrices
+                )
+                broken = Isometry(source, target, doubled)
+                assert not broken.holds()
+                # the field-element equation agrees
+                assert any(
+                    linalg.matmul(linalg.transpose(m), linalg.matmul(g2, m)) != g
+                    for m, g, g2 in zip(doubled, source.gram, target.gram)
+                )
+
+
+class TestPairingCounts:
+    """What one pairing converts, builds and eliminates once the form holds
+    its Gram matrices: its own vectors only."""
+
+    @staticmethod
+    def moved(call):
+        before = linalg.kernel_stats()
+        call()
+        after = linalg.kernel_stats()
+        return {k: after[k] - before[k] for k in ("rows_in", "entries_out", "eliminations")}
+
+    @pytest.mark.parametrize("field", [Q, PrimeField(101)], ids=lambda f: f.name)
+    @pytest.mark.parametrize("rank", [2, 8])
+    def test_one_evaluate_holds_two_rows_and_builds_one_value_per_component(self, field, rank):
+        rng = Random(f"counts:evaluate:{field.name}:{rank}")
+        module = FreeModule(discrete_pair_space(), field, rank)
+        form = random_orthosymmetric_form(rng, module)
+        r, s = random_global_section(rng, module), random_global_section(rng, module)
+        form.evaluate(r, s)
+        ncomp = len(module.x_components())
+        assert self.moved(lambda: form.evaluate(r, s)) == {
+            "rows_in": 2 * ncomp, "entries_out": ncomp, "eliminations": 0,
+        }
+
+    @pytest.mark.parametrize("field", [Q, PrimeField(101)], ids=lambda f: f.name)
+    def test_a_radical_eliminates_once_per_component(self, field):
+        rng = Random(f"counts:radical:{field.name}")
+        module = FreeModule(discrete_pair_space(), field, 4)
+        form = degenerate_symmetric_form(rng, module)
+        f = random_free_submodule(rng, module, 3)
+        form.radical(f)
+        ncomp = len(module.x_components())
+        assert self.moved(lambda: form.radical(f)) == {
+            "rows_in": 0, "entries_out": 0, "eliminations": ncomp,
+        }
+        assert self.moved(lambda: form.radical())["eliminations"] == ncomp
+
+    @pytest.mark.parametrize("field", [Q, PrimeField(101)], ids=lambda f: f.name)
+    def test_holds_converts_the_matrices_once_and_builds_nothing(self, field):
+        rng = Random(f"counts:holds:{field.name}")
+        module = FreeModule(discrete_pair_space(), field, 4)
+        iso = standard_isometry(*(random_alternating_form(rng, module) for _ in range(2)))
+        assert len(iso.matrices) == 2
+        iso.holds()
+        assert self.moved(iso.holds) == {"rows_in": 8, "entries_out": 0, "eliminations": 0}

@@ -126,7 +126,9 @@ class TestParsing:
             scenario_from_dict(base_doc(rank=rank, gram=gram))
         assert "'rank' has the wrong type" in err.value.message
 
-    LINE = {"generators": [{"open": ["a", "b"], "vectors": [["1/1", "0/1"]]}]}
+    E1 = {"open": ["a", "b"], "vectors": [["1/1", "0/1"]]}
+    E2 = {"open": ["a", "b"], "vectors": [["0/1", "1/1"]]}
+    LINE = {"generators": [E1]}
     GRAM = [[["0/1", "1/1"], ["-1/1", "0/1"]]]
 
     @staticmethod
@@ -182,6 +184,15 @@ class TestParsing:
         ("task", base_doc(tasks=[{"op": "envelope"}])),
         ("task", base_doc(tasks=[{"op": "orthogonal", "submodule": {"generators": 5}}])),
         ("task", base_doc(tasks=[{"op": "symplectic_basis", "partial": [1]}])),
+        ("task", base_doc(tasks=[{"op": "symplectic_basis", "partial": []}])),
+        ("task", base_doc(tasks=[{"op": "symplectic_basis", "partial": 0}])),
+        ("task", base_doc(tasks=[{"op": "symplectic_basis", "partial": {"r": []}}])),
+        ("task", base_doc(tasks=[
+            {"op": "symplectic_basis", "partial": {"r": {"1": E1, "01": E2}}}])),
+        ("task", base_doc(tasks=[{"op": "symplectic_basis", "partial": {"r": {"1_0": E1}}}])),
+        ("task", base_doc(tasks=[{"op": "symplectic_basis", "partial": {"r": {"+1": E1}}}])),
+        ("task", base_doc(tasks=[
+            {"op": "symplectic_basis", "partial": {"r": {"1": E1}, "q": {"1": E2}}}])),
         ("document", base_doc(space={"points": ["a", "b"], "opens": [1, 2]})),
         ("task", base_doc(tasks=[
             {"op": "oracle", "suite": "reflexivity", "bounds": {"cases": "x"}}])),
@@ -194,6 +205,9 @@ class TestParsing:
     ], ids=[
         "orthogonal_no_submodule", "witt_no_submodule", "project_no_section",
         "envelope_no_submodule", "generators_not_a_list", "partial_not_an_object",
+        "partial_empty_list", "partial_zero", "partial_side_not_an_object",
+        "partial_index_named_twice", "partial_index_with_underscore", "partial_index_with_sign",
+        "partial_unknown_side",
         "open_not_a_list", "bounds_cases_string", "bounds_not_an_object", "bounds_unknown_key",
         "max_rank_string", "seed_string", "seed_bool",
     ])
@@ -207,6 +221,33 @@ class TestParsing:
         assert task["status"] == "error"
         assert task["error"]["code"] == "ParseError"
         assert not report["ok"]
+
+    def test_component_count_is_checked_before_the_matrices(self):
+        # two malformed matrices for one component: the count is the error
+        grams = [[["nope"]], [["nope"]]]
+        with pytest.raises(ParseError) as err:
+            scenario_from_dict(base_doc(gram=grams))
+        assert err.value.message == "gram: expected 1 component matrices, got 2"
+        doc = base_doc(tasks=[{"op": "witt", "target_gram": grams, "submodule": self.LINE,
+                               "sigma": []}])
+        (task,) = run_scenario_dict(doc)["tasks"]
+        assert task["error"] == {
+            "code": "ParseError",
+            "message": "witt.target_gram: expected 1 component matrices, got 2",
+            "witness": {},
+        }
+
+    @pytest.mark.parametrize("key", ["0", "2", "-1"])
+    def test_partial_index_out_of_range_is_partial_relations_violated(self, key):
+        doc = base_doc(tasks=[{"op": "symplectic_basis", "partial": {"r": {key: self.E1}}}])
+        (task,) = run_scenario_dict(doc)["tasks"]
+        assert task["error"]["code"] == "PartialRelationsViolated"
+
+    @pytest.mark.parametrize("partial", [None, {}, {"r": None, "s": {}}, {"r": {"1": E1}}])
+    def test_partial_null_empty_or_canonical_runs(self, partial):
+        task = {"op": "symplectic_basis", "partial": partial}
+        (report,) = run_scenario_dict(base_doc(tasks=[task]))["tasks"]
+        assert report["status"] == "ok"
 
     @pytest.mark.parametrize("level,doc", [
         ("document", base_doc(space={"points": [["a"], "b"], "opens": [[], ["b"]]})),

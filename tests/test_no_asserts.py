@@ -5,7 +5,10 @@ self-check raises `SelfCheckFailed`, a coded error that a report shows,
 never `AssertionError`, which no caller catches. And it sets no
 field of a frozen object behind its back: what a form keeps lives in its
 memo (`bilinear._kept`), never in a field set through
-`object.__setattr__`. And every private helper it defines has a caller."""
+`object.__setattr__`. And every private helper it defines has a caller.
+And the forms pair on the held Gram matrices they keep: `bilinear` and
+`symplectic` name the field-less products of `linalg` only where they work
+on field elements by design."""
 
 import ast
 from pathlib import Path
@@ -73,3 +76,41 @@ def test_every_private_helper_has_a_caller():
             named |= names
     assert defined
     assert sorted(where for name, where in defined.items() if name not in named) == []
+
+
+# the field-less products of `linalg`, and the only places of `bilinear` and
+# `symplectic` that may name them: they act on field elements, not on a Gram
+# matrix the form keeps held
+FIELD_LESS = {"matmul", "mat_vec", "vec_mat"}
+FIELD_ELEMENT_CODE = {"Isometry.apply", "compose_isometries", "_asymmetry_pair"}
+
+
+def _scoped_names(node, scope=()):
+    """(the enclosing definitions, joined by dots, and the line) of every
+    name, attribute or import below `node` that names a field-less
+    product."""
+    out = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            out += _scoped_names(child, scope + (child.name,))
+            continue
+        own = {getattr(child, key, None) for key in ("id", "attr", "name", "asname")}
+        if own & FIELD_LESS:
+            out.append((".".join(scope), child.lineno))
+        out += _scoped_names(child, scope)
+    return out
+
+
+def test_forms_pair_on_their_held_gram_matrices():
+    planted = "from .linalg import vec_mat\nclass A:\n    def f(self):\n        linalg.matmul(a, b)\n"
+    assert _scoped_names(ast.parse(planted)) == [("", 1), ("A.f", 4)]
+    hits = []
+    for name in ("bilinear.py", "symplectic.py"):
+        tree = ast.parse((PACKAGE / name).read_text(), filename=name)
+        hits += [(name, scope, line) for scope, line in _scoped_names(tree)]
+    allowed = [
+        hit for hit in hits
+        if any(".".join(hit[1].split(".")[:k]) in FIELD_ELEMENT_CODE for k in (1, 2))
+    ]
+    assert allowed  # the scan sees the field-element code
+    assert [hit for hit in hits if hit not in allowed] == []
