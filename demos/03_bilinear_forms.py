@@ -1,8 +1,9 @@
 # Bilinear forms on free modules, orthogonals, and splitting.
 #
 # A form is a Gram matrix per component of X; phi(u, v) multiplies the row
-# vector u by the Gram matrix and pairs with v. Orthogonals, radicals and
-# projections all reduce to exact nullspace and solve calls.
+# vector u by the Gram matrix and pairs with v. Orthogonals and radicals
+# are exact nullspaces; a projection onto f is one elimination of
+# [M | B G] per component, for B the echelon basis of f and M = B G B^T.
 
 from fractions import Fraction
 

@@ -16,9 +16,11 @@ elimination, and R B is reduced echelon already. So f is non-isotropic (E
 splits as f perp-oplus f-perp) exactly when M is invertible on every
 component. One elimination of [M | B G] per component decides it and, when
 it holds, gives K = M^-1 B G, so the projection onto f is t -> (t K^T) B.
-A form keeps that factorization for the last submodule it was made for, and
-`project` and `orthogonal_split` share it; f meets f-perp in rad f, so the
-split needs no intersection.
+A form keeps that factorization (`_projector`, the one place that makes it)
+for the last submodule it was made for, and `project` and
+`orthogonal_split` share it; f meets f-perp in rad f, so the split needs no
+intersection. `symplectic.certify_envelope` does not factor its planes: it
+reads them off the pairing matrix of their pairs.
 
 The calculus (`orthogonal`, `radical`, `project`, `orthogonal_split`) runs
 on held rows from start to end: a submodule is its held echelon rows; an
@@ -185,34 +187,27 @@ class BilinearForm:
                 f"{what} requires an orthosymmetric form", witness=cls.witness
             )
 
-    def _restricted_grams(self, f: Submodule):
-        """Per X-component, for the echelon basis B of f, M = B G B^T
-        factored against B G by one elimination of [M | B G]: K = M^-1 B G
-        held, or None where M is singular; and the radical dimensions
-        dim f - rank M."""
-        if f.module != self.module:
-            raise ModuleMismatch("submodule belongs to a different module")
-        field = self.module.field
-        factors = []
-        dims = []
-        for b, (g, _) in zip(f._rows, self._held_grams()):
-            bg = linalg.held_combine(b, g, field)
-            rank, k = linalg.held_left_divide(linalg.held_product(bg, b, field), bg, field)
-            factors.append(k)
-            dims.append(len(b) - rank)
-        return tuple(factors), tuple(dims)
-
     def _projector(self, f: Submodule):
         """The factorization `project` and `orthogonal_split` share, for f
-        non-isotropic: (the radical dimensions, all zero, and per
-        X-component K = M^-1 B G with B's held rows). The form keeps it
-        for the last f it was made for; an equal f is a hit. An isotropic f
-        raises `IsotropicSubmodule` and nothing is kept."""
+        non-isotropic: per X-component, for the echelon basis B of f, one
+        elimination of [M | B G], M = B G B^T. It is (the radical dimensions
+        dim f - rank M, all zero, and per X-component K = M^-1 B G with B's
+        held rows). The form keeps it for the last f it was made for; an
+        equal f is a hit. An isotropic f raises `IsotropicSubmodule` with its
+        radical dimensions, and nothing is kept."""
 
         def make():
-            factors, dims = self._restricted_grams(f)
-            _require_nonisotropic(dims)
-            return dims, tuple(zip(factors, f._rows))
+            if f.module != self.module:
+                raise ModuleMismatch("submodule belongs to a different module")
+            field = self.module.field
+            dims, factors = [], []
+            for b, (g, _) in zip(f._rows, self._held_grams()):
+                bg = linalg.held_combine(b, g, field)
+                rank, k = linalg.held_left_divide(linalg.held_product(bg, b, field), bg, field)
+                dims.append(len(b) - rank)
+                factors.append((k, b))
+            _require_nonisotropic(tuple(dims))
+            return tuple(dims), tuple(factors)
 
         return _kept(self, "projector", make, of=f)
 
@@ -474,31 +469,23 @@ def certify_witness(form: BilinearForm, w: OrthoWitness) -> bool:
 def _asymmetry_pair(g, field):
     """Vectors (r, s) with r G s^T = 0 but s G r^T != 0, for a matrix that is
     neither symmetric nor alternating. Classical construction, char != 2."""
-    n = len(g)
+    n, zero = len(g), field.zero
+    units = linalg.identity(n, field)
 
     def phi(u, v):
-        return linalg.dot(u, linalg.mat_vec(g, v))
-
-    def unit(i):
-        return tuple(field.one if j == i else field.zero for j in range(n))
+        return linalg.dot(u, tuple(linalg.dot(row, v) for row in g))
 
     # a basis pair may already witness the failure outright
     for i in range(n):
         for j in range(n):
-            if g[i][j] == field.zero and g[j][i] != field.zero:
-                return unit(i), unit(j)
+            if g[i][j] == zero and g[j][i] != zero:
+                return units[i], units[j]
 
     # a, b with phi(a, b) != phi(b, a)
-    a = b = None
-    for i in range(n):
-        for j in range(n):
-            if g[i][j] != g[j][i]:
-                a, b = unit(i), unit(j)
-                break
-        if a is not None:
-            break
-    if a is None:
+    asymmetric = [(i, j) for i in range(n) for j in range(n) if g[i][j] != g[j][i]]
+    if not asymmetric:
         raise SelfCheckFailed("the matrix is symmetric: no asymmetry pair exists")
+    a, b = (units[k] for k in asymmetric[0])
 
     def orthogonalize(x, y):
         # phi(x, x) != 0: subtract the projection so phi(x, s) = 0
@@ -506,26 +493,19 @@ def _asymmetry_pair(g, field):
         s = linalg.sub_vec(y, linalg.scale(c, x))
         return x, s
 
-    if phi(a, a) != field.zero:
+    if phi(a, a) != zero:
         return orthogonalize(a, b)
-    if phi(b, b) != field.zero:
+    if phi(b, b) != zero:
         return orthogonalize(b, a)
 
-    # some u with phi(u, u) != 0 exists since the form is not alternating
-    u = None
-    for i in range(n):
-        if g[i][i] != field.zero:
-            u = unit(i)
-            break
-    if u is None:
-        for i in range(n):
-            for j in range(i + 1, n):
-                if g[i][j] + g[j][i] != field.zero:
-                    u = linalg.add_vec(unit(i), unit(j))
-                    break
-            if u is not None:
-                break
-    if u is None or phi(u, u) == field.zero:
+    # some u with phi(u, u) != 0 exists since the form is not alternating: a
+    # unit with g_ii != 0, else the sum of two with g_ij + g_ji != 0
+    candidates = [units[i] for i in range(n) if g[i][i] != zero] + [
+        linalg.add_vec(units[i], units[j])
+        for i in range(n) for j in range(i + 1, n) if g[i][j] + g[j][i] != zero
+    ]
+    u = candidates[0] if candidates else None
+    if u is None or phi(u, u) == zero:
         raise SelfCheckFailed("the matrix is alternating: no asymmetry pair exists")
 
     if phi(a, u) != phi(u, a):
@@ -535,6 +515,6 @@ def _asymmetry_pair(g, field):
 
     # shifting a by u keeps the asymmetry with b and gains self-pairing
     for shifted in (linalg.add_vec(a, u), linalg.sub_vec(a, u)):
-        if phi(shifted, shifted) != field.zero:
+        if phi(shifted, shifted) != zero:
             return orthogonalize(shifted, b)
     raise SelfCheckFailed("unreachable in characteristic != 2")

@@ -46,16 +46,15 @@ columns' transpose and sums its rows. Two held matrices go side by side
 for an elimination in one way (`_joined`), and echelon rows come back as
 held rows in one way (`_split`).
 
-Each routine reads its field at one dispatch point (`_word_modulus`).
-`matmul`, `mat_vec` and `vec_mat` take no field, so they read it off the
-first entry, in the left factor and then the right, that is not a plain
-int: an `FpElement` of p means GF(p), any other entry means Q. So they
-return `FpElement`s or `Fraction`s whatever mix of ints came in. An empty
-factor holds no entry and the field is read off the other; with no entry
-at all the product is over Q. Over Q a product takes one `dot` per entry;
-over GF(p) it calls no `dot`. They serve code that works on field elements
-by design: `Isometry.apply`, `compose_isometries`, the asymmetry pair and
-the oracles' generators. A form pairs on the Gram matrices it keeps held.
+Each routine reads its field at one dispatch point (`_word_modulus`) but
+`matmul`, `mat_vec` and `vec_mat`, which take no field: they read it off
+the first entry, in the left factor and then the right, that is not a
+plain int, an `FpElement` of p meaning GF(p) and any other entry (or none
+at all) Q. They and the routines on field elements (`rref`, `rank`,
+`nullspace`, `solve`, `inverse`, `reduce_against`, `complement_rows`)
+serve only callers outside the package; the package reaches this module
+only through held rows. Every conversion on entry refuses rows of unequal
+length.
 
 A caller that chains many steps holds its rows itself and works on them
 with `held_product` (the matrix of `dot(row, col)`, A C^T),
@@ -224,11 +223,15 @@ def _values(held, p: int) -> list:
     return [row for row, _ in held]
 
 
+def _rectangular(rows, length=len) -> None:
+    """Refuse rows of unequal length (held rows with `length=_length`)."""
+    if len(set(map(length, rows))) > 1:
+        raise ValueError("rows of unequal length")
+
+
 def _held(rows: list, p: int) -> tuple:
-    """Rows of ints in [0, p) as held rows over GF(p), each packed if it is
-    wide enough (`_packs`); rows of one width are packed all at once."""
-    if len(set(map(len, rows))) > 1:
-        return tuple([held for row in rows for held in _held([row], p)])
+    """Rows of ints in [0, p), all of one width, as held rows over GF(p),
+    packed all at once if they are wide enough (`_packs`)."""
     n = len(rows[0]) if rows else 0
     if _packs(n, p):
         return tuple([(x, n) for x in _pack_rows(rows, n)])
@@ -272,12 +275,13 @@ def _reduced(row: list, den: int):
 
 
 def _lifted(rows, p: int) -> list:
-    """Rows of field elements over GF(p) as lists of ints in [0, p): the
-    conversion on entry."""
+    """Rows of field elements over GF(p), all of one length, as lists of
+    ints in [0, p): the conversion on entry."""
     out = []
     for row in rows:
         ints = [x.val for x in row if type(x) is FpElement and x.p == p]
         out.append(ints if len(ints) == len(row) else [_lift(x, p) for x in row])
+    _rectangular(out)
     _COUNTS["rows_in"] += len(out)
     return out
 
@@ -286,6 +290,7 @@ def _hold(rows, p) -> tuple:
     """The body of `hold`: the one conversion on entry."""
     if not p:
         held = tuple(map(_cleared, rows))
+        _rectangular([row for row, _ in held])
         _COUNTS["rows_in"] += len(held)
         return held
     return _held(_lifted(rows, p), p)
@@ -293,6 +298,7 @@ def _hold(rows, p) -> tuple:
 
 def _from_ints(rows, p) -> tuple:
     """The body of `held_ints`."""
+    _rectangular(rows)
     if p:
         return _held([[x % p for x in row] for row in rows], p)
     return tuple([(list(row), 1) for row in rows])
@@ -315,8 +321,7 @@ def _work(held, p):
     their content, which drops the denominator an elimination has no use
     for."""
     if _is_packed(held):
-        if len({n for _, n in held}) > 1:
-            raise ValueError("rows of unequal length")
+        _rectangular(held, _length)
         return [x for x, _ in held], held[0][1]
     work = [row if p else _primitive(row) for row, _ in held]
     return work, len(work[0]) if work else 0
@@ -337,9 +342,7 @@ def _eliminate(work: list, cols: range, p):
         return [], ()
     if p and type(work[0]) is int:
         return _eliminate_packed(work, cols, p)
-    width = len(work[0])
-    if any(len(row) != width for row in work):
-        raise ValueError("rows of unequal length")
+    _rectangular(work)
     n = len(work)
     pivots = []
     r = 0
@@ -637,8 +640,7 @@ def _complement(held, k: int, p) -> tuple:
     being those of the small space. They are the pivot columns past k of one
     elimination of the transpose, since a column is a pivot column exactly
     when it is not a combination of the columns before it."""
-    if len(set(map(_length, held))) > 1:
-        raise ValueError("rows of unequal length")
+    _rectangular(held, _length)
     work, _ = _work(_transpose(held, p), p)
     _, pivots = _eliminate(work, range(len(held)), p)
     return tuple(pc - k for pc in pivots if pc >= k)
@@ -675,6 +677,7 @@ def identity(n, field):
 
 
 def transpose(m):
+    _rectangular(m)
     return tuple(zip(*m)) if m else ()
 
 

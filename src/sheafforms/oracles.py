@@ -101,8 +101,16 @@ def random_invertible(rng: Random, n: int, field):
         m = tuple(
             tuple(field.random_scalar(rng) for _ in range(n)) for _ in range(n)
         )
-        if linalg.rank(m, field) == n:
+        if linalg.held_rank(linalg.hold(m, field), field) == n:
             return m
+
+
+def _paired(rows, g, field):
+    """V G V^T as field elements, for V the given rows, worked out on held
+    rows: phi(u, v) = (u G) . v for every pair of rows at once."""
+    held = linalg.hold(rows, field)
+    paired = linalg.held_combine(held, linalg.hold(g, field), field)
+    return linalg.release(linalg.held_product(paired, held, field), field)
 
 
 def random_alternating_form(rng: Random, module: FreeModule) -> BilinearForm:
@@ -112,7 +120,7 @@ def random_alternating_form(rng: Random, module: FreeModule) -> BilinearForm:
     gram = []
     for _ in module.x_components():
         p = random_invertible(rng, module.rank, module.field)
-        gram.append(linalg.matmul(linalg.transpose(p), linalg.matmul(a, p)))
+        gram.append(_paired(linalg.transpose(p), a, module.field))
     return BilinearForm(module, tuple(gram))
 
 
@@ -136,7 +144,7 @@ def random_orthosymmetric_form(
                 for i in range(n)
             )
         p = random_invertible(rng, n, field)
-        gram.append(linalg.matmul(linalg.transpose(p), linalg.matmul(base, p)))
+        gram.append(_paired(linalg.transpose(p), base, field))
     return BilinearForm(module, tuple(gram))
 
 
@@ -199,7 +207,10 @@ def _random_block_symplectic(rng: Random, n: int, field):
             gens.append(interleaved(ident, zero, sym(), ident))
         else:
             q = random_invertible(rng, half, field)
-            gens.append(interleaved(q, zero, zero, linalg.transpose(linalg.inverse(q, field))))
+            # (Q^-1)^T = (Q^T)^-1
+            qt = linalg.hold(linalg.transpose(q), field)
+            _, inv_t = linalg.held_left_divide(qt, linalg.hold(ident, field), field)
+            gens.append(interleaved(q, zero, zero, linalg.release(inv_t, field)))
     return functools.reduce(functools.partial(linalg.held_combine, field=field), gens)
 
 
@@ -243,21 +254,16 @@ def random_partial_family(rng: Random, form: BilinearForm, config=None):
 
 def random_totally_isotropic(rng: Random, form: BilinearForm, k: int):
     """Rank-k totally isotropic free submodule: the span of k distinct
-    r-sections of a random symplectic basis, lightly recombined."""
+    r-sections of a random symplectic basis."""
     n = form.module.rank // 2
     if not 0 <= k <= n:
         raise ValueError(f"rank {k} outside 0..{n}")
     basis = gram_schmidt_extend(form, PartialFamily.of())
     picks = [basis.r[i] for i in sorted(rng.sample(range(n), k))]
     if k > 1:
-        mix = random_invertible(rng, k, form.module.field)
-        mixed = []
-        for row in mix:
-            acc = row[0] * picks[0]
-            for c, sec in zip(row[1:], picks[1:]):
-                acc = acc + c * sec
-            mixed.append(acc)
-        picks = mixed
+        # an invertible mix of the picks spans the same submodule; it is
+        # still drawn, so every seed keeps its sequence of draws
+        random_invertible(rng, k, form.module.field)
     return span(form.module, picks)
 
 
@@ -271,8 +277,7 @@ def _zero_pair_counts(g, vectors, field):
     """Exhaustive fiber pairing table: how many ordered vector pairs vanish
     forward, and how many vanish in both directions; plus a pair vanishing
     forward but not backward, if any."""
-    # phi(u, v) = (u G) . v for every pair at once: the matrix V G V^T
-    table = linalg.matmul(linalg.matmul(vectors, g), linalg.transpose(vectors))
+    table = _paired(vectors, g, field)
     forward = 0
     both = 0
     witness = None

@@ -54,7 +54,8 @@ shares (`form_memo_stats()` counts both). A failed validation is not kept.
 The report layer and the oracles call `certify_witt` and `certify_envelope`;
 `Isometry.holds`, the check of `certify_witt`, decides M^T G' M = G on held
 rows: the pairings of the rows of M^T under G' (`bilinear._pairings`)
-against G.
+against G. `certify_envelope` reads its planes off one pairing matrix of
+r_1, s_1, ..., r_k, s_k per component.
 """
 
 from __future__ import annotations
@@ -160,13 +161,15 @@ class Isometry:
         if section.module != self.source.module:
             raise ModuleMismatch("section does not belong to the source module")
         self._check_shape()
-        space = self.source.module.space
+        space, field = self.source.module.space, self.source.module.field
         refinement = space.component_refinement(section.open, space.x_ref)
+        mats = {xc: linalg.hold(self.matrices[xc], field) for xc in set(refinement)}
+        # M v^T as the row v M^T: the pairings of v with the rows of M
         vectors = tuple(
-            linalg.mat_vec(self.matrices[xc], v)
-            for v, xc in zip(section.vectors, refinement)
+            linalg.held_product((v,), mats[xc], field)[0]
+            for v, xc in zip(linalg.hold(section.vectors, field), refinement)
         )
-        return ModuleSection(self.target.module, section.open, vectors)
+        return ModuleSection(self.target.module, section.open, linalg.release(vectors, field))
 
     def holds(self) -> bool:
         """The defining equation M^T G' M = G on every component, with one
@@ -187,22 +190,24 @@ def compose_isometries(first: Isometry, second: Isometry) -> Isometry:
         raise ModuleMismatch("isometries do not compose: target/source forms differ")
     first._check_shape()
     second._check_shape()
-    mats = tuple(
-        linalg.matmul(m2, m1) for m1, m2 in zip(first.matrices, second.matrices)
-    )
-    return Isometry(first.source, second.target, mats)
+    field = first.source.module.field
+    held = [[linalg.hold(m, field) for m in iso.matrices] for iso in (first, second)]
+    mats = (linalg.held_combine(m2, m1, field) for m1, m2 in zip(*held))
+    return Isometry(first.source, second.target, tuple(linalg.release(m, field) for m in mats))
 
 
 def invert_isometry(iso: Isometry) -> Isometry:
     iso._check_shape()
     field = iso.source.module.field
+    n = iso.source.module.rank
+    ident = linalg.held_ints([[int(i == j) for j in range(n)] for i in range(n)], field)
     mats = []
     for c, m in enumerate(iso.matrices):
-        inv = linalg.inverse(m, field)
+        _, inv = linalg.held_left_divide(linalg.hold(m, field), ident, field)
         if inv is None:
             # `Isometry` is not validated, so its matrices may be singular
             raise Degenerate(f"component {c}: isometry matrix is singular", component=c)
-        mats.append(inv)
+        mats.append(linalg.release(inv, field))
     return Isometry(iso.target, iso.source, tuple(mats))
 
 
@@ -535,7 +540,7 @@ def certify_basis(form: BilinearForm, basis: SymplecticBasis, partial=None) -> b
     of P the interleaved basis r_1, s_1, r_2, s_2, ..., and verbatim
     containment of the partial family at its indices. The congruence is
     every pairing relation at once, and it makes P invertible because A_2n
-    is."""
+    is. A partial index outside 1..n is not contained."""
     module = form.module
     x = module.space.x_ref
     sections = basis.interleaved()
@@ -545,8 +550,10 @@ def certify_basis(form: BilinearForm, basis: SymplecticBasis, partial=None) -> b
         return False
     if _congruent(form, _gram_columns(form), _held_vectors(form, sections)) is None:
         return False
+    n = module.rank // 2
     return partial is None or all(
-        side[i - 1] == sec for side, given in ((basis.r, partial.r), (basis.s, partial.s))
+        1 <= i <= n and side[i - 1] == sec
+        for side, given in ((basis.r, partial.r), (basis.s, partial.s))
         for i, sec in given
     )
 
@@ -655,30 +662,36 @@ def hyperbolic_envelope(form: BilinearForm, f: Submodule):
 
 
 def certify_envelope(form: BilinearForm, f: Submodule, planes) -> bool:
-    """Each plane H_i holds r_i of f's canonical global basis and its
-    partner s_i, and the planes are non-degenerate of rank 2 and pairwise
-    orthogonal; False for an f that is not free, which has no such basis."""
+    """Each plane H_i is span(r_i, s_i), for r_i of f's canonical global
+    basis and a global s_i, non-degenerate and orthogonal to the planes
+    after it; False for an f that is not free. Per component, each span is
+    compared with its pair's echelon rows, and the rest is read off the
+    pairing matrix of r_1, s_1, ..., r_k, s_k: phi(r_i, s_i) != 0, each 2 x
+    2 block on the diagonal invertible, and the blocks right of it zero."""
     if f.is_free() is None:
         return False
     basis = f.global_basis()
-    if len(planes) != len(basis):
+    module, field = form.module, form.module.field
+    if len(planes) != len(basis) or any(
+        plane.r != sec
+        or not sec.module == plane.s.module == plane.span.module == module
+        or plane.s.open != module.space.x_ref
+        for sec, plane in zip(basis, planes)
+    ):
         return False
-    for sec, plane in zip(basis, planes):
-        if plane.r != sec or not (plane.span.contains(sec) and plane.span.contains(plane.s)):
-            return False
-        if not form.evaluate(plane.r, plane.s).is_nowhere_zero():
-            return False
-        if plane.span.is_free() != 2:
-            return False
-        _, rad_dims = form._restricted_grams(plane.span)
-        if any(rad_dims):
-            return False
-    for i, p in enumerate(planes):
-        for q in planes[i + 1 :]:
-            for a in (p.r, p.s):
-                for b in (q.r, q.s):
-                    if not form.evaluate(a, b).is_zero():
-                        return False
+    pairs = [sec for plane in planes for sec in (plane.r, plane.s)]
+    zero = field.zero
+    for c, (rows, cols) in enumerate(zip(_held_vectors(form, pairs), _gram_columns(form))):
+        pairing = linalg.release(_pairings(rows, rows, cols, field), field)
+        for i, plane in zip(range(0, len(rows), 2), planes):
+            (rr, rs), (sr, ss) = (row[i : i + 2] for row in pairing[i : i + 2])
+            if (
+                linalg.held_rref(rows[i : i + 2], field)[0] != plane.span._rows[c]
+                or rs == zero
+                or rr * ss == rs * sr
+                or any(x != zero for row in pairing[i : i + 2] for x in row[i + 2 :])
+            ):
+                return False
     return True
 
 

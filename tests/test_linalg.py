@@ -630,6 +630,37 @@ def test_complement_rows_refuses_rows_of_unequal_length(field):
             linalg.complement_rows(sub, big, field)
         with pytest.raises(ValueError, match="rows of unequal length"):
             linalg.held_complement_rows(linalg.hold(sub, field), linalg.hold(big, field), field)
+    # every other routine refuses them on entry too, whichever row is short:
+    # mixed packed and list rows used to raise `TypeError` or
+    # `AttributeError`, a product zipped the short row against a long column
+    # and a transpose cut the rows to the shortest
+    square = tuple(row[:WIDE] for row in e[:WIDE])
+    for lengths in ((2, WIDE), (WIDE, 2)):
+        ragged = tuple(row[:n] for row, n in zip(e, lengths))
+        calls = [
+            lambda: linalg.rref(ragged, field),
+            lambda: linalg.rank(ragged, field),
+            lambda: linalg.nullspace(ragged, WIDE, field),
+            lambda: linalg.solve(ragged, (one, one), field),
+            lambda: linalg.reduce_against(ragged, e[0][:WIDE], field),
+            lambda: linalg.matmul(ragged, square),
+            lambda: linalg.matmul(tuple(row[:2] for row in square), ragged),
+            lambda: linalg.mat_vec(ragged, e[0][:WIDE]),
+            lambda: linalg.vec_mat(e[0][:2], ragged),
+            lambda: linalg.transpose(ragged),
+            lambda: linalg.hold(ragged, field),
+            lambda: linalg.held_ints([[1] * n for n in lengths], field),
+            lambda: linalg.held_transpose(linalg.hold(ragged, field), field),
+            lambda: linalg.held_intersect(
+                linalg.hold(ragged, field), linalg.hold(square, field), WIDE, field
+            ),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="rows of unequal length"):
+                call()
+    # equal rows of the wrong width keep the nullspace's own message
+    with pytest.raises(ValueError, match="a row of length 2 in a nullspace of width"):
+        linalg.nullspace(tuple(row[:2] for row in square), WIDE, field)
 
 
 def test_every_public_routine_has_a_caller():

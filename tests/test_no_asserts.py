@@ -6,9 +6,8 @@ never `AssertionError`, which no caller catches. And it sets no
 field of a frozen object behind its back: what a form keeps lives in its
 memo (`bilinear._kept`), never in a field set through
 `object.__setattr__`. And every private helper it defines has a caller.
-And the forms pair on the held Gram matrices they keep: `bilinear` and
-`symplectic` name the field-less products of `linalg` only where they work
-on field elements by design."""
+And it reaches `linalg` only through held rows: no module but `linalg`
+names its routines on field elements or its field-less products."""
 
 import ast
 from pathlib import Path
@@ -78,39 +77,49 @@ def test_every_private_helper_has_a_caller():
     assert sorted(where for name, where in defined.items() if name not in named) == []
 
 
-# the field-less products of `linalg`, and the only places of `bilinear` and
-# `symplectic` that may name them: they act on field elements, not on a Gram
-# matrix the form keeps held
-FIELD_LESS = {"matmul", "mat_vec", "vec_mat"}
-FIELD_ELEMENT_CODE = {"Isometry.apply", "compose_isometries", "_asymmetry_pair"}
+# the routines of `linalg` on field elements and its field-less products:
+# the library reaches `linalg` only through held rows, so no module but
+# `linalg` itself names one. Bare names are not matched, since `module.rank`
+# or a local `inverse` is no call of `linalg`.
+FIELD_ELEMENT = {
+    "rref", "rank", "nullspace", "solve", "inverse", "reduce_against",
+    "complement_rows", "matmul", "mat_vec", "vec_mat",
+}
 
 
-def _scoped_names(node, scope=()):
-    """(the enclosing definitions, joined by dots, and the line) of every
-    name, attribute or import below `node` that names a field-less
-    product."""
+def _field_element_lines(tree) -> list:
+    """The lines of `tree` that name a field-element routine of `linalg`,
+    as `linalg.<name>` or `from .linalg import <name>`."""
     out = []
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-            out += _scoped_names(child, scope + (child.name,))
-            continue
-        own = {getattr(child, key, None) for key in ("id", "attr", "name", "asname")}
-        if own & FIELD_LESS:
-            out.append((".".join(scope), child.lineno))
-        out += _scoped_names(child, scope)
-    return out
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            hit = node.attr in FIELD_ELEMENT and getattr(node.value, "id", None) == "linalg"
+        elif isinstance(node, ast.ImportFrom):
+            hit = (node.module or "").split(".")[-1] == "linalg" and any(
+                alias.name in FIELD_ELEMENT for alias in node.names
+            )
+        else:
+            hit = False
+        if hit:
+            out.append(node.lineno)
+    return sorted(out)
 
 
 def test_forms_pair_on_their_held_gram_matrices():
-    planted = "from .linalg import vec_mat\nclass A:\n    def f(self):\n        linalg.matmul(a, b)\n"
-    assert _scoped_names(ast.parse(planted)) == [("", 1), ("A.f", 4)]
-    hits = []
-    for name in ("bilinear.py", "symplectic.py"):
-        tree = ast.parse((PACKAGE / name).read_text(), filename=name)
-        hits += [(name, scope, line) for scope, line in _scoped_names(tree)]
-    allowed = [
-        hit for hit in hits
-        if any(".".join(hit[1].split(".")[:k]) in FIELD_ELEMENT_CODE for k in (1, 2))
+    planted = (
+        "from .linalg import vec_mat, hold\n"
+        "from . import linalg\n"
+        "class A:\n"
+        "    def f(self, module):\n"
+        "        inverse = module.rank\n"
+        "        linalg.matmul(a, linalg.held_rank(b, field))\n"
+    )
+    assert _field_element_lines(ast.parse(planted)) == [1, 6]
+    modules = [path for path in sorted(PACKAGE.rglob("*.py")) if path.name != "linalg.py"]
+    assert len(modules) > 1
+    hits = [
+        f"{path.relative_to(PACKAGE)}:{line}"
+        for path in modules
+        for line in _field_element_lines(ast.parse(path.read_text(), filename=str(path)))
     ]
-    assert allowed  # the scan sees the field-element code
-    assert [hit for hit in hits if hit not in allowed] == []
+    assert hits == []

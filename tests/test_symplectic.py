@@ -62,6 +62,7 @@ from sheafforms.oracles import (
     discrete_pair_space,
     random_alternating_form,
     random_global_section,
+    random_orthosymmetric_form,
     random_partial_family,
     random_symplectic_isometry,
     random_totally_isotropic,
@@ -373,6 +374,22 @@ class TestCertifyBasis:
         short = SymplecticBasis(basis.module, basis.r[:1], basis.s[:1])
         assert not certify_basis(form, short)
 
+    def test_rejects_partial_index_outside_range(self, sierpinski):
+        # the indices are 1-based: index 0 or -1 is not the last section, and
+        # n + 1 is no section at all; gram_schmidt_extend refuses them all
+        form, basis = self.basis_of(sierpinski)
+        n = basis.n
+        outside = [
+            PartialFamily.of(r={0: basis.r[-1]}),
+            PartialFamily.of(s={-1: basis.s[-1]}),
+            PartialFamily.of(r={n + 1: basis.r[0]}),
+            PartialFamily.of(r={1: basis.r[0]}, s={n + 1: basis.s[0]}),
+        ]
+        for partial in outside:
+            with pytest.raises(PartialRelationsViolated):
+                gram_schmidt_extend(form, partial)
+            assert certify_basis(form, basis, partial) is False
+
 
 class TestNormalForm:
     def test_rank2_frozen(self, sierpinski):
@@ -571,7 +588,118 @@ class TestDecomposition:
         assert all(p.span.dims == (2, 2) for p in planes)
 
 
+def section_level_certify_envelope(form, f, planes):
+    """`certify_envelope` decided section by section, as it was before it
+    read every plane off one pairing matrix: two `contains`, an `is_free`
+    and the rank of B G B^T per plane, and four `evaluate` calls per pair of
+    planes. The reference whose verdicts `certify_envelope` keeps."""
+    if f.is_free() is None:
+        return False
+    basis = f.global_basis()
+    if len(planes) != len(basis):
+        return False
+    field = form.module.field
+    for sec, plane in zip(basis, planes):
+        if plane.r != sec or not (plane.span.contains(sec) and plane.span.contains(plane.s)):
+            return False
+        if not form.evaluate(plane.r, plane.s).is_nowhere_zero():
+            return False
+        if plane.span.is_free() != 2:
+            return False
+        for b, g in zip(plane.span.bases, form.gram):
+            if linalg.rank(linalg.matmul(linalg.matmul(b, g), linalg.transpose(b)), field) != 2:
+                return False
+    for i, p in enumerate(planes):
+        for q in planes[i + 1 :]:
+            for a in (p.r, p.s):
+                for b in (q.r, q.s):
+                    if not form.evaluate(a, b).is_zero():
+                        return False
+    return True
+
+
+def bent_form(rng, form, planes):
+    """A form that is not alternating under which the planes stay pairwise
+    orthogonal: with R the rows r_1, s_1, ... of a basis that holds the
+    planes' pairs first, R G R^T is A_2n plus a diagonal drawn from -1..2,
+    so a plane's block [[d, 1], [-1, d']] is singular when d d' = -1."""
+    field = form.module.field
+    given = dict(enumerate(planes, 1))
+    basis = gram_schmidt_extend(form, PartialFamily.of(
+        {i: p.r for i, p in given.items()}, {i: p.s for i, p in given.items()}
+    ))
+    n = form.module.rank
+    grams = []
+    for c in range(len(form.gram)):
+        rows = tuple(sec.vectors[c] for sec in basis.interleaved())
+        inv = linalg.inverse(rows, field)
+        bent = tuple(
+            tuple(x + field.from_int(rng.randrange(-1, 3)) if i == j else x for j, x in enumerate(row))
+            for i, row in enumerate(standard_alternating(n, field))
+        )
+        grams.append(linalg.matmul(linalg.matmul(inv, bent), linalg.transpose(inv)))
+    return BilinearForm(form.module, tuple(grams))
+
+
+def perturbed_envelopes(rng, form, f, planes):
+    """The library's planes and, when they have a plane to change, their
+    perturbations: a partner scaled by 2 or -1, partners swapped between two
+    planes (with or without their spans), r_i replaced by another row of f,
+    a span forged from r_i and s_i plus a section, a span rebuilt from r_i
+    and s_i + r_i, and the planes reordered."""
+    module, field = form.module, form.module.field
+    out = [list(planes)]
+    if not planes:
+        return out
+    basis = f.global_basis()
+    i = rng.randrange(len(planes))
+    p = planes[i]
+
+    def with_plane(plane):
+        return [plane if j == i else q for j, q in enumerate(planes)]
+
+    for c in (2, -1):
+        out.append(with_plane(HyperbolicPlane(p.r, field.from_int(c) * p.s, p.span)))
+    t = random_global_section(rng, module)
+    out.append(with_plane(HyperbolicPlane(p.r, p.s, span(module, [p.r, p.s + t]))))
+    out.append(with_plane(HyperbolicPlane(p.r, p.s, span(module, [p.r, p.s + p.r]))))
+    if len(planes) > 1:
+        j = (i + 1) % len(planes)
+        q = planes[j]
+        swapped = list(planes)
+        swapped[i], swapped[j] = HyperbolicPlane(p.r, q.s, p.span), HyperbolicPlane(q.r, p.s, q.span)
+        out.append(swapped)
+        respanned = list(planes)
+        respanned[i] = HyperbolicPlane(p.r, q.s, span(module, [p.r, q.s]))
+        respanned[j] = HyperbolicPlane(q.r, p.s, span(module, [q.r, p.s]))
+        out.append(respanned)
+        out.append(with_plane(HyperbolicPlane(basis[j], p.s, p.span)))
+        out.append(list(reversed(planes)))
+    return out
+
+
 class TestEnvelope:
+    @pytest.mark.parametrize("field", [Q, PrimeField(101)], ids=["Q", "GF101"])
+    def test_keeps_the_section_level_verdicts(self, field):
+        rng = Random(f"envelope:{field.name}")
+        verdicts = []
+        for space in (sierpinski_space(), discrete_pair_space()):
+            for rank in (2, 4, 6, 8):
+                module = FreeModule(space, field, rank)
+                form = random_alternating_form(rng, module)
+                symmetric = random_orthosymmetric_form(rng, module, symmetric_only=True)
+                for k in range(rank // 2 + 1):
+                    f = random_totally_isotropic(rng, form, k)
+                    planes = hyperbolic_envelope(form, f)
+                    forms = (form, symmetric, bent_form(rng, form, planes))
+                    for candidate in perturbed_envelopes(rng, form, f, planes):
+                        for g in forms:
+                            expected = section_level_certify_envelope(g, f, candidate)
+                            assert certify_envelope(g, f, candidate) is expected
+                            verdicts.append((g is form, expected))
+        # both verdicts occur, under the alternating form and under the others
+        assert set(verdicts) == {(True, True), (True, False), (False, True), (False, False)}
+
     def test_frozen_standard_a4(self, sierpinski):
         module = FreeModule(sierpinski, Q, 4)
         form = standard_symplectic_form(module)
@@ -620,6 +748,18 @@ class TestEnvelope:
         forged = span(module, [plane.r, e[1] + e[2]])
         assert not forged.contains(plane.s)
         assert not certify_envelope(form, f, [HyperbolicPlane(plane.r, plane.s, forged)])
+
+    def test_partner_off_the_module_rejected(self, sierpinski):
+        # a partner over a smaller open, or of another module, is not
+        # certified (as in certify_basis); it used to raise OpenMismatch or
+        # ModuleMismatch
+        module = FreeModule(sierpinski, Q, 4)
+        form = standard_symplectic_form(module)
+        f = span(module, [module.canonical_basis()[0]])
+        (plane,) = hyperbolic_envelope(form, f)
+        foreign = FreeModule(sierpinski, PrimeField(101), 4).canonical_basis()[2]
+        for s in (plane.s.restrict(sierpinski.ref(("a",))), foreign):
+            assert certify_envelope(form, f, [HyperbolicPlane(plane.r, s, plane.span)]) is False
 
     def test_not_totally_isotropic_rejected(self, sierpinski):
         module = FreeModule(sierpinski, Q, 4)
