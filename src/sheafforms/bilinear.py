@@ -469,23 +469,31 @@ def certify_witness(form: BilinearForm, w: OrthoWitness) -> bool:
 def _asymmetry_pair(g, field):
     """Vectors (r, s) with r G s^T = 0 but s G r^T != 0, for a matrix that is
     neither symmetric nor alternating. Classical construction, char != 2."""
-    n, zero = len(g), field.zero
-    units = linalg.identity(n, field)
+    n = len(g)
 
     def phi(u, v):
         return linalg.dot(u, tuple(linalg.dot(row, v) for row in g))
 
+    def unit(i):
+        return tuple(field.one if j == i else field.zero for j in range(n))
+
     # a basis pair may already witness the failure outright
     for i in range(n):
         for j in range(n):
-            if g[i][j] == zero and g[j][i] != zero:
-                return units[i], units[j]
+            if g[i][j] == field.zero and g[j][i] != field.zero:
+                return unit(i), unit(j)
 
     # a, b with phi(a, b) != phi(b, a)
-    asymmetric = [(i, j) for i in range(n) for j in range(n) if g[i][j] != g[j][i]]
-    if not asymmetric:
+    a = b = None
+    for i in range(n):
+        for j in range(n):
+            if g[i][j] != g[j][i]:
+                a, b = unit(i), unit(j)
+                break
+        if a is not None:
+            break
+    if a is None:
         raise SelfCheckFailed("the matrix is symmetric: no asymmetry pair exists")
-    a, b = (units[k] for k in asymmetric[0])
 
     def orthogonalize(x, y):
         # phi(x, x) != 0: subtract the projection so phi(x, s) = 0
@@ -493,19 +501,26 @@ def _asymmetry_pair(g, field):
         s = linalg.sub_vec(y, linalg.scale(c, x))
         return x, s
 
-    if phi(a, a) != zero:
+    if phi(a, a) != field.zero:
         return orthogonalize(a, b)
-    if phi(b, b) != zero:
+    if phi(b, b) != field.zero:
         return orthogonalize(b, a)
 
-    # some u with phi(u, u) != 0 exists since the form is not alternating: a
-    # unit with g_ii != 0, else the sum of two with g_ij + g_ji != 0
-    candidates = [units[i] for i in range(n) if g[i][i] != zero] + [
-        linalg.add_vec(units[i], units[j])
-        for i in range(n) for j in range(i + 1, n) if g[i][j] + g[j][i] != zero
-    ]
-    u = candidates[0] if candidates else None
-    if u is None or phi(u, u) == zero:
+    # some u with phi(u, u) != 0 exists since the form is not alternating
+    u = None
+    for i in range(n):
+        if g[i][i] != field.zero:
+            u = unit(i)
+            break
+    if u is None:
+        for i in range(n):
+            for j in range(i + 1, n):
+                if g[i][j] + g[j][i] != field.zero:
+                    u = linalg.add_vec(unit(i), unit(j))
+                    break
+            if u is not None:
+                break
+    if u is None or phi(u, u) == field.zero:
         raise SelfCheckFailed("the matrix is alternating: no asymmetry pair exists")
 
     if phi(a, u) != phi(u, a):
@@ -515,6 +530,6 @@ def _asymmetry_pair(g, field):
 
     # shifting a by u keeps the asymmetry with b and gains self-pairing
     for shifted in (linalg.add_vec(a, u), linalg.sub_vec(a, u)):
-        if phi(shifted, shifted) != zero:
+        if phi(shifted, shifted) != field.zero:
             return orthogonalize(shifted, b)
     raise SelfCheckFailed("unreachable in characteristic != 2")

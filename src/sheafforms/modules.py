@@ -51,8 +51,14 @@ class FreeModule:
         """Global sections e_1 .. e_rank, the same unit vector on every
         component."""
         n = len(self.x_components())
-        x = self.space.x_ref
-        return [ModuleSection(self, x, (e,) * n) for e in linalg.identity(self.rank, self.field)]
+        out = []
+        for i in range(self.rank):
+            e = tuple(
+                self.field.one if j == i else self.field.zero
+                for j in range(self.rank)
+            )
+            out.append(ModuleSection(self, self.space.x_ref, (e,) * n))
+        return out
 
     def section(self, open: OpenRef, vectors) -> "ModuleSection":
         return ModuleSection(self, open, tuple(tuple(v) for v in vectors))

@@ -30,6 +30,7 @@ from .algebra import AlgebraSection
 from .bilinear import (
     BilinearForm,
     OrthoWitness,
+    _pairings,
     certify_projection,
     certify_witness,
     classify_orthosymmetry,
@@ -52,6 +53,7 @@ from .symplectic import (
     Isometry,
     PartialFamily,
     _carry,
+    _inverse,
     _validate_pair,
     certify_basis,
     certify_witt,
@@ -105,22 +107,15 @@ def random_invertible(rng: Random, n: int, field):
             return m
 
 
-def _paired(rows, g, field):
-    """V G V^T as field elements, for V the given rows, worked out on held
-    rows: phi(u, v) = (u G) . v for every pair of rows at once."""
-    held = linalg.hold(rows, field)
-    paired = linalg.held_combine(held, linalg.hold(g, field), field)
-    return linalg.release(linalg.held_product(paired, held, field), field)
-
-
 def random_alternating_form(rng: Random, module: FreeModule) -> BilinearForm:
     """Non-degenerate alternating form: congruate the standard one by a
     random invertible matrix on each component."""
-    a = standard_alternating(module.rank, module.field)
+    field = module.field
+    a_cols = linalg.hold(linalg.transpose(standard_alternating(module.rank, field)), field)
     gram = []
     for _ in module.x_components():
-        p = random_invertible(rng, module.rank, module.field)
-        gram.append(_paired(linalg.transpose(p), a, module.field))
+        pt = linalg.hold(linalg.transpose(random_invertible(rng, module.rank, field)), field)
+        gram.append(linalg.release(_pairings(pt, pt, a_cols, field), field))
     return BilinearForm(module, tuple(gram))
 
 
@@ -143,8 +138,9 @@ def random_orthosymmetric_form(
                 )
                 for i in range(n)
             )
-        p = random_invertible(rng, n, field)
-        gram.append(_paired(linalg.transpose(p), base, field))
+        pt = linalg.hold(linalg.transpose(random_invertible(rng, n, field)), field)
+        cols = linalg.hold(linalg.transpose(base), field)
+        gram.append(linalg.release(_pairings(pt, pt, cols, field), field))
     return BilinearForm(module, tuple(gram))
 
 
@@ -207,10 +203,7 @@ def _random_block_symplectic(rng: Random, n: int, field):
             gens.append(interleaved(ident, zero, sym(), ident))
         else:
             q = random_invertible(rng, half, field)
-            # (Q^-1)^T = (Q^T)^-1
-            qt = linalg.hold(linalg.transpose(q), field)
-            _, inv_t = linalg.held_left_divide(qt, linalg.hold(ident, field), field)
-            gens.append(interleaved(q, zero, zero, linalg.release(inv_t, field)))
+            gens.append(interleaved(q, zero, zero, linalg.transpose(_inverse(q, field))))
     return functools.reduce(functools.partial(linalg.held_combine, field=field), gens)
 
 
@@ -254,16 +247,21 @@ def random_partial_family(rng: Random, form: BilinearForm, config=None):
 
 def random_totally_isotropic(rng: Random, form: BilinearForm, k: int):
     """Rank-k totally isotropic free submodule: the span of k distinct
-    r-sections of a random symplectic basis."""
+    r-sections of a random symplectic basis, lightly recombined."""
     n = form.module.rank // 2
     if not 0 <= k <= n:
         raise ValueError(f"rank {k} outside 0..{n}")
     basis = gram_schmidt_extend(form, PartialFamily.of())
     picks = [basis.r[i] for i in sorted(rng.sample(range(n), k))]
     if k > 1:
-        # an invertible mix of the picks spans the same submodule; it is
-        # still drawn, so every seed keeps its sequence of draws
-        random_invertible(rng, k, form.module.field)
+        mix = random_invertible(rng, k, form.module.field)
+        mixed = []
+        for row in mix:
+            acc = row[0] * picks[0]
+            for c, sec in zip(row[1:], picks[1:]):
+                acc = acc + c * sec
+            mixed.append(acc)
+        picks = mixed
     return span(form.module, picks)
 
 
@@ -277,7 +275,10 @@ def _zero_pair_counts(g, vectors, field):
     """Exhaustive fiber pairing table: how many ordered vector pairs vanish
     forward, and how many vanish in both directions; plus a pair vanishing
     forward but not backward, if any."""
-    table = _paired(vectors, g, field)
+    # phi(u, v) = (u G) . v for every pair at once: the matrix V G V^T
+    held = linalg.hold(vectors, field)
+    cols = linalg.hold(linalg.transpose(g), field)
+    table = linalg.release(_pairings(held, held, cols, field), field)
     forward = 0
     both = 0
     witness = None

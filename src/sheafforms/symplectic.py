@@ -196,18 +196,25 @@ def compose_isometries(first: Isometry, second: Isometry) -> Isometry:
     return Isometry(first.source, second.target, tuple(linalg.release(m, field) for m in mats))
 
 
+def _inverse(m, field):
+    """The inverse of a square matrix of field elements, or None if it is
+    singular: M^-1 I from one elimination of [M | I] on held rows."""
+    n = len(m)
+    ident = linalg.held_ints([[int(i == j) for j in range(n)] for i in range(n)], field)
+    _, inv = linalg.held_left_divide(linalg.hold(m, field), ident, field)
+    return None if inv is None else linalg.release(inv, field)
+
+
 def invert_isometry(iso: Isometry) -> Isometry:
     iso._check_shape()
     field = iso.source.module.field
-    n = iso.source.module.rank
-    ident = linalg.held_ints([[int(i == j) for j in range(n)] for i in range(n)], field)
     mats = []
     for c, m in enumerate(iso.matrices):
-        _, inv = linalg.held_left_divide(linalg.hold(m, field), ident, field)
+        inv = _inverse(m, field)
         if inv is None:
             # `Isometry` is not validated, so its matrices may be singular
             raise Degenerate(f"component {c}: isometry matrix is singular", component=c)
-        mats.append(linalg.release(inv, field))
+        mats.append(inv)
     return Isometry(iso.target, iso.source, tuple(mats))
 
 
@@ -664,33 +671,29 @@ def hyperbolic_envelope(form: BilinearForm, f: Submodule):
 def certify_envelope(form: BilinearForm, f: Submodule, planes) -> bool:
     """Each plane H_i is span(r_i, s_i), for r_i of f's canonical global
     basis and a global s_i, non-degenerate and orthogonal to the planes
-    after it; False for an f that is not free. Per component, each span is
-    compared with its pair's echelon rows, and the rest is read off the
-    pairing matrix of r_1, s_1, ..., r_k, s_k: phi(r_i, s_i) != 0, each 2 x
-    2 block on the diagonal invertible, and the blocks right of it zero."""
+    after it; False for an f that is not free. The spans are compared with
+    the planes `_planes` makes of the pairs, and the rest is read off the
+    pairing matrix of r_1, s_1, ..., r_k, s_k per component: phi(r_i, s_i)
+    != 0, each 2 x 2 block on the diagonal invertible, and the blocks right
+    of it zero."""
     if f.is_free() is None:
         return False
-    basis = f.global_basis()
     module, field = form.module, form.module.field
-    if len(planes) != len(basis) or any(
-        plane.r != sec
-        or not sec.module == plane.s.module == plane.span.module == module
-        or plane.s.open != module.space.x_ref
-        for sec, plane in zip(basis, planes)
+    pairs = [sec for plane in planes for sec in (plane.r, plane.s)]
+    if [plane.r for plane in planes] != f.global_basis() or any(
+        sec.module != module or sec.open != module.space.x_ref for sec in pairs
     ):
         return False
-    pairs = [sec for plane in planes for sec in (plane.r, plane.s)]
+    held = _held_vectors(form, pairs)
+    if _planes(module, held, [(plane.r, plane.s) for plane in planes]) != list(planes):
+        return False
     zero = field.zero
-    for c, (rows, cols) in enumerate(zip(_held_vectors(form, pairs), _gram_columns(form))):
+    for rows, cols in zip(held, _gram_columns(form)):
         pairing = linalg.release(_pairings(rows, rows, cols, field), field)
-        for i, plane in zip(range(0, len(rows), 2), planes):
+        for i in range(0, len(rows), 2):
             (rr, rs), (sr, ss) = (row[i : i + 2] for row in pairing[i : i + 2])
-            if (
-                linalg.held_rref(rows[i : i + 2], field)[0] != plane.span._rows[c]
-                or rs == zero
-                or rr * ss == rs * sr
-                or any(x != zero for row in pairing[i : i + 2] for x in row[i + 2 :])
-            ):
+            right = (x for row in pairing[i : i + 2] for x in row[i + 2 :])
+            if rs == zero or rr * ss == rs * sr or any(x != zero for x in right):
                 return False
     return True
 

@@ -88,12 +88,19 @@ FIELD_ELEMENT = {
 
 
 def _field_element_lines(tree) -> list:
-    """The lines of `tree` that name a field-element routine of `linalg`,
-    as `linalg.<name>` or `from .linalg import <name>`."""
+    """The lines of `tree` that name a field-element routine of `linalg`:
+    `X.<name>` for each X that an import binds `linalg` to (`from . import
+    linalg as la`, `import sheafforms.linalg`, ...), or `from .linalg
+    import <name>`."""
+    bound = {
+        alias.asname or alias.name
+        for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names if alias.name.split(".")[-1] == "linalg"
+    }
     out = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
-            hit = node.attr in FIELD_ELEMENT and getattr(node.value, "id", None) == "linalg"
+            hit = node.attr in FIELD_ELEMENT and ast.unparse(node.value) in bound
         elif isinstance(node, ast.ImportFrom):
             hit = (node.module or "").split(".")[-1] == "linalg" and any(
                 alias.name in FIELD_ELEMENT for alias in node.names
@@ -109,12 +116,16 @@ def test_forms_pair_on_their_held_gram_matrices():
     planted = (
         "from .linalg import vec_mat, hold\n"
         "from . import linalg\n"
+        "from . import linalg as la\n"
+        "import sheafforms.linalg\n"
         "class A:\n"
         "    def f(self, module):\n"
         "        inverse = module.rank\n"
         "        linalg.matmul(a, linalg.held_rank(b, field))\n"
+        "        la.inverse(la.hold(m, field), field)\n"
+        "        sheafforms.linalg.mat_vec(m, v)\n"
     )
-    assert _field_element_lines(ast.parse(planted)) == [1, 6]
+    assert _field_element_lines(ast.parse(planted)) == [1, 8, 9, 10]
     modules = [path for path in sorted(PACKAGE.rglob("*.py")) if path.name != "linalg.py"]
     assert len(modules) > 1
     hits = [
