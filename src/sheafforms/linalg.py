@@ -50,22 +50,23 @@ Each routine reads its field at one dispatch point (`_word_modulus`) but
 `matmul`, `mat_vec` and `vec_mat`, which take no field: they read it off
 the first entry, in the left factor and then the right, that is not a
 plain int, an `FpElement` of p meaning GF(p) and any other entry (or none
-at all) Q. They and the routines on field elements (`rref`, `rank`,
-`nullspace`, `solve`, `inverse`, `reduce_against`, `complement_rows`)
-serve only callers outside the package; the package reaches this module
-only through held rows. Every conversion on entry refuses rows of unequal
-length.
+at all) Q, and then hold both factors and take `held_product`'s body. They
+and the routines on field elements (`rref`, `nullspace`, `solve`,
+`inverse`, `reduce_against`, `complement_rows`) serve only callers outside
+the package; the package reaches this module only through held rows. There
+is no `rank` on field elements: a caller holds its rows and takes
+`held_rank`. Every conversion on entry refuses rows of unequal length.
 
 A caller that chains many steps holds its rows itself and works on them
 with `held_product` (the matrix of `dot(row, col)`, A C^T),
 `held_combine` (A B, B given by its rows), `held_transpose`,
 `held_divide`, `held_rref`, `held_rank`, `held_nullspace`,
-`held_intersect`, `held_complement_rows`, `held_left_divide` and
-`held_coordinates`; `held_ints` builds held rows straight from rows of
-plain ints. `rref`, `rank`, `nullspace`, `complement_rows`,
+`held_intersect`, `held_complement_rows`, `held_left_divide`,
+`held_inverse` and `held_coordinates`; `held_ints` builds held rows
+straight from rows of plain ints. `rref`, `nullspace`, `complement_rows`,
 `reduce_against` and `inverse` share their bodies with `held_rref`,
-`held_rank`, `held_nullspace`, `held_complement_rows`, `held_coordinates`
-and `held_left_divide`. Held rows are canonical, so a caller compares them,
+`held_nullspace`, `held_complement_rows`, `held_coordinates` and
+`held_inverse`. Held rows are canonical, so a caller compares them,
 zeros included, with `==`. The format is private to this module: other
 modules only pass held rows (and tuples of them) around, as the symplectic
 completion and the orthogonal calculus do, and keep them (a `Submodule`
@@ -79,8 +80,10 @@ substitutions are the canonical basis already (`_nullspace`). The
 intersection of two row spaces is one Zassenhaus elimination of the rows
 [A | A] and [B | 0]: the echelon rows whose pivot falls in the right half
 are (0, w), and the w are the reduced echelon basis of the intersection.
-M^-1 R is one elimination of [M | R] (`held_left_divide`), and the inverse
-of a square M is M^-1 I. The rows of a big space that complement a small
+M^-1 R is one elimination of [M | R] (`held_left_divide`), for a square M
+and an R of as many rows: any other M or R raises `ValueError`. The
+inverse of M is M^-1 I (`held_inverse`), its identity built here and
+nowhere else. The rows of a big space that complement a small
 one in a greedy scan are the pivot columns past the small rows of one
 elimination of the transposed stack [small; big] (`held_complement_rows`).
 
@@ -274,26 +277,21 @@ def _reduced(row: list, den: int):
 # -- the bodies -----------------------------------------------------------------
 
 
-def _lifted(rows, p: int) -> list:
-    """Rows of field elements over GF(p), all of one length, as lists of
-    ints in [0, p): the conversion on entry."""
-    out = []
-    for row in rows:
-        ints = [x.val for x in row if type(x) is FpElement and x.p == p]
-        out.append(ints if len(ints) == len(row) else [_lift(x, p) for x in row])
-    _rectangular(out)
-    _COUNTS["rows_in"] += len(out)
-    return out
-
-
 def _hold(rows, p) -> tuple:
-    """The body of `hold`: the one conversion on entry."""
-    if not p:
+    """The body of `hold`: the one conversion on entry. Over GF(p) each
+    row is lifted to ints in [0, p) and the rows are held (`_held`)."""
+    if p:
+        lifted = []
+        for row in rows:
+            ints = [x.val for x in row if type(x) is FpElement and x.p == p]
+            lifted.append(ints if len(ints) == len(row) else [_lift(x, p) for x in row])
+        _rectangular(lifted)
+        held = _held(lifted, p)
+    else:
         held = tuple(map(_cleared, rows))
         _rectangular([row for row, _ in held])
-        _COUNTS["rows_in"] += len(held)
-        return held
-    return _held(_lifted(rows, p), p)
+    _COUNTS["rows_in"] += len(held)
+    return held
 
 
 def _from_ints(rows, p) -> tuple:
@@ -474,12 +472,6 @@ def _back_substitute(ech, pivots, j, width: int, p):
     return x, den
 
 
-def _rank(held, p) -> int:
-    """The body of `held_rank`."""
-    work, width = _work(held, p)
-    return len(_eliminate(work, range(width), p)[1])
-
-
 def _length(held_row) -> int:
     """The number of entries of one held row, packed or not."""
     row, n = held_row
@@ -626,12 +618,25 @@ def _intersect(a, b, width: int, p) -> tuple:
 
 
 def _left_divide(m, rhs, p):
-    """The body of `held_left_divide`."""
+    """The body of `held_left_divide`: an M that is not square, or an R of
+    another row count than M, raises `ValueError`."""
     r = len(m)
+    for length in map(_length, m):
+        if length != r:
+            raise ValueError(f"no inverse of a matrix of {r} rows with a row of length {length}")
+    if len(rhs) != r:
+        raise ValueError(f"{len(rhs)} rows to divide by a matrix of {r} rows")
     width = _length(rhs[0]) if rhs else 0
     ech, pivots = _eliminate(_joined(m, rhs, p), range(r + width), p)
     rank = sum(pc < r for pc in pivots)
     return rank, _split(ech, pivots, r, width, p) if rank == r else None
+
+
+def _inverse(m, p):
+    """The body of `inverse` and `held_inverse`: M^-1 I, held, or None."""
+    n = len(m)
+    ident = _from_ints([[int(i == j) for j in range(n)] for i in range(n)], p)
+    return _left_divide(m, ident, p)[1]
 
 
 def _complement(held, k: int, p) -> tuple:
@@ -696,8 +701,6 @@ def _dot_matrix(rows, cols) -> tuple:
     """The matrix of `dot(row, col)` over rows and columns of field
     elements, over the field its entries name."""
     p = _entry_modulus(rows, cols)
-    if p:
-        return _release(_dots(_lifted(rows, p), _lifted(cols, p), p), p)
     return _release(_product(_hold(rows, p), _hold(cols, p), p), p)
 
 
@@ -750,11 +753,6 @@ def rref(rows, field):
     return _release(ech, p), pivots
 
 
-def rank(rows, field):
-    p = _word_modulus(field)
-    return _rank(_hold(rows, p), p)
-
-
 def nullspace(rows, width, field):
     """Canonical echelon basis of {x in k^width : rows @ x = 0}."""
     p = _word_modulus(field)
@@ -772,16 +770,10 @@ def solve(rows, rhs, field):
 
 
 def inverse(m, field):
-    """Matrix inverse, or None if singular: M^-1 I, one elimination of
-    [M | I] (`held_left_divide`). A matrix that is not square raises
-    `ValueError`."""
-    n = len(m)
-    for row in m:
-        if len(row) != n:
-            raise ValueError(f"no inverse of a matrix of {n} rows with a row of length {len(row)}")
+    """Matrix inverse, or None if singular (`held_inverse`). A matrix that
+    is not square raises `ValueError`."""
     p = _word_modulus(field)
-    ident = _from_ints([[int(i == j) for j in range(n)] for i in range(n)], p)
-    _, inv = _left_divide(_hold(m, p), ident, p)
+    inv = _inverse(_hold(m, p), p)
     return None if inv is None else _release(inv, p)
 
 
@@ -870,8 +862,10 @@ def held_rref(held, field):
 
 
 def held_rank(held, field) -> int:
-    """`rank` on held rows."""
-    return _rank(held, _word_modulus(field))
+    """The rank of held rows: the pivots of one elimination."""
+    p = _word_modulus(field)
+    work, width = _work(held, p)
+    return len(_eliminate(work, range(width), p)[1])
 
 
 def held_nullspace(held, width, field) -> tuple:
@@ -895,8 +889,16 @@ def held_left_divide(m, rhs, field):
     """For a square held matrix M and held rows R as many as its rows, one
     elimination of [M | R] (`_joined`): (the rank of M, M^-1 R held if M is
     invertible, else None). The rank is the number of pivots in M's
-    columns; when it is full the reduced echelon form is [I | M^-1 R]."""
+    columns; when it is full the reduced echelon form is [I | M^-1 R]. An
+    M that is not square, or an R of another row count, raises
+    `ValueError`."""
     return _left_divide(m, rhs, _word_modulus(field))
+
+
+def held_inverse(m, field):
+    """`inverse` on held rows: M^-1 held, M^-1 I from one elimination of
+    [M | I] (`held_left_divide`), or None if M is singular."""
+    return _inverse(m, _word_modulus(field))
 
 
 def held_coordinates(echelon, v, field):

@@ -53,7 +53,6 @@ from .symplectic import (
     Isometry,
     PartialFamily,
     _carry,
-    _inverse,
     _validate_pair,
     certify_basis,
     certify_witt,
@@ -203,7 +202,8 @@ def _random_block_symplectic(rng: Random, n: int, field):
             gens.append(interleaved(ident, zero, sym(), ident))
         else:
             q = random_invertible(rng, half, field)
-            gens.append(interleaved(q, zero, zero, linalg.transpose(_inverse(q, field))))
+            q_inv = linalg.release(linalg.held_inverse(linalg.hold(q, field), field), field)
+            gens.append(interleaved(q, zero, zero, linalg.transpose(q_inv)))
     return functools.reduce(functools.partial(linalg.held_combine, field=field), gens)
 
 
@@ -247,22 +247,12 @@ def random_partial_family(rng: Random, form: BilinearForm, config=None):
 
 def random_totally_isotropic(rng: Random, form: BilinearForm, k: int):
     """Rank-k totally isotropic free submodule: the span of k distinct
-    r-sections of a random symplectic basis, lightly recombined."""
+    r-sections of a random symplectic basis."""
     n = form.module.rank // 2
     if not 0 <= k <= n:
         raise ValueError(f"rank {k} outside 0..{n}")
     basis = gram_schmidt_extend(form, PartialFamily.of())
-    picks = [basis.r[i] for i in sorted(rng.sample(range(n), k))]
-    if k > 1:
-        mix = random_invertible(rng, k, form.module.field)
-        mixed = []
-        for row in mix:
-            acc = row[0] * picks[0]
-            for c, sec in zip(row[1:], picks[1:]):
-                acc = acc + c * sec
-            mixed.append(acc)
-        picks = mixed
-    return span(form.module, picks)
+    return span(form.module, [basis.r[i] for i in sorted(rng.sample(range(n), k))])
 
 
 # -- enumeration oracles ---------------------------------------------------------

@@ -196,25 +196,16 @@ def compose_isometries(first: Isometry, second: Isometry) -> Isometry:
     return Isometry(first.source, second.target, tuple(linalg.release(m, field) for m in mats))
 
 
-def _inverse(m, field):
-    """The inverse of a square matrix of field elements, or None if it is
-    singular: M^-1 I from one elimination of [M | I] on held rows."""
-    n = len(m)
-    ident = linalg.held_ints([[int(i == j) for j in range(n)] for i in range(n)], field)
-    _, inv = linalg.held_left_divide(linalg.hold(m, field), ident, field)
-    return None if inv is None else linalg.release(inv, field)
-
-
 def invert_isometry(iso: Isometry) -> Isometry:
     iso._check_shape()
     field = iso.source.module.field
     mats = []
     for c, m in enumerate(iso.matrices):
-        inv = _inverse(m, field)
+        inv = linalg.held_inverse(linalg.hold(m, field), field)
         if inv is None:
             # `Isometry` is not validated, so its matrices may be singular
             raise Degenerate(f"component {c}: isometry matrix is singular", component=c)
-        mats.append(inv)
+        mats.append(linalg.release(inv, field))
     return Isometry(iso.target, iso.source, tuple(mats))
 
 

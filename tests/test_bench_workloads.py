@@ -4,7 +4,8 @@ through `execute` and then `check`, so a change to the library that breaks
 what the benchmark checks (submodule equality in `calculus_gf`, say) fails
 here and not only when the benchmark runs. The items of that cycle are
 pinned too, by a digest of their data, since the library's generators make
-them. The file is loaded, never edited."""
+them, and the kernel and form-memo counts of `execute` over the cycle are
+bounded. The file is loaded, never edited."""
 
 import hashlib
 import importlib.util
@@ -16,6 +17,7 @@ import pytest
 
 import sheafforms
 from sheafforms import linalg, oracles, scenario
+from sheafforms.bilinear import form_memo_stats
 
 WORKLOADS_PY = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 NAME = "bench_workloads"
@@ -66,3 +68,52 @@ def test_the_first_cycle_items_are_pinned(name):
     for k in range(workload.cycle):
         digest.update(workload.describe(LIB, source.item(k)).encode())
     assert digest.hexdigest() == ITEM_DATA[name]
+
+
+# upper bounds on the counts of `execute` over every item of the first cycle
+# at seed 1: the `kernel_stats()` deltas (calls by field, rows converted on
+# entry, entries built on exit, eliminations, packed multiply-adds) and the
+# `form_memo_stats()` hits and misses. A change that lowers a count lowers
+# its pin; one that raises a count changes this check
+COUNTS = {
+    "symplectic_q": {
+        "kernel": {"gfp": 0, "rational": 1346, "rows_in": 142, "entries_out": 1344,
+                   "eliminations": 172, "multiply_adds": 0},
+        "memo": {"gram_hits": 56, "gram_misses": 16, "class_hits": 0, "class_misses": 0,
+                 "projector_hits": 0, "projector_misses": 0, "symplectic_hits": 32,
+                 "symplectic_misses": 16, "completion_hits": 16, "completion_misses": 16},
+    },
+    "calculus_gf": {
+        "kernel": {"gfp": 1005, "rational": 0, "rows_in": 455, "entries_out": 1050,
+                   "eliminations": 385, "multiply_adds": 28874},
+        "memo": {"gram_hits": 60, "gram_misses": 10, "class_hits": 40, "class_misses": 0,
+                 "projector_hits": 30, "projector_misses": 10, "symplectic_hits": 0,
+                 "symplectic_misses": 0, "completion_hits": 0, "completion_misses": 0},
+    },
+    "scenario_wide": {
+        "kernel": {"gfp": 12548, "rational": 6359, "rows_in": 5797, "entries_out": 19795,
+                   "eliminations": 3118, "multiply_adds": 950},
+        "memo": {"gram_hits": 761, "gram_misses": 165, "class_hits": 384, "class_misses": 100,
+                 "projector_hits": 260, "projector_misses": 60, "symplectic_hits": 108,
+                 "symplectic_misses": 54, "completion_hits": 36, "completion_misses": 42},
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(COUNTS))
+def test_the_first_cycle_counts_stay_within_their_pins(name):
+    bench = _workloads()
+    workload = bench.WORKLOADS[name]
+    source = bench.ItemSource(workload, LIB, 1)
+    items = [source.item(k) for k in range(workload.cycle)]
+    stats = (linalg.kernel_stats, form_memo_stats)
+    before = [stat() for stat in stats]
+    for item in items:
+        workload.execute(LIB, item)
+    kernel, memo = (
+        {key: stat()[key] - was[key] for key in was} for stat, was in zip(stats, before)
+    )
+    pins = COUNTS[name]
+    assert set(kernel) == set(pins["kernel"]) and set(memo) == set(pins["memo"])
+    assert {k: v for k, v in kernel.items() if v > pins["kernel"][k]} == {}
+    assert {k: v for k, v in memo.items() if v > pins["memo"][k]} == {}

@@ -3,9 +3,9 @@ enumeration over GF(3) where exhaustive checking is affordable, and the one
 elimination kernel, over GF(p) and over Q, against the generic elimination
 over field elements."""
 
+import ast
 import inspect
 import itertools
-import re
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -140,7 +140,7 @@ def test_inverse_round_trip():
         m = tuple(tuple(Q.random_scalar(rng) for _ in range(n)) for _ in range(n))
         inv = linalg.inverse(m, Q)
         if inv is None:
-            assert linalg.rank(m, Q) < n
+            assert linalg.held_rank(linalg.hold(m, Q), Q) < n
         else:
             assert linalg.matmul(m, inv) == linalg.identity(n, Q)
             assert linalg.matmul(inv, m) == linalg.identity(n, Q)
@@ -204,7 +204,7 @@ def test_sum_and_intersection_dimension_formula_gf3():
 )
 def test_rank_bounded_by_shape(rows):
     m = tuple(tuple(r) for r in rows)
-    r = linalg.rank(m, Q)
+    r = linalg.held_rank(linalg.hold(m, Q), Q)
     assert 0 <= r <= min(len(m), 3)
 
 
@@ -527,7 +527,7 @@ def test_held_rows_match_the_routines_on_field_elements(order):
         assert linalg.release(linalg.held_transpose(ha, field), field) == linalg.transpose(a)
         ech, pivots = linalg.held_rref(ha, field)
         assert same((linalg.release(ech, field), pivots), ref_rref(a, field))
-        assert linalg.held_rank(ha, field) == len(pivots) == linalg.rank(a, field)
+        assert linalg.held_rank(ha, field) == len(pivots)
         assert same(linalg.release(linalg.held_nullspace(ha, m, field), field),
                     ref_nullspace(a, m, field))
         assert same(linalg.release(linalg.held_intersect(ha, hc, m, field), field),
@@ -585,9 +585,9 @@ def test_zassenhaus_intersection_matches_the_annihilator_route(order):
 def ref_complement_rows(sub_rows, big_rows, field):
     """The greedy scan as one elimination of the growing stack per row."""
     kept, current = [], list(sub_rows)
-    r = linalg.rank(current, field)
+    r = linalg.held_rank(linalg.hold(current, field), field)
     for row in big_rows:
-        r2 = linalg.rank(current + [row], field)
+        r2 = linalg.held_rank(linalg.hold(current + [row], field), field)
         if r2 > r:
             kept.append(tuple(row))
             current.append(row)
@@ -639,7 +639,7 @@ def test_complement_rows_refuses_rows_of_unequal_length(field):
         ragged = tuple(row[:n] for row, n in zip(e, lengths))
         calls = [
             lambda: linalg.rref(ragged, field),
-            lambda: linalg.rank(ragged, field),
+            lambda: linalg.held_rank(linalg.hold(ragged, field), field),
             lambda: linalg.nullspace(ragged, WIDE, field),
             lambda: linalg.solve(ragged, (one, one), field),
             lambda: linalg.reduce_against(ragged, e[0][:WIDE], field),
@@ -663,22 +663,65 @@ def test_complement_rows_refuses_rows_of_unequal_length(field):
         linalg.nullspace(tuple(row[:2] for row in square), WIDE, field)
 
 
+def _linalg_uses(tree) -> set:
+    """The names of `linalg` that `tree` uses: `X.<name>` for X `linalg`,
+    `la` or any name an import binds `linalg` to (`from . import linalg as
+    L`, `import sheafforms.linalg`, ...), and `from .linalg import <name>`.
+    A bare word is no use: `module.rank` names no routine of `linalg`."""
+    bound = {"linalg", "la"} | {
+        alias.asname or alias.name
+        for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names if alias.name.split(".")[-1] == "linalg"
+    }
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and ast.unparse(node.value) in bound:
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "linalg":
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def _traced_linalg_routines(spans: Path) -> set:
+    """The module-level `linalg` routines of `TARGETS` in `bench/spans.py`,
+    read and not imported."""
+    for node in ast.parse(spans.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets
+        ):
+            return {
+                name for module, owner, name in ast.literal_eval(node.value)
+                if module == "linalg" and owner is None
+            }
+    raise AssertionError(f"no TARGETS in {spans}")
+
+
 def test_every_public_routine_has_a_caller():
     # a public routine of `linalg` that nothing in the library, the benchmark
-    # or the demos names is dead code; `kernel_stats` is a counter for tests
-    # and tools to read
+    # or the demos uses through `linalg`, and that the benchmark's tracer
+    # does not wrap, is dead code; `kernel_stats` is a counter for tests and
+    # tools to read
+    planted = (
+        "from .linalg import release\n"
+        "import sheafforms.linalg as L\n"
+        "import sheafforms.linalg\n"
+        "rank = module.rank + rank(m)\n"
+        "L.held_rank(la.hold(m, field), field)\n"
+        "sheafforms.linalg.mat_vec(m, v)\n"
+    )
+    assert _linalg_uses(ast.parse(planted)) == {"release", "held_rank", "hold", "mat_vec"}
     root = Path(__file__).resolve().parent.parent
     own = root / "src" / "sheafforms" / "linalg.py"
-    names = set()
+    used = _traced_linalg_routines(root / "bench" / "spans.py")
     for folder in ("src", "bench", "demos"):
         for path in (root / folder).rglob("*.py"):
             if path != own:
-                names.update(re.findall(r"\w+", path.read_text()))
+                used |= _linalg_uses(ast.parse(path.read_text(), filename=str(path)))
     public = {
         name for name, fn in inspect.getmembers(linalg, inspect.isfunction)
         if fn.__module__ == linalg.__name__ and not name.startswith("_")
     }
-    assert sorted(public - names - {"kernel_stats"}) == []
+    assert sorted(public - used - {"kernel_stats"}) == []
 
 
 def _calculus_gf_sequence(rng):
@@ -909,6 +952,26 @@ def test_inverse_refuses_a_matrix_that_is_not_square(field):
             linalg.inverse(m, field)
 
 
+@pytest.mark.parametrize("field", [Q, F7], ids=["Q", "GF7"])
+def test_left_divide_refuses_malformed_input(field):
+    # [M | R] of a 2 x 3 M has a right block 3 wide that is no M^-1 R, and
+    # a 2 x 2 M joined beside 3 rows of R drops the third
+    wide = linalg.hold(in_field(((1, 0, 2), (0, 1, 3)), field), field)
+    square = linalg.hold(in_field(((1, 2), (3, 5)), field), field)
+    two = linalg.hold(in_field(((1, 0), (0, 1)), field), field)
+    three = linalg.hold(in_field(((1, 0), (0, 1), (4, 4)), field), field)
+    with pytest.raises(ValueError, match="no inverse of a matrix of 2 rows with a row of length 3"):
+        linalg.held_left_divide(wide, two, field)
+    with pytest.raises(ValueError, match="3 rows to divide by a matrix of 2 rows"):
+        linalg.held_left_divide(square, three, field)
+    with pytest.raises(ValueError, match="no inverse of a matrix of 2 rows with a row of length 3"):
+        linalg.held_inverse(wide, field)
+    # well-formed input still divides, and the held inverse is M^-1 I
+    rank, k = linalg.held_left_divide(square, two, field)
+    assert rank == 2 and k == linalg.held_inverse(square, field)
+    assert same(linalg.release(k, field), ref_inverse(linalg.release(square, field), field))
+
+
 def test_inverse_takes_the_kernel_of_its_identity_block():
     # M^-1 is M^-1 I, one elimination of [M | I] as `held_left_divide` runs
     # it: the rows are packed only when I's are, so a 4 x 4 and a 7 x 7
@@ -1113,7 +1176,7 @@ def test_packing_round_trips_rows_of_no_entry_one_entry_and_zeros(order):
     field = PrimeField(order)
     one, zero = field.one, field.zero
     rows = ((zero,) * WIDE, (zero,) * 3 + (2 * one,) + (zero,) * (WIDE - 4), (zero,) * WIDE)
-    assert linalg.rank(rows, field) == 1
+    assert linalg.held_rank(linalg.hold(rows, field), field) == 1
     check_against_references(rows, rows[::-1], WIDE, field)
 
 

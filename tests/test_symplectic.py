@@ -607,7 +607,8 @@ def section_level_certify_envelope(form, f, planes):
         if plane.span.is_free() != 2:
             return False
         for b, g in zip(plane.span.bases, form.gram):
-            if linalg.rank(linalg.matmul(linalg.matmul(b, g), linalg.transpose(b)), field) != 2:
+            bgb = linalg.matmul(linalg.matmul(b, g), linalg.transpose(b))
+            if linalg.held_rank(linalg.hold(bgb, field), field) != 2:
                 return False
     for i, p in enumerate(planes):
         for q in planes[i + 1 :]:
