@@ -2,9 +2,9 @@
 of the total space.
 
 Sections are rows, so the pairing on a component with Gram matrix G is
-phi(r, s) = r G s^T. A form keeps its Gram matrices and their columns as
-`linalg` holds them, held on first use, and every pairing is U G V^T on
-them (`_pairings`): `evaluate` holds the sections' vectors once and
+phi(r, s) = r G s^T. A form holds one G per component, on first use: u G
+is `held_combine(u, G)`, u G^T is `held_product(u, G)`, and every pairing
+is U G V^T (`_pairings`). `evaluate` holds the sections' vectors once and
 releases one value per component of their open, and `adjoint` releases
 G t^T or t G. Orthogonals, radicals, projections and splittings are
 computed per component with exact echelon/nullspace kernels.
@@ -112,15 +112,10 @@ class BilinearForm:
                 raise ModuleMismatch(f"Gram matrix is not {n} x {n}")
 
     def _held_grams(self) -> tuple:
-        """Per X-component, (G, the columns of G) held: u G is
-        held_combine(u, G) and t G^T is held_combine(t, columns)."""
+        """Per X-component, G held, once: u G is held_combine(u, G) and
+        u G^T is held_product(u, G)."""
         field = self.module.field
-
-        def hold():
-            grams = [linalg.hold(g, field) for g in self.gram]
-            return tuple((g, linalg.held_transpose(g, field)) for g in grams)
-
-        return _kept(self, "gram", hold)
+        return _kept(self, "gram", lambda: tuple(linalg.hold(g, field) for g in self.gram))
 
     def _xc_of(self, open: OpenRef):
         space = self.module.space
@@ -134,9 +129,9 @@ class BilinearForm:
         if r.open != s.open:
             raise OpenMismatch(f"sections over different opens: {r.open} vs {s.open}")
         field, grams = self.module.field, self._held_grams()
-        cols = [grams[xc][1] for xc in self._xc_of(r.open)]
-        held = zip(linalg.hold(r.vectors, field), linalg.hold(s.vectors, field), cols)
-        values = linalg.release([_pairings((u,), (v,), c, field)[0] for u, v, c in held], field)
+        gs = [grams[xc] for xc in self._xc_of(r.open)]
+        held = zip(linalg.hold(r.vectors, field), linalg.hold(s.vectors, field), gs)
+        values = linalg.release([_pairings((u,), (v,), g, field)[0] for u, v, g in held], field)
         return AlgebraSection(self.module.space, field, r.open, tuple(x for (x,) in values))
 
     def adjoint(self, t: ModuleSection, side: str) -> "CovectorSection":
@@ -145,8 +140,9 @@ class BilinearForm:
         if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
         field, grams = self.module.field, self._held_grams()
+        times = linalg.held_product if side == "left" else linalg.held_combine
         covectors = tuple(
-            linalg.held_product((tv,), grams[xc][0 if side == "left" else 1], field)[0]
+            times((tv,), grams[xc], field)[0]
             for tv, xc in zip(linalg.hold(t.vectors, field), self._xc_of(t.open))
         )
         return CovectorSection(self.module, t.open, linalg.release(covectors, field))
@@ -158,14 +154,13 @@ class BilinearForm:
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
         if f.module != self.module:
             raise ModuleMismatch("submodule belongs to a different module")
-        n = self.module.rank
-        field = self.module.field
-        perps = []
-        for b, (g, cols) in zip(f._rows, self._held_grams()):
-            # the rows of B G (left) or B G^T (right), each paired with t
-            m = linalg.held_combine(b, g if side == "left" else cols, field)
-            perps.append(linalg.held_nullspace(m, n, field))
-        return Submodule(self.module, tuple(perps))
+        n, field = self.module.rank, self.module.field
+        # the rows of B G (left) or B G^T (right), each paired with t
+        times = linalg.held_combine if side == "left" else linalg.held_product
+        grams = zip(f._rows, self._held_grams())
+        return Submodule(self.module, tuple(
+            linalg.held_nullspace(times(b, g, field), n, field) for b, g in grams
+        ))
 
     def is_nondegenerate(self) -> bool:
         """Full rank on every component."""
@@ -175,7 +170,7 @@ class BilinearForm:
         """The first X-component whose Gram matrix is singular, or None,
         ranked on the held Gram matrices."""
         field = self.module.field
-        for c, (g, _) in enumerate(self._held_grams()):
+        for c, g in enumerate(self._held_grams()):
             if linalg.held_rank(g, field) != len(g):
                 return c
         return None
@@ -201,7 +196,7 @@ class BilinearForm:
                 raise ModuleMismatch("submodule belongs to a different module")
             field = self.module.field
             dims, factors = [], []
-            for b, (g, _) in zip(f._rows, self._held_grams()):
+            for b, g in zip(f._rows, self._held_grams()):
                 bg = linalg.held_combine(b, g, field)
                 rank, k = linalg.held_left_divide(linalg.held_product(bg, b, field), bg, field)
                 dims.append(len(b) - rank)
@@ -220,8 +215,8 @@ class BilinearForm:
             raise ModuleMismatch("submodule belongs to a different module")
         field = self.module.field
         rads = []
-        for b, (_, cols) in zip(f._rows, self._held_grams()):
-            r = linalg.held_nullspace(_pairings(b, b, cols, field), len(b), field)
+        for b, g in zip(f._rows, self._held_grams()):
+            r = linalg.held_nullspace(_pairings(b, b, g, field), len(b), field)
             rads.append(linalg.held_combine(r, b, field))  # reduced echelon already
         return Submodule(self.module, tuple(rads))
 
@@ -371,10 +366,11 @@ def certify_projection(form: BilinearForm, f: Submodule, t, p) -> dict:
     }
 
 
-def _pairings(rows, cols, gram_cols, field):
+def _pairings(rows, cols, gram, field):
     """The held matrix of phi(u, v) = u G v^T over the held rows u of `rows`
-    and v of `cols`, with `gram_cols` the held columns of G."""
-    return linalg.held_product(linalg.held_product(rows, gram_cols, field), cols, field)
+    and v of `cols`, with `gram` the held rows of G: the rows u G
+    (`held_combine`), each paired with every v."""
+    return linalg.held_product(linalg.held_combine(rows, gram, field), cols, field)
 
 
 def _zeros(rows: int, cols: int, field) -> tuple:
@@ -390,10 +386,11 @@ def certify_radical(form: BilinearForm, rad: Submodule, carrier: Submodule) -> b
     pairs to zero with the carrier, both ways), and every row of R lies in
     the span of C."""
     field = form.module.field
-    for (g, cols), r, c in zip(form._held_grams(), rad._rows, carrier._rows):
+    for g, r, c in zip(form._held_grams(), rad._rows, carrier._rows):
         zeros = _zeros(len(r), len(c), field)
-        for pairing in (g, cols):
-            if linalg.held_product(linalg.held_combine(r, pairing, field), c, field) != zeros:
+        # the rows of R G and of R G^T, each paired with every row of C
+        for times in (linalg.held_combine, linalg.held_product):
+            if linalg.held_product(times(r, g, field), c, field) != zeros:
                 return False
         if any(linalg.held_coordinates(c, v, field) is None for v in r):
             return False
@@ -408,9 +405,10 @@ def certify_orthogonal(form: BilinearForm, perp: Submodule, f: Submodule, side: 
     P G F^T), and whether the dimension formula dim perp = rank - rank(F G)
     (or F G^T) holds."""
     field = form.module.field
+    times = linalg.held_combine if side == "left" else linalg.held_product
     annihilates = dimension_formula = True
-    for (g, cols), p, rows in zip(form._held_grams(), perp._rows, f._rows):
-        pairing = linalg.held_combine(rows, g if side == "left" else cols, field)
+    for g, p, rows in zip(form._held_grams(), perp._rows, f._rows):
+        pairing = times(rows, g, field)
         if linalg.held_product(pairing, p, field) != _zeros(len(rows), len(p), field):
             annihilates = False
         if len(p) != form.module.rank - linalg.held_rank(pairing, field):

@@ -55,7 +55,9 @@ and the routines on field elements (`rref`, `nullspace`, `solve`,
 `inverse`, `reduce_against`, `complement_rows`) serve only callers outside
 the package; the package reaches this module only through held rows. There
 is no `rank` on field elements: a caller holds its rows and takes
-`held_rank`. Every conversion on entry refuses rows of unequal length.
+`held_rank`. Every conversion on entry, `held_transpose` and `held_combine`
+(B's rows) refuse rows of unequal length; `held_divide` by zero raises
+`ZeroDivisionError`, as `FpElement` division does.
 
 A caller that chains many steps holds its rows itself and works on them
 with `held_product` (the matrix of `dot(row, col)`, A C^T),
@@ -226,9 +228,15 @@ def _values(held, p: int) -> list:
     return [row for row, _ in held]
 
 
-def _rectangular(rows, length=len) -> None:
-    """Refuse rows of unequal length (held rows with `length=_length`)."""
-    if len(set(map(length, rows))) > 1:
+def _rectangular(rows) -> None:
+    """Refuse rows of unequal length."""
+    if len(set(map(len, rows))) > 1:
+        raise ValueError("rows of unequal length")
+
+
+def _rectangular_held(held) -> None:
+    """`_rectangular` on held rows, packed or not, with no call per row."""
+    if len({n if type(x) is int else len(x) for x, n in held}) > 1:
         raise ValueError("rows of unequal length")
 
 
@@ -289,7 +297,7 @@ def _hold(rows, p) -> tuple:
         held = _held(lifted, p)
     else:
         held = tuple(map(_cleared, rows))
-        _rectangular([row for row, _ in held])
+        _rectangular_held(held)
     _COUNTS["rows_in"] += len(held)
     return held
 
@@ -319,7 +327,7 @@ def _work(held, p):
     their content, which drops the denominator an elimination has no use
     for."""
     if _is_packed(held):
-        _rectangular(held, _length)
+        _rectangular_held(held)
         return [x for x, _ in held], held[0][1]
     work = [row if p else _primitive(row) for row, _ in held]
     return work, len(work[0]) if work else 0
@@ -525,7 +533,7 @@ def _sums(coeffs, packed: list, width: int, p: int) -> list:
 
 
 def _same_length(u, v) -> None:
-    """Raise as `dot` does when two factors' inner lengths differ."""
+    """Raise when two factors' inner lengths differ, as `dot` does."""
     if len(u) != len(v):
         raise ValueError(f"vectors of lengths {len(u)} and {len(v)}")
 
@@ -565,7 +573,8 @@ def _combine(rows, right, p) -> tuple:
     A and of B. Over GF(p), with B's rows packed, row i is the sum of a_ik
     times B's packed row k (`_sums`). Otherwise it is the dots of a_i with
     B's columns, all over the lcm E of B's denominators, so that over Q row
-    i is held over d_i E."""
+    i is held over d_i E. B's rows must be of one length."""
+    _rectangular_held(right)
     coeffs = _values(rows, p) if p else [u for u, _ in rows]
     if coeffs and right:
         _same_length(coeffs[0], right)
@@ -573,16 +582,17 @@ def _combine(rows, right, p) -> tuple:
         width = right[0][1]
         packed = [y for y, _ in right]
         return tuple([(x, width) for x in _sums(coeffs, packed, width, p)])
+    if p:
+        return _dots(coeffs, list(zip(*[v for v, _ in right])), p)
     den = lcm(*[e for _, e in right])
     columns = list(zip(*[v if e == den else [x * (den // e) for x in v] for v, e in right]))
-    if p:
-        return tuple([([sum(map(mul, u, v)) % p for v in columns], 1) for u in coeffs])
     return tuple([_reduced([dot(u, v) for v in columns], d * den) for u, d in rows])
 
 
 def _transpose(held, p) -> tuple:
-    """The body of `held_transpose`: over Q each entry is brought over the
-    lcm of the row denominators."""
+    """The body of `held_transpose`, for rows of one length: over Q each
+    entry is brought over the lcm of the row denominators."""
+    _rectangular_held(held)
     if p:
         return _held([list(col) for col in zip(*_values(held, p))], p)
     den = lcm(*[d for _, d in held])
@@ -645,7 +655,6 @@ def _complement(held, k: int, p) -> tuple:
     being those of the small space. They are the pivot columns past k of one
     elimination of the transpose, since a column is a pivot column exactly
     when it is not a combination of the columns before it."""
-    _rectangular(held, _length)
     work, _ = _work(_transpose(held, p), p)
     _, pivots = _eliminate(work, range(len(held)), p)
     return tuple(pc - k for pc in pivots if pc >= k)
@@ -710,8 +719,7 @@ def matmul(a, b):
 
 def dot(u, v):
     """The sum of the entries' products, the int 0 for empty vectors."""
-    if len(u) != len(v):
-        raise ValueError(f"vectors of lengths {len(u)} and {len(v)}")
+    _same_length(u, v)
     terms = map(mul, u, v)
     return sum(terms, next(terms, 0))
 
@@ -843,15 +851,16 @@ def held_transpose(held, field) -> tuple:
 
 def held_divide(held, by, field) -> tuple:
     """Every held row divided by the one entry of the 1 x 1 held matrix
-    `by`, which must not be zero."""
+    `by`, which must not be zero (`ZeroDivisionError`)."""
     p = _word_modulus(field)
     (((n,), d),) = by
-    if p and _is_packed(held):
-        c = pow(n, -1, p)
-        k = held[0][1]
-        return tuple([(x, k) for x in _reduce_rows([y * c for y, _ in held], k, p)])
+    if not n:
+        raise ZeroDivisionError("division of held rows by zero")
     if p:
         c = pow(n, -1, p)
+        if _is_packed(held):
+            k = held[0][1]
+            return tuple([(x, k) for x in _reduce_rows([y * c for y, _ in held], k, p)])
         return tuple(([x * c % p for x in row], 1) for row, _ in held)
     return tuple(_reduced([x * d for x in row], e * n) for row, e in held)
 

@@ -97,11 +97,14 @@ def fixture_spaces():
 
 # -- seeded generators ----------------------------------------------------------
 
+def _random_square(rng: Random, n: int, field):
+    """One draw of an n x n matrix of random scalars, row by row."""
+    return tuple(tuple(field.random_scalar(rng) for _ in range(n)) for _ in range(n))
+
+
 def random_invertible(rng: Random, n: int, field):
     while True:
-        m = tuple(
-            tuple(field.random_scalar(rng) for _ in range(n)) for _ in range(n)
-        )
+        m = _random_square(rng, n, field)
         if linalg.held_rank(linalg.hold(m, field), field) == n:
             return m
 
@@ -110,11 +113,11 @@ def random_alternating_form(rng: Random, module: FreeModule) -> BilinearForm:
     """Non-degenerate alternating form: congruate the standard one by a
     random invertible matrix on each component."""
     field = module.field
-    a_cols = linalg.hold(linalg.transpose(standard_alternating(module.rank, field)), field)
+    a = linalg.hold(standard_alternating(module.rank, field), field)
     gram = []
     for _ in module.x_components():
         pt = linalg.hold(linalg.transpose(random_invertible(rng, module.rank, field)), field)
-        gram.append(linalg.release(_pairings(pt, pt, a_cols, field), field))
+        gram.append(linalg.release(_pairings(pt, pt, a, field), field))
     return BilinearForm(module, tuple(gram))
 
 
@@ -138,8 +141,7 @@ def random_orthosymmetric_form(
                 for i in range(n)
             )
         pt = linalg.hold(linalg.transpose(random_invertible(rng, n, field)), field)
-        cols = linalg.hold(linalg.transpose(base), field)
-        gram.append(linalg.release(_pairings(pt, pt, cols, field), field))
+        gram.append(linalg.release(_pairings(pt, pt, linalg.hold(base, field), field), field))
     return BilinearForm(module, tuple(gram))
 
 
@@ -201,9 +203,11 @@ def _random_block_symplectic(rng: Random, n: int, field):
         elif kind == 1:
             gens.append(interleaved(ident, zero, sym(), ident))
         else:
-            q = random_invertible(rng, half, field)
-            q_inv = linalg.release(linalg.held_inverse(linalg.hold(q, field), field), field)
-            gens.append(interleaved(q, zero, zero, linalg.transpose(q_inv)))
+            q_inv = None  # a singular draw has no inverse and is drawn again
+            while q_inv is None:
+                q = _random_square(rng, half, field)
+                q_inv = linalg.held_inverse(linalg.hold(q, field), field)
+            gens.append(interleaved(q, zero, zero, linalg.transpose(linalg.release(q_inv, field))))
     return functools.reduce(functools.partial(linalg.held_combine, field=field), gens)
 
 
@@ -267,8 +271,7 @@ def _zero_pair_counts(g, vectors, field):
     forward but not backward, if any."""
     # phi(u, v) = (u G) . v for every pair at once: the matrix V G V^T
     held = linalg.hold(vectors, field)
-    cols = linalg.hold(linalg.transpose(g), field)
-    table = linalg.release(_pairings(held, held, cols, field), field)
+    table = linalg.release(_pairings(held, held, linalg.hold(g, field), field), field)
     forward = 0
     both = 0
     witness = None
@@ -461,12 +464,7 @@ def _dichotomy_case(rng: Random, field, max_rank):
     ncomp = len(space.components_of(space.x_ref))
     rank = rng.randrange(1, max_rank + 1)
     module = FreeModule(space, field, rank)
-    gram = tuple(
-        tuple(
-            tuple(field.random_scalar(rng) for _ in range(rank)) for _ in range(rank)
-        )
-        for _ in range(ncomp)
-    )
+    gram = tuple(_random_square(rng, rank, field) for _ in range(ncomp))
     form = BilinearForm(module, gram)
     cls = classify_orthosymmetry(form)
     if hasattr(field, "p") and field.p**rank <= _COUNTING_LIMIT:

@@ -53,9 +53,11 @@ the Gram matrices the form holds), and the completion of the empty family
 shares (`form_memo_stats()` counts both). A failed validation is not kept.
 The report layer and the oracles call `certify_witt` and `certify_envelope`;
 `Isometry.holds`, the check of `certify_witt`, decides M^T G' M = G on held
-rows: the pairings of the rows of M^T under G' (`bilinear._pairings`)
-against G. `certify_envelope` reads its planes off one pairing matrix of
-r_1, s_1, ..., r_k, s_k per component.
+rows: it pairs the rows of M^T under G' (`bilinear._pairings`: the rows of
+M^T G', each against every row of M^T) and compares the result with G,
+each Gram matrix the one held matrix its form keeps per component.
+`certify_envelope` reads its planes off one pairing matrix of r_1, s_1,
+..., r_k, s_k per component.
 """
 
 from __future__ import annotations
@@ -174,15 +176,16 @@ class Isometry:
     def holds(self) -> bool:
         """The defining equation M^T G' M = G on every component, with one
         square matrix of the module's rank per component: the pairings of
-        the rows of M^T, held once, under G' against G, both held."""
+        the rows of M^T, held once, under G' against G, both as the forms
+        hold them."""
         try:
             self._check_shape()
         except (ModuleMismatch, RankMismatch):
             return False
         field = self.source.module.field
         mts = (linalg.hold(linalg.transpose(m), field) for m in self.matrices)
-        grams = zip(mts, _gram_columns(self.target), self.source._held_grams())
-        return all(_pairings(mt, mt, cols, field) == g for mt, cols, (g, _) in grams)
+        grams = zip(mts, self.target._held_grams(), self.source._held_grams())
+        return all(_pairings(mt, mt, g2, field) == g for mt, g2, g in grams)
 
 
 def compose_isometries(first: Isometry, second: Isometry) -> Isometry:
@@ -272,11 +275,6 @@ def standard_symplectic_form(module: FreeModule) -> BilinearForm:
 
 # -- the extension theorem ------------------------------------------------------
 
-def _gram_columns(form: BilinearForm):
-    """Per component, the columns of G held."""
-    return [cols for _, cols in form._held_grams()]
-
-
 def _held_vectors(form: BilinearForm, sections):
     """Per component, the vectors of `sections` held, in order."""
     field = form.module.field
@@ -302,9 +300,8 @@ def _shrink(field, grams, ambient, sections):
     if not sections:
         return ambient
     out = []
-    for c, (amb, (_, cols)) in enumerate(zip(ambient, grams)):
-        avoid = tuple(sec[c] for sec in sections)
-        coeffs = linalg.held_nullspace(_pairings(avoid, amb, cols, field), len(amb), field)
+    for amb, g, avoid in zip(ambient, grams, zip(*sections)):
+        coeffs = linalg.held_nullspace(_pairings(avoid, amb, g, field), len(amb), field)
         out.append(linalg.held_combine(coeffs, amb, field))
     return out
 
@@ -328,10 +325,11 @@ def _partner(field, grams, ambient, avoid, given, side, label):
     no such row (which signals an inconsistent input family)."""
     picks = []
     (zero,) = linalg.held_ints([[0]], field)
-    for c, (w_rows, (g, cols)) in enumerate(zip(_shrink(field, grams, ambient, avoid), grams)):
-        # phi(r_k, w) = (r_k G) . w and phi(w, s_k) = (s_k G^T) . w, one
-        # held row of one entry per w
-        v = linalg.held_combine((given[c],), g if side == "r" else cols, field)
+    # phi(r_k, w) = (r_k G) . w and phi(w, s_k) = (s_k G^T) . w, one held
+    # row of one entry per w
+    times = linalg.held_combine if side == "r" else linalg.held_product
+    for c, (w_rows, g) in enumerate(zip(_shrink(field, grams, ambient, avoid), grams)):
+        v = times((given[c],), g, field)
         # held rows are canonical, so a non-zero pairing differs from zero
         for w, pairing in zip(w_rows, linalg.held_product(w_rows, v, field)):
             if pairing != zero:
@@ -372,11 +370,8 @@ def _check_partial_relations(field, grams, rs, ss):
          for a, i in labels],
         field,
     )
-    sections = [*rs.values(), *ss.values()]
-    mats = []
-    for c, (_, cols) in enumerate(grams):
-        rows = tuple(sec[c] for sec in sections)
-        mats.append(_pairings(rows, rows, cols, field))
+    held = zip(*rs.values(), *ss.values())  # per component: the r rows, then the s rows
+    mats = [_pairings(rows, rows, g, field) for rows, g in zip(held, grams)]
     r_pos, s_pos = range(len(rs)), range(len(rs), len(labels))
     blocks = ((r_pos, r_pos), (s_pos, s_pos), (r_pos, s_pos))
     order = [(p, q) for ps, qs in blocks for p in ps for q in qs]
@@ -388,14 +383,13 @@ def _check_partial_relations(field, grams, rs, ss):
         )
 
 
-def _congruent(form: BilinearForm, gram_cols, rows):
+def _congruent(field, grams, rows):
     """P^T G P == A_2n on every component, with the held rows of P^T (the
     interleaved basis r_1, s_1, r_2, ..., 2n rows per component) and the
-    held columns of G per component: when it holds, the held rows r_1 G,
+    held rows of G per component: when it holds, the held rows r_1 G,
     s_1 G, ... of P^T G it computes from P per component, else None."""
-    field = form.module.field
     target = linalg.held_ints(_alternating_ints(len(rows[0]) if rows else 0), field)
-    pgs = tuple(linalg.held_product(p, cols, field) for p, cols in zip(rows, gram_cols))
+    pgs = tuple(linalg.held_combine(p, g, field) for p, g in zip(rows, grams))
     holds = all(linalg.held_product(pg, p, field) == target for pg, p in zip(pgs, rows))
     return pgs if holds else None
 
@@ -527,7 +521,7 @@ def _complete(form: BilinearForm, rs, ss, start=None):
         tuple(h[c] for i in range(1, n + 1) for h in (hr[i], hs[i]))
         for c in range(len(grams))
     )
-    pg = _congruent(form, [cols for _, cols in grams], rows)
+    pg = _congruent(field, grams, rows)
     if pg is None:
         raise SelfCheckFailed("the completed basis fails P^T G P == A_2n")
     return rows, pg
@@ -546,7 +540,7 @@ def certify_basis(form: BilinearForm, basis: SymplecticBasis, partial=None) -> b
         sec.module != module or sec.open != x for sec in sections
     ):
         return False
-    if _congruent(form, _gram_columns(form), _held_vectors(form, sections)) is None:
+    if _congruent(module.field, form._held_grams(), _held_vectors(form, sections)) is None:
         return False
     n = module.rank // 2
     return partial is None or all(
@@ -650,8 +644,8 @@ def hyperbolic_envelope(form: BilinearForm, f: Submodule):
     module = form.module
     field = module.field
     bases = f._rows
-    for held, cols in zip(bases, _gram_columns(form)):
-        if _pairings(held, held, cols, field) != _zeros(len(held), len(held), field):
+    for held, g in zip(bases, form._held_grams()):
+        if _pairings(held, held, g, field) != _zeros(len(held), len(held), field):
             raise NotTotallyIsotropic("the form does not vanish on the submodule")
     basis = f.global_basis()
     rows, _ = _completed(form, dict(enumerate(zip(*bases), 1)), {})
@@ -679,8 +673,8 @@ def certify_envelope(form: BilinearForm, f: Submodule, planes) -> bool:
     if _planes(module, held, [(plane.r, plane.s) for plane in planes]) != list(planes):
         return False
     zero = field.zero
-    for rows, cols in zip(held, _gram_columns(form)):
-        pairing = linalg.release(_pairings(rows, rows, cols, field), field)
+    for rows, g in zip(held, form._held_grams()):
+        pairing = linalg.release(_pairings(rows, rows, g, field), field)
         for i in range(0, len(rows), 2):
             (rr, rs), (sr, ss) = (row[i : i + 2] for row in pairing[i : i + 2])
             right = (x for row in pairing[i : i + 2] for x in row[i + 2 :])
@@ -742,8 +736,8 @@ def witt_extend(
     held_images = _held_vectors(target, images)
     # per component, the k x k Gram matrices B G B^T and Im G' Im^T; when
     # they differ, the first pair in row-major order is the witness
-    grams = [_pairings(b, b, cols, field) for b, cols in zip(bases, _gram_columns(source))]
-    wants = [_pairings(im, im, cols, field) for im, cols in zip(held_images, _gram_columns(target))]
+    grams = [_pairings(b, b, g, field) for b, g in zip(bases, source._held_grams())]
+    wants = [_pairings(im, im, g, field) for im, g in zip(held_images, target._held_grams())]
     broken = _first_mismatch(field, grams, wants, [(i, j) for i in range(k) for j in range(k)])
     if broken is not None:
         raise IsometryHypothesisViolated(

@@ -972,6 +972,37 @@ def test_left_divide_refuses_malformed_input(field):
     assert same(linalg.release(k, field), ref_inverse(linalg.release(square, field), field))
 
 
+@pytest.mark.parametrize("field", [Q, F7, PrimeField(10007)], ids=["Q", "GF7", "GF10007"])
+def test_held_divide_refuses_a_held_zero(field):
+    # a held zero divided over Q into a row over the denominator 0, and over
+    # GF(p) raised `pow`'s ValueError; it raises as `FpElement` division
+    # does, on list rows and on packed rows 9 wide
+    (zero,) = linalg.held_ints([[0]], field)
+    for width in (3, 9):
+        rows = linalg.held_ints([list(range(1, width + 1))], field)
+        with pytest.raises(ZeroDivisionError):
+            linalg.held_divide(rows, (zero,), field)
+
+
+@pytest.mark.parametrize(
+    "field, widths",
+    [(Q, (3, 4)), (F7, (3, 4)), (Q, (9, 10)), (PrimeField(10007), (9, 10))],
+    ids=["Q", "GF7", "Q-wide", "GF10007-packed"],
+)
+def test_transpose_and_combine_refuse_held_rows_of_unequal_length(field, widths):
+    # held rows of two lengths, each held alone and then put together: a
+    # transpose cut them to the shortest, a product read B's columns only
+    # as far as its shortest row went, and packed rows of 9 and 10 slots
+    # overflowed an unpacking of 9
+    short, long = (linalg.held_ints([list(range(1, n + 1))], field) for n in widths)
+    coeffs = linalg.held_ints([[1, 2]], field)
+    for ragged in (short + long, long + short):
+        with pytest.raises(ValueError, match="rows of unequal length"):
+            linalg.held_transpose(ragged, field)
+        with pytest.raises(ValueError, match="rows of unequal length"):
+            linalg.held_combine(coeffs, ragged, field)
+
+
 def test_inverse_takes_the_kernel_of_its_identity_block():
     # M^-1 is M^-1 I, one elimination of [M | I] as `held_left_divide` runs
     # it: the rows are packed only when I's are, so a 4 x 4 and a 7 x 7

@@ -1221,7 +1221,8 @@ def ref_project_rows_away(field, grams, rows_per_comp, pairs):
     complement of their span."""
     out = []
     for c, rows in enumerate(rows_per_comp):
-        g, cols = grams[c]
+        g = grams[c]
+        cols = linalg.held_transpose(g, field)
         rs = tuple(r[c] for r, _ in pairs)
         ss = tuple(s[c] for _, s in pairs)
         tg = linalg.held_product(rs, g, field) + linalg.held_product(ss, cols, field)
@@ -1237,10 +1238,9 @@ def ref_orthogonal_rows(field, grams, rows_per_comp, avoid):
     nullspace of the pairings, times the rows, echelonized again."""
     out = []
     for c, amb in enumerate(rows_per_comp):
-        cols = grams[c][1]
         stacked = tuple(a[c] for a in avoid)
         coeffs = linalg.held_nullspace(
-            symplectic._pairings(stacked, amb, cols, field), len(amb), field
+            symplectic._pairings(stacked, amb, grams[c], field), len(amb), field
         )
         product = linalg.held_product(coeffs, linalg.held_transpose(amb, field), field)
         out.append(linalg.held_rref(product, field)[0] if coeffs else ())
